@@ -818,6 +818,7 @@ def cmd_sweep(args) -> int:
         "sigma": sigma,
     }
     _write_json(outdir / "boundary.json", boundary)
+    _write_json(outdir / "cells.json", {"cells": result.outcomes()})
     svg = emit_svg_heatmap(result, title=f"stability sweep M={width}")
     (outdir / "sweep.svg").write_text(svg)
     _write_config(outdir, "sweep", merged)

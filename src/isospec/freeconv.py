@@ -195,10 +195,19 @@ def _atomize(mu: SpectralMeasure):
     return np.asarray(locs), np.asarray(masses)
 
 
-def _h_of(locs: np.ndarray, masses: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """h(u) = u G(u) - 1 for the discrete measure sum_k m_k delta_{x_k}."""
-    g = (masses[None, :] / (u[:, None] - locs[None, :])).sum(axis=1)
-    return u * g - 1.0
+def _h_of(locs: np.ndarray, masses: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """h(u) = u G(u) - 1 for the discrete measure sum_k m_k delta_{x_k}.
+
+    The (len(u), len(locs)) pole terms go to the first rows of the
+    complex buffer `work`. The solver passes the same buffer on every
+    call, so it allocates no large temporaries and its speed does not
+    depend on whether the allocator hands freed memory back to the
+    system between iterations.
+    """
+    terms = work[: u.size]
+    np.subtract(u[:, None], locs[None, :], out=terms)
+    np.divide(masses[None, :], terms, out=terms)
+    return u * terms.sum(axis=1) - 1.0
 
 
 def _product_atoms(mu: SpectralMeasure, nu: TwoAtomJacobianLaw) -> list:
@@ -356,14 +365,15 @@ def _subordination_solve(locs, masses, nu, z, *, damping, tol, max_iter):
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
+    work = np.empty((n, locs.size), dtype=complex)
 
     def step(w, zz):
         s = (w + 1.0) / (nu.gamma * (w + nu.alpha))
         u = zz * s
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _h_of(locs, masses, u)
+            return _h_of(locs, masses, u, work)
 
-    w = _h_of(locs, masses, z)  # cold start: as if S_nu were 1
+    w = _h_of(locs, masses, z, work)  # cold start: as if S_nu were 1
     iters = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     for _ in range(max_iter):
@@ -422,7 +432,7 @@ def _subordination_solve(locs, masses, nu, z, *, damping, tol, max_iter):
 
     def newton_descend(z_target):
         top = 8.0 * (abs(z_target.real) + 1.0)
-        wi = _h_of(locs, masses, np.array([z_target.real + 1j * top]))[0]
+        wi = _h_of(locs, masses, np.array([z_target.real + 1j * top]), work)[0]
         for lev in np.geomspace(top, z_target.imag, 24):
             zz = z_target.real + 1j * lev
             for _ in range(max_iter):

@@ -172,6 +172,21 @@ class TestSweep:
         assert boundary["reference_2_over_L"]["2"] == pytest.approx(1.0)
         assert (out / "sweep.svg").read_text().startswith("<svg")
 
+    def test_cells_json_records_each_outcome(self, tmp_path):
+        out = tmp_path / "swc"
+        assert _run("sweep", "--out", out, "--depths", "1,2",
+                    "--etas", "0.001,80", *self.SMALL) == 0
+        cells = json.loads((out / "cells.json").read_text())["cells"]
+        assert [(c["depth"], c["eta"]) for c in cells] == [
+            (1, 0.001), (1, 80.0), (2, 0.001), (2, 80.0)]
+        for c in cells:
+            assert set(c) == {"depth", "eta", "seed", "steps", "diverged_at", "cause", "layer"}
+        stable, blown = cells[0], cells[1]
+        assert stable["steps"] == 30 and stable["diverged_at"] is None
+        assert stable["cause"] is None and stable["layer"] is None
+        assert blown["cause"] == "norm_blowup" and blown["layer"] == 1
+        assert blown["steps"] == blown["diverged_at"] + 1
+
     def test_all_diverged_exit_code(self, tmp_path, capsys):
         out = tmp_path / "swd"
         code = _run("sweep", "--out", out, "--depths", "2",

@@ -1,5 +1,6 @@
 """Tests for IDX ingestion, datasets, online gradient descent, and sweeps."""
 
+import dataclasses
 import logging
 import math
 import struct
@@ -7,10 +8,15 @@ import struct
 import numpy as np
 import pytest
 
-from isospec.meanfield import HardTanh, Linear, activation_apply
+from isospec import trainlab
+from isospec.meanfield import HardTanh, Linear, activation_apply, activation_deriv_sq
 from isospec.rmtsim import OrthogonalNet, normalized_input
 from isospec.trainlab import (
+    NONFINITE_GRADIENT,
+    NONFINITE_LOSS,
+    NORM_BLOWUP,
     Dataset,
+    SweepCell,
     TrainConfig,
     estimate_boundary,
     evaluate,
@@ -327,3 +333,222 @@ class TestLrDepthSweep:
             lr_depth_sweep([], [0.1], self._base(), data)
         with pytest.raises(ValueError):
             lr_depth_sweep([1], [], self._base(), data)
+
+
+# ----------------------------------------------------------------------
+# Reference: one cell at a time, one sample at a time, as a plain loop.
+# The stacked sweep must reproduce it bit for bit.
+# ----------------------------------------------------------------------
+
+
+def _ref_forward(weights, activation, x):
+    xs, hs = [x], []
+    for ell, w in enumerate(weights):
+        h = w @ xs[-1]
+        hs.append(h)
+        if ell < len(weights) - 1:
+            xs.append(activation_apply(activation, h))
+    return xs, hs
+
+
+def _ref_step(weights, activation, x, y, eta):
+    M = len(x)
+    xs, hs = _ref_forward(weights, activation, x)
+    resid = hs[-1] - y
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(resid @ resid) / (2.0 * M)
+        if not math.isfinite(loss):
+            return loss, NONFINITE_LOSS
+        delta = resid / M
+        grads = [None] * len(weights)
+        for ell in range(len(weights) - 1, -1, -1):
+            grads[ell] = np.outer(delta, xs[ell])
+            if ell > 0:
+                back = weights[ell].T @ delta
+                delta = np.sqrt(activation_deriv_sq(activation, hs[ell - 1])) * back
+    if not all(np.all(np.isfinite(g)) for g in grads):
+        return loss, NONFINITE_GRADIENT
+    with np.errstate(over="ignore"):
+        for w, g in zip(weights, grads):
+            w -= eta * g
+    return loss, None
+
+
+def _ref_evaluate(weights, activation, data):
+    total, hits = 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(data.size):
+            _, hs = _ref_forward(weights, activation, data.inputs[i])
+            resid = hs[-1] - data.target(i)
+            total += float(resid @ resid) / (2.0 * data.width)
+            hits += int(np.argmax(hs[-1][: data.classes]) == data.labels[i])
+    return total / data.size, hits / data.size
+
+
+def _ref_cell(config, train, test):
+    """(SweepCell, clamped per-step losses) of one cell."""
+    net = OrthogonalNet.sample(
+        config.width, config.depth, config.activation, config.sigma, config.seed
+    )
+    weights = net.weights
+    order = np.random.default_rng(config.seed + 0x5EED).permutation(train.size)
+    with np.errstate(over="ignore"):
+        limits = [config.blowup_factor * np.linalg.norm(w) for w in weights]
+    losses, stop = [], None
+    for step in range(config.steps):
+        i = int(order[step % train.size])
+        loss, cause = _ref_step(weights, config.activation, train.inputs[i], train.target(i),
+                                config.eta)
+        losses.append(min(loss, config.loss_clamp) if math.isfinite(loss) else config.loss_clamp)
+        if cause is not None:
+            stop = (step, cause, None)
+            break
+        with np.errstate(over="ignore"):
+            over = [np.linalg.norm(w) > lim for w, lim in zip(weights, limits)]
+        if any(over):
+            stop = (step, NORM_BLOWUP, over.index(True) + 1)
+            break
+    clamp = config.loss_clamp
+    if stop is None:
+        train_loss, train_acc = _ref_evaluate(weights, config.activation, train)
+        train_loss = min(train_loss, clamp)
+        test_loss, test_acc = math.nan, math.nan
+        if test is not None:
+            test_loss, test_acc = _ref_evaluate(weights, config.activation, test)
+            test_loss = min(test_loss, clamp)
+        diverged_at, cause, layer = None, None, None
+    else:
+        train_loss, train_acc = clamp, 0.0
+        test_loss, test_acc = (clamp, 0.0) if test is not None else (math.nan, math.nan)
+        diverged_at, cause, layer = stop
+    cell = SweepCell(
+        depth=config.depth, eta=config.eta, seed=config.seed, train_loss=train_loss,
+        test_loss=test_loss, train_acc=train_acc, test_acc=test_acc,
+        diverged=stop is not None, steps=len(losses), diverged_at=diverged_at,
+        cause=cause, layer=layer,
+    )
+    return cell, np.asarray(losses)
+
+
+def _ref_sweep(depths, etas, base, train, test):
+    cells, boundary = [], {}
+    for di, depth in enumerate(depths):
+        row = []
+        for ei, eta in enumerate(etas):
+            config = dataclasses.replace(
+                base, depth=depth, eta=eta, seed=base.seed + 100_003 * di + 1_009 * ei
+            )
+            row.append(_ref_cell(config, train, test)[0])
+        cells += row
+        boundary[depth] = estimate_boundary(etas, [c.diverged for c in row])
+    return cells, boundary
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal type, NaN matching NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def _assert_same_cells(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(SweepCell):
+            gv, wv = getattr(g, f.name), getattr(w, f.name)
+            assert _same(gv, wv), f"{f.name}: {gv!r} != {wv!r} in {w}"
+
+
+# survivors and norm blow-ups; survivors, a non-finite loss and a norm
+# blow-up; a non-finite gradient with a finite loss
+SWEEP_GRIDS = {
+    "hard_tanh": dict(
+        width=16, classes=4, depths=[1, 2, 3], etas=[1e-3, 0.5, 3.0, 80.0],
+        config=dict(activation=HardTanh(s=1.0, g=1.0), steps=40, seed=3),
+    ),
+    "linear_overflow": dict(
+        width=16, classes=4, depths=[1, 3], etas=[1e-3, 0.5, 1e100, 1e250],
+        config=dict(activation=Linear(1.0), steps=40, seed=3, blowup_factor=1e200),
+    ),
+    "gradient_overflow": dict(
+        width=8, classes=2, depths=[2], etas=[1e-3, 0.1],
+        config=dict(activation=Linear(1.0), steps=5, seed=0, sigma=(1e160, 1e-7)),
+    ),
+}
+
+
+def _grid_inputs(name, with_test):
+    grid = SWEEP_GRIDS[name]
+    m = grid["width"]
+    train = synth_dataset(m, 32, grid["classes"], seed=0)
+    test = synth_dataset(m, 8, grid["classes"], seed=1) if with_test else None
+    base = TrainConfig(depth=grid["depths"][0], width=m, eta=grid["etas"][0], **grid["config"])
+    return grid["depths"], grid["etas"], base, train, test
+
+
+class TestStackedSweepMatchesReference:
+    @pytest.mark.parametrize("with_test", [False, True])
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
+    def test_cells_and_boundaries_bit_equal(self, name, with_test):
+        depths, etas, base, train, test = _grid_inputs(name, with_test)
+        got = lr_depth_sweep(depths, etas, base, train, test)
+        cells, boundary = _ref_sweep(depths, etas, base, train, test)
+        _assert_same_cells(got.cells, cells)
+        assert list(got.boundary) == list(boundary)
+        for depth in depths:
+            assert _same(got.boundary[depth], boundary[depth])
+
+    def test_grids_cover_every_outcome(self):
+        causes = set()
+        for name in SWEEP_GRIDS:
+            causes |= {c.cause for c in lr_depth_sweep(*_grid_inputs(name, False)).cells}
+        assert causes == {None, NORM_BLOWUP, NONFINITE_LOSS, NONFINITE_GRADIENT}
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
+    def test_one_cell_groups_give_the_same_result(self, name, monkeypatch):
+        inputs = _grid_inputs(name, True)
+        grouped = lr_depth_sweep(*inputs)
+        monkeypatch.setattr(trainlab, "GROUP_BYTES", 1)
+        single = lr_depth_sweep(*inputs)
+        _assert_same_cells(single.cells, grouped.cells)
+        assert single.boundary == grouped.boundary
+
+    def test_train_run_matches_reference(self):
+        depths, etas, base, train, test = _grid_inputs("hard_tanh", True)
+        for eta in etas:
+            config = dataclasses.replace(base, depth=3, eta=eta)
+            run = train_run(config, train, test)
+            cell, losses = _ref_cell(config, train, test)
+            assert np.array_equal(run.losses, losses)
+            assert (run.diverged, run.diverged_at, run.cause, run.layer) == (
+                cell.diverged, cell.diverged_at, cell.cause, cell.layer)
+            for key in ("train_loss", "train_acc", "test_loss", "test_acc"):
+                assert _same(getattr(run, key), getattr(cell, key))
+
+    def test_outcomes_record_each_cell(self):
+        sw = lr_depth_sweep(*_grid_inputs("linear_overflow", False))
+        records = sw.outcomes()
+        assert len(records) == len(sw.cells)
+        for rec, cell in zip(records, sw.cells):
+            assert set(rec) == {"depth", "eta", "seed", "steps", "diverged_at", "cause", "layer"}
+            assert rec["steps"] == (cell.diverged_at + 1 if cell.diverged else 40)
+            assert (rec["layer"] is not None) == (rec["cause"] == NORM_BLOWUP)
+
+
+def test_non_monotone_grid_warns_once_per_depth(caplog):
+    # one step at a tight blow-up limit: whether a cell diverges depends
+    # on its own draw and sample, so both depths come out non-monotone
+    data = synth_dataset(8, 16, 2, seed=0)
+    base = TrainConfig(depth=1, width=8, activation=Linear(1.0), eta=0.1, steps=1, seed=75,
+                       blowup_factor=1.5)
+    etas = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0]
+    with caplog.at_level(logging.WARNING, logger="isospec.trainlab"):
+        sw = lr_depth_sweep([1, 2], etas, base, data)
+    for depth in (1, 2):
+        flags = [c.diverged for c in sw.cells if c.depth == depth]
+        assert any(a and not b for a, b in zip(flags, flags[1:])), depth
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 2
+    assert all("non-monotone" in r.getMessage() for r in warnings)
