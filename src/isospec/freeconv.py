@@ -10,7 +10,10 @@ squared-Jacobian law of the activation at layer l. The convolution with
 such a two-atom law is evaluated through S-transforms: with
 h_mu(z) = z G_mu(z) - 1, the unknown w = h_{mu box nu}(z) solves the
 subordination fixed point w = h_mu(z * S_nu(w)), after which
-G(z) = (w + 1) / z and the density follows by Stieltjes inversion.
+G(z) = (w + 1) / z and the density follows by Stieltjes inversion. The
+fixed point is found by Newton's method on the whole grid at once; points
+whose cold-start root is not the subordination point are continued down
+from high above the real axis.
 Atoms never come from the numerics: they obey the exact rule
 (mu box nu)({ab}) = max(mu({a}) + nu({b}) - 1, 0) for ab != 0, while the
 weight at zero is max(mu({0}), nu({0})) by the rank bound on products.
@@ -34,10 +37,15 @@ from .specmeasure import (
 
 logger = logging.getLogger(__name__)
 
-# Damped fixed-point defaults for the subordination solve.
-DAMPING = 0.5
+# Subordination solve: relative Newton step at which a point has
+# converged, Newton steps allowed per point at each Im z level (the cold
+# start and every level of the walk), the number of levels of the walk,
+# and the size of the pole-term blocks of the Cauchy evaluator, small
+# enough to stay in cache.
 SOLVER_TOL = 1e-12
-MAX_ITER = 10_000
+MAX_ITER = 50
+_WALK_LEVELS = 24
+_BLOCK_BYTES = 1 << 20
 WINDOW_MARGIN = 0.05
 DEFAULT_GRID = 2048
 
@@ -143,7 +151,12 @@ class AtomTrack:
 
 @dataclass(frozen=True)
 class ConvolutionStats:
-    """Diagnostics from one numeric free multiplicative convolution."""
+    """Diagnostics from one numeric free multiplicative convolution.
+
+    `iterations_*` count Newton steps per grid point, `flagged` holds the
+    x of points with no accepted root, and `continued` counts the points
+    accepted only after the walk down Im z.
+    """
 
     grid_count: int
     eps: float
@@ -152,6 +165,7 @@ class ConvolutionStats:
     flagged: tuple
     mass_defect: float
     clamped: float
+    continued: int
 
 
 # ----------------------------------------------------------------------
@@ -195,19 +209,24 @@ def _atomize(mu: SpectralMeasure):
     return np.asarray(locs), np.asarray(masses)
 
 
-def _h_of(locs: np.ndarray, masses: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """h(u) = u G(u) - 1 for the discrete measure sum_k m_k delta_{x_k}.
+def _h_of(locs: np.ndarray, masses: np.ndarray, u: np.ndarray, work: np.ndarray):
+    """h(u) = u G(u) - 1 and h'(u) for the measure sum_k m_k delta_{x_k}.
 
-    The (len(u), len(locs)) pole terms go to the first rows of the
-    complex buffer `work`. The solver passes the same buffer on every
-    call, so it allocates no large temporaries and its speed does not
-    depend on whether the allocator hands freed memory back to the
-    system between iterations.
+    The pole terms 1 / (u - x_k) go into the solve's one complex buffer
+    `work`, a cache-sized block of rows at a time, so no call allocates
+    large temporaries; `masses` is complex, so G and G' are mat-vecs.
     """
-    terms = work[: u.size]
-    np.subtract(u[:, None], locs[None, :], out=terms)
-    np.divide(masses[None, :], terms, out=terms)
-    return u * terms.sum(axis=1) - 1.0
+    g = np.empty(u.size, dtype=complex)
+    dg = np.empty(u.size, dtype=complex)
+    for start in range(0, u.size, work.shape[0]):
+        rows = slice(start, start + work.shape[0])
+        terms = work[: u[rows].size]
+        np.subtract(u[rows, None], locs[None, :], out=terms)
+        np.reciprocal(terms, out=terms)
+        np.matmul(terms, masses, out=g[rows])
+        np.multiply(terms, terms, out=terms)
+        np.matmul(terms, masses, out=dg[rows])
+    return u * g - 1.0, g - u * dg
 
 
 def _product_atoms(mu: SpectralMeasure, nu: TwoAtomJacobianLaw) -> list:
@@ -239,7 +258,6 @@ def free_mult_conv_two_atom(
     grid_count: int = DEFAULT_GRID,
     eps: float | None = None,
     margin: float = WINDOW_MARGIN,
-    damping: float = DAMPING,
     tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITER,
     method: str = "auto",
@@ -252,20 +270,35 @@ def free_mult_conv_two_atom(
     strip Im z = eps over [0, ||mu|| * gamma * (1 + margin)], followed by
     Stieltjes inversion with the atoms' Cauchy terms subtracted.
 
+    The solve runs Newton's method at every grid point from w = h_mu(z).
+    A root is accepted only if it converged, is finite, gives Im G <= 1e-8
+    and attracts the fixed-point map (|d/dw h_mu(z S_nu(w))| <= 1). Points
+    without such a root are solved again along Im z, from 8 (|x| + 1)
+    down to eps, and accepted if they converge at every level and end
+    with Im G <= 1e-8. Points that are still not accepted are flagged and
+    their G interpolated from the accepted neighbors.
+
     With method="auto", purely atomic shortcuts (nu = delta_gamma, or mu
     a single atom) bypass the solver; method="numeric" forces the solver,
     which the tests use to cross-check the shortcuts.
 
     Parameters
     ----------
+    tol : float
+        A point has converged when its Newton step is at most
+        tol * (1 + |w|).
+    max_iter : int
+        Newton steps allowed per point at each Im z level, the cold start
+        included. `ConvolutionStats.iterations_*` count all Newton steps
+        of a point, and `continued` the points accepted after the walk.
     return_stats : bool
         If True, also return a ConvolutionStats record.
 
     Raises
     ------
     NumericalError
-        If more than 1% of the grid points fail to converge, or the
-        recovered mass misses 1 by more than 1e-4.
+        If more than 1% of the grid points are flagged, or the recovered
+        mass misses 1 by more than 1e-2.
     """
     if mu.support_min() < -1e-12:
         raise ValueError("mu must be supported on the nonnegative axis")
@@ -274,7 +307,7 @@ def free_mult_conv_two_atom(
     if grid_count < 128:
         raise ValueError("grid_count must be at least 128")
 
-    trivial_stats = ConvolutionStats(0, 0.0, 0, 0.0, (), 0.0, 0.0)
+    trivial_stats = ConvolutionStats(0, 0.0, 0, 0.0, (), 0.0, 0.0, 0)
     if method == "auto":
         if nu.alpha == 1.0:
             result = affine_pushforward(mu, nu.gamma, 0.0)
@@ -303,14 +336,11 @@ def free_mult_conv_two_atom(
     z = x + 1j * eps
 
     locs, masses = _atomize(mu)
-    w_sol, iters, converged = _subordination_solve(
-        locs, masses, nu, z, damping=damping, tol=tol, max_iter=max_iter
+    w_sol, iters, accepted, continued = _subordination_solve(
+        locs, masses, nu, z, tol=tol, max_iter=max_iter
     )
     g = (w_sol + 1.0) / z
-    # inside spectral gaps the iteration may settle on the spurious root
-    # w = -1 (G identically 0); its roundoff-scale positive imaginary
-    # part is harmless, so only flag violations above noise level
-    bad = ~converged | ~np.isfinite(g) | (g.imag > 1e-8)
+    bad = ~accepted
     flagged = x[bad]
     if flagged.size > 0.01 * grid_count:
         raise NumericalError(
@@ -352,119 +382,77 @@ def free_mult_conv_two_atom(
         flagged=tuple(flagged.tolist()),
         mass_defect=defect,
         clamped=clamped,
+        continued=continued,
     )
     return (result, stats) if return_stats else result
 
 
-def _subordination_solve(locs, masses, nu, z, *, damping, tol, max_iter):
-    """Damped fixed-point solve of w = h_mu(z S_nu(w)) for each z.
+def _subordination_solve(locs, masses, nu, z, *, tol, max_iter):
+    """Newton solve of w = F(w) = h_mu(z S_nu(w)) at every z at once.
 
-    All points iterate together under an active mask; points that have
-    converged drop out. Non-converged points then retry serially, warm
-    started from their nearest converged neighbor.
+    A root found from the cold start w = h_mu(z) is accepted if it has
+    Im G <= 1e-8 for G = (w + 1) / z and attracts F (|F'(w)| <= 1), as
+    the subordination point must; that rejects the root w = -1, which
+    exists at every z. The other points, mostly in spectral gaps, walk
+    down geometrically from Im z = 8 (|x| + 1), where the cold start finds
+    the physical root, to the strip. Returns w, the Newton steps of each
+    point, the accepted mask and the number of points the walk accepted.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.size
-    work = np.empty((n, locs.size), dtype=complex)
+    rows = max(1, min(z.size, _BLOCK_BYTES // (16 * locs.size)))
+    work = np.empty((rows, locs.size), dtype=complex)
+    masses = masses.astype(complex)
+    w = _h_of(locs, masses, z, work)[0]
+    iters = np.zeros(z.size, dtype=int)
+    done, slope = _newton(locs, masses, nu, z, w, iters, np.arange(z.size), work, tol, max_iter)
+    accepted = np.zeros(z.size, dtype=bool)
+    accepted[done[(((w[done] + 1.0) / z[done]).imag <= 1e-8) & (np.abs(slope) <= 1.0)]] = True
 
-    def step(w, zz):
-        s = (w + 1.0) / (nu.gamma * (w + nu.alpha))
-        u = zz * s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _h_of(locs, masses, u, work)
+    walk = np.flatnonzero(~accepted)
+    top = 8.0 * (np.abs(z.real) + 1.0)
+    zz = z.real + 1j * top
+    w[walk] = _h_of(locs, masses, zz[walk], work)[0]
+    for frac in np.linspace(0.0, 1.0, _WALK_LEVELS):
+        zz.imag[walk] = top[walk] * (z.imag[walk] / top[walk]) ** frac
+        # above the strip a step of sqrt(tol) suffices: it leaves an error
+        # of order tol, which the next level's first step absorbs
+        level_tol = tol if frac == 1.0 else math.sqrt(tol)
+        walk, _ = _newton(locs, masses, nu, zz, w, iters, walk, work, level_tol, max_iter)
+    walk = walk[((w[walk] + 1.0) / z[walk]).imag <= 1e-8]
+    accepted[walk] = True
+    return w, iters, accepted, walk.size
 
-    w = _h_of(locs, masses, z, work)  # cold start: as if S_nu were 1
-    iters = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        wa = w[active]
-        nxt = step(wa, z[active])
-        nxt = (1.0 - damping) * wa + damping * nxt
-        bad = ~np.isfinite(nxt)
-        if bad.any():
-            nxt[bad] = wa[bad] + 0.1  # nudge off the pole and keep going
-        delta = np.abs(nxt - wa)
-        w[active] = nxt
-        iters[active] += 1
-        still = delta > tol * (1.0 + np.abs(nxt))
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
 
-    converged = ~active
-    # serial retries for stragglers: warm start from the nearest settled
-    # neighbor, then back off the damping (oscillatory regions need a
-    # smaller step than the default)
-    for i in np.flatnonzero(active):
-        neighbors = np.flatnonzero(converged)
-        if neighbors.size == 0:
-            break
-        j = neighbors[np.argmin(np.abs(neighbors - i))]
-        for theta in (damping, damping / 4.0, damping / 16.0):
-            wi = w[j]
-            ok = False
-            for k in range(max_iter):
-                nxt = step(np.array([wi]), z[i : i + 1])[0]
-                nxt = (1.0 - theta) * wi + theta * nxt
-                if not np.isfinite(nxt):
-                    break
-                if abs(nxt - wi) <= tol * (1.0 + abs(nxt)):
-                    wi = nxt
-                    ok = True
-                    break
-                wi = nxt
-            if ok:
-                w[i] = wi
-                iters[i] += k + 1
-                converged[i] = True
+def _newton(locs, masses, nu, z, w, iters, idx, work, tol, max_iter):
+    """Newton on w - h_mu(z S_nu(w)) at the points `idx`, all at once.
+
+    Updates `w` and `iters` in place. Each step is capped at
+    0.5 (1 + |w|) against branch jumps; a point stops when its step is at
+    most tol (1 + |w|) or its iterate is not finite. Returns the points
+    that converged and F'(w) at their last evaluation.
+    """
+    a, g = nu.alpha, nu.gamma
+    done, slope = [idx[:0]], [np.empty(0, dtype=complex)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            if idx.size == 0:
                 break
-
-    # a converged iterate can still sit on a non-Herglotz root (Im G well
-    # above roundoff). That happens in spectral gaps, where the physical
-    # root repels the fixed-point map, so no amount of damping reaches it.
-    # Newton continuation fixes it: start high in the upper half plane,
-    # where the root is unique and the cold start lands on it, then walk
-    # the imaginary part down to the strip. Newton converges to repelling
-    # roots too, and the short descent keeps it on the physical branch.
-    def off_branch(w_val, z_val):
-        return ((w_val + 1.0) / z_val).imag > 1e-8
-
-    def newton_descend(z_target):
-        top = 8.0 * (abs(z_target.real) + 1.0)
-        wi = _h_of(locs, masses, np.array([z_target.real + 1j * top]), work)[0]
-        for lev in np.geomspace(top, z_target.imag, 24):
-            zz = z_target.real + 1j * lev
-            for _ in range(max_iter):
-                u = zz * (wi + 1.0) / (nu.gamma * (wi + nu.alpha))
-                g = (masses / (u - locs)).sum()
-                dg = -(masses / (u - locs) ** 2).sum()
-                dh_du = g + u * dg
-                du_dw = zz * (nu.alpha - 1.0) / (nu.gamma * (wi + nu.alpha) ** 2)
-                psi = wi - (u * g - 1.0)
-                dpsi = 1.0 - dh_du * du_dw
-                if dpsi == 0 or not np.isfinite(dpsi):
-                    return None
-                delta = psi / dpsi
-                cap = 0.5 * (1.0 + abs(wi))  # guard against branch jumps
-                if abs(delta) > cap:
-                    delta *= cap / abs(delta)
-                wi = wi - delta
-                if not np.isfinite(wi):
-                    return None
-                if abs(delta) <= tol * (1.0 + abs(wi)):
-                    break
-            else:
-                return None
-        return wi
-
-    for i in np.flatnonzero(converged & off_branch(w, z)):
-        wi = newton_descend(z[i])
-        if wi is not None and not off_branch(wi, z[i]):
-            w[i] = wi
-        else:
-            converged[i] = False
-    return w, iters, converged
+            wa, za = w[idx], z[idx]
+            h, dh = _h_of(locs, masses, za * (wa + 1.0) / (g * (wa + a)), work)
+            df = dh * za * (a - 1.0) / (g * (wa + a) ** 2)
+            step = (wa - h) / (1.0 - df)
+            size = np.abs(step)
+            cap = 0.5 * (1.0 + np.abs(wa))
+            step = np.where(size > cap, step * (cap / size), step)
+            wa = wa - step
+            w[idx] = wa
+            iters[idx] += 1
+            finite = np.isfinite(wa)
+            conv = finite & (np.abs(step) <= tol * (1.0 + np.abs(wa)))
+            done.append(idx[conv])
+            slope.append(df[conv])
+            idx = idx[finite & ~conv]
+    return np.concatenate(done), np.concatenate(slope)
 
 
 # ----------------------------------------------------------------------

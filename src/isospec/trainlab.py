@@ -469,9 +469,10 @@ class SweepResult:
         return bool(self.cells) and all(c.diverged for c in self.cells)
 
 
-def estimate_boundary(etas, diverged_flags):
+def estimate_boundary(etas, diverged_flags, depth=None):
     """Geometric midpoint between the largest stable and smallest diverged
-    eta; None when the pattern never crosses."""
+    eta; None when the pattern never crosses. `depth`, if given, is named
+    in the warning about a non-monotone pattern."""
     pairs = sorted(zip(etas, diverged_flags))
     stable = [e for e, d in pairs if not d]
     blown = [e for e, d in pairs if d]
@@ -479,7 +480,10 @@ def estimate_boundary(etas, diverged_flags):
         return None
     lo, hi = max(stable), min(blown)
     if hi < lo:
-        logger.warning("non-monotone divergence pattern: stable at %g above diverged %g", lo, hi)
+        where = "" if depth is None else f" at depth {depth}"
+        logger.warning(
+            "non-monotone divergence pattern%s: stable at %g above diverged %g", where, lo, hi
+        )
     return math.sqrt(lo * hi)
 
 
@@ -549,5 +553,7 @@ def lr_depth_sweep(
                     layer=run.layer,
                 )
             )
-        result.boundary[depth] = estimate_boundary(etas, [run.diverged for run in runs])
+        result.boundary[depth] = estimate_boundary(
+            etas, [run.diverged for run in runs], depth=depth
+        )
     return result

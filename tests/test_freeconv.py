@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isospec.freeconv import (
+    MAX_ITER,
+    SOLVER_TOL,
+    WINDOW_MARGIN,
     AsymptoticRegime,
     AtomTrack,
     LayerSchedule,
@@ -19,7 +22,10 @@ from isospec.freeconv import (
     s_transform_two_atom,
     solve_three_layer,
     theta_mean_limit,
+    _atomize,
+    _subordination_solve,
 )
+from isospec.meanfield import tune_constant_q
 from isospec.specmeasure import NumericalError, SpectralMeasure, distance_L1, moment
 
 
@@ -148,12 +154,25 @@ class TestFreeMultConv:
         assert out.support_max <= 2.5 * 1.4 + 1e-6
 
     def test_mass_conserved(self):
+        # a gapped measure: every grid point must end on the Herglotz
+        # branch, the gaps through the walk down Im z
         mu = SpectralMeasure.from_atoms([(0.4, 0.25), (1.1, 0.5), (2.0, 0.25)])
-        out = free_mult_conv_two_atom(mu, TwoAtomJacobianLaw(0.6, 0.9))
+        nu = TwoAtomJacobianLaw(0.6, 0.9)
+        out, stats = free_mult_conv_two_atom(mu, nu, return_stats=True)
         mass = sum(w for _, w in out.atoms)
         if out.density is not None:
             mass += out.density.mass()
         assert mass == pytest.approx(1.0, abs=1e-6)
+        assert stats.flagged == ()
+        window = mu.support_max * nu.gamma * (1.0 + WINDOW_MARGIN)
+        z = np.linspace(0.0, window, stats.grid_count) + 1j * stats.eps
+        locs, masses = _atomize(mu)
+        w, _, accepted, continued = _subordination_solve(
+            locs, masses, nu, z, tol=SOLVER_TOL, max_iter=MAX_ITER
+        )
+        assert accepted.all()
+        assert continued == stats.continued > 0
+        assert np.all(((w + 1.0) / z).imag <= 1e-8)
 
     def test_m1_multiplicativity(self):
         rng = np.random.default_rng(5)
@@ -177,15 +196,31 @@ class TestFreeMultConv:
 
     def test_return_stats(self):
         mu = SpectralMeasure.from_atoms([(1.0, 0.5), (2.0, 0.5)])
-        out, stats = free_mult_conv_two_atom(
-            mu, TwoAtomJacobianLaw(0.5, 1.0), return_stats=True
-        )
+        nu = TwoAtomJacobianLaw(0.5, 1.0)
+        out, stats = free_mult_conv_two_atom(mu, nu, return_stats=True)
         assert stats.grid_count == 2048
-        # retries accumulate on top of the vectorized pass: one pass plus
-        # up to three serial backoffs per point
-        assert stats.iterations_max <= 4 * 10_000
         assert len(stats.flagged) <= 0.01 * stats.grid_count
         assert abs(stats.mass_defect) < 1e-2
+        # no Newton solve reached the cap: ten times the cap changes nothing
+        roomy, roomy_stats = free_mult_conv_two_atom(
+            mu, nu, max_iter=10 * MAX_ITER, return_stats=True
+        )
+        assert roomy_stats == stats
+        assert roomy.to_json_dict() == out.to_json_dict()
+        assert 0 < stats.continued < stats.grid_count
+
+    def test_density_positive_inside_support(self):
+        # mu_2 of the default depth-3 schedule; the closed form's density
+        # sits on [lambda_-, lambda_+] = 1 + the convolution's support. A
+        # solver that accepts the root w = -1 (G = 0) there zeroes it.
+        mu = SpectralMeasure.from_atoms([(1.0, 0.25), (2.0, 0.75)])
+        out = free_mult_conv_two_atom(mu, TwoAtomJacobianLaw(0.75, 1.0))
+        closed = solve_three_layer(1, 1, 1, 1, 1, 0.75, 0.75, 1.0, 1.0)
+        lo, hi = closed.density.left - 1.0, closed.density.right - 1.0
+        x = out.density.grid()
+        inside = (x > lo) & (x < hi)
+        assert inside.sum() > 100
+        assert np.all(out.density.values[inside] > 0)
 
 
 class TestPropagateLayer:
@@ -202,6 +237,24 @@ class TestPropagateLayer:
 
 
 class TestPropagateSchedule:
+    @pytest.mark.parametrize("tuned", [False, True], ids=["alpha0.9_depth10", "tuned_depth16"])
+    def test_layer_invariants(self, tuned):
+        if tuned:
+            p = tune_constant_q(16, 0.1).params
+            sched = LayerSchedule.constant(16, p.q, p.sigma, p.alpha, p.gamma)
+        else:
+            sched = LayerSchedule.constant(10, 1.0, 1.0, 0.9, 1.0)
+        mus = propagate_schedule(sched, grid_count=512)
+        track = max_support_track(sched)
+        assert track.valid_depth == sched.depth
+        for ell, (mu, m1, lam, beta) in enumerate(
+            zip(mus, mean_track(sched), track.lam, track.beta), start=1
+        ):
+            assert abs(moment(mu, 1) - m1) / m1 < 1e-2, ell
+            top_loc, top_w = max(mu.atoms)
+            assert top_loc == pytest.approx(lam, rel=1e-9), ell
+            assert top_w == pytest.approx(beta, abs=1e-9), ell
+
     def test_depth_one(self):
         sched = LayerSchedule(q=(1.0,), sigma=(1.0,), jacobians=())
         out = propagate_schedule(sched)

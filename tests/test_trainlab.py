@@ -552,3 +552,7 @@ def test_non_monotone_grid_warns_once_per_depth(caplog):
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 2
     assert all("non-monotone" in r.getMessage() for r in warnings)
+    assert [r.getMessage().split(":")[0] for r in warnings] == [
+        "non-monotone divergence pattern at depth 1",
+        "non-monotone divergence pattern at depth 2",
+    ]
