@@ -12,7 +12,6 @@ can be checked end to end. `cli` binds both halves behind subcommands.
 __version__ = "0.1.0"
 
 from .specmeasure import (
-    ComplexPoint,
     GridDensity,
     NumericalError,
     SpectralMeasure,

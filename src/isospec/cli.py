@@ -1,10 +1,12 @@
 """Command-line front end: theory, tune, simulate, sweep, compare.
 
-Every run resolves its configuration (defaults, then the --config JSON
-file, then explicit flags), writes the resolved record beside the
-outputs, and emits CSV/JSON/SVG files only; reruns from a saved config
-reproduce the outputs byte for byte. Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 sweep with nothing but divergence.
+Each command declares its flags once, in FLAGS. Every run resolves its
+configuration (the table's defaults, then the --config JSON file, then
+explicit flags), writes the resolved record to config.json beside the
+outputs, and emits CSV/JSON/SVG files only; rerunning a saved
+config.json through --config reproduces the outputs byte for byte. Exit
+codes: 0 success, 2 config error, 3 numerical failure, 4 sweep with
+nothing but divergence.
 """
 
 import argparse
@@ -18,6 +20,8 @@ import numpy as np
 
 from . import __version__
 from .freeconv import (
+    DEFAULT_GRID,
+    MIN_GRID,
     AsymptoticRegime,
     LayerSchedule,
     TwoAtomJacobianLaw,
@@ -54,10 +58,101 @@ MATRIX_VERSION = 1
 
 CANVAS_W, CANVAS_H = 800, 600
 MARGIN = {"left": 70, "right": 24, "top": 34, "bottom": 52}
+PLOT_W = CANVAS_W - MARGIN["left"] - MARGIN["right"]
+PLOT_H = CANVAS_H - MARGIN["top"] - MARGIN["bottom"]
+PLOT_BOTTOM = MARGIN["top"] + PLOT_H
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+# ----------------------------------------------------------------------
+# flag tables
+# ----------------------------------------------------------------------
+
+# Each command's flags: key -> (default, type, argparse extras). The
+# flag is --key with "_" written "-", except that an operand (one with
+# "nargs") is positional; its value is stored under key in the resolved
+# configuration and in config.json. A type of None marks a list flag,
+# kept as given and parsed by the command with _as_list.
+_COMMON = {"out": ("out", str, {"help": "output directory"})}
+_SCHEDULE = {
+    "depth": (3, int, {}),
+    "q": (1.0, None, {"help": "scalar or comma list, one per layer"}),
+    "alpha": (0.75, None, {"help": "scalar or comma list, one per hidden layer"}),
+    "gamma": (1.0, None, {"help": "scalar or comma list, one per hidden layer"}),
+}
+_ACTIVATION = {
+    "family": (None, str, {"choices": ["hard_tanh", "shifted_relu", "linear"]}),
+    "s": (None, float, {}),
+    "g": (None, float, {}),
+    "a": (None, float, {}),
+    "b": (None, float, {}),
+    "activation_file": (None, str, {"help": "tune.json produced by the tune command"}),
+}
+FLAGS = {
+    "theory": {
+        **_COMMON,
+        **_SCHEDULE,
+        "sigma": (1.0, None, {"help": "scalar or comma list, one per layer"}),
+        "grid": (DEFAULT_GRID, int, {"help": "density grid resolution"}),
+    },
+    "tune": {
+        **_COMMON,
+        "mode": ("di", str, {"choices": ["di", "constant_q"]}),
+        "family": ("hard_tanh", str, {"choices": ["hard_tanh", "linear"]}),
+        "s": (0.3535533905932738, float, {}),
+        "sigma": (1.0, float, {}),
+        "criterion": ("sg2a", str, {"choices": ["sg2", "sg2a"]}),
+        "depth": (16, int, {}),
+        "eps1": (0.1, float, {}),
+        "eps2": (0.0, float, {}),
+        "q_star": (1.0, float, {}),
+    },
+    "simulate": {
+        **_COMMON,
+        "model": ("network", str, {"choices": ["network", "atoms"]}),
+        "width": (200, int, {}),
+        "seed": (0, int, {}),
+        "draws": (1, int, {}),
+        "bins": (0.1, float, {"help": "histogram bin width"}),
+        "atom_window": (None, float, {"help": "relative window for isolating the top atom"}),
+        **_ACTIVATION,
+        **_SCHEDULE,
+        "sigma": (None, None, {"help": "scalar or comma list, one per layer"}),
+        "theory": (None, str, {"help": "measure JSON to compare against"}),
+        "theory_auto": (False, bool, {
+            "action": "store_const", "const": True,
+            "help": "derive the prediction from the schedule and compare"}),
+        "dump_matrix": (None, str, {"help": "also dump the last H matrix under this filename"}),
+    },
+    "sweep": {
+        **_COMMON,
+        "width": (64, int, {}),
+        "depths": ("4,8,16", None, {"help": "comma list of depths"}),
+        "etas": (None, None, {"help": "explicit comma list of learning rates"}),
+        "eta_min": (0.01, float, {}),
+        "eta_max": (1.0, float, {}),
+        "per_decade": (8, int, {}),
+        "steps": (500, int, {}),
+        "samples": (500, int, {}),
+        "classes": (10, int, {}),
+        "seed": (0, int, {}),
+        "eps1": (0.1, float, {"help": "target depth-scaled saturation"}),
+        "eps2": (0.0, float, {"help": "target depth-scaled decay"}),
+        **_ACTIVATION,
+        "sigma": (None, float, {}),
+        "idx_images": (None, str, {}),
+        "idx_labels": (None, str, {}),
+    },
+    "compare": {
+        **_COMMON,
+        "a": (None, str, {"nargs": "?", "help": "first measure JSON"}),
+        "b": (None, str, {"nargs": "?", "help": "second measure JSON"}),
+        "bins": (0.1, float, {}),
+    },
+}
 
 
 # ----------------------------------------------------------------------
@@ -81,19 +176,32 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags, by destination name."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args: argparse.Namespace) -> dict:
+    """Table defaults <- config file <- explicit flags, by key.
+
+    A saved config.json replays: its `command` must name this command
+    and its `version` is ignored.
+    """
+    table = FLAGS[args.command]
+    merged = {key: default for key, (default, _, _) in table.items()}
+    if args.config:
         file_conf = _load_config_file(args.config)
-        unknown = set(file_conf) - set(defaults)
+        command = file_conf.pop("command", args.command)
+        _require(command == args.command, "command",
+                 f"config is for {command!r}, not {args.command!r}")
+        file_conf.pop("version", None)
+        unknown = set(file_conf) - set(table)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_conf)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+        for key, value in file_conf.items():
+            default, kind, _ = table[key]
+            if kind is not None and (value is not None or default is not None):
+                value = _typed(value, kind, key)
+            merged[key] = value
+    for key in table:
+        value = getattr(args, key)
+        if value is not None:
+            merged[key] = value
     return merged
 
 
@@ -102,45 +210,36 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
-def _as_float_list(value, path: str, length: int) -> list:
-    if isinstance(value, str):
-        try:
-            value = [float(tok) for tok in value.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if np.isscalar(value):
-        value = [float(value)] * length
-    value = [float(v) for v in value]
-    if len(value) == 1:
-        value = value * length
-    _require(len(value) == length, path, f"expected {length} values, got {len(value)}")
-    return value
+def _checked(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a rejected input as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _as_int_list(value, path: str) -> list:
-    if isinstance(value, str):
-        try:
-            value = [int(tok) for tok in value.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if np.isscalar(value):
-        value = [int(value)]
-    out = [int(v) for v in value]
-    _require(bool(out), path, "list must be nonempty")
+def _typed(value, kind, path: str):
+    """`value` as `kind`: strings parse as on the command line, other
+    values must convert unchanged (2.5 is not an int)."""
+    out = _checked(path, kind, value)
+    _require(out == value or (isinstance(value, str) and kind in (int, float)),
+             path, f"{value!r} is not a {kind.__name__}")
     return out
 
 
-def _as_floats_free(value, path: str) -> list:
-    """Comma string or sequence to a float list of whatever length."""
+def _as_list(value, path: str, kind=float, length: int | None = None) -> list:
+    """A comma string, scalar or sequence as a nonempty list of `kind`;
+    with `length`, a single value is broadcast to that many entries."""
     if isinstance(value, str):
-        try:
-            value = [float(tok) for tok in value.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if np.isscalar(value):
-        value = [float(value)]
-    out = [float(v) for v in value]
+        value = [tok for tok in value.split(",") if tok.strip()]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    out = [_typed(v, kind, path) for v in value]
+    if length is not None and len(out) == 1:
+        out *= length
     _require(bool(out), path, "list must be nonempty")
+    _require(length is None or len(out) == length, path,
+             f"expected {length} values, got {len(out)}")
     return out
 
 
@@ -168,19 +267,29 @@ def _activation_to_dict(spec) -> dict:
 
 
 def _resolve_activation(merged: dict):
-    """Activation from an inline description or a tune.json file."""
-    if merged.get("activation_file"):
+    """(activation, sigma) from the inline flags or a tune.json file.
+
+    An explicit sigma wins over the file's; sigma is None when neither
+    gives one, and the activation is None without a family or a file.
+    """
+    sigma = merged["sigma"]
+    if merged["activation_file"]:
         record = _load_config_file(merged["activation_file"])
         _require("spec" in record, "activation_file", "missing 'spec' entry")
         spec = _activation_from_dict(record["spec"], "activation_file.spec")
-        sigma = float(record.get("params", {}).get("sigma", merged.get("sigma") or 1.0))
+        params = record.get("params", {})
+        if sigma is None and "sigma" in params:
+            sigma = _typed(params["sigma"], float, "activation_file.params.sigma")
         return spec, sigma
-    if merged.get("family"):
-        d = {k: merged.get(k) for k in ("s", "g", "a", "b")}
-        d = {k: v for k, v in d.items() if v is not None}
+    if merged["family"]:
+        d = {k: merged[k] for k in ("s", "g", "a", "b") if merged[k] is not None}
         d["family"] = merged["family"]
-        return _activation_from_dict(d, "activation"), float(merged.get("sigma") or 1.0)
-    return None, float(merged.get("sigma") or 1.0)
+        return _activation_from_dict(d, "activation"), sigma
+    return None, sigma
+
+
+def _load_measure(path, key: str) -> SpectralMeasure:
+    return _checked(key, lambda: SpectralMeasure.from_json(Path(path).read_text()))
 
 
 def _write_json(path: Path, obj):
@@ -234,6 +343,16 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
+def _text(x, y, label, size=11, attrs=' text-anchor="middle"') -> str:
+    return (f'<text x="{x}" y="{y}"{attrs} font-family="sans-serif" '
+            f'font-size="{size}">{label}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke="#000000", width=1) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
 def _svg_open(title: str) -> list:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_W}" '
@@ -241,11 +360,13 @@ def _svg_open(title: str) -> list:
         f'<rect x="0" y="0" width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{CANVAS_W // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
+        parts.append(_text(CANVAS_W // 2, 20, title, 14))
     return parts
+
+
+def _svg_close(parts: list) -> str:
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def emit_svg_histogram(
@@ -268,9 +389,7 @@ def emit_svg_histogram(
     heights = _bin_masses(measure, origin, bin_width, n_bins) / bin_width
 
     x_lo, x_hi = origin, origin + n_bins * bin_width
-    plot_w = CANVAS_W - MARGIN["left"] - MARGIN["right"]
-    plot_h = CANVAS_H - MARGIN["top"] - MARGIN["bottom"]
-    bottom = MARGIN["top"] + plot_h
+    left, bottom = MARGIN["left"], PLOT_BOTTOM
 
     y_candidates = [heights.max() if len(heights) else 0.0]
     if overlay is not None:
@@ -281,7 +400,7 @@ def emit_svg_histogram(
     y_floor = y_max * 1e-4
 
     def xpix(x):
-        return MARGIN["left"] + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return left + (x - x_lo) / (x_hi - x_lo) * PLOT_W
 
     def ypix(v):
         if log_y:
@@ -289,7 +408,7 @@ def emit_svg_histogram(
             frac = math.log(v / y_floor) / math.log(y_max / y_floor)
         else:
             frac = max(v, 0.0) / y_max
-        return bottom - frac * plot_h
+        return bottom - frac * PLOT_H
 
     parts = _svg_open(title)
     for i, h in enumerate(heights):
@@ -303,10 +422,8 @@ def emit_svg_histogram(
             f'height="{_fmt(bottom - y0)}" fill="#9ecae1" stroke="#3182bd" stroke-width="0.5"/>'
         )
     for loc, w in measure.atoms:
-        parts.append(
-            f'<line x1="{_fmt(xpix(loc))}" y1="{_fmt(bottom)}" x2="{_fmt(xpix(loc))}" '
-            f'y2="{_fmt(ypix(w / bin_width))}" stroke="#3182bd" stroke-width="2"/>'
-        )
+        xp = _fmt(xpix(loc))
+        parts.append(_line(xp, _fmt(bottom), xp, _fmt(ypix(w / bin_width)), "#3182bd", 2))
     if overlay is not None:
         if overlay.density is not None:
             pts = " ".join(
@@ -318,66 +435,37 @@ def emit_svg_histogram(
             )
         for loc, w in overlay.atoms:
             xp = _fmt(xpix(loc))
-            yp = ypix(w / bin_width)
-            parts.append(
-                f'<line x1="{xp}" y1="{_fmt(bottom)}" x2="{xp}" y2="{_fmt(yp)}" '
-                f'stroke="#d62728" stroke-width="2"/>'
-            )
-            parts.append(f'<circle cx="{xp}" cy="{_fmt(yp)}" r="3" fill="#d62728"/>')
+            yp = _fmt(ypix(w / bin_width))
+            parts.append(_line(xp, _fmt(bottom), xp, yp, "#d62728", 2))
+            parts.append(f'<circle cx="{xp}" cy="{yp}" r="3" fill="#d62728"/>')
 
     # axes and ticks
-    parts.append(
-        f'<line x1="{MARGIN["left"]}" y1="{bottom}" x2="{MARGIN["left"] + plot_w}" '
-        f'y2="{bottom}" stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN["left"]}" y1="{MARGIN["top"]}" x2="{MARGIN["left"]}" '
-        f'y2="{bottom}" stroke="#000000" stroke-width="1"/>'
-    )
+    parts.append(_line(left, bottom, left + PLOT_W, bottom))
+    parts.append(_line(left, MARGIN["top"], left, bottom))
     for i in range(6):
         x = x_lo + (x_hi - x_lo) * i / 5
         xp = _fmt(xpix(x))
-        parts.append(
-            f'<line x1="{xp}" y1="{bottom}" x2="{xp}" y2="{bottom + 5}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{xp}" y="{bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(x)}</text>'
-        )
+        parts.append(_line(xp, bottom, xp, bottom + 5))
+        parts.append(_text(xp, bottom + 20, _fmt(x)))
     for i in range(5):
         frac = i / 4
         if log_y:
             v = y_floor * (y_max / y_floor) ** frac
         else:
             v = y_max * frac
-        yp = _fmt(bottom - frac * plot_h)
-        parts.append(
-            f'<line x1="{MARGIN["left"] - 5}" y1="{yp}" x2="{MARGIN["left"]}" y2="{yp}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN["left"] - 8}" y="{yp}" text-anchor="end" dy="4" '
-            f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>'
-        )
+        yp = _fmt(bottom - frac * PLOT_H)
+        parts.append(_line(left - 5, yp, left, yp))
+        parts.append(_text(left - 8, yp, _fmt(v), attrs=' text-anchor="end" dy="4"'))
     if overlay is not None:
         lx = CANVAS_W - MARGIN["right"] - 150
         ly = MARGIN["top"] + 10
         parts.append(
             f'<rect x="{lx}" y="{ly}" width="14" height="10" fill="#9ecae1" stroke="#3182bd"/>'
         )
-        parts.append(
-            f'<text x="{lx + 20}" y="{ly + 9}" font-family="sans-serif" font-size="12">empirical</text>'
-        )
-        parts.append(
-            f'<line x1="{lx}" y1="{ly + 25}" x2="{lx + 14}" y2="{ly + 25}" '
-            f'stroke="#111111" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 20}" y="{ly + 29}" font-family="sans-serif" font-size="12">predicted</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_text(lx + 20, ly + 9, "empirical", 12, attrs=""))
+        parts.append(_line(lx, ly + 25, lx + 14, ly + 25, "#111111", 1.5))
+        parts.append(_text(lx + 20, ly + 29, "predicted", 12, attrs=""))
+    return _svg_close(parts)
 
 
 def emit_svg_heatmap(sweep, *, value: str = "train_acc", title: str = "") -> str:
@@ -393,11 +481,9 @@ def emit_svg_heatmap(sweep, *, value: str = "train_acc", title: str = "") -> str
     etas = sorted({c.eta for c in cells})
     if min(etas) <= 0:
         raise ValueError("heatmap needs positive learning rates")
-    plot_w = CANVAS_W - MARGIN["left"] - MARGIN["right"]
-    plot_h = CANVAS_H - MARGIN["top"] - MARGIN["bottom"]
-    bottom = MARGIN["top"] + plot_h
-    cw = plot_w / len(depths)
-    ch = plot_h / len(etas)
+    left, bottom = MARGIN["left"], PLOT_BOTTOM
+    cw = PLOT_W / len(depths)
+    ch = PLOT_H / len(etas)
     log_lo, log_hi = math.log(etas[0]), math.log(etas[-1])
 
     def cell_color(c):
@@ -427,7 +513,7 @@ def emit_svg_heatmap(sweep, *, value: str = "train_acc", title: str = "") -> str
             c = lut.get((depth, eta))
             if c is None:
                 continue
-            x0 = MARGIN["left"] + di * cw
+            x0 = left + di * cw
             y0 = bottom - (ei + 1) * ch
             parts.append(
                 f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(cw)}" '
@@ -435,7 +521,7 @@ def emit_svg_heatmap(sweep, *, value: str = "train_acc", title: str = "") -> str
                 f'stroke-width="0.5"/>'
             )
     pts = " ".join(
-        f"{_fmt(MARGIN['left'] + (di + 0.5) * cw)},{_fmt(eta_to_y(2.0 / depth))}"
+        f"{_fmt(left + (di + 0.5) * cw)},{_fmt(eta_to_y(2.0 / depth))}"
         for di, depth in enumerate(depths)
     )
     parts.append(
@@ -443,64 +529,40 @@ def emit_svg_heatmap(sweep, *, value: str = "train_acc", title: str = "") -> str
         f'stroke-dasharray="6,4" points="{pts}"/>'
     )
     for di, depth in enumerate(depths):
-        x = _fmt(MARGIN["left"] + (di + 0.5) * cw)
-        parts.append(
-            f'<text x="{x}" y="{bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{depth}</text>'
-        )
+        parts.append(_text(_fmt(left + (di + 0.5) * cw), bottom + 20, depth))
     for ei, eta in enumerate(etas):
         y = _fmt(bottom - (ei + 0.5) * ch + 4)
-        parts.append(
-            f'<text x="{MARGIN["left"] - 8}" y="{y}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{_fmt(eta)}</text>'
-        )
-    parts.append(
-        f'<text x="{MARGIN["left"] + plot_w // 2}" y="{CANVAS_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">depth</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_text(left - 8, y, _fmt(eta), 10, attrs=' text-anchor="end"'))
+    parts.append(_text(left + PLOT_W // 2, CANVAS_H - 12, "depth", 12))
+    return _svg_close(parts)
 
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 
-THEORY_DEFAULTS = {
-    "out": "out",
-    "depth": 3,
-    "q": 1.0,
-    "sigma": 1.0,
-    "alpha": 0.75,
-    "gamma": 1.0,
-    "grid": 2048,
-}
 
-
-def _schedule_from_config(merged: dict) -> LayerSchedule:
-    depth = int(merged["depth"])
+def _schedule_from_config(merged: dict, sigma) -> LayerSchedule:
+    depth = merged["depth"]
     _require(depth >= 1, "depth", "must be at least 1")
-    q = _as_float_list(merged["q"], "q", depth)
-    sigma = _as_float_list(merged["sigma"], "sigma", depth)
-    jacobians = ()
+    q = _as_list(merged["q"], "q", length=depth)
+    sigma = _as_list(sigma, "sigma", length=depth)
+    jacobians = []
     if depth > 1:
-        alpha = _as_float_list(merged["alpha"], "alpha", depth - 1)
-        gamma = _as_float_list(merged["gamma"], "gamma", depth - 1)
-        try:
-            jacobians = tuple(TwoAtomJacobianLaw(a, c) for a, c in zip(alpha, gamma))
-        except ValueError as exc:
-            raise ConfigError(f"alpha/gamma: {exc}") from exc
-    try:
-        return LayerSchedule(q=tuple(q), sigma=tuple(sigma), jacobians=jacobians)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+        alpha = _as_list(merged["alpha"], "alpha", length=depth - 1)
+        gamma = _as_list(merged["gamma"], "gamma", length=depth - 1)
+        jacobians = [_checked("alpha/gamma", TwoAtomJacobianLaw, a, c)
+                     for a, c in zip(alpha, gamma)]
+    return _checked("schedule", LayerSchedule, q=tuple(q), sigma=tuple(sigma),
+                    jacobians=tuple(jacobians))
 
 
 def cmd_theory(args) -> int:
-    merged = _resolve(args, THEORY_DEFAULTS)
+    merged = _resolve(args)
+    schedule = _schedule_from_config(merged, merged["sigma"])
+    grid = merged["grid"]
+    _require(grid >= MIN_GRID, "grid", f"must be at least {MIN_GRID}")
     outdir = _outdir(merged)
-    schedule = _schedule_from_config(merged)
-    grid = int(merged["grid"])
 
     measures = propagate_schedule(schedule, grid_count=grid)
     for i, mu in enumerate(measures, start=1):
@@ -544,43 +606,28 @@ def cmd_theory(args) -> int:
     return 0
 
 
-TUNE_DEFAULTS = {
-    "out": "out",
-    "mode": "di",
-    "family": "hard_tanh",
-    "s": 0.3535533905932738,
-    "sigma": 1.0,
-    "criterion": "sg2a",
-    "depth": 16,
-    "eps1": 0.1,
-    "eps2": 0.0,
-    "q_star": 1.0,
-}
-
-
 def cmd_tune(args) -> int:
-    merged = _resolve(args, TUNE_DEFAULTS)
-    outdir = _outdir(merged)
+    merged = _resolve(args)
     mode = merged["mode"]
-    try:
-        if mode == "di":
-            result = tune_di(
-                family=merged["family"],
-                sigma=float(merged["sigma"]),
-                criterion=merged["criterion"],
-                s=float(merged["s"]) if merged["family"] == "hard_tanh" else None,
-            )
-        elif mode == "constant_q":
-            result = tune_constant_q(
-                depth=int(merged["depth"]),
-                eps1=float(merged["eps1"]),
-                eps2=float(merged["eps2"]),
-                q_star=float(merged["q_star"]),
-            )
-        else:
-            raise ConfigError(f"mode: unknown mode {mode!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if mode == "di":
+        result = _checked(
+            "tune", tune_di,
+            family=merged["family"],
+            sigma=merged["sigma"],
+            criterion=merged["criterion"],
+            s=merged["s"] if merged["family"] == "hard_tanh" else None,
+        )
+    elif mode == "constant_q":
+        result = _checked(
+            "tune", tune_constant_q,
+            depth=merged["depth"],
+            eps1=merged["eps1"],
+            eps2=merged["eps2"],
+            q_star=merged["q_star"],
+        )
+    else:
+        raise ConfigError(f"mode: unknown mode {mode!r}")
+    outdir = _outdir(merged)
 
     record = {
         "version": __version__,
@@ -600,85 +647,48 @@ def cmd_tune(args) -> int:
     return 0
 
 
-SIMULATE_DEFAULTS = {
-    "out": "out",
-    "model": "network",
-    "width": 200,
-    "depth": 3,
-    "seed": 0,
-    "draws": 1,
-    "bins": 0.1,
-    "atom_window": None,
-    "family": None,
-    "s": None,
-    "g": None,
-    "a": None,
-    "b": None,
-    "sigma": None,
-    "activation_file": None,
-    "q": 1.0,
-    "alpha": 0.75,
-    "gamma": 1.0,
-    "theory": None,
-    "theory_auto": False,
-    "dump_matrix": None,
-}
-
-
 def cmd_simulate(args) -> int:
-    merged = _resolve(args, SIMULATE_DEFAULTS)
-    outdir = _outdir(merged)
-    width = int(merged["width"])
-    depth = int(merged["depth"])
-    draws = int(merged["draws"])
-    bins = float(merged["bins"])
-    seed = int(merged["seed"])
+    merged = _resolve(args)
+    width, depth, draws, bins, seed = (
+        merged[k] for k in ("width", "depth", "draws", "bins", "seed"))
     _require(width >= 2, "width", "must be at least 2")
     _require(depth >= 1, "depth", "must be at least 1")
     _require(draws >= 1, "draws", "must be at least 1")
     _require(bins > 0, "bins", "must be positive")
     model = merged["model"]
     _require(model in ("network", "atoms"), "model", f"unknown model {model!r}")
+    theory = _load_measure(merged["theory"], "theory") if merged["theory"] else None
 
-    theory = None
-    if merged["theory"]:
-        try:
-            theory = SpectralMeasure.from_json(Path(merged["theory"]).read_text())
-        except OSError as exc:
-            raise ConfigError(f"theory: {exc}") from exc
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"theory: bad measure file: {exc}") from exc
-
-    values = []
-    matrix = None
+    schedule = None
     if model == "network":
         spec, sigma = _resolve_activation(merged)
         _require(spec is not None, "activation", "need --family/--activation-file")
-        for k in range(draws):
-            net = OrthogonalNet.sample(width, depth, spec, sigma, seed + k)
-            rng = np.random.default_rng((seed + k) ^ 0xA5A5)
-            x = normalized_input(width, rng)
-            matrix = dual_fim_recursive(net, forward_trace(net, x))
-            values.append(np.linalg.eigvalsh(matrix))
+        sigma = _as_list(1.0 if sigma is None else sigma, "sigma", length=depth)
+        _require(all(s > 0 for s in sigma), "sigma", "entries must be positive")
         if merged["theory_auto"]:
-            schedule = mean_field_schedule(spec, sigma, depth, q0=1.0)
-            theory = propagate_schedule(schedule)[-1]
-            _write_json(outdir / "theory.json", theory.to_json_dict())
+            schedule = _checked("schedule", mean_field_schedule, spec, sigma, depth, q0=1.0)
     else:
-        q = _as_float_list(merged["q"], "q", depth)
-        sigma = _as_float_list(merged["sigma"] if merged["sigma"] is not None else 1.0,
-                               "sigma", depth)
-        alpha = _as_float_list(merged["alpha"], "alpha", depth - 1) if depth > 1 else []
-        gamma = _as_float_list(merged["gamma"], "gamma", depth - 1) if depth > 1 else []
-        for k in range(draws):
-            rng = np.random.default_rng(seed + k)
-            matrix = model_fim_sample(width, q, sigma, alpha, gamma, rng)
-            values.append(np.linalg.eigvalsh(matrix))
-        if merged["theory_auto"]:
-            jac = tuple(TwoAtomJacobianLaw(a, c) for a, c in zip(alpha, gamma))
-            schedule = LayerSchedule(q=tuple(q), sigma=tuple(sigma), jacobians=jac)
-            theory = propagate_schedule(schedule)[-1]
-            _write_json(outdir / "theory.json", theory.to_json_dict())
+        sigma = 1.0 if merged["sigma"] is None else merged["sigma"]
+        schedule = _schedule_from_config(merged, sigma)
+    outdir = _outdir(merged)
+
+    values = []
+    matrix = None
+    for k in range(draws):
+        if model == "network":
+            net = OrthogonalNet.sample(width, depth, spec, sigma, seed + k)
+            x = normalized_input(width, np.random.default_rng((seed + k) ^ 0xA5A5))
+            matrix = dual_fim_recursive(net, forward_trace(net, x))
+        else:
+            matrix = model_fim_sample(
+                width, schedule.q, schedule.sigma,
+                [nu.alpha for nu in schedule.jacobians], [nu.gamma for nu in schedule.jacobians],
+                np.random.default_rng(seed + k),
+            )
+        values.append(np.linalg.eigvalsh(matrix))
+    if merged["theory_auto"]:
+        theory = propagate_schedule(schedule)[-1]
+        _write_json(outdir / "theory.json", theory.to_json_dict())
 
     rows = ["draw,index,eigenvalue,width,depth,seed"]
     for k, vals in enumerate(values):
@@ -687,27 +697,8 @@ def cmd_simulate(args) -> int:
         )
     (outdir / "eigenvalues.csv").write_text("\n".join(rows) + "\n")
 
-    pooled = np.sort(np.concatenate(values))
-    top = float(pooled[-1])
-    window = 0.01 * max(abs(top), 1e-300)
-    lo = float(pooled[0])
-    # near-degenerate spectra can be narrower than 64 finite bins
-    if top - lo <= 64 * np.spacing(max(abs(lo), abs(top), 1.0)):
-        edges = np.array([lo - 0.5, top + 0.5])
-        counts = np.array([len(pooled)])
-    else:
-        counts, edges = np.histogram(pooled, bins=64)
-    report = EigenReport(
-        eigenvalues=pooled,
-        max=top,
-        mean=float(pooled.mean()),
-        histogram=(edges, counts),
-        atom_mass_near_max=float(np.count_nonzero(pooled >= top - window)) / len(pooled),
-    )
-    atom_window = merged["atom_window"]
-    empirical = empirical_measure(
-        report, bins, atom_window=float(atom_window) if atom_window is not None else None
-    )
+    report = EigenReport.from_eigenvalues(np.sort(np.concatenate(values)))
+    empirical = empirical_measure(report, bins, atom_window=merged["atom_window"])
     _write_json(outdir / "empirical.json", empirical.to_json_dict())
     svg = emit_svg_histogram(
         empirical, theory, bin_width=bins, log_y=True,
@@ -728,49 +719,21 @@ def cmd_simulate(args) -> int:
         _write_json(outdir / "compare.json", compare)
 
     if merged["dump_matrix"]:
-        write_matrix_dump(outdir / str(merged["dump_matrix"]), matrix)
+        write_matrix_dump(outdir / merged["dump_matrix"], matrix)
 
     _write_config(outdir, "simulate", merged)
     return 0
 
 
-SWEEP_DEFAULTS = {
-    "out": "out",
-    "width": 64,
-    "depths": "4,8,16",
-    "etas": None,
-    "eta_min": 0.01,
-    "eta_max": 1.0,
-    "per_decade": 8,
-    "steps": 500,
-    "samples": 500,
-    "classes": 10,
-    "seed": 0,
-    "eps1": 0.1,
-    "eps2": 0.0,
-    "family": None,
-    "s": None,
-    "g": None,
-    "a": None,
-    "b": None,
-    "sigma": None,
-    "activation_file": None,
-    "idx_images": None,
-    "idx_labels": None,
-}
-
-
 def cmd_sweep(args) -> int:
-    merged = _resolve(args, SWEEP_DEFAULTS)
-    outdir = _outdir(merged)
-    width = int(merged["width"])
-    depths = _as_int_list(merged["depths"], "depths")
+    merged = _resolve(args)
+    width, seed, samples = merged["width"], merged["seed"], merged["samples"]
+    depths = _as_list(merged["depths"], "depths", int)
     _require(all(d >= 1 for d in depths), "depths", "entries must be positive")
     if merged["etas"] is not None:
-        etas = _as_floats_free(merged["etas"], "etas")
+        etas = _as_list(merged["etas"], "etas")
     else:
-        lo, hi = float(merged["eta_min"]), float(merged["eta_max"])
-        per_decade = int(merged["per_decade"])
+        lo, hi, per_decade = merged["eta_min"], merged["eta_max"], merged["per_decade"]
         _require(0 < lo < hi, "eta_min", "need 0 < eta_min < eta_max")
         _require(per_decade >= 1, "per_decade", "must be positive")
         count = int(math.ceil(math.log10(hi / lo) * per_decade)) + 1
@@ -779,35 +742,27 @@ def cmd_sweep(args) -> int:
 
     spec, sigma = _resolve_activation(merged)
     if spec is None:
-        tuned = tune_constant_q(
-            depth=max(depths), eps1=float(merged["eps1"]), eps2=float(merged["eps2"])
-        )
-        spec, sigma = tuned.spec, tuned.params.sigma
+        tuned = _checked("tune", tune_constant_q,
+                         depth=max(depths), eps1=merged["eps1"], eps2=merged["eps2"])
+        spec = tuned.spec
+        sigma = tuned.params.sigma if sigma is None else sigma
+    sigma = 1.0 if sigma is None else sigma
+    _require(sigma > 0, "sigma", "must be positive")
 
     if merged["idx_images"]:
         _require(bool(merged["idx_labels"]), "idx_labels", "needed with idx_images")
-        try:
-            train = idx_dataset(merged["idx_images"], merged["idx_labels"],
-                                classes=int(merged["classes"]))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"idx: {exc}") from exc
+        train = _checked("idx", idx_dataset, merged["idx_images"], merged["idx_labels"],
+                         classes=merged["classes"])
         test = None
     else:
-        classes = min(int(merged["classes"]), width)
-        train = synth_dataset(width, int(merged["samples"]), classes, int(merged["seed"]))
-        test = synth_dataset(width, max(int(merged["samples"]) // 4, 1), classes,
-                             int(merged["seed"]) + 1)
+        classes = min(merged["classes"], width)
+        train = _checked("dataset", synth_dataset, width, samples, classes, seed)
+        test = synth_dataset(width, max(samples // 4, 1), classes, seed + 1)
     _require(train.width == width, "width", f"dataset width {train.width} != {width}")
+    base = _checked("sweep", TrainConfig, depth=depths[0], width=width, activation=spec,
+                    eta=etas[0], steps=merged["steps"], sigma=sigma, seed=seed)
+    outdir = _outdir(merged)
 
-    base = TrainConfig(
-        depth=depths[0],
-        width=width,
-        activation=spec,
-        eta=etas[0],
-        steps=int(merged["steps"]),
-        sigma=sigma,
-        seed=int(merged["seed"]),
-    )
     result = lr_depth_sweep(depths, etas, base, train, test)
 
     (outdir / "sweep.csv").write_text("\n".join(result.to_csv_rows()) + "\n")
@@ -828,23 +783,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-COMPARE_DEFAULTS = {"out": "out", "bins": 0.1, "a": None, "b": None}
-
-
 def cmd_compare(args) -> int:
-    merged = _resolve(args, COMPARE_DEFAULTS)
+    merged = _resolve(args)
     _require(bool(merged["a"]) and bool(merged["b"]), "a/b", "need two measure files")
-    outdir = _outdir(merged)
-    bins = float(merged["bins"])
+    bins = merged["bins"]
     _require(bins > 0, "bins", "must be positive")
-    ms = {}
-    for key in ("a", "b"):
-        try:
-            ms[key] = SpectralMeasure.from_json(Path(merged[key]).read_text())
-        except OSError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{key}: bad measure file: {exc}") from exc
+    ms = {key: _load_measure(merged[key], key) for key in ("a", "b")}
+    outdir = _outdir(merged)
     l1 = distance_L1(ms["a"], ms["b"], bins)
     summary = {
         "l1": l1,
@@ -855,6 +800,7 @@ def cmd_compare(args) -> int:
               "mean": moment(ms["b"], 1), "atom_mass": ms["b"].atom_mass()},
     }
     _write_json(outdir / "compare.json", summary)
+    _write_config(outdir, "compare", merged)
     print(f"L1 distance: {l1:.6g}")
     return 0
 
@@ -871,94 +817,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON file with defaults for this command")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("theory", help="limit spectra along a layer schedule")
-    common(p)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--q", help="scalar or comma list, one per layer")
-    p.add_argument("--sigma", help="scalar or comma list, one per layer")
-    p.add_argument("--alpha", help="scalar or comma list, one per hidden layer")
-    p.add_argument("--gamma", help="scalar or comma list, one per hidden layer")
-    p.add_argument("--grid", type=int, help="density grid resolution")
-    p.set_defaults(func=cmd_theory)
-
-    p = sub.add_parser("tune", help="tune activation parameters toward isometry")
-    common(p)
-    p.add_argument("--mode", choices=["di", "constant_q"])
-    p.add_argument("--family", choices=["hard_tanh", "linear"])
-    p.add_argument("--s", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--criterion", choices=["sg2", "sg2a"])
-    p.add_argument("--depth", type=int)
-    p.add_argument("--eps1", type=float)
-    p.add_argument("--eps2", type=float)
-    p.add_argument("--q-star", dest="q_star", type=float)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("simulate", help="finite-width eigenvalue experiment")
-    common(p)
-    p.add_argument("--model", choices=["network", "atoms"])
-    p.add_argument("--width", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--draws", type=int)
-    p.add_argument("--bins", type=float, help="histogram bin width")
-    p.add_argument("--atom-window", dest="atom_window", type=float,
-                   help="relative window for isolating the top atom")
-    p.add_argument("--family", choices=["hard_tanh", "shifted_relu", "linear"])
-    p.add_argument("--s", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--sigma")
-    p.add_argument("--activation-file", dest="activation_file",
-                   help="tune.json produced by the tune command")
-    p.add_argument("--q", help="atoms model: scalar or comma list")
-    p.add_argument("--alpha", help="atoms model: scalar or comma list")
-    p.add_argument("--gamma", help="atoms model: scalar or comma list")
-    p.add_argument("--theory", help="measure JSON to compare against")
-    p.add_argument("--theory-auto", dest="theory_auto", action="store_const", const=True,
-                   help="derive the prediction from the schedule and compare")
-    p.add_argument("--dump-matrix", dest="dump_matrix",
-                   help="also dump the last H matrix under this filename")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="depth x learning-rate stability sweep")
-    common(p)
-    p.add_argument("--width", type=int)
-    p.add_argument("--depths", help="comma list of depths")
-    p.add_argument("--etas", help="explicit comma list of learning rates")
-    p.add_argument("--eta-min", dest="eta_min", type=float)
-    p.add_argument("--eta-max", dest="eta_max", type=float)
-    p.add_argument("--per-decade", dest="per_decade", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eps1", type=float, help="target depth-scaled saturation")
-    p.add_argument("--eps2", type=float, help="target depth-scaled decay")
-    p.add_argument("--family", choices=["hard_tanh", "shifted_relu", "linear"])
-    p.add_argument("--s", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--activation-file", dest="activation_file")
-    p.add_argument("--idx-images", dest="idx_images")
-    p.add_argument("--idx-labels", dest="idx_labels")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare", help="L1 distance between two measure files")
-    common(p)
-    p.add_argument("a", nargs="?", help="first measure JSON")
-    p.add_argument("b", nargs="?", help="second measure JSON")
-    p.add_argument("--bins", type=float)
-    p.set_defaults(func=cmd_compare)
-
+    for name, func, text in (
+        ("theory", cmd_theory, "limit spectra along a layer schedule"),
+        ("tune", cmd_tune, "tune activation parameters toward isometry"),
+        ("simulate", cmd_simulate, "finite-width eigenvalue experiment"),
+        ("sweep", cmd_sweep, "depth x learning-rate stability sweep"),
+        ("compare", cmd_compare, "L1 distance between two measure files"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON file with defaults for this command, "
+                                        "such as a saved config.json")
+        for key, (_, kind, extras) in FLAGS[name].items():
+            flag = key if "nargs" in extras else "--" + key.replace("_", "-")
+            typed = {"type": kind} if kind in (int, float) else {}
+            p.add_argument(flag, **typed, **extras)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -48,6 +48,7 @@ _WALK_LEVELS = 24
 _BLOCK_BYTES = 1 << 20
 WINDOW_MARGIN = 0.05
 DEFAULT_GRID = 2048
+MIN_GRID = 128
 
 # Below this magnitude the expm1-based ratio switches to its series.
 _SERIES_CUTOFF = 1e-8
@@ -260,7 +261,6 @@ def free_mult_conv_two_atom(
     margin: float = WINDOW_MARGIN,
     tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITER,
-    method: str = "auto",
     return_stats: bool = False,
 ):
     """Free multiplicative convolution mu boxtimes nu.
@@ -278,9 +278,8 @@ def free_mult_conv_two_atom(
     with Im G <= 1e-8. Points that are still not accepted are flagged and
     their G interpolated from the accepted neighbors.
 
-    With method="auto", purely atomic shortcuts (nu = delta_gamma, or mu
-    a single atom) bypass the solver; method="numeric" forces the solver,
-    which the tests use to cross-check the shortcuts.
+    Purely atomic cases (nu = delta_gamma, or mu a single atom) bypass
+    the solver.
 
     Parameters
     ----------
@@ -302,23 +301,20 @@ def free_mult_conv_two_atom(
     """
     if mu.support_min() < -1e-12:
         raise ValueError("mu must be supported on the nonnegative axis")
-    if method not in ("auto", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
-    if grid_count < 128:
-        raise ValueError("grid_count must be at least 128")
+    if grid_count < MIN_GRID:
+        raise ValueError(f"grid_count must be at least {MIN_GRID}")
 
     trivial_stats = ConvolutionStats(0, 0.0, 0, 0.0, (), 0.0, 0.0, 0)
-    if method == "auto":
-        if nu.alpha == 1.0:
-            result = affine_pushforward(mu, nu.gamma, 0.0)
-            return (result, trivial_stats) if return_stats else result
-        if mu.density is None and len(mu.atoms) == 1:
-            loc, _ = mu.atoms[0]
-            if loc == 0.0:
-                result = SpectralMeasure.dirac(0.0)
-            else:
-                result = affine_pushforward(nu.as_measure(), loc, 0.0)
-            return (result, trivial_stats) if return_stats else result
+    if nu.alpha == 1.0:
+        result = affine_pushforward(mu, nu.gamma, 0.0)
+        return (result, trivial_stats) if return_stats else result
+    if mu.density is None and len(mu.atoms) == 1:
+        loc, _ = mu.atoms[0]
+        if loc == 0.0:
+            result = SpectralMeasure.dirac(0.0)
+        else:
+            result = affine_pushforward(nu.as_measure(), loc, 0.0)
+        return (result, trivial_stats) if return_stats else result
 
     atoms = _product_atoms(mu, nu)
     atom_mass = sum(w for _, w in atoms)

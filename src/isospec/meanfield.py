@@ -90,10 +90,6 @@ class MeanFieldParams:
     def to_json_dict(self) -> dict:
         return {"q": self.q, "alpha": self.alpha, "gamma": self.gamma, "sigma": self.sigma}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MeanFieldParams":
-        return cls(q=d["q"], alpha=d["alpha"], gamma=d["gamma"], sigma=d["sigma"])
-
 
 def activation_apply(spec: ActivationSpec, x):
     """Evaluate phi pointwise; x may be a scalar or an array."""

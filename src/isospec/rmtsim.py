@@ -234,14 +234,38 @@ class EigenReport:
     histogram: tuple
     atom_mass_near_max: float
 
+    @classmethod
+    def from_eigenvalues(
+        cls, vals: np.ndarray, bin_count: int = 64, atom_window: float = 0.01
+    ) -> "EigenReport":
+        """Summary of an ascending spectrum. atom_mass_near_max is the
+        fraction of eigenvalues within `atom_window` (relative) of the top."""
+        top = float(vals[-1])
+        lo, hi = float(vals[0]), top
+        # a near-degenerate spectrum can have hi - lo below what bin_count
+        # finite bins can resolve; collapse it to one bin instead
+        if hi - lo <= bin_count * np.spacing(max(abs(lo), abs(hi), 1.0)):
+            edges = np.array([lo - 0.5, hi + 0.5])
+            counts = np.array([len(vals)])
+        else:
+            counts, edges = np.histogram(vals, bins=bin_count, range=(lo, hi))
+        window = atom_window * max(abs(top), 1e-300)
+        near = float(np.count_nonzero(vals >= top - window)) / len(vals)
+        return cls(
+            eigenvalues=vals,
+            max=top,
+            mean=float(vals.mean()),
+            histogram=(edges, counts),
+            atom_mass_near_max=near,
+        )
+
 
 def eig_sym(a: np.ndarray, bin_count: int = 64, atom_window: float = 0.01) -> EigenReport:
-    """Full spectrum of a symmetric matrix.
+    """Full spectrum of a symmetric matrix, summarized by EigenReport.
 
     The input must be symmetric to 1e-8; it is then symmetrized exactly
     before the solve. A handful of recomputed eigenpairs are checked
-    against ||A v - lambda v|| <= 1e-8 ||A||. atom_mass_near_max is the
-    fraction of eigenvalues within `atom_window` (relative) of the top.
+    against ||A v - lambda v|| <= 1e-8 ||A||.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -257,24 +281,7 @@ def eig_sym(a: np.ndarray, bin_count: int = 64, atom_window: float = 0.01) -> Ei
         resid = np.linalg.norm(sym @ vecs[:, i] - vals[i] * vecs[:, i])
         if resid > 1e-8 * scale:
             raise NumericalError(f"eigenpair residual {resid:.2e} exceeds tolerance")
-    top = float(vals[-1])
-    lo, hi = float(vals[0]), top
-    # a near-degenerate spectrum can have hi - lo below what bin_count
-    # finite bins can resolve; collapse it to one bin instead
-    if hi - lo <= bin_count * np.spacing(max(abs(lo), abs(hi), 1.0)):
-        edges = np.array([lo - 0.5, hi + 0.5])
-        counts = np.array([len(vals)])
-    else:
-        counts, edges = np.histogram(vals, bins=bin_count, range=(lo, hi))
-    window = atom_window * max(abs(top), 1e-300)
-    near = float(np.count_nonzero(vals >= top - window)) / len(vals)
-    return EigenReport(
-        eigenvalues=vals,
-        max=top,
-        mean=float(vals.mean()),
-        histogram=(edges, counts),
-        atom_mass_near_max=near,
-    )
+    return EigenReport.from_eigenvalues(vals, bin_count, atom_window)
 
 
 def empirical_measure(

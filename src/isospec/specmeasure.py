@@ -34,23 +34,6 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """Evaluation point in the open upper half-plane."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("complex point must be finite")
-        if self.im <= 0:
-            raise ValueError(f"im must be > 0, got {self.im}")
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
 @dataclass(frozen=True, eq=False)
 class GridDensity:
     """Nonnegative density samples on a uniform grid over [left, right].
@@ -207,9 +190,6 @@ class SpectralMeasure:
     def atom_mass(self) -> float:
         return sum(w for _, w in self.atoms)
 
-    def continuous_mass(self) -> float:
-        return 0.0 if self.density is None else self.density.mass()
-
     def atom_weight(self, x: float, tol: float = 1e-9) -> float:
         """Weight of the atom at x, or 0 if no atom sits there."""
         for loc, w in self.atoms:
@@ -254,15 +234,6 @@ class SpectralMeasure:
     def from_json(cls, text: str) -> "SpectralMeasure":
         return cls.from_json_dict(json.loads(text))
 
-    def to_csv_rows(self) -> list:
-        """Rows of (x, weight_or_density, kind) for CSV export."""
-        rows = [(loc, w, "atom") for loc, w in self.atoms]
-        if self.density is not None:
-            rows += [
-                (x, v, "density") for x, v in zip(self.density.grid(), self.density.values)
-            ]
-        return rows
-
 
 # ----------------------------------------------------------------------
 # operations
@@ -294,8 +265,6 @@ def affine_pushforward(mu: SpectralMeasure, a: float, b: float) -> SpectralMeasu
 
 
 def _as_complex_array(z):
-    if isinstance(z, ComplexPoint):
-        z = z.as_complex()
     arr = np.asarray(z, dtype=complex)
     if np.any(arr.imag <= 0):
         raise ValueError("cauchy_transform requires Im z > 0")
@@ -305,9 +274,9 @@ def _as_complex_array(z):
 def cauchy_transform(mu: SpectralMeasure, z):
     """G_mu(z) = int (z - t)^{-1} mu(dt) for z in the upper half-plane.
 
-    Accepts a complex scalar, a ComplexPoint, or an array of complex
-    values; returns the matching shape. The density contribution is the
-    trapezoid quadrature on the measure's grid.
+    Accepts a complex scalar or an array of complex values; returns the
+    matching shape. The density contribution is the trapezoid quadrature
+    on the measure's grid.
     """
     arr = _as_complex_array(z)
     flat = arr.reshape(-1)

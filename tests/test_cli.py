@@ -103,6 +103,15 @@ class TestSimulate:
         mu = SpectralMeasure.from_json(json.dumps(empirical))
         assert mu.atoms == ((pytest.approx(2.0, abs=1e-9), 1.0),)
 
+    def test_network_sigma_per_layer(self, tmp_path):
+        base = ["simulate", "--model", "network", "--width", 16, "--depth", 3,
+                "--family", "linear", "--g", 1.0, "--seed", 1]
+        assert _run(*base, "--out", tmp_path / "one", "--sigma", "1") == 0
+        assert _run(*base, "--out", tmp_path / "each", "--sigma", "1,1,1") == 0
+        one, each = tmp_path / "one", tmp_path / "each"
+        for name in ("eigenvalues.csv", "empirical.json"):
+            assert (one / name).read_bytes() == (each / name).read_bytes()
+
     def test_matrix_dump_round_trip(self, tmp_path):
         out = tmp_path / "sd"
         code = _run("simulate", "--out", out, "--model", "network", "--width", 16,
@@ -209,6 +218,21 @@ class TestSweep:
         assert code == 0
         assert (out / "sweep.csv").exists()
 
+    def test_explicit_sigma_wins_over_activation_file(self, tmp_path):
+        tune = tmp_path / "tune"
+        assert _run("tune", "--out", tune, "--mode", "constant_q", "--depth", 4) == 0
+        spec = json.loads((tune / "tune.json").read_text())["spec"]
+        grid = ["--width", 16, "--steps", 30, "--samples", 16, "--classes", 4,
+                "--depths", "1,2", "--etas", "0.001,80", "--sigma", 2.0]
+        assert _run("sweep", "--out", tmp_path / "file", "--activation-file",
+                    tune / "tune.json", *grid) == 0
+        assert _run("sweep", "--out", tmp_path / "inline", "--family", "hard_tanh",
+                    "--s", spec["s"], "--g", spec["g"], *grid) == 0
+        from_file, inline = tmp_path / "file", tmp_path / "inline"
+        assert json.loads((from_file / "boundary.json").read_text())["sigma"] == 2.0
+        for name in ("sweep.csv", "boundary.json"):
+            assert (from_file / name).read_bytes() == (inline / name).read_bytes()
+
     def test_config_errors(self, tmp_path):
         x = tmp_path / "x"
         assert _run("sweep", "--out", x, "--idx-images", "only.idx", *self.SMALL) == 2
@@ -265,6 +289,84 @@ class TestConfigMerge:
         conf.write_text("{not json")
         assert _run("theory", "--out", tmp_path / "x", "--config", conf) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+BAD_INPUTS = [
+    (["simulate", "--model", "atoms", "--alpha", "1.5", "--theory-auto"], None),
+    (["simulate", "--model", "atoms", "--alpha", "1.5"], None),
+    (["simulate", "--model", "atoms", "--q=-1"], None),
+    (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--sigma", "1,1"], None),
+    (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--sigma", "0"], None),
+    (["sweep", "--steps", "0"], None),
+    (["sweep", "--width", "1"], None),
+    (["sweep", "--samples", "0"], None),
+    (["sweep", "--family", "linear", "--g", "1", "--sigma", "0"], None),
+    (["theory", "--grid", "100"], None),
+    (["simulate"], {"width": "abc"}),
+    (["simulate", "--model", "atoms"], {"width": 2.5}),
+    (["sweep"], {"depths": [4, "x"]}),
+    (["theory"], {"depth": None}),
+    (["theory"], {"command": "simulate"}),
+]
+
+
+@pytest.mark.parametrize("argv,config", BAD_INPUTS)
+def test_bad_input_exits_2(argv, config, tmp_path, capsys):
+    if config is not None:
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps(config))
+        argv = argv + ["--config", conf]
+    assert _run(*argv, "--out", tmp_path / "x") == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestFlagTable:
+    @staticmethod
+    def _argv(command, tmp_path):
+        if command == "compare":
+            files = []
+            for name, loc in (("a.json", 1.0), ("b.json", 1.5)):
+                files.append(tmp_path / name)
+                files[-1].write_text(json.dumps(SpectralMeasure.dirac(loc).to_json_dict()))
+            return [*files, "--bins", 0.5]
+        return {
+            "theory": ["--depth", 3, "--alpha", "0.8,0.6", "--gamma", "1.2,0.9", "--grid", 256],
+            "tune": ["--mode", "constant_q", "--depth", 8],
+            "simulate": ["--model", "atoms", "--width", 40, "--alpha", "0.75", "--seed", 3,
+                         "--theory-auto"],
+            "sweep": [*TestSweep.SMALL, "--depths", "1,2", "--etas", "0.001,80"],
+        }[command]
+
+    @pytest.mark.parametrize("command", sorted(cli.FLAGS))
+    def test_saved_config_replays(self, command, tmp_path):
+        first, second = tmp_path / "r1", tmp_path / "r2"
+        assert _run(command, "--out", first, *self._argv(command, tmp_path)) == 0
+        assert _run(command, "--config", first / "config.json", "--out", second) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            if name != "config.json":
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        saved = json.loads((first / "config.json").read_text())
+        replayed = json.loads((second / "config.json").read_text())
+        assert set(saved) == set(cli.FLAGS[command]) | {"out", "command", "version"}
+        assert (saved.pop("out"), replayed.pop("out")) == (str(first), str(second))
+        assert saved == replayed
+
+    @pytest.mark.parametrize("command", sorted(cli.FLAGS))
+    def test_every_key_has_its_flag(self, command):
+        parser = cli.build_parser()
+        table = cli.FLAGS[command]
+        operands = [key for key, (_, _, extras) in table.items() if "nargs" in extras]
+        args = parser.parse_args([command, *operands])
+        assert [getattr(args, key) for key in operands] == operands
+        for key, (_, _, extras) in table.items():
+            if key in operands:
+                continue
+            argv = ["--" + key.replace("_", "-")]
+            if extras.get("action") != "store_const":
+                argv.append(extras.get("choices", ["1"])[0])
+            assert getattr(parser.parse_args([command, *argv]), key) is not None, key
 
 
 class TestMatrixDump:

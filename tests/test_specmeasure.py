@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isospec.specmeasure import (
-    ComplexPoint,
     GridDensity,
     NumericalError,
     SpectralMeasure,
@@ -109,15 +108,6 @@ class TestGridDensity:
         assert dens.cdf(0.0) == pytest.approx(0.0, abs=1e-12)
         assert dens.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
         assert dens.cdf(0.25) == pytest.approx(0.25, abs=1e-9)
-
-
-class TestComplexPoint:
-    def test_requires_upper_half_plane(self):
-        ComplexPoint(0.0, 1e-9)
-        with pytest.raises(ValueError):
-            ComplexPoint(0.0, 0.0)
-        with pytest.raises(ValueError):
-            ComplexPoint(1.0, -1.0)
 
 
 class TestAffinePushforward:
