@@ -31,7 +31,6 @@ from .freeconv import (
     atom_rule,
     di_conditions,
     free_mult_conv_two_atom,
-    io_jacobian_stransform,
     max_support_track,
     mean_track,
     propagate_layer,
@@ -47,10 +46,9 @@ from .meanfield import (
     ShiftedRelu,
     activation_apply,
     activation_deriv_sq,
-    jacobian_stats,
     mean_field_schedule,
+    moment_map,
     q_fixed_point,
-    q_forward,
     tune_constant_q,
     tune_di,
 )

@@ -153,6 +153,14 @@ FLAGS = {
         "bins": (0.1, float, {}),
     },
 }
+# (command, key, value) -> the flags that choice does not read; each must
+# stay at its default, so that a saved config.json still replays.
+UNREAD = {
+    ("tune", "mode", "di"): ("depth", "eps1", "eps2", "q_star"),
+    ("tune", "mode", "constant_q"): ("family", "s", "sigma", "criterion"),
+    ("simulate", "model", "network"): ("q", "alpha", "gamma"),
+    ("simulate", "model", "atoms"): tuple(_ACTIVATION),
+}
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +210,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
+    for (command, choice, value), unread in UNREAD.items():
+        if command == args.command and merged[choice] == value:
+            for key in unread:
+                default, kind, _ = table[key]
+                same = (merged[key] == default if kind is not None
+                        else _as_list(merged[key], key) == _as_list(default, key))
+                _require(same, key, f"not read with --{choice} {value}")
     return merged
 
 
@@ -638,8 +653,14 @@ def cmd_tune(args) -> int:
         "eps1": result.eps1,
         "eps2": result.eps2,
         "ref_depth": result.ref_depth,
+        "converged": result.fixed_point.converged,
+        "iterations": result.fixed_point.iterations,
     }
     _write_json(outdir / "tune.json", record)
+    if not result.fixed_point.converged:
+        print(f"warning: the q fixed point did not converge in "
+              f"{result.fixed_point.iterations} iterations; q is the last iterate",
+              file=sys.stderr)
     _write_config(outdir, "tune", merged)
     print(f"tuned: {record['spec']} -> q={result.params.q:.6g} "
           f"alpha={result.params.alpha:.6g} gamma={result.params.gamma:.6g} "

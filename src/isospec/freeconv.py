@@ -630,16 +630,6 @@ def theta_mean_limit(regime: AsymptoticRegime, ratio_alpha: float) -> float:
     return ratio_alpha * regime.q * _expm1_ratio(regime.eps1 + regime.eps2)
 
 
-def io_jacobian_stransform(alpha: float, gamma: float, sigma: float, L: int, z):
-    """S-transform of the input-output squared-Jacobian spectrum:
-    ((1 + (1 - alpha)/(z + alpha)) / (sigma^2 gamma))^(L-1)."""
-    z = complex(z)
-    if abs(z + alpha) < 1e-12 * (1.0 + abs(alpha)):
-        raise ValueError(f"pole at z = {-alpha}")
-    factor = (1.0 + (1.0 - alpha) / (z + alpha)) / (sigma**2 * gamma)
-    return factor ** (L - 1)
-
-
 def di_conditions(alpha_L: float, sigma_L: float, gamma_L: float, L: int):
     """Finite-depth isometry deviations (eps1, eps2) =
     (L (1 - alpha), -L log(sigma^2 gamma))."""

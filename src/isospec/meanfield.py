@@ -5,13 +5,12 @@ sigma^2 q_in, each layer is summarized by three scalars: the normalized
 post-activation second moment q = E[phi(h)^2], the weight alpha of the
 nonzero atom of the squared-derivative law, and the atom's value gamma.
 This module evaluates the moment map for the three piecewise-linear
-activation families, finds its fixed points, and tunes activation
-parameters so that sigma^2 gamma (or sigma^2 gamma alpha) hits 1, the
-condition for the input-output Jacobian spectrum to stay put as depth
-grows.
+activation families in closed form, finds its fixed points, and tunes
+activation parameters so that sigma^2 gamma (or sigma^2 gamma alpha)
+hits 1, the condition for the input-output Jacobian spectrum to stay put
+as depth grows.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -20,18 +19,8 @@ import numpy as np
 
 from .specmeasure import NumericalError
 
-QUAD_NODES = 64
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 10_000
-
-
-@functools.lru_cache(maxsize=8)
-def _hermgauss(nodes: int):
-    # node computation costs ~1ms, and the fixed-point loops call it a lot
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
 
 
 @dataclass(frozen=True)
@@ -119,25 +108,48 @@ def activation_deriv_sq(spec: ActivationSpec, x):
     return out if out.ndim else float(out)
 
 
-def q_forward(spec: ActivationSpec, sigma: float, q_in: float, nodes: int = QUAD_NODES):
-    """One step of the moment map: E[phi(h)^2] with h ~ N(0, sigma^2 q_in).
+def _r0(u: float) -> float:
+    """Gaussian tail mass P(|Z| > u)."""
+    return math.erfc(u / math.sqrt(2.0))
 
-    Gauss-Hermite quadrature with `nodes` points (>= 64 keeps the linear
-    family exact to 1e-10 and the piecewise families well below the
-    fixed-point tolerance).
+
+def _r2(u: float) -> float:
+    """1 - E[Z^2; |Z| < u] for a standard normal Z."""
+    return u * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * u * u) + _r0(u)
+
+
+def moment_map(spec: ActivationSpec, sigma: float, q: float):
+    """(q_next, alpha, gamma) of one layer at preactivation h ~ N(0, sigma^2 q).
+
+    q_next = E[phi(h)^2] is the next layer's moment; gamma is the
+    linear-branch slope squared and alpha the Gaussian probability of
+    landing on that branch. Every family is piecewise linear, so each
+    moment is an exact erf/pdf form in the standardized kink position.
     """
-    if q_in <= 0 or sigma <= 0:
-        raise ValueError("sigma and q_in must be positive")
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    t, w = _hermgauss(nodes)
-    h = math.sqrt(2.0 * sigma**2 * q_in) * t
-    with np.errstate(over="ignore"):  # overflow is caught by the finiteness check
-        vals = activation_apply(spec, h) ** 2
-        out = float((w * vals).sum() / math.sqrt(math.pi))
-    if not math.isfinite(out):
-        raise NumericalError("quadrature produced a non-finite moment")
-    return out
+    if q <= 0 or sigma <= 0:
+        raise ValueError("sigma and q must be positive")
+    std = sigma * math.sqrt(q)
+    var = sigma**2 * q
+    if isinstance(spec, HardTanh):
+        u = 1.0 / (spec.s * spec.g * std)
+        alpha = math.erf(u / math.sqrt(2.0))
+        gamma = spec.g**2
+        q_next = gamma * (var * (1.0 - _r2(u)) + _r0(u))
+    elif isinstance(spec, ShiftedRelu):
+        # Z > t on the linear branch; each tail of |Z| > t holds half of
+        # P(|Z| > t) and half of E[Z^2; |Z| > t]
+        t = spec.b / std
+        alpha = 0.5 * _r0(t)
+        gamma = spec.a**2
+        q_next = gamma * (var * 0.5 * _r2(t) + spec.b**2 * (1.0 - alpha))
+    elif isinstance(spec, Linear):
+        alpha, gamma = 1.0, spec.g**2
+        q_next = gamma * var
+    else:
+        raise TypeError(f"unknown activation {spec!r}")
+    if not math.isfinite(q_next):
+        raise NumericalError("the moment map produced a non-finite moment")
+    return q_next, alpha, gamma
 
 
 class QFixedPoint(NamedTuple):
@@ -152,9 +164,8 @@ def q_fixed_point(
     q0: float,
     tol: float = FIXED_POINT_TOL,
     max_iter: int = FIXED_POINT_MAX_ITER,
-    nodes: int = QUAD_NODES,
 ) -> QFixedPoint:
-    """Iterate q <- q_forward(q) from q0 until |dq| < tol.
+    """Iterate q <- q_next of `moment_map` from q0 until |dq| < tol.
 
     The undamped iteration is a contraction for the families handled
     here; if it fails to settle the last iterate is returned with
@@ -164,32 +175,11 @@ def q_fixed_point(
         raise ValueError("q0 must be positive")
     q = float(q0)
     for it in range(1, max_iter + 1):
-        q_next = q_forward(spec, sigma, q, nodes=nodes)
+        q_next = moment_map(spec, sigma, q)[0]
         if abs(q_next - q) < tol:
             return QFixedPoint(q_next, True, it)
         q = q_next
     return QFixedPoint(q, False, max_iter)
-
-
-def jacobian_stats(spec: ActivationSpec, sigma: float, q: float):
-    """(alpha, gamma) of the squared-derivative law at preactivation
-    variance sigma^2 q: gamma is the linear-branch slope squared, alpha
-    the Gaussian probability of landing on that branch."""
-    if q <= 0 or sigma <= 0:
-        raise ValueError("sigma and q must be positive")
-    std = sigma * math.sqrt(q)
-    if isinstance(spec, HardTanh):
-        u = 1.0 / (spec.s * spec.g * std)
-        alpha = math.erf(u / math.sqrt(2.0))
-        gamma = spec.g**2
-    elif isinstance(spec, ShiftedRelu):
-        alpha = 0.5 * math.erfc(spec.b / (std * math.sqrt(2.0)))
-        gamma = spec.a**2
-    elif isinstance(spec, Linear):
-        alpha, gamma = 1.0, spec.g**2
-    else:
-        raise TypeError(f"unknown activation {spec!r}")
-    return alpha, gamma
 
 
 @dataclass(frozen=True)
@@ -197,7 +187,9 @@ class TuneResult:
     """Tuned activation plus the mean-field scalars it induces.
 
     eps1/eps2 are the depth-scaled isometry deviations L(1 - alpha) and
-    -L log(sigma^2 gamma) evaluated at ref_depth.
+    -L log(sigma^2 gamma) evaluated at ref_depth; fixed_point is the
+    solve that gave params.q (converged in 0 iterations when q is exact
+    by construction).
     """
 
     spec: ActivationSpec
@@ -206,6 +198,7 @@ class TuneResult:
     eps1: float
     eps2: float
     ref_depth: int
+    fixed_point: QFixedPoint
 
 
 def _criterion_value(family, s, sigma, g, criterion, q0):
@@ -218,7 +211,7 @@ def _criterion_value(family, s, sigma, g, criterion, q0):
     else:
         spec = HardTanh(s=s, g=g)
         fp = q_fixed_point(spec, sigma, q0)
-    alpha, gamma = jacobian_stats(spec, sigma, fp.q)
+    _, alpha, gamma = moment_map(spec, sigma, fp.q)
     value = sigma**2 * gamma
     if criterion == "sg2a":
         value *= alpha
@@ -280,7 +273,7 @@ def tune_di(
     params = MeanFieldParams(q=fp.q, alpha=alpha, gamma=gamma, sigma=sigma)
     eps1 = ref_depth * (1.0 - alpha)
     eps2 = -ref_depth * math.log(sigma**2 * gamma)
-    return TuneResult(spec, params, criterion, eps1, eps2, ref_depth)
+    return TuneResult(spec, params, criterion, eps1, eps2, ref_depth, fp)
 
 
 def mean_field_schedule(spec: ActivationSpec, sigma, depth: int, q0: float = 1.0):
@@ -300,20 +293,10 @@ def mean_field_schedule(spec: ActivationSpec, sigma, depth: int, q0: float = 1.0
     qs = [float(q0)]
     jacobians = []
     for ell in range(1, depth):
-        alpha, gamma = jacobian_stats(spec, sig[ell - 1], qs[-1])
+        q_next, alpha, gamma = moment_map(spec, sig[ell - 1], qs[-1])
         jacobians.append(TwoAtomJacobianLaw(alpha, gamma))
-        qs.append(q_forward(spec, sig[ell - 1], qs[-1]))
+        qs.append(q_next)
     return LayerSchedule(q=tuple(qs), sigma=sig, jacobians=tuple(jacobians))
-
-
-def _r0(u: float) -> float:
-    """Gaussian tail mass P(|Z| > u)."""
-    return math.erfc(u / math.sqrt(2.0))
-
-
-def _r2(u: float) -> float:
-    """1 - E[Z^2; |Z| < u] for a standard normal Z."""
-    return u * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * u * u) + _r0(u)
 
 
 def tune_constant_q(
@@ -366,4 +349,5 @@ def tune_constant_q(
     spec = HardTanh(s=s, g=g)
     alpha = 1.0 - r0
     params = MeanFieldParams(q=q_star, alpha=alpha, gamma=g**2, sigma=sigma)
-    return TuneResult(spec, params, "constant_q", depth * r0, eps2, depth)
+    return TuneResult(spec, params, "constant_q", depth * r0, eps2, depth,
+                      QFixedPoint(q_star, True, 0))

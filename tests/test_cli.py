@@ -72,6 +72,19 @@ class TestTune:
         record = json.loads((out / "tune.json").read_text())
         assert record["spec"]["g"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_fixed_point_outcome_recorded(self, tmp_path, capsys):
+        assert _run("tune", "--out", tmp_path / "di") == 0
+        record = json.loads((tmp_path / "di" / "tune.json").read_text())
+        # at the default sg2a criterion the q map's slope is within 2e-4 of
+        # one, so the undamped iteration stops at its cap
+        assert (record["converged"], record["iterations"]) == (False, 10_000)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning: the q fixed point")
+        assert _run("tune", "--out", tmp_path / "cq", "--mode", "constant_q") == 0
+        record = json.loads((tmp_path / "cq" / "tune.json").read_text())
+        assert (record["converged"], record["iterations"]) == (True, 0)
+        assert capsys.readouterr().err == ""
+
     def test_unknown_mode_from_config_file(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"mode": "bogus"}))
@@ -93,6 +106,17 @@ class TestSimulate:
         assert 0.0 <= compare["l1"] <= 2.0
         svg = (out / "histogram.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_auto_theory_of_constant_q_network(self, tmp_path):
+        assert _run("tune", "--out", tmp_path / "t", "--mode", "constant_q") == 0
+        q_star = json.loads((tmp_path / "t" / "tune.json").read_text())["params"]["q"]
+        out = tmp_path / "s"
+        assert _run("simulate", "--out", out, "--model", "network", "--width", 16,
+                    "--depth", 4, "--activation-file", tmp_path / "t" / "tune.json",
+                    "--theory-auto") == 0
+        compare = json.loads((out / "compare.json").read_text())
+        # every layer sits on the fixed point: lambda_max = L q_star exactly
+        assert compare["theory_max"] == pytest.approx(4 * q_star, abs=1e-9)
 
     def test_linear_network_degenerate_spectrum(self, tmp_path):
         out = tmp_path / "sl"
@@ -307,6 +331,17 @@ BAD_INPUTS = [
     (["sweep"], {"depths": [4, "x"]}),
     (["theory"], {"depth": None}),
     (["theory"], {"command": "simulate"}),
+    (["simulate", "--model", "atoms", "--family", "linear", "--g", "5"], None),
+    (["simulate", "--model", "atoms", "--activation-file", "missing.json"], None),
+    (["simulate", "--model", "atoms"], {"s": 0.5}),
+    (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--alpha", "0.5"], None),
+    (["tune", "--mode", "constant_q", "--family", "linear"], None),
+    (["tune", "--mode", "constant_q", "--sigma", "7"], None),
+    (["tune", "--mode", "constant_q", "--criterion", "sg2"], None),
+    (["tune", "--mode", "constant_q"], {"s": 0.5}),
+    (["tune", "--depth", "8"], None),
+    (["tune", "--mode", "di", "--eps1", "0.2"], None),
+    (["tune"], {"q_star": 2.0}),
 ]
 
 
@@ -318,6 +353,13 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
         argv = argv + ["--config", conf]
     assert _run(*argv, "--out", tmp_path / "x") == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_unread_flag_at_its_default_is_accepted(tmp_path):
+    assert _run("tune", "--out", tmp_path / "t", "--mode", "constant_q",
+                "--family", "hard_tanh", "--sigma", "1", "--criterion", "sg2a") == 0
+    assert _run("simulate", "--out", tmp_path / "s", "--model", "network", "--width", 8,
+                "--family", "linear", "--g", "1", "--q", "1", "--alpha", "0.75") == 0
 
 
 class TestFlagTable:

@@ -14,7 +14,6 @@ from isospec.freeconv import (
     atom_rule,
     di_conditions,
     free_mult_conv_two_atom,
-    io_jacobian_stransform,
     max_support_track,
     mean_track,
     propagate_layer,
@@ -444,28 +443,6 @@ class TestThetaMeanLimit:
     def test_frozen_value(self):
         val = theta_mean_limit(AsymptoticRegime(1.0, 0.1, 0.1), 2.0)
         assert val == pytest.approx(1.8126924692201818, abs=1e-9)
-
-
-class TestIoJacobianStransform:
-    def test_exact_isometry(self):
-        assert io_jacobian_stransform(1.0, 1.0, 1.0, 5, 0.7) == pytest.approx(1.0)
-
-    def test_single_factor(self):
-        val = io_jacobian_stransform(0.9, 1.0, 1.0, 2, 1.0)
-        assert val == pytest.approx(1.0 + 0.1 / 1.9, abs=1e-12)
-
-    def test_large_depth_exponential_approx(self):
-        L = 200
-        alpha = 1.0 - 0.1 / L
-        sg2 = float(np.exp(-0.1 / L))  # sigma^2 gamma, split as gamma=sg2, sigma=1
-        z = 1.0
-        exact = io_jacobian_stransform(alpha, sg2, 1.0, L, z)
-        approx = np.exp(L * (1 - alpha) / (z + alpha) - L * np.log(sg2))
-        assert abs(exact - approx) / abs(approx) < 0.01
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            io_jacobian_stransform(0.5, 1.0, 1.0, 3, -0.5)
 
 
 class TestDiConditions:

@@ -2,9 +2,9 @@
 
 Reference numbers come from the erf/erfc closed forms of the Gaussian
 moments, cross-checked against adaptive quadrature; they are frozen here
-as literals. Gauss-Hermite with 64 nodes is coarse on integrands with a
-kink, so the moment-map tolerances below reflect measured quadrature
-error, not the precision of the reference values.
+as literals. The moment map evaluates the same closed forms, so it must
+match them to 1e-12; a quadrature over the kinked integrand would miss
+them by up to 6e-2.
 """
 
 import math
@@ -20,10 +20,9 @@ from isospec.meanfield import (
     ShiftedRelu,
     activation_apply,
     activation_deriv_sq,
-    jacobian_stats,
     mean_field_schedule,
+    moment_map,
     q_fixed_point,
-    q_forward,
     tune_constant_q,
     tune_di,
 )
@@ -87,69 +86,79 @@ class TestActivationApply:
             activation_deriv_sq(object(), 1.0)
 
 
+def _q_next(spec, sigma, q):
+    return moment_map(spec, sigma, q)[0]
+
+
+def _alpha_gamma(spec, sigma, q):
+    return moment_map(spec, sigma, q)[1:]
+
+
 class TestQForward:
+    """The q_next component of the moment map."""
+
     def test_hard_tanh_reference_values(self):
-        # 64-node quadrature carries a few e-3 of kink error here
-        got = q_forward(HardTanh(s=FIG_S, g=1.0013), 1.0, 1.0)
-        assert got == pytest.approx(0.9607821536138069, abs=1.5e-2)
-        got = q_forward(HardTanh(s=1.0, g=1.0), 1.0, 1.0)
-        assert got == pytest.approx(0.5160585509617133, abs=1.5e-2)
+        got = _q_next(HardTanh(s=FIG_S, g=1.0013), 1.0, 1.0)
+        assert got == pytest.approx(0.9607821536138069, abs=1e-12)
+        got = _q_next(HardTanh(s=1.0, g=1.0), 1.0, 1.0)
+        assert got == pytest.approx(0.5160585509617133, abs=1e-12)
 
     def test_hard_tanh_kink_outside_node_range_is_exact(self):
-        # saturation at |h| ~ 8 std lies beyond every quadrature node
-        got = q_forward(HardTanh(s=0.125, g=1.0013), 1.0, 1.0)
-        assert got == pytest.approx(1.0026016899999122, abs=1e-10)
+        # saturation at |h| ~ 8 std: the tail terms are below 1e-14
+        got = _q_next(HardTanh(s=0.125, g=1.0013), 1.0, 1.0)
+        assert got == pytest.approx(1.0026016899999122, abs=1e-12)
 
     def test_hard_tanh_adversarial_corner(self):
-        # worst measured 64-node error among the probed configs
-        got = q_forward(HardTanh(s=0.5, g=1.2), 1.1, 0.7)
-        assert got == pytest.approx(0.893196517594283, abs=1e-1)
+        # a 64-node Gauss-Hermite rule reads 0.9528 here
+        got = _q_next(HardTanh(s=0.5, g=1.2), 1.1, 0.7)
+        assert got == pytest.approx(0.893196517594283, abs=1e-12)
 
     def test_shifted_relu_reference_values(self):
-        got = q_forward(ShiftedRelu(a=1.2, b=0.3), 1.0, 1.0)
-        assert got == pytest.approx(0.7950484086425429, abs=5e-3)
-        # threshold at zero keeps the integrand polynomial on each half
-        got = q_forward(ShiftedRelu(a=2.0, b=0.0), 1.0, 1.0)
+        got = _q_next(ShiftedRelu(a=1.2, b=0.3), 1.0, 1.0)
+        assert got == pytest.approx(0.7950484086425429, abs=1e-12)
+        got = _q_next(ShiftedRelu(a=2.0, b=0.0), 1.0, 1.0)
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_linear_exact(self):
-        got = q_forward(Linear(1.3), 0.9, 0.7)
-        assert got == pytest.approx(1.3**2 * 0.9**2 * 0.7, abs=1e-10)
+        got = _q_next(Linear(1.3), 0.9, 0.7)
+        assert got == pytest.approx(1.3**2 * 0.9**2 * 0.7, abs=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            q_forward(Linear(1.0), 1.0, 0.0)
+            _q_next(Linear(1.0), 1.0, 0.0)
         with pytest.raises(ValueError):
-            q_forward(Linear(1.0), -1.0, 1.0)
-        with pytest.raises(ValueError):
-            q_forward(Linear(1.0), 1.0, 1.0, nodes=1)
+            _q_next(Linear(1.0), -1.0, 1.0)
+        with pytest.raises(TypeError):
+            moment_map(object(), 1.0, 1.0)
 
 
 class TestJacobianStats:
+    """The (alpha, gamma) components of the moment map."""
+
     def test_hard_tanh_reference_values(self):
-        alpha, gamma = jacobian_stats(HardTanh(s=FIG_S, g=1.0013), 1.0, 1.0)
+        alpha, gamma = _alpha_gamma(HardTanh(s=FIG_S, g=1.0013), 1.0, 1.0)
         assert alpha == pytest.approx(0.9952683210823421, abs=1e-12)
         assert gamma == pytest.approx(1.0013**2, abs=1e-12)
-        alpha, _ = jacobian_stats(HardTanh(s=1.0, g=1.0), 1.0, 1.0)
+        alpha, _ = _alpha_gamma(HardTanh(s=1.0, g=1.0), 1.0, 1.0)
         assert alpha == pytest.approx(0.6826894921370859, abs=1e-12)
-        alpha, _ = jacobian_stats(HardTanh(s=0.5, g=1.2), 1.1, 0.7)
+        alpha, _ = _alpha_gamma(HardTanh(s=0.5, g=1.2), 1.1, 0.7)
         assert alpha == pytest.approx(0.9298517857009407, abs=1e-12)
 
     def test_shifted_relu_reference_values(self):
-        alpha, gamma = jacobian_stats(ShiftedRelu(a=1.2, b=0.3), 1.0, 1.0)
+        alpha, gamma = _alpha_gamma(ShiftedRelu(a=1.2, b=0.3), 1.0, 1.0)
         assert alpha == pytest.approx(0.38208857781104744, abs=1e-12)
         assert gamma == pytest.approx(1.44, abs=1e-12)
-        alpha, _ = jacobian_stats(ShiftedRelu(a=2.0, b=0.0), 1.0, 1.0)
+        alpha, _ = _alpha_gamma(ShiftedRelu(a=2.0, b=0.0), 1.0, 1.0)
         assert alpha == pytest.approx(0.5, abs=1e-15)
 
     def test_linear_has_full_support(self):
-        assert jacobian_stats(Linear(1.3), 2.0, 0.5) == (1.0, pytest.approx(1.69))
+        assert _alpha_gamma(Linear(1.3), 2.0, 0.5) == (1.0, pytest.approx(1.69))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            jacobian_stats(Linear(1.0), 1.0, 0.0)
+            _alpha_gamma(Linear(1.0), 1.0, 0.0)
         with pytest.raises(ValueError):
-            jacobian_stats(Linear(1.0), 0.0, 1.0)
+            _alpha_gamma(Linear(1.0), 0.0, 1.0)
 
 
 class TestQFixedPoint:
@@ -163,7 +172,7 @@ class TestQFixedPoint:
     def test_result_is_stationary(self):
         fp = q_fixed_point(ShiftedRelu(a=1.2, b=0.3), 1.0, 1.0)
         assert fp.converged
-        assert q_forward(ShiftedRelu(a=1.2, b=0.3), 1.0, fp.q) == pytest.approx(
+        assert _q_next(ShiftedRelu(a=1.2, b=0.3), 1.0, fp.q) == pytest.approx(
             fp.q, abs=1e-10
         )
 
@@ -222,12 +231,12 @@ class TestTuneConstantQ:
     def test_tuning_is_self_consistent(self):
         r = tune_constant_q(8, eps1=0.2, q_star=2.5)
         assert r.params.q == 2.5
-        alpha, gamma = jacobian_stats(r.spec, r.params.sigma, r.params.q)
+        alpha, gamma = _alpha_gamma(r.spec, r.params.sigma, r.params.q)
         assert alpha == pytest.approx(r.params.alpha, abs=1e-12)
         assert gamma == pytest.approx(r.params.gamma, abs=1e-12)
-        # the designed fixed point holds up under the actual moment map
-        q1 = q_forward(r.spec, r.params.sigma, r.params.q)
-        assert q1 == pytest.approx(2.5, rel=2e-2)
+        # the designed fixed point is exact under the moment map
+        q1 = _q_next(r.spec, r.params.sigma, r.params.q)
+        assert q1 == pytest.approx(2.5, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -241,7 +250,7 @@ class TestTuneConstantQ:
         assert r.params.sigma**2 * r.params.gamma == pytest.approx(
             math.exp(-eps2 / depth), rel=1e-12
         )
-        alpha, gamma = jacobian_stats(r.spec, r.params.sigma, r.params.q)
+        alpha, gamma = _alpha_gamma(r.spec, r.params.sigma, r.params.q)
         assert alpha == pytest.approx(r.params.alpha, abs=1e-9)
         assert gamma == pytest.approx(r.params.gamma, rel=1e-12)
 
@@ -303,9 +312,8 @@ class TestMeanFieldSchedule:
         sched = mean_field_schedule(r.spec, r.params.sigma, 16, q0=r.params.q)
         assert sched.depth == 16
         assert len(sched.jacobians) == 15
-        # quadrature error compounds slowly along the layers
-        assert max(abs(q - r.params.q) for q in sched.q) < 5e-2
-        assert max(abs(j.alpha - r.params.alpha) for j in sched.jacobians) < 5e-3
+        assert max(abs(q - r.params.q) for q in sched.q) < 1e-12
+        assert max(abs(j.alpha - r.params.alpha) for j in sched.jacobians) < 1e-12
         assert all(j.gamma == pytest.approx(r.params.gamma) for j in sched.jacobians)
 
     def test_depth_one_has_no_jacobians(self):
