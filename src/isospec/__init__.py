@@ -16,8 +16,6 @@ from .specmeasure import (
     NumericalError,
     SpectralMeasure,
     affine_pushforward,
-    atom_weight_from_cauchy,
-    cauchy_transform,
     distance_L1,
     moment,
     stieltjes_invert,
@@ -48,9 +46,7 @@ from .meanfield import (
     activation_deriv_sq,
     mean_field_schedule,
     moment_map,
-    q_fixed_point,
     tune_constant_q,
-    tune_di,
 )
 from .rmtsim import (
     EigenReport,

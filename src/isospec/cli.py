@@ -39,7 +39,6 @@ from .meanfield import (
     ShiftedRelu,
     mean_field_schedule,
     tune_constant_q,
-    tune_di,
 )
 from .rmtsim import (
     EigenReport,
@@ -100,11 +99,8 @@ FLAGS = {
     },
     "tune": {
         **_COMMON,
-        "mode": ("di", str, {"choices": ["di", "constant_q"]}),
-        "family": ("hard_tanh", str, {"choices": ["hard_tanh", "linear"]}),
-        "s": (0.3535533905932738, float, {}),
-        "sigma": (1.0, float, {}),
-        "criterion": ("sg2a", str, {"choices": ["sg2", "sg2a"]}),
+        "mode": ("di", str, {"choices": ["di", "constant_q"],
+                             "help": "di: sigma^2 gamma alpha = 1; constant_q: the given eps2"}),
         "depth": (16, int, {}),
         "eps1": (0.1, float, {}),
         "eps2": (0.0, float, {}),
@@ -156,8 +152,7 @@ FLAGS = {
 # (command, key, value) -> the flags that choice does not read; each must
 # stay at its default, so that a saved config.json still replays.
 UNREAD = {
-    ("tune", "mode", "di"): ("depth", "eps1", "eps2", "q_star"),
-    ("tune", "mode", "constant_q"): ("family", "s", "sigma", "criterion"),
+    ("tune", "mode", "di"): ("eps2",),
     ("simulate", "model", "network"): ("q", "alpha", "gamma"),
     ("simulate", "model", "atoms"): tuple(_ACTIVATION),
 }
@@ -258,47 +253,57 @@ def _as_list(value, path: str, kind=float, length: int | None = None) -> list:
     return out
 
 
+# family -> (activation class, the parameters it reads)
+FAMILIES = {
+    "hard_tanh": (HardTanh, ("s", "g")),
+    "shifted_relu": (ShiftedRelu, ("a", "b")),
+    "linear": (Linear, ("g",)),
+}
+
+
 def _activation_from_dict(d: dict, path: str):
     _require(isinstance(d, dict), path, "activation must be an object")
     family = d.get("family")
-    try:
-        if family == "hard_tanh":
-            return HardTanh(s=float(d["s"]), g=float(d["g"]))
-        if family == "shifted_relu":
-            return ShiftedRelu(a=float(d["a"]), b=float(d["b"]))
-        if family == "linear":
-            return Linear(g=float(d["g"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.family: unknown family {family!r}")
+    _require(isinstance(family, str) and family in FAMILIES, f"{path}.family",
+             f"unknown family {family!r}")
+    cls, keys = FAMILIES[family]
+    return _checked(path, lambda: cls(**{k: float(d[k]) for k in keys}))
 
 
 def _activation_to_dict(spec) -> dict:
-    if isinstance(spec, HardTanh):
-        return {"family": "hard_tanh", "s": spec.s, "g": spec.g}
-    if isinstance(spec, ShiftedRelu):
-        return {"family": "shifted_relu", "a": spec.a, "b": spec.b}
-    return {"family": "linear", "g": spec.g}
+    family = next(name for name, (cls, _) in FAMILIES.items() if isinstance(spec, cls))
+    return {"family": family, **{k: getattr(spec, k) for k in FAMILIES[family][1]}}
 
 
 def _resolve_activation(merged: dict):
     """(activation, sigma) from the inline flags or a tune.json file.
 
-    An explicit sigma wins over the file's; sigma is None when neither
-    gives one, and the activation is None without a family or a file.
+    Each source reads only its own flags: a file none of --family/--s/
+    --g/--a/--b, a family only its own parameters, and without either
+    source none of them is read. An explicit sigma wins over the file's;
+    sigma is None when neither gives one, and the activation is None
+    without a family or a file.
     """
-    sigma = merged["sigma"]
-    if merged["activation_file"]:
-        record = _load_config_file(merged["activation_file"])
+    sigma, path, family = merged["sigma"], merged["activation_file"], merged["family"]
+    if path:
+        reads, source = (), "with --activation-file"
+    elif family:
+        _require(family in FAMILIES, "family", f"unknown family {family!r}")
+        reads, source = ("family", *FAMILIES[family][1]), f"with --family {family}"
+    else:
+        reads, source = (), "without --family or --activation-file"
+    for key in ("family", "s", "g", "a", "b"):
+        _require(merged[key] is None or key in reads, key, f"not read {source}")
+    if path:
+        record = _load_config_file(path)
         _require("spec" in record, "activation_file", "missing 'spec' entry")
         spec = _activation_from_dict(record["spec"], "activation_file.spec")
         params = record.get("params", {})
         if sigma is None and "sigma" in params:
             sigma = _typed(params["sigma"], float, "activation_file.params.sigma")
         return spec, sigma
-    if merged["family"]:
-        d = {k: merged[k] for k in ("s", "g", "a", "b") if merged[k] is not None}
-        d["family"] = merged["family"]
+    if family:
+        d = {k: merged[k] for k in reads if merged[k] is not None}
         return _activation_from_dict(d, "activation"), sigma
     return None, sigma
 
@@ -623,44 +628,32 @@ def cmd_theory(args) -> int:
 
 def cmd_tune(args) -> int:
     merged = _resolve(args)
-    mode = merged["mode"]
+    mode, depth, eps1, eps2 = (merged[k] for k in ("mode", "depth", "eps1", "eps2"))
     if mode == "di":
-        result = _checked(
-            "tune", tune_di,
-            family=merged["family"],
-            sigma=merged["sigma"],
-            criterion=merged["criterion"],
-            s=merged["s"] if merged["family"] == "hard_tanh" else None,
-        )
-    elif mode == "constant_q":
-        result = _checked(
-            "tune", tune_constant_q,
-            depth=merged["depth"],
-            eps1=merged["eps1"],
-            eps2=merged["eps2"],
-            q_star=merged["q_star"],
-        )
-    else:
+        # the critical line: sigma^2 gamma alpha = 1 at alpha = 1 - eps1/depth
+        _require(0 < eps1 < depth, "eps1", "must be in (0, depth)")
+        eps2 = depth * math.log1p(-eps1 / depth)
+    elif mode != "constant_q":
         raise ConfigError(f"mode: unknown mode {mode!r}")
+    result = _checked(
+        "tune", tune_constant_q,
+        depth=depth,
+        eps1=eps1,
+        eps2=eps2,
+        q_star=merged["q_star"],
+    )
     outdir = _outdir(merged)
 
     record = {
         "version": __version__,
         "mode": mode,
-        "criterion": result.criterion,
         "spec": _activation_to_dict(result.spec),
         "params": result.params.to_json_dict(),
         "eps1": result.eps1,
         "eps2": result.eps2,
         "ref_depth": result.ref_depth,
-        "converged": result.fixed_point.converged,
-        "iterations": result.fixed_point.iterations,
     }
     _write_json(outdir / "tune.json", record)
-    if not result.fixed_point.converged:
-        print(f"warning: the q fixed point did not converge in "
-              f"{result.fixed_point.iterations} iterations; q is the last iterate",
-              file=sys.stderr)
     _write_config(outdir, "tune", merged)
     print(f"tuned: {record['spec']} -> q={result.params.q:.6g} "
           f"alpha={result.params.alpha:.6g} gamma={result.params.gamma:.6g} "

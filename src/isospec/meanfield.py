@@ -5,22 +5,19 @@ sigma^2 q_in, each layer is summarized by three scalars: the normalized
 post-activation second moment q = E[phi(h)^2], the weight alpha of the
 nonzero atom of the squared-derivative law, and the atom's value gamma.
 This module evaluates the moment map for the three piecewise-linear
-activation families in closed form, finds its fixed points, and tunes
-activation parameters so that sigma^2 gamma (or sigma^2 gamma alpha)
-hits 1, the condition for the input-output Jacobian spectrum to stay put
-as depth grows.
+activation families in closed form, and builds hard-tanh layers that sit
+exactly on a fixed point q* of that map with prescribed depth-scaled
+deviations from isometry; choosing eps2 so that sigma^2 gamma alpha = 1
+puts the network on the critical line.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .specmeasure import NumericalError
-
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -152,128 +149,20 @@ def moment_map(spec: ActivationSpec, sigma: float, q: float):
     return q_next, alpha, gamma
 
 
-class QFixedPoint(NamedTuple):
-    q: float
-    converged: bool
-    iterations: int
-
-
-def q_fixed_point(
-    spec: ActivationSpec,
-    sigma: float,
-    q0: float,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-) -> QFixedPoint:
-    """Iterate q <- q_next of `moment_map` from q0 until |dq| < tol.
-
-    The undamped iteration is a contraction for the families handled
-    here; if it fails to settle the last iterate is returned with
-    converged=False rather than raising.
-    """
-    if q0 <= 0:
-        raise ValueError("q0 must be positive")
-    q = float(q0)
-    for it in range(1, max_iter + 1):
-        q_next = moment_map(spec, sigma, q)[0]
-        if abs(q_next - q) < tol:
-            return QFixedPoint(q_next, True, it)
-        q = q_next
-    return QFixedPoint(q, False, max_iter)
-
-
 @dataclass(frozen=True)
 class TuneResult:
     """Tuned activation plus the mean-field scalars it induces.
 
     eps1/eps2 are the depth-scaled isometry deviations L(1 - alpha) and
-    -L log(sigma^2 gamma) evaluated at ref_depth; fixed_point is the
-    solve that gave params.q (converged in 0 iterations when q is exact
-    by construction).
+    -L log(sigma^2 gamma) evaluated at ref_depth; params.q is an exact
+    fixed point of the moment map.
     """
 
     spec: ActivationSpec
     params: MeanFieldParams
-    criterion: str
     eps1: float
     eps2: float
     ref_depth: int
-    fixed_point: QFixedPoint
-
-
-def _criterion_value(family, s, sigma, g, criterion, q0):
-    if family == "linear":
-        # (alpha, gamma) and the criterion do not depend on q here, and
-        # the moment map has no finite fixed point while sigma g != 1,
-        # so skip the iteration instead of letting it run off
-        spec = Linear(g)
-        fp = QFixedPoint(q0, True, 0)
-    else:
-        spec = HardTanh(s=s, g=g)
-        fp = q_fixed_point(spec, sigma, q0)
-    _, alpha, gamma = moment_map(spec, sigma, fp.q)
-    value = sigma**2 * gamma
-    if criterion == "sg2a":
-        value *= alpha
-    return value, spec, fp, alpha, gamma
-
-
-def tune_di(
-    family: str,
-    sigma: float,
-    criterion: str = "sg2a",
-    s: float | None = None,
-    q0: float = 1.0,
-    ref_depth: int = 100,
-) -> TuneResult:
-    """Pick the gain g so the isometry criterion equals 1 at the
-    self-consistent q.
-
-    criterion "sg2" asks for sigma^2 gamma = 1 (unit squared singular
-    values of the weight-Jacobian product); "sg2a" for
-    sigma^2 gamma alpha = 1 (unit mean squared singular value, the
-    default). family is "hard_tanh" (s fixed, g free) or "linear".
-
-    Raises
-    ------
-    NumericalError
-        If no sign change is found over the scanned g interval.
-    """
-    if family not in ("hard_tanh", "linear"):
-        raise ValueError(f"unknown family {family!r}")
-    if criterion not in ("sg2", "sg2a"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    if family == "hard_tanh" and (s is None or s <= 0):
-        raise ValueError("hard_tanh family needs s > 0")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-
-    def objective(g):
-        return _criterion_value(family, s, sigma, g, criterion, q0)[0] - 1.0
-
-    lo, hi = 0.05, 20.0
-    f_lo, f_hi = objective(lo), objective(hi)
-    if f_lo * f_hi > 0:
-        raise NumericalError(
-            f"no sign change for {criterion} over g in [{lo}, {hi}]: "
-            f"f({lo}) = {f_lo:.3e}, f({hi}) = {f_hi:.3e}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = objective(mid)
-        if f_mid == 0.0 or hi - lo < 1e-14 * (1.0 + mid):
-            lo = hi = mid
-            break
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    g = 0.5 * (lo + hi)
-    _, spec, fp, alpha, gamma = _criterion_value(family, s, sigma, g, criterion, q0)
-    params = MeanFieldParams(q=fp.q, alpha=alpha, gamma=gamma, sigma=sigma)
-    eps1 = ref_depth * (1.0 - alpha)
-    eps2 = -ref_depth * math.log(sigma**2 * gamma)
-    return TuneResult(spec, params, criterion, eps1, eps2, ref_depth, fp)
 
 
 def mean_field_schedule(spec: ActivationSpec, sigma, depth: int, q0: float = 1.0):
@@ -315,7 +204,9 @@ def tune_constant_q(
     forces g^2 = q_star (1 - sigma^2 g^2 E[Z^2; |Z| < u*]) / P(|Z| > u*),
     which determines sigma and finally s. Inputs normalized to
     q_hat_0 = q_star sit exactly on the fixed point, so every layer of a
-    simulated network shares one (q, alpha, gamma).
+    simulated network shares one (q, alpha, gamma). The critical line
+    sigma^2 gamma alpha = 1 is eps2 = depth log(1 - eps1/depth); there
+    the denominator below is r2(u*) - r0(u*) over alpha, always positive.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -349,5 +240,4 @@ def tune_constant_q(
     spec = HardTanh(s=s, g=g)
     alpha = 1.0 - r0
     params = MeanFieldParams(q=q_star, alpha=alpha, gamma=g**2, sigma=sigma)
-    return TuneResult(spec, params, "constant_q", depth * r0, eps2, depth,
-                      QFixedPoint(q_star, True, 0))
+    return TuneResult(spec, params, depth * r0, eps2, depth)

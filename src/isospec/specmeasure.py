@@ -2,8 +2,8 @@
 
 A :class:`SpectralMeasure` is a finite list of atoms together with an
 optional absolutely continuous part sampled on a uniform grid. The module
-provides the calculus the free-probability recursions need: Cauchy
-transforms, Stieltjes inversion, affine pushforwards, moments, and an L1
+provides the calculus the free-probability recursions need: Stieltjes
+inversion of a Cauchy transform, affine pushforwards, moments, and an L1
 distance for scoring agreement between predicted and measured spectra.
 
 All types are immutable after construction and all operations are pure,
@@ -24,10 +24,6 @@ MASS_TOL = 1e-6
 
 # Coarser grids cannot resolve the densities we propagate.
 MIN_GRID_COUNT = 64
-
-# Extrapolated point masses below this threshold are treated as "no atom":
-# they sit below the resolution of the default grid and strip height.
-ATOM_THRESHOLD = 1e-3
 
 
 class NumericalError(RuntimeError):
@@ -264,35 +260,6 @@ def affine_pushforward(mu: SpectralMeasure, a: float, b: float) -> SpectralMeasu
     return SpectralMeasure(atoms=tuple(atoms), density=density)
 
 
-def _as_complex_array(z):
-    arr = np.asarray(z, dtype=complex)
-    if np.any(arr.imag <= 0):
-        raise ValueError("cauchy_transform requires Im z > 0")
-    return arr
-
-
-def cauchy_transform(mu: SpectralMeasure, z):
-    """G_mu(z) = int (z - t)^{-1} mu(dt) for z in the upper half-plane.
-
-    Accepts a complex scalar or an array of complex values; returns the
-    matching shape. The density contribution is the trapezoid quadrature
-    on the measure's grid.
-    """
-    arr = _as_complex_array(z)
-    flat = arr.reshape(-1)
-    out = np.zeros(flat.shape, dtype=complex)
-    for loc, w in mu.atoms:
-        out += w / (flat - loc)
-    if mu.density is not None:
-        grid = mu.density.grid()
-        integrand = mu.density.values[None, :] / (flat[:, None] - grid[None, :])
-        out += np.trapezoid(integrand, dx=mu.density.step, axis=1)
-    out = out.reshape(arr.shape)
-    if out.shape == ():
-        return complex(out)
-    return out
-
-
 def stieltjes_invert(G, window, grid_count: int = 2048, eps: float | None = None) -> GridDensity:
     """Recover a density on `window` from a Cauchy transform.
 
@@ -326,36 +293,6 @@ def stieltjes_invert(G, window, grid_count: int = 2048, eps: float | None = None
     if worst < 0:
         logger.debug("stieltjes_invert clamped negative density, worst %.3e", worst)
     return GridDensity(lo, hi, np.maximum(values, 0.0))
-
-
-def atom_weight_from_cauchy(G, c: float, eps_sequence=None) -> float:
-    """Point mass of the measure behind G at location c.
-
-    Evaluates (z - c) * G(z) along z = c + i*y for decreasing y and
-    extrapolates y -> 0 with the last three points. The limit is the
-    atom weight; a regular part contributes O(y). Returns 0 when the
-    extrapolation oscillates (no atom detected) or lands below the
-    detection threshold.
-    """
-    if eps_sequence is None:
-        eps_sequence = [0.2 * 0.5**k for k in range(6)]
-    ys = np.asarray(sorted(eps_sequence, reverse=True), dtype=float)
-    if ys.size < 3 or np.any(ys <= 0):
-        raise ValueError("need at least three positive strip heights")
-    s = np.array([( (1j * y) * complex(G(complex(c, y))) ).real for y in ys])
-    # Neville extrapolation to y = 0 through the last three samples.
-    y3, s3 = ys[-3:], s[-3:]
-    p01 = (y3[0] * s3[1] - y3[1] * s3[0]) / (y3[0] - y3[1])
-    p12 = (y3[1] * s3[2] - y3[2] * s3[1]) / (y3[1] - y3[2])
-    p012 = (y3[0] * p12 - y3[2] * p01) / (y3[0] - y3[2])
-    two_point = (ys[-2] * s[-1] - ys[-1] * s[-2]) / (ys[-2] - ys[-1])
-    if not np.isfinite(p012) or abs(p012 - two_point) > 5e-3:
-        logger.debug("atom extrapolation unstable at c=%g: %r", c, s.tolist())
-        return 0.0
-    weight = min(max(float(p012), 0.0), 1.0)
-    if weight < ATOM_THRESHOLD:
-        return 0.0
-    return weight
 
 
 def moment(mu: SpectralMeasure, k: int) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 import isospec.cli as cli
 from isospec.cli import main, read_matrix_dump, write_matrix_dump
+from isospec.meanfield import moment_map
 from isospec.specmeasure import NumericalError, SpectralMeasure, distance_L1
 
 
@@ -65,25 +66,26 @@ class TestTune:
         assert record["params"]["alpha"] == pytest.approx(1.0 - 0.1 / 16)
         assert "tuned:" in capsys.readouterr().out
 
-    def test_di_mode_linear(self, tmp_path):
-        out = tmp_path / "td"
-        assert _run("tune", "--out", out, "--mode", "di", "--family", "linear",
-                    "--sigma", 2.0) == 0
-        record = json.loads((out / "tune.json").read_text())
-        assert record["spec"]["g"] == pytest.approx(0.5, abs=1e-12)
-
-    def test_fixed_point_outcome_recorded(self, tmp_path, capsys):
-        assert _run("tune", "--out", tmp_path / "di") == 0
-        record = json.loads((tmp_path / "di" / "tune.json").read_text())
-        # at the default sg2a criterion the q map's slope is within 2e-4 of
-        # one, so the undamped iteration stops at its cap
-        assert (record["converged"], record["iterations"]) == (False, 10_000)
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("warning: the q fixed point")
-        assert _run("tune", "--out", tmp_path / "cq", "--mode", "constant_q") == 0
-        record = json.loads((tmp_path / "cq" / "tune.json").read_text())
-        assert (record["converged"], record["iterations"]) == (True, 0)
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--depth", 1, "--eps1", 0.5],
+        ["--depth", 64, "--eps1", 60, "--q-star", 2.5],
+    ])
+    def test_di_mode_sits_on_the_critical_line(self, argv, tmp_path, capsys):
+        assert _run("tune", "--out", tmp_path / "di", *argv) == 0
         assert capsys.readouterr().err == ""
+        config = json.loads((tmp_path / "di" / "config.json").read_text())
+        record = json.loads((tmp_path / "di" / "tune.json").read_text())
+        assert set(record) == {"version", "mode", "spec", "params", "eps1", "eps2", "ref_depth"}
+        p = record["params"]
+        assert p["q"] == config["q_star"]
+        spec = cli._activation_from_dict(record["spec"], "spec")
+        q_next, alpha, gamma = moment_map(spec, p["sigma"], p["q"])
+        assert q_next == pytest.approx(p["q"], rel=1e-12)
+        assert (alpha, gamma) == (pytest.approx(p["alpha"], abs=1e-12), p["gamma"])
+        assert p["sigma"] ** 2 * gamma * alpha == pytest.approx(1.0, abs=1e-12)
+        assert record["ref_depth"] == config["depth"]
+        assert record["eps1"] == pytest.approx(config["eps1"], rel=1e-9)
 
     def test_unknown_mode_from_config_file(self, tmp_path):
         conf = tmp_path / "conf.json"
@@ -117,6 +119,28 @@ class TestSimulate:
         compare = json.loads((out / "compare.json").read_text())
         # every layer sits on the fixed point: lambda_max = L q_star exactly
         assert compare["theory_max"] == pytest.approx(4 * q_star, abs=1e-9)
+
+    def test_auto_theory_of_critical_line_network(self, tmp_path):
+        assert _run("tune", "--out", tmp_path / "t") == 0
+        params = json.loads((tmp_path / "t" / "tune.json").read_text())["params"]
+        out = tmp_path / "s"
+        assert _run("simulate", "--out", out, "--model", "network", "--width", 16,
+                    "--depth", 4, "--activation-file", tmp_path / "t" / "tune.json",
+                    "--theory-auto") == 0
+        compare = json.loads((out / "compare.json").read_text())
+        # q stays at q_star, so lambda_max,l = q_star + c lambda_max,l-1
+        c = params["sigma"] ** 2 * params["gamma"]
+        expected = params["q"] * (1 + c + c**2 + c**3)
+        assert compare["theory_max"] == pytest.approx(expected, abs=1e-9)
+
+    def test_activation_file_reads_no_inline_parameters(self, tmp_path, capsys):
+        assert _run("tune", "--out", tmp_path / "t") == 0
+        code = _run("simulate", "--out", tmp_path / "s", "--model", "network",
+                    "--width", 8, "--depth", 2, "--activation-file",
+                    tmp_path / "t" / "tune.json", "--family", "linear", "--g", 5)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: family: not read")
+        assert not (tmp_path / "s").exists()
 
     def test_linear_network_degenerate_spectrum(self, tmp_path):
         out = tmp_path / "sl"
@@ -335,13 +359,12 @@ BAD_INPUTS = [
     (["simulate", "--model", "atoms", "--activation-file", "missing.json"], None),
     (["simulate", "--model", "atoms"], {"s": 0.5}),
     (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--alpha", "0.5"], None),
-    (["tune", "--mode", "constant_q", "--family", "linear"], None),
-    (["tune", "--mode", "constant_q", "--sigma", "7"], None),
-    (["tune", "--mode", "constant_q", "--criterion", "sg2"], None),
+    (["tune", "--mode", "di", "--eps2", "0.1"], None),
+    (["simulate", "--model", "network", "--family", "hard_tanh", "--s", "0.5", "--g", "1",
+      "--a", "2"], None),
+    (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--s", "0.5"], None),
     (["tune", "--mode", "constant_q"], {"s": 0.5}),
-    (["tune", "--depth", "8"], None),
-    (["tune", "--mode", "di", "--eps1", "0.2"], None),
-    (["tune"], {"q_star": 2.0}),
+    (["sweep", "--g", "2"], None),
 ]
 
 
@@ -356,8 +379,7 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
 
 
 def test_unread_flag_at_its_default_is_accepted(tmp_path):
-    assert _run("tune", "--out", tmp_path / "t", "--mode", "constant_q",
-                "--family", "hard_tanh", "--sigma", "1", "--criterion", "sg2a") == 0
+    assert _run("tune", "--out", tmp_path / "t", "--mode", "di", "--eps2", "0") == 0
     assert _run("simulate", "--out", tmp_path / "s", "--model", "network", "--width", 8,
                 "--family", "linear", "--g", "1", "--q", "1", "--alpha", "0.75") == 0
 

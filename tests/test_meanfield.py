@@ -22,9 +22,7 @@ from isospec.meanfield import (
     activation_deriv_sq,
     mean_field_schedule,
     moment_map,
-    q_fixed_point,
     tune_constant_q,
-    tune_di,
 )
 from isospec.specmeasure import NumericalError
 
@@ -131,6 +129,11 @@ class TestQForward:
         with pytest.raises(TypeError):
             moment_map(object(), 1.0, 1.0)
 
+    def test_expanding_linear_overflows(self):
+        # the next moment lies past float range
+        with pytest.raises(NumericalError):
+            moment_map(Linear(2.0), 1.0, 1e308)
+
 
 class TestJacobianStats:
     """The (alpha, gamma) components of the moment map."""
@@ -161,36 +164,6 @@ class TestJacobianStats:
             _alpha_gamma(Linear(1.0), 0.0, 1.0)
 
 
-class TestQFixedPoint:
-    def test_independent_of_start(self):
-        spec = HardTanh(s=0.5, g=1.5)
-        fa = q_fixed_point(spec, 1.0, 0.2)
-        fb = q_fixed_point(spec, 1.0, 3.0)
-        assert fa.converged and fb.converged
-        assert fa.q == pytest.approx(fb.q, abs=1e-9)
-
-    def test_result_is_stationary(self):
-        fp = q_fixed_point(ShiftedRelu(a=1.2, b=0.3), 1.0, 1.0)
-        assert fp.converged
-        assert _q_next(ShiftedRelu(a=1.2, b=0.3), 1.0, fp.q) == pytest.approx(
-            fp.q, abs=1e-10
-        )
-
-    def test_contracting_linear_settles_near_zero(self):
-        fp = q_fixed_point(Linear(0.5), 1.0, 1.0)
-        assert fp.converged
-        assert 0.0 < fp.q < 1e-10
-
-    def test_expanding_linear_overflows(self):
-        # no finite fixed point exists; the moment blows past float range
-        with pytest.raises(NumericalError):
-            q_fixed_point(Linear(2.0), 1.0, 1.0)
-
-    def test_rejects_nonpositive_start(self):
-        with pytest.raises(ValueError):
-            q_fixed_point(Linear(1.0), 1.0, 0.0)
-
-
 class TestTuneConstantQ:
     def test_depth_16_reference_tuning(self):
         r = tune_constant_q(16, eps1=0.1)
@@ -199,7 +172,6 @@ class TestTuneConstantQ:
         assert r.params.sigma == pytest.approx(0.3278190981702725, rel=1e-10)
         assert r.params.alpha == pytest.approx(1.0 - 0.1 / 16, abs=1e-12)
         assert r.params.sigma**2 * r.params.gamma == pytest.approx(1.0, abs=1e-12)
-        assert r.criterion == "constant_q"
         assert r.eps1 == pytest.approx(0.1, abs=1e-12)
 
     def test_depth_32_reference_tunings(self):
@@ -254,6 +226,22 @@ class TestTuneConstantQ:
         assert alpha == pytest.approx(r.params.alpha, abs=1e-9)
         assert gamma == pytest.approx(r.params.gamma, rel=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        depth=st.integers(min_value=1, max_value=64),
+        frac=st.floats(min_value=1e-3, max_value=0.999),
+    )
+    def test_critical_line_is_an_exact_fixed_point(self, depth, frac):
+        # eps2 = L log(1 - eps1/L) is sigma^2 gamma alpha = 1
+        eps1 = frac * depth
+        r = tune_constant_q(depth, eps1=eps1, eps2=depth * math.log1p(-eps1 / depth))
+        p = r.params
+        assert p.sigma**2 * p.gamma * p.alpha == pytest.approx(1.0, abs=1e-12)
+        sched = mean_field_schedule(r.spec, p.sigma, 16, q0=p.q)
+        assert max(abs(q - p.q) for q in sched.q) < 1e-12
+        assert max(abs(j.alpha - p.alpha) for j in sched.jacobians) < 1e-12
+        assert max(abs(j.gamma - p.gamma) for j in sched.jacobians) == 0.0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             tune_constant_q(0, eps1=0.1)
@@ -267,43 +255,6 @@ class TestTuneConstantQ:
             tune_constant_q(16, eps1=0.1, q_star=0.0)
         with pytest.raises(ValueError):
             tune_constant_q(1, eps1=0.5, eps2=-50.0)  # moment map loses its fixed point
-
-
-class TestTuneDi:
-    def test_hard_tanh_sg2_criterion(self):
-        r = tune_di("hard_tanh", 1.0, criterion="sg2", s=FIG_S)
-        assert abs(r.params.sigma**2 * r.params.gamma - 1.0) < 1e-9
-        assert 0.99 < r.spec.g < 1.1
-        assert abs(r.eps2) < 1e-7
-        assert r.criterion == "sg2"
-
-    def test_hard_tanh_sg2a_criterion(self):
-        r = tune_di("hard_tanh", 1.0, criterion="sg2a", s=FIG_S)
-        val = r.params.sigma**2 * r.params.gamma * r.params.alpha
-        assert abs(val - 1.0) < 1e-9
-        assert 0.99 < r.spec.g < 1.1
-
-    def test_linear_gain_is_inverse_sigma(self):
-        for sigma, g in ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0)):
-            r = tune_di("linear", sigma)
-            assert r.spec.g == pytest.approx(g, abs=1e-12)
-            assert r.params.alpha == 1.0
-            assert r.eps1 == 0.0
-
-    def test_unreachable_criterion_raises(self):
-        # at s this large the criterion plateaus below one for every gain
-        with pytest.raises(NumericalError):
-            tune_di("hard_tanh", 1.0, criterion="sg2a", s=0.8)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            tune_di("cubic", 1.0)
-        with pytest.raises(ValueError):
-            tune_di("hard_tanh", 1.0, criterion="sg3", s=0.5)
-        with pytest.raises(ValueError):
-            tune_di("hard_tanh", 1.0)  # missing s
-        with pytest.raises(ValueError):
-            tune_di("linear", 0.0)
 
 
 class TestMeanFieldSchedule:

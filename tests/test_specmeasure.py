@@ -7,8 +7,6 @@ from isospec.specmeasure import (
     NumericalError,
     SpectralMeasure,
     affine_pushforward,
-    atom_weight_from_cauchy,
-    cauchy_transform,
     distance_L1,
     moment,
     stieltjes_invert,
@@ -152,33 +150,6 @@ class TestAffinePushforward:
         assert moment(out, 1) == pytest.approx(b + a * moment(mu, 1), abs=1e-9)
 
 
-class TestCauchyTransform:
-    def test_single_atom(self):
-        val = cauchy_transform(SpectralMeasure.dirac(1.0), 1j)
-        assert val == pytest.approx(1.0 / (1j - 1.0), abs=1e-12)
-        assert val == pytest.approx(-0.5 - 0.5j, abs=1e-12)
-
-    def test_two_atom_hand_value(self):
-        mu = SpectralMeasure.from_atoms([(0.0, 0.5), (2.0, 0.5)])
-        val = cauchy_transform(mu, 1.0 + 1.0j)
-        assert val == pytest.approx(0.0 - 0.5j, abs=1e-12)
-
-    def test_total_mass_asymptotic(self):
-        mu = SpectralMeasure.from_atoms([(0.0, 0.3), (1.0, 0.4), (2.5, 0.3)])
-        z = 1e7j
-        assert cauchy_transform(mu, z) == pytest.approx(1.0 / z, rel=1e-6)
-
-    def test_rejects_real_axis(self):
-        with pytest.raises(ValueError):
-            cauchy_transform(SpectralMeasure.dirac(1.0), 1.0 + 0.0j)
-
-    def test_herglotz_sign(self):
-        dens = GridDensity(0.0, 1.0, np.full(256, 1.0))
-        mu = SpectralMeasure(atoms=(), density=dens)
-        for z in (0.2 + 0.5j, -1.0 + 0.01j, 3.0 + 2.0j):
-            assert cauchy_transform(mu, z).imag < 0
-
-
 class TestStieltjesInvert:
     def test_semicircle_radius_two(self):
         G = semicircle_cauchy(2.0)
@@ -198,8 +169,8 @@ class TestStieltjesInvert:
         assert l1 < 1e-2
 
     def test_pure_point_nearly_invisible(self):
-        mu = SpectralMeasure.dirac(0.0)
-        dens = stieltjes_invert(lambda z: cauchy_transform(mu, z), (-1.0, 1.0))
+        # the Cauchy transform of the Dirac mass at 0
+        dens = stieltjes_invert(lambda z: 1 / z, (-1.0, 1.0))
         x = dens.grid()
         away = np.abs(x) > 0.1
         assert np.all(dens.values[away] < 1e-2)
@@ -226,22 +197,6 @@ class TestStieltjesInvert:
 
         with pytest.raises(NumericalError):
             stieltjes_invert(bad, (0.0, 1.0))
-
-
-class TestAtomWeight:
-    def test_full_mass_atom(self):
-        mu = SpectralMeasure.dirac(2.0)
-        w = atom_weight_from_cauchy(lambda z: cauchy_transform(mu, z), 2.0)
-        assert w == pytest.approx(1.0, abs=1e-6)
-
-    def test_half_mass_atom(self):
-        mu = SpectralMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])
-        w = atom_weight_from_cauchy(lambda z: cauchy_transform(mu, z), 0.0)
-        assert w == pytest.approx(0.5, abs=1e-6)
-
-    def test_no_atom_detected(self):
-        G = semicircle_cauchy(1.0)
-        assert atom_weight_from_cauchy(G, 0.0) == pytest.approx(0.0, abs=1e-3)
 
 
 class TestMoment:
