@@ -52,12 +52,11 @@ from .rmtsim import (
     EigenReport,
     ForwardTrace,
     OrthogonalNet,
-    dual_fim_dense,
-    dual_fim_recursive,
+    dual_fim,
     eig_sym,
     empirical_measure,
     forward_trace,
-    freeness_probe,
+    network_fim_sample,
     ntk_block_matrix,
     sample_haar_orthogonal,
 )

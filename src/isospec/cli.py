@@ -42,11 +42,9 @@ from .meanfield import (
 )
 from .rmtsim import (
     EigenReport,
-    OrthogonalNet,
-    dual_fim_recursive,
     empirical_measure,
-    forward_trace,
     model_fim_sample,
+    network_fim_sample,
     normalized_input,
 )
 from .specmeasure import NumericalError, SpectralMeasure, _bin_masses, distance_L1, moment
@@ -690,9 +688,8 @@ def cmd_simulate(args) -> int:
     matrix = None
     for k in range(draws):
         if model == "network":
-            net = OrthogonalNet.sample(width, depth, spec, sigma, seed + k)
             x = normalized_input(width, np.random.default_rng((seed + k) ^ 0xA5A5))
-            matrix = dual_fim_recursive(net, forward_trace(net, x))
+            matrix = network_fim_sample(width, depth, spec, sigma, seed + k, x)
         else:
             matrix = model_fim_sample(
                 width, schedule.q, schedule.sigma,

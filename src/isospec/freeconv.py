@@ -271,8 +271,9 @@ def free_mult_conv_two_atom(
     Stieltjes inversion with the atoms' Cauchy terms subtracted.
 
     The solve runs Newton's method at every grid point from w = h_mu(z).
-    A root is accepted only if it converged, is finite, gives Im G <= 1e-8
-    and attracts the fixed-point map (|d/dw h_mu(z S_nu(w))| <= 1). Points
+    A root is accepted only if it converged, is finite, gives Im G <= 1e-8,
+    attracts the fixed-point map (|d/dw h_mu(z S_nu(w))| <= 1) and is not
+    the spurious root w = -1 (|w + 1| > 1e-6). Points
     without such a root are solved again along Im z, from 8 (|x| + 1)
     down to eps, and accepted if they converge at every level and end
     with Im G <= 1e-8. Points that are still not accepted are flagged and
@@ -387,9 +388,11 @@ def _subordination_solve(locs, masses, nu, z, *, tol, max_iter):
     """Newton solve of w = F(w) = h_mu(z S_nu(w)) at every z at once.
 
     A root found from the cold start w = h_mu(z) is accepted if it has
-    Im G <= 1e-8 for G = (w + 1) / z and attracts F (|F'(w)| <= 1), as
-    the subordination point must; that rejects the root w = -1, which
-    exists at every z. The other points, mostly in spectral gaps, walk
+    Im G <= 1e-8 for G = (w + 1) / z, attracts F (|F'(w)| <= 1), as the
+    subordination point must, and has |w + 1| > 1e-6. The last two
+    reject the root w = -1, which exists at every z: the attraction test
+    alone cannot at small |z|, where F'(-1) shrinks with |z| wherever
+    mu has no atom at 0. The other points, mostly in spectral gaps, walk
     down geometrically from Im z = 8 (|x| + 1), where the cold start finds
     the physical root, to the strip. Returns w, the Newton steps of each
     point, the accepted mask and the number of points the walk accepted.
@@ -402,7 +405,9 @@ def _subordination_solve(locs, masses, nu, z, *, tol, max_iter):
     iters = np.zeros(z.size, dtype=int)
     done, slope = _newton(locs, masses, nu, z, w, iters, np.arange(z.size), work, tol, max_iter)
     accepted = np.zeros(z.size, dtype=bool)
-    accepted[done[(((w[done] + 1.0) / z[done]).imag <= 1e-8) & (np.abs(slope) <= 1.0)]] = True
+    w1 = w[done] + 1.0
+    ok = ((w1 / z[done]).imag <= 1e-8) & (np.abs(slope) <= 1.0) & (np.abs(w1) > 1e-6)
+    accepted[done[ok]] = True
 
     walk = np.flatnonzero(~accepted)
     top = 8.0 * (np.abs(z.real) + 1.0)

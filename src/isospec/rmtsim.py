@@ -7,16 +7,18 @@ central object measured here is the dual conditional Fisher information
     H_L = (1/M) (df/dtheta)(df/dtheta)^T
         = sum_l q_hat_{l-1} delta_{L->l} delta_{L->l}^T,
 
-built either by the layer recursion H_{l+1} = q_hat_l I + W_{l+1} D_l
-H_l D_l W_{l+1}^T (starting from H_1 = q_hat_0 I) or from the dense
-parameter Jacobian, plus the N-sample block kernel Theta whose diagonal
-blocks are (M/N) H_L(x_n). Eigenvalue reports and empirical spectral
-measures feed the comparison against the free-probability predictions.
+built by the layer recursion H_{l+1} = q_hat_l I + W_{l+1} D_l H_l D_l
+W_{l+1}^T (starting from H_1 = q_hat_0 I), plus the N-sample block
+kernel Theta whose diagonal blocks are (M/N) H_L(x_n). The recursion
+consumes the forward pass one layer at a time, so a network draw can be
+streamed through it without ever holding more than two weights.
+Eigenvalue reports and empirical spectral measures feed the comparison
+against the free-probability predictions.
 """
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +27,6 @@ from .specmeasure import GridDensity, NumericalError, SpectralMeasure
 
 ORTHO_TOL = 1e-10
 SYM_TOL = 1e-8
-DENSE_MAX_WIDTH = 16
-DENSE_MAX_DEPTH = 4
 NTK_MAX_SIZE = 4096
 
 
@@ -58,6 +58,39 @@ def normalized_input(M: int, rng: np.random.Generator, q_hat: float = 1.0) -> np
     return x * math.sqrt(M * q_hat) / np.linalg.norm(x)
 
 
+def _haar_layers(width: int, sigma: Iterable, rng: np.random.Generator) -> Iterator:
+    """W_l = sigma_l Q_l with Q_l Haar, drawn from `rng` one layer at a time.
+
+    This is OrthogonalNet.sample's draw, in its order; the caller decides
+    how many layers stay alive.
+    """
+    for s in sigma:
+        yield s * sample_haar_orthogonal(width, rng)
+
+
+def _check_layer(w: np.ndarray, s: float, width: int, ell: int) -> None:
+    """Raise ValueError unless layer `ell`'s W is width x width and W/s
+    is orthogonal: max |(W/s)^T (W/s) - I| < ORTHO_TOL.
+
+    Two M x M temporaries: W/s and its Gram matrix, from which I is
+    subtracted and the magnitude taken in place.
+    """
+    if w.shape != (width, width):
+        raise ValueError(f"weight {ell} has shape {w.shape}")
+    q = w / s
+    gram = q.T @ q
+    del q
+    gram.flat[:: width + 1] -= 1.0
+    defect = np.abs(gram, out=gram).max()
+    if defect >= ORTHO_TOL:
+        raise ValueError(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
+
+
+def _layer_sigmas(sigma, depth: int) -> tuple:
+    """One sigma per layer from a scalar or a per-layer sequence."""
+    return tuple(sigma) if np.iterable(sigma) else (float(sigma),) * depth
+
+
 @dataclass
 class OrthogonalNet:
     """Depth-L, width-M network with scaled-orthogonal weights.
@@ -84,19 +117,13 @@ class OrthogonalNet:
         if any(s <= 0 for s in self.sigma):
             raise ValueError("sigma entries must be positive")
         for ell, (w, s) in enumerate(zip(self.weights, self.sigma), start=1):
-            if w.shape != (self.width, self.width):
-                raise ValueError(f"weight {ell} has shape {w.shape}")
-            q = w / s
-            defect = np.abs(q.T @ q - np.eye(self.width)).max()
-            if defect >= ORTHO_TOL:
-                raise ValueError(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
+            _check_layer(w, s, self.width, ell)
 
     @classmethod
     def sample(cls, width, depth, activation, sigma=1.0, seed=0):
         """Draw all layers from the Haar measure with one seeded generator."""
-        rng = np.random.default_rng(seed)
-        sig = tuple(sigma) if np.iterable(sigma) else (float(sigma),) * depth
-        weights = [s * sample_haar_orthogonal(width, rng) for s in sig]
+        sig = _layer_sigmas(sigma, depth)
+        weights = list(_haar_layers(width, sig, np.random.default_rng(seed)))
         return cls(width, depth, weights, sig, activation, seed)
 
     def copy(self) -> "OrthogonalNet":
@@ -125,6 +152,28 @@ class ForwardTrace:
     q_hat: list
 
 
+def _forward_layers(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> Iterator:
+    """The forward pass, one layer at a time: the one forward loop.
+
+    For l = 1, 2, ... takes W_l from `weights` and yields
+    (W_l, q_hat_{l-1}, d_{l-1}, h^l, x^l), where q_hat_{l-1} =
+    ||x^{l-1}||^2 / M and d_{l-1} = phi'(h^{l-1}) (None at l = 1). Each
+    d is formed when the next layer arrives, so the last layer's never is.
+    """
+    cur = np.asarray(x, dtype=float)
+    if not np.linalg.norm(cur) > 0:
+        raise ValueError("input must be nonzero")
+    h = None
+    for ell, w in enumerate(weights, start=1):
+        d = None if h is None else np.sqrt(activation_deriv_sq(activation, h))
+        q = float(cur @ cur) / cur.size
+        h = w @ cur
+        if not np.all(np.isfinite(h)):
+            raise NumericalError(f"non-finite preactivation at layer {ell}")
+        cur = activation_apply(activation, h)
+        yield w, q, d, h, cur
+
+
 def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
     """Run the network on one input, recording the full trace.
 
@@ -134,34 +183,69 @@ def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.width,):
         raise ValueError(f"input must have shape ({net.width},)")
-    if not np.linalg.norm(x) > 0:
-        raise ValueError("input must be nonzero")
     xs, hs, ds, qs = [x], [], [], []
-    cur = x
-    for ell in range(1, net.depth + 1):
-        qs.append(float(cur @ cur) / net.width)
-        h = net.weights[ell - 1] @ cur
-        if not np.all(np.isfinite(h)):
-            raise NumericalError(f"non-finite preactivation at layer {ell}")
+    for _, q, d, h, cur in _forward_layers(net.weights, net.activation, x):
+        if d is not None:
+            ds.append(d)
+        qs.append(q)
         hs.append(h)
-        cur = activation_apply(net.activation, h)
         xs.append(cur)
-        if ell < net.depth:
-            ds.append(np.sqrt(activation_deriv_sq(net.activation, h)))
     return ForwardTrace(x=xs, h=hs, deriv=ds, q_hat=qs)
 
 
-def dual_fim_recursive(net: OrthogonalNet, trace: ForwardTrace) -> np.ndarray:
-    """H_L by the layer recursion; O(L M^3) and no parameter Jacobian."""
-    if len(trace.q_hat) != net.depth:
-        raise ValueError("trace does not match the network depth")
-    h = trace.q_hat[0] * np.eye(net.width)
-    for ell in range(1, net.depth):
-        d = trace.deriv[ell - 1]
-        w = net.weights[ell]
-        inner = w @ (d[:, None] * h * d[None, :]) @ w.T
-        h = trace.q_hat[ell] * np.eye(net.width) + inner
+def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> np.ndarray:
+    """H_L by the layer recursion, in O(L M^3) time.
+
+    Consumes `weights` (a list, or a generator such as a streamed draw)
+    through _forward_layers: each step needs only the current W_l and
+    D_{l-1} and holds no layer after it, so beyond what the caller keeps
+    the working memory is O(M^2) whatever the depth.
+    """
+    x = np.asarray(x, dtype=float)
+    h = None
+    for w, q, d, _, _ in _forward_layers(weights, activation, x):
+        if d is None:
+            h = q * np.eye(x.size)
+        else:
+            # rebinding h first frees H_{l-1} before the identity term is formed
+            h = w @ (d[:, None] * h * d[None, :]) @ w.T
+            h = q * np.eye(x.size) + h
+    if h is None:
+        raise ValueError("need at least one layer")
     return (h + h.T) / 2.0
+
+
+def network_fim_sample(
+    width: int,
+    depth: int,
+    activation: ActivationSpec,
+    sigma,
+    seed: int,
+    x: np.ndarray,
+) -> np.ndarray:
+    """H_L of the network OrthogonalNet.sample(width, depth, activation,
+    sigma, seed) at input x, without building the network.
+
+    Each layer is drawn, checked as OrthogonalNet checks it, and consumed
+    by dual_fim before the next is drawn, so at most two weights are
+    alive and the peak memory does not grow with depth. The result is
+    bit-identical to dual_fim(net.weights, activation, x).
+    """
+    if np.shape(x) != (width,):
+        raise ValueError(f"input must have shape ({width},)")
+    sig = _layer_sigmas(sigma, depth)
+    if depth < 1 or len(sig) != depth:
+        raise ValueError("need depth >= 1 and one sigma per layer")
+    if any(s <= 0 for s in sig):
+        raise ValueError("sigma entries must be positive")
+
+    def checked():
+        layers = _haar_layers(width, sig, np.random.default_rng(seed))
+        for ell, (w, s) in enumerate(zip(layers, sig), start=1):
+            _check_layer(w, float(s), width, ell)
+            yield w
+
+    return dual_fim(checked(), activation, x)
 
 
 def _chain_matrices(net: OrthogonalNet, trace: ForwardTrace) -> list:
@@ -171,26 +255,6 @@ def _chain_matrices(net: OrthogonalNet, trace: ForwardTrace) -> list:
         out.append((out[-1] @ net.weights[ell]) * trace.deriv[ell - 1][None, :])
     out.reverse()
     return out
-
-
-def dual_fim_dense(net: OrthogonalNet, x: np.ndarray):
-    """(H_L, conditional FIM) from the explicit parameter Jacobian.
-
-    Size-guarded: the conditional FIM is LM^2 x LM^2. The two returns
-    satisfy H_L = J J^T / M and I_cond = J^T J, so the nonzero spectrum
-    of I_cond / M is exactly that of H_L, with LM^2 - M zeros left over.
-    """
-    if net.width > DENSE_MAX_WIDTH or net.depth > DENSE_MAX_DEPTH:
-        raise ValueError(
-            f"dense construction limited to M <= {DENSE_MAX_WIDTH}, L <= {DENSE_MAX_DEPTH}"
-        )
-    trace = forward_trace(net, x)
-    chains = _chain_matrices(net, trace)
-    blocks = [np.kron(chains[ell], trace.x[ell][None, :]) for ell in range(net.depth)]
-    jac = np.hstack(blocks)
-    h = jac @ jac.T / net.width
-    cond = jac.T @ jac
-    return (h + h.T) / 2.0, (cond + cond.T) / 2.0
 
 
 def ntk_block_matrix(net: OrthogonalNet, inputs: list) -> np.ndarray:
@@ -358,37 +422,3 @@ def model_fim_sample(
         wd = sigma[ell] * sample_haar_orthogonal(M, rng) * d[None, :]
         h = float(q[ell]) * np.eye(M) + wd @ h @ wd.T
     return (h + h.T) / 2.0
-
-
-class FreenessProbe(NamedTuple):
-    M: int
-    trials: int
-    moments: tuple
-    median_abs: float
-
-
-def freeness_probe(M: int, trials: int, rng: np.random.Generator) -> FreenessProbe:
-    """Alternating-moment test of asymptotic freeness.
-
-    Draws a diagonal projection P (iid 0/1 entries) and an independent
-    Haar-conjugated diagonal B = W A W^T, centers both in normalized
-    trace, and measures tr(P° B° P° B°). Freeness forces the limit to
-    vanish, so the magnitudes should shrink as M grows; callers compare
-    probes across several M.
-    """
-    if M < 32:
-        raise ValueError("probe needs M >= 32")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    moments = []
-    for _ in range(trials):
-        p = (rng.random(M) < 0.5).astype(float)
-        a = (rng.random(M) < 0.5).astype(float)
-        w = sample_haar_orthogonal(M, rng)
-        b = (w * a[None, :]) @ w.T
-        p0 = p - p.mean()
-        b0 = b - (np.trace(b) / M) * np.eye(M)
-        pb = p0[:, None] * b0
-        moments.append(float(np.trace(pb @ pb)) / M)
-    arr = np.abs(moments)
-    return FreenessProbe(M, trials, tuple(moments), float(np.median(arr)))

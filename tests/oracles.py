@@ -1,0 +1,105 @@
+"""Reference computations that only the tests use.
+
+Each one is written independently of the code it checks: the stored
+forward pass and layer recursion that `rmtsim.dual_fim` must reproduce
+bit for bit, the dense parameter Jacobian behind H_L and the conditional
+FIM, and an alternating-moment test of asymptotic freeness.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from isospec.meanfield import activation_apply, activation_deriv_sq
+from isospec.rmtsim import ForwardTrace, OrthogonalNet, sample_haar_orthogonal
+from isospec.specmeasure import NumericalError
+
+DENSE_MAX_WIDTH = 16
+DENSE_MAX_DEPTH = 4
+
+
+def reference_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
+    """The whole forward pass, every layer stored."""
+    xs, hs, ds, qs = [x], [], [], []
+    cur = x
+    for ell in range(1, net.depth + 1):
+        qs.append(float(cur @ cur) / net.width)
+        h = net.weights[ell - 1] @ cur
+        if not np.all(np.isfinite(h)):
+            raise NumericalError(f"non-finite preactivation at layer {ell}")
+        hs.append(h)
+        cur = activation_apply(net.activation, h)
+        xs.append(cur)
+        if ell < net.depth:
+            ds.append(np.sqrt(activation_deriv_sq(net.activation, h)))
+    return ForwardTrace(x=xs, h=hs, deriv=ds, q_hat=qs)
+
+
+def reference_dual_fim(net: OrthogonalNet, x: np.ndarray) -> np.ndarray:
+    """H_L by the layer recursion, run after the stored forward pass."""
+    trace = reference_trace(net, x)
+    h = trace.q_hat[0] * np.eye(net.width)
+    for ell in range(1, net.depth):
+        d = trace.deriv[ell - 1]
+        w = net.weights[ell]
+        inner = w @ (d[:, None] * h * d[None, :]) @ w.T
+        h = trace.q_hat[ell] * np.eye(net.width) + inner
+    return (h + h.T) / 2.0
+
+
+def dual_fim_dense(net: OrthogonalNet, x: np.ndarray):
+    """(H_L, conditional FIM) from the explicit parameter Jacobian.
+
+    Size-guarded: the conditional FIM is LM^2 x LM^2. The two returns
+    satisfy H_L = J J^T / M and I_cond = J^T J, so the nonzero spectrum
+    of I_cond / M is exactly that of H_L, with LM^2 - M zeros left over.
+    """
+    if net.width > DENSE_MAX_WIDTH or net.depth > DENSE_MAX_DEPTH:
+        raise ValueError(
+            f"dense construction limited to M <= {DENSE_MAX_WIDTH}, L <= {DENSE_MAX_DEPTH}"
+        )
+    trace = reference_trace(net, x)
+    # delta_{L->l} = W_L D_{L-1} ... W_{l+1} D_l, the identity at l = L
+    chains = [np.eye(net.width)]
+    for ell in range(net.depth - 1, 0, -1):
+        chains.append((chains[-1] @ net.weights[ell]) * trace.deriv[ell - 1][None, :])
+    chains.reverse()
+    blocks = [np.kron(chains[ell], trace.x[ell][None, :]) for ell in range(net.depth)]
+    jac = np.hstack(blocks)
+    h = jac @ jac.T / net.width
+    cond = jac.T @ jac
+    return (h + h.T) / 2.0, (cond + cond.T) / 2.0
+
+
+class FreenessProbe(NamedTuple):
+    M: int
+    trials: int
+    moments: tuple
+    median_abs: float
+
+
+def freeness_probe(M: int, trials: int, rng: np.random.Generator) -> FreenessProbe:
+    """Alternating-moment test of asymptotic freeness.
+
+    Draws a diagonal projection P (iid 0/1 entries) and an independent
+    Haar-conjugated diagonal B = W A W^T, centers both in normalized
+    trace, and measures tr(P° B° P° B°). Freeness forces the limit to
+    vanish, so the magnitudes should shrink as M grows; callers compare
+    probes across several M.
+    """
+    if M < 32:
+        raise ValueError("probe needs M >= 32")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    moments = []
+    for _ in range(trials):
+        p = (rng.random(M) < 0.5).astype(float)
+        a = (rng.random(M) < 0.5).astype(float)
+        w = sample_haar_orthogonal(M, rng)
+        b = (w * a[None, :]) @ w.T
+        p0 = p - p.mean()
+        b0 = b - (np.trace(b) / M) * np.eye(M)
+        pb = p0[:, None] * b0
+        moments.append(float(np.trace(pb @ pb)) / M)
+    arr = np.abs(moments)
+    return FreenessProbe(M, trials, tuple(moments), float(np.median(arr)))

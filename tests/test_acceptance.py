@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import dual_fim_dense, freeness_probe
 
 from isospec.freeconv import (
     AsymptoticRegime,
@@ -24,13 +25,11 @@ from isospec.freeconv import (
 from isospec.meanfield import HardTanh, Linear, mean_field_schedule, tune_constant_q
 from isospec.rmtsim import (
     OrthogonalNet,
-    dual_fim_dense,
-    dual_fim_recursive,
+    dual_fim,
     eig_sym,
     empirical_measure,
-    forward_trace,
-    freeness_probe,
     model_fim_sample,
+    network_fim_sample,
     normalized_input,
     ntk_block_matrix,
 )
@@ -61,9 +60,8 @@ def report(request):
 
 
 def _dual_fim(width, depth, activation, sigma, seed):
-    net = OrthogonalNet.sample(width, depth, activation, sigma=sigma, seed=seed)
     x = normalized_input(width, np.random.default_rng(seed ^ 0x5A5A))
-    return dual_fim_recursive(net, forward_trace(net, x))
+    return network_fim_sample(width, depth, activation, sigma, seed, x)
 
 
 def test_criterion_1_three_layer_closed_form(report):
@@ -172,7 +170,7 @@ def test_criterion_5_mean_identities(report):
     theta = ntk_block_matrix(net, inputs)
     lhs = float(np.trace(theta)) / 16 / (3 * 16)
     rhs = sum(
-        float(np.trace(dual_fim_recursive(net, forward_trace(net, x)))) / 16
+        float(np.trace(dual_fim(net.weights, net.activation, x))) / 16
         for x in inputs
     ) / 3**2
     trace_gap = abs(lhs - rhs)

@@ -339,32 +339,48 @@ class TestConfigMerge:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+def _case(argv, config=None, id=None):
+    """One BAD_INPUTS row with its own test id, so that adding or deleting
+    a row renames no other case. The id is the argv and config joined;
+    the first 24 rows keep the ids they had when ids were positional."""
+    if id is None:
+        id = " ".join(argv + [f"{k}={v}" for k, v in sorted((config or {}).items())])
+    return pytest.param(argv, config, id=id)
+
+
 BAD_INPUTS = [
-    (["simulate", "--model", "atoms", "--alpha", "1.5", "--theory-auto"], None),
-    (["simulate", "--model", "atoms", "--alpha", "1.5"], None),
-    (["simulate", "--model", "atoms", "--q=-1"], None),
-    (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--sigma", "1,1"], None),
-    (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--sigma", "0"], None),
-    (["sweep", "--steps", "0"], None),
-    (["sweep", "--width", "1"], None),
-    (["sweep", "--samples", "0"], None),
-    (["sweep", "--family", "linear", "--g", "1", "--sigma", "0"], None),
-    (["theory", "--grid", "100"], None),
-    (["simulate"], {"width": "abc"}),
-    (["simulate", "--model", "atoms"], {"width": 2.5}),
-    (["sweep"], {"depths": [4, "x"]}),
-    (["theory"], {"depth": None}),
-    (["theory"], {"command": "simulate"}),
-    (["simulate", "--model", "atoms", "--family", "linear", "--g", "5"], None),
-    (["simulate", "--model", "atoms", "--activation-file", "missing.json"], None),
-    (["simulate", "--model", "atoms"], {"s": 0.5}),
-    (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--alpha", "0.5"], None),
-    (["tune", "--mode", "di", "--eps2", "0.1"], None),
-    (["simulate", "--model", "network", "--family", "hard_tanh", "--s", "0.5", "--g", "1",
-      "--a", "2"], None),
-    (["simulate", "--model", "network", "--family", "linear", "--g", "1", "--s", "0.5"], None),
-    (["tune", "--mode", "constant_q"], {"s": 0.5}),
-    (["sweep", "--g", "2"], None),
+    _case(["simulate", "--model", "atoms", "--alpha", "1.5", "--theory-auto"], id="argv0-None"),
+    _case(["simulate", "--model", "atoms", "--alpha", "1.5"], id="argv1-None"),
+    _case(["simulate", "--model", "atoms", "--q=-1"], id="argv2-None"),
+    _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--sigma", "1,1"],
+          id="argv3-None"),
+    _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--sigma", "0"],
+          id="argv4-None"),
+    _case(["sweep", "--steps", "0"], id="argv5-None"),
+    _case(["sweep", "--width", "1"], id="argv6-None"),
+    _case(["sweep", "--samples", "0"], id="argv7-None"),
+    _case(["sweep", "--family", "linear", "--g", "1", "--sigma", "0"], id="argv8-None"),
+    _case(["theory", "--grid", "100"], id="argv9-None"),
+    _case(["simulate"], {"width": "abc"}, id="argv10-config10"),
+    _case(["simulate", "--model", "atoms"], {"width": 2.5}, id="argv11-config11"),
+    _case(["sweep"], {"depths": [4, "x"]}, id="argv12-config12"),
+    _case(["theory"], {"depth": None}, id="argv13-config13"),
+    _case(["theory"], {"command": "simulate"}, id="argv14-config14"),
+    _case(["simulate", "--model", "atoms", "--family", "linear", "--g", "5"], id="argv15-None"),
+    _case(["simulate", "--model", "atoms", "--activation-file", "missing.json"],
+          id="argv16-None"),
+    _case(["simulate", "--model", "atoms"], {"s": 0.5}, id="argv17-config17"),
+    _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--alpha", "0.5"],
+          id="argv18-None"),
+    _case(["tune", "--mode", "di", "--eps2", "0.1"], id="argv19-None"),
+    _case(["simulate", "--model", "network", "--family", "hard_tanh", "--s", "0.5", "--g", "1",
+           "--a", "2"], id="argv20-None"),
+    _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--s", "0.5"],
+          id="argv21-None"),
+    _case(["tune", "--mode", "constant_q"], {"s": 0.5}, id="argv22-config22"),
+    _case(["sweep", "--g", "2"], id="argv23-None"),
+    _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--width", "1"]),
+    _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--depth", "0"]),
 ]
 
 

@@ -25,7 +25,13 @@ from isospec.freeconv import (
     _subordination_solve,
 )
 from isospec.meanfield import tune_constant_q
-from isospec.specmeasure import NumericalError, SpectralMeasure, distance_L1, moment
+from isospec.specmeasure import (
+    NumericalError,
+    SpectralMeasure,
+    affine_pushforward,
+    distance_L1,
+    moment,
+)
 
 
 class TestTwoAtomJacobianLaw:
@@ -172,6 +178,28 @@ class TestFreeMultConv:
         assert accepted.all()
         assert continued == stats.continued > 0
         assert np.all(((w + 1.0) / z).imag <= 1e-8)
+
+    def test_spurious_root_is_not_accepted(self):
+        # layer 5 of `theory --depth 5 --grid 512` at the default schedule:
+        # nu's zero atom puts an atom at 0 that mu_4 lacks, and near x = 0
+        # the cold start converges to the root w = -1, which attracts there
+        schedule = LayerSchedule.constant(5, 1.0, 1.0, 0.75, 1.0)
+        mu = SpectralMeasure.dirac(schedule.q[0])
+        for ell in range(1, 4):
+            conv, stats = free_mult_conv_two_atom(
+                mu, schedule.jacobians[ell - 1], grid_count=512, return_stats=True
+            )
+            assert stats.clamped == 0.0
+            mu = affine_pushforward(conv, schedule.sigma[ell] ** 2, schedule.q[ell])
+        nu = schedule.jacobians[3]
+        window = mu.support_max * nu.gamma * (1.0 + WINDOW_MARGIN)
+        z = np.linspace(0.0, window, 512) + 1j * (1e-4 * window)
+        locs, masses = _atomize(mu)
+        w, _, accepted, _ = _subordination_solve(
+            locs, masses, nu, z, tol=SOLVER_TOL, max_iter=MAX_ITER
+        )
+        assert accepted.sum() > 0.99 * z.size
+        assert np.all(np.abs(w[accepted] + 1.0) > 1e-6)
 
     def test_m1_multiplicativity(self):
         rng = np.random.default_rng(5)

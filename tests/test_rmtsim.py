@@ -1,26 +1,29 @@
 """Tests for the finite-width simulator: sampling, FIM builders, spectra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dual_fim_dense, freeness_probe, reference_dual_fim, reference_trace
 
+from isospec import rmtsim
 from isospec.meanfield import HardTanh, Linear
 from isospec.rmtsim import (
     OrthogonalNet,
-    dual_fim_dense,
-    dual_fim_recursive,
+    dual_fim,
     eig_sym,
     empirical_measure,
     forward_trace,
-    freeness_probe,
     model_fim_sample,
+    network_fim_sample,
     normalized_input,
     ntk_block_matrix,
     sample_haar_orthogonal,
 )
+from isospec.specmeasure import NumericalError
 
 
 class TestSampleHaarOrthogonal:
@@ -114,6 +117,16 @@ class TestForwardTrace:
         assert tr.q_hat[1] == pytest.approx(1.1**2, rel=1e-9)
         assert tr.q_hat[2] == pytest.approx(1.1**4, rel=1e-9)
 
+    @pytest.mark.parametrize("depth", [1, 2, 5])
+    def test_matches_reference_trace(self, depth):
+        net = OrthogonalNet.sample(24, depth, HardTanh(s=0.5, g=1.3), seed=depth)
+        x = normalized_input(24, np.random.default_rng(depth))
+        tr, ref = forward_trace(net, x), reference_trace(net, x)
+        assert tr.q_hat == ref.q_hat
+        for got, want in ((tr.x, ref.x), (tr.h, ref.h), (tr.deriv, ref.deriv)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_rejects_bad_inputs(self):
         net = OrthogonalNet.sample(8, 2, Linear(1.0), seed=0)
         with pytest.raises(ValueError):
@@ -127,7 +140,7 @@ class TestDualFim:
         net = OrthogonalNet.sample(8, 3, HardTanh(s=1.0, g=1.0), seed=6)
         x = normalized_input(8, np.random.default_rng(6))
         h_dense, _ = dual_fim_dense(net, x)
-        h_rec = dual_fim_recursive(net, forward_trace(net, x))
+        h_rec = dual_fim(net.weights, net.activation, x)
         assert np.abs(h_dense - h_rec).max() < 1e-8
 
     def test_conditional_fim_duality(self):
@@ -146,21 +159,25 @@ class TestDualFim:
     def test_linear_unit_scales_give_depth_identity(self, depth):
         net = OrthogonalNet.sample(16, depth, Linear(1.0), seed=8)
         x = normalized_input(16, np.random.default_rng(8))
-        h = dual_fim_recursive(net, forward_trace(net, x))
+        h = dual_fim(net.weights, net.activation, x)
         assert np.abs(np.linalg.eigvalsh(h) - depth).max() < 1e-9
 
     def test_fim_is_positive_semidefinite(self):
         net = OrthogonalNet.sample(24, 4, HardTanh(s=0.5, g=1.3), seed=9)
         x = normalized_input(24, np.random.default_rng(9))
-        h = dual_fim_recursive(net, forward_trace(net, x))
+        h = dual_fim(net.weights, net.activation, x)
         assert np.linalg.eigvalsh(h)[0] > -1e-10
 
     def test_rejects_mismatched_trace(self):
-        net2 = OrthogonalNet.sample(8, 2, Linear(1.0), seed=0)
-        net3 = OrthogonalNet.sample(8, 3, Linear(1.0), seed=0)
-        tr = forward_trace(net2, normalized_input(8, np.random.default_rng(0)))
+        # layers and input of different widths, or no layer at all
+        net = OrthogonalNet.sample(8, 3, Linear(1.0), seed=0)
+        x6 = normalized_input(6, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            dual_fim_recursive(net3, tr)
+            dual_fim(net.weights, net.activation, x6)
+        with pytest.raises(ValueError):
+            network_fim_sample(8, 3, Linear(1.0), 1.0, 0, x6)
+        with pytest.raises(ValueError):
+            dual_fim([], net.activation, normalized_input(8, np.random.default_rng(0)))
 
     def test_dense_size_guards(self):
         big = OrthogonalNet.sample(32, 2, Linear(1.0), seed=0)
@@ -171,12 +188,93 @@ class TestDualFim:
             dual_fim_dense(deep, normalized_input(8, np.random.default_rng(0)))
 
 
+STREAM_ACTIVATIONS = [Linear(1.0), HardTanh(s=0.5, g=1.3)]
+STREAM_SIGMAS = (0.8, 1.1, 0.9, 1.2, 1.0)
+
+
+class TestNetworkFimSample:
+    """The streamed draw: each layer drawn, checked and consumed in turn."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 5])
+    @pytest.mark.parametrize("activation", STREAM_ACTIVATIONS, ids=["linear", "hard_tanh"])
+    def test_bitwise_equal_to_reference_loop(self, activation, depth):
+        sigma = list(STREAM_SIGMAS[:depth])
+        x = normalized_input(32, np.random.default_rng(40 + depth))
+        net = OrthogonalNet.sample(32, depth, activation, sigma, seed=depth)
+        want = reference_dual_fim(net, x)
+        assert np.array_equal(network_fim_sample(32, depth, activation, sigma, depth, x), want)
+        assert np.array_equal(dual_fim(net.weights, activation, x), want)
+
+    def test_streamed_weights_are_the_sampled_network(self, monkeypatch):
+        seen = []
+        real = rmtsim.dual_fim
+
+        def recording(weights, activation, x):
+            layers = list(weights)
+            seen.extend(layers)
+            return real(layers, activation, x)
+
+        monkeypatch.setattr(rmtsim, "dual_fim", recording)
+        sigma = list(STREAM_SIGMAS)
+        x = normalized_input(16, np.random.default_rng(0))
+        network_fim_sample(16, 5, Linear(1.0), sigma, 3, x)
+        net = OrthogonalNet.sample(16, 5, Linear(1.0), sigma, seed=3)
+        assert len(seen) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(seen, net.weights))
+
+    def test_non_orthogonal_layer_is_named(self, monkeypatch):
+        draws = []
+        real = rmtsim.sample_haar_orthogonal
+
+        def bent_third(M, rng):
+            q = real(M, rng)
+            draws.append(M)
+            if len(draws) == 3:
+                q[0, 0] += 1e-6
+            return q
+
+        monkeypatch.setattr(rmtsim, "sample_haar_orthogonal", bent_third)
+        x = normalized_input(16, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="layer 3: W/sigma off orthogonal"):
+            network_fim_sample(16, 5, Linear(1.0), 1.0, 0, x)
+        assert len(draws) == 3  # the draw stops at the bad layer
+
+    def test_non_finite_preactivation(self):
+        x = normalized_input(16, np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # |x^3| overflows, so h^4 = W_4 x^3 is not finite
+            with pytest.raises(NumericalError, match="layer 4"):
+                network_fim_sample(16, 5, Linear(1e120), 1.0, 0, x)
+
+    def test_rejects_nonpositive_sigma(self):
+        x = normalized_input(8, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            network_fim_sample(8, 2, Linear(1.0), [1.0, 0.0], 0, x)
+        with pytest.raises(ValueError):
+            network_fim_sample(8, 3, Linear(1.0), [1.0, 1.0], 0, x)
+
+    def test_peak_memory_is_flat_in_depth(self):
+        # a stored network would hold depth x 0.5 MB of weights at M = 256
+        x = normalized_input(256, np.random.default_rng(0))
+
+        def peak(depth):
+            tracemalloc.start()
+            try:
+                network_fim_sample(256, depth, HardTanh(s=0.5, g=1.3), 1.0, 0, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        shallow, deep = peak(8), peak(32)
+        assert abs(deep - shallow) <= 0.1 * shallow
+
+
 class TestNtkBlockMatrix:
     def test_single_sample_is_scaled_fim(self):
         net = OrthogonalNet.sample(12, 3, HardTanh(s=1.0, g=1.0), seed=10)
         x = normalized_input(12, np.random.default_rng(10))
         theta = ntk_block_matrix(net, [x])
-        h = dual_fim_recursive(net, forward_trace(net, x))
+        h = dual_fim(net.weights, net.activation, x)
         assert np.abs(theta - 12 * h).max() < 1e-8
 
     def test_trace_identity(self):
@@ -187,7 +285,7 @@ class TestNtkBlockMatrix:
         # both sides in normalized trace: tr(A) / dim(A)
         lhs = np.trace(theta / 16) / (3 * 16)
         rhs = sum(
-            np.trace(dual_fim_recursive(net, forward_trace(net, x))) / 16
+            np.trace(dual_fim(net.weights, net.activation, x)) / 16
             for x in inputs
         ) / 9.0
         assert lhs == pytest.approx(rhs, abs=1e-8)
