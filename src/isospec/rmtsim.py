@@ -11,13 +11,17 @@ built by the layer recursion H_{l+1} = q_hat_l I + W_{l+1} D_l H_l D_l
 W_{l+1}^T (starting from H_1 = q_hat_0 I), plus the N-sample block
 kernel Theta whose diagonal blocks are (M/N) H_L(x_n). The recursion
 consumes the forward pass one layer at a time, so a network draw can be
-streamed through it without ever holding more than two weights.
+streamed through it without ever holding more than two weights; one
+worker thread conjugates layer l while the calling thread draws layer
+l + 1.
 Eigenvalue reports and empirical spectral measures feed the comparison
 against the free-probability predictions.
 """
 
+import contextvars
 import math
 from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +50,8 @@ def sample_haar_orthogonal(M: int, rng: np.random.Generator) -> np.ndarray:
         d = np.diagonal(r)
         if np.abs(d).min() < 1e-12 * math.sqrt(M):
             continue
-        return q * np.sign(d)[None, :]
+        q *= np.sign(d)
+        return q
     raise NumericalError("repeated rank-deficient Gaussian draws")
 
 
@@ -65,7 +70,9 @@ def _haar_layers(width: int, sigma: Iterable, rng: np.random.Generator) -> Itera
     how many layers stay alive.
     """
     for s in sigma:
-        yield s * sample_haar_orthogonal(width, rng)
+        w = sample_haar_orthogonal(width, rng)
+        w *= s
+        yield w
 
 
 def _check_layer(w: np.ndarray, s: float, width: int, ell: int) -> None:
@@ -193,26 +200,70 @@ def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x=xs, h=hs, deriv=ds, q_hat=qs)
 
 
+def _fim_step(h: np.ndarray, u: np.ndarray, layer: list) -> None:
+    """One step of the recursion in place: h <- q I + W D h D W^T.
+
+    `layer` is [W, d, q]; d None skips the D scaling, for callers that
+    pass W D as W. u is an M x M scratch buffer. The step empties
+    `layer`, so the thread that runs it keeps no weight once it returns.
+    """
+    w, d, q = layer
+    layer.clear()
+    if d is not None:
+        h *= d[:, None]
+        h *= d[None, :]
+    np.matmul(w, h, out=u)
+    np.matmul(u, w.T, out=h)
+    h.flat[:: h.shape[0] + 1] += q
+
+
+def _fim_recursion(M: int, q0: float, layers: Iterable) -> np.ndarray:
+    """H_L of the recursion from H_1 = q0 I over the (W, d, q) steps in
+    `layers`, symmetrized.
+
+    The steps run on one worker thread, in the caller's context (so under
+    its numpy error state), with one step in flight: while the worker
+    conjugates layer l the calling thread produces layer l + 1, so all
+    sampling, checks and forward propagation stay there, in order. A
+    failure on either thread stops the recursion; the step in flight is
+    always waited for, and its failure, which a serial loop would have
+    met first, wins. No thread outlives the call. Two M x M buffers are
+    allocated once and updated in place.
+    """
+    h = np.zeros((M, M))
+    h.flat[:: M + 1] = q0
+    u = np.empty((M, M))
+    with ThreadPoolExecutor(1) as pool:
+        pending = None
+        try:
+            for w, d, q in layers:
+                if pending is not None:
+                    pending.result()
+                pending = pool.submit(contextvars.copy_context().run, _fim_step, h, u, [w, d, q])
+        finally:
+            if pending is not None:
+                pending.result()
+    return (h + h.T) / 2.0
+
+
 def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> np.ndarray:
     """H_L by the layer recursion, in O(L M^3) time.
 
     Consumes `weights` (a list, or a generator such as a streamed draw)
-    through _forward_layers: each step needs only the current W_l and
-    D_{l-1} and holds no layer after it, so beyond what the caller keeps
-    the working memory is O(M^2) whatever the depth.
+    through _forward_layers on the calling thread while _fim_recursion
+    conjugates the previous layer on its worker. Each step needs only the
+    current W_l and D_{l-1}, so beyond what the caller keeps the working
+    memory is two M x M buffers plus the weights of the two layers in
+    hand, whatever the depth.
     """
     x = np.asarray(x, dtype=float)
-    h = None
-    for w, q, d, _, _ in _forward_layers(weights, activation, x):
-        if d is None:
-            h = q * np.eye(x.size)
-        else:
-            # rebinding h first frees H_{l-1} before the identity term is formed
-            h = w @ (d[:, None] * h * d[None, :]) @ w.T
-            h = q * np.eye(x.size) + h
-    if h is None:
+    layers = _forward_layers(weights, activation, x)
+    first = next(layers, None)
+    if first is None:
         raise ValueError("need at least one layer")
-    return (h + h.T) / 2.0
+    q0 = first[1]
+    del first  # holds W_1, which must not live through the recursion
+    return _fim_recursion(x.size, q0, ((w, d, q) for w, q, d, _, _ in layers))
 
 
 def network_fim_sample(
@@ -226,10 +277,12 @@ def network_fim_sample(
     """H_L of the network OrthogonalNet.sample(width, depth, activation,
     sigma, seed) at input x, without building the network.
 
-    Each layer is drawn, checked as OrthogonalNet checks it, and consumed
-    by dual_fim before the next is drawn, so at most two weights are
-    alive and the peak memory does not grow with depth. The result is
-    bit-identical to dual_fim(net.weights, activation, x).
+    Each layer is drawn, checked as OrthogonalNet checks it and
+    forward-propagated on the calling thread while dual_fim's worker
+    conjugates the layer before it, so at most two weights are alive and
+    the peak memory does not grow with depth. A bad layer stops the draw
+    there. The result is bit-identical to dual_fim(net.weights,
+    activation, x).
     """
     if np.shape(x) != (width,):
         raise ValueError(f"input must have shape ({width},)")
@@ -241,7 +294,10 @@ def network_fim_sample(
 
     def checked():
         layers = _haar_layers(width, sig, np.random.default_rng(seed))
-        for ell, (w, s) in enumerate(zip(layers, sig), start=1):
+        # next() rather than zip: zip's and enumerate's cached result
+        # tuples would keep the layer before last alive during a draw
+        for ell, s in enumerate(sig, start=1):
+            w = next(layers)
             _check_layer(w, float(s), width, ell)
             yield w
 
@@ -412,13 +468,21 @@ def model_fim_sample(
     activations by their limiting law, which is what the free
     convolution describes exactly; finite-M agreement with network
     draws is itself a freeness check.
+
+    Each layer's D and W are drawn from `rng` on the calling thread, in
+    order, while _fim_recursion's worker conjugates the layer before, so
+    the rng ends in the same state as a serial loop would leave it.
     """
     depth = len(q)
     if len(sigma) != depth or len(alpha) != depth - 1 or len(gamma) != depth - 1:
         raise ValueError("need len(sigma) = len(q) and len(alpha) = len(gamma) = len(q) - 1")
-    h = float(q[0]) * np.eye(M)
-    for ell in range(1, depth):
-        d = math.sqrt(gamma[ell - 1]) * (rng.random(M) < alpha[ell - 1]).astype(float)
-        wd = sigma[ell] * sample_haar_orthogonal(M, rng) * d[None, :]
-        h = float(q[ell]) * np.eye(M) + wd @ h @ wd.T
-    return (h + h.T) / 2.0
+
+    def layers():
+        for ell in range(1, depth):
+            d = math.sqrt(gamma[ell - 1]) * (rng.random(M) < alpha[ell - 1]).astype(float)
+            wd = sample_haar_orthogonal(M, rng)
+            wd *= sigma[ell]
+            wd *= d[None, :]
+            yield wd, None, float(q[ell])
+
+    return _fim_recursion(M, float(q[0]), layers())

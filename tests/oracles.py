@@ -2,10 +2,13 @@
 
 Each one is written independently of the code it checks: the stored
 forward pass and layer recursion that `rmtsim.dual_fim` must reproduce
-bit for bit, the dense parameter Jacobian behind H_L and the conditional
-FIM, and an alternating-moment test of asymptotic freeness.
+bit for bit, the serial matrix-model loop that `rmtsim.model_fim_sample`
+must reproduce bit for bit, the dense parameter Jacobian behind H_L and
+the conditional FIM, and an alternating-moment test of asymptotic
+freeness.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +47,17 @@ def reference_dual_fim(net: OrthogonalNet, x: np.ndarray) -> np.ndarray:
         w = net.weights[ell]
         inner = w @ (d[:, None] * h * d[None, :]) @ w.T
         h = trace.q_hat[ell] * np.eye(net.width) + inner
+    return (h + h.T) / 2.0
+
+
+def reference_model_fim(M: int, q, sigma, alpha, gamma, rng: np.random.Generator) -> np.ndarray:
+    """The matrix model H <- q_l I + (W D) H (W D)^T, one layer after another
+    on one thread, drawing D then W from `rng` for each layer."""
+    h = float(q[0]) * np.eye(M)
+    for ell in range(1, len(q)):
+        d = math.sqrt(gamma[ell - 1]) * (rng.random(M) < alpha[ell - 1]).astype(float)
+        wd = sigma[ell] * sample_haar_orthogonal(M, rng) * d[None, :]
+        h = float(q[ell]) * np.eye(M) + wd @ h @ wd.T
     return (h + h.T) / 2.0
 
 

@@ -1,13 +1,22 @@
 """Tests for the finite-width simulator: sampling, FIM builders, spectra."""
 
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dual_fim_dense, freeness_probe, reference_dual_fim, reference_trace
+from oracles import (
+    dual_fim_dense,
+    freeness_probe,
+    reference_dual_fim,
+    reference_model_fim,
+    reference_trace,
+)
 
 from isospec import rmtsim
 from isospec.meanfield import HardTanh, Linear
@@ -269,6 +278,104 @@ class TestNetworkFimSample:
         assert abs(deep - shallow) <= 0.1 * shallow
 
 
+def _draw(model: str) -> np.ndarray:
+    """One small six-layer draw of either simulate model."""
+    if model == "network":
+        x = normalized_input(24, np.random.default_rng(0))
+        return network_fim_sample(24, 6, HardTanh(s=0.5, g=1.3), 1.0, 0, x)
+    return model_fim_sample(
+        24, [1.0] * 6, [1.1] * 6, [0.75] * 5, [1.3] * 5, np.random.default_rng(0)
+    )
+
+
+@pytest.mark.parametrize("model", ["network", "atoms"])
+class TestFimRecursionWorker:
+    """The conjugations run on one worker thread while the caller draws."""
+
+    def test_at_most_one_earlier_draw_alive(self, model, monkeypatch):
+        draws, alive = [], []
+        real = rmtsim.sample_haar_orthogonal
+
+        def tracked(M, rng):
+            alive.append(sum(ref() is not None for ref in draws))
+            q = real(M, rng)
+            draws.append(weakref.ref(q))
+            return q
+
+        monkeypatch.setattr(rmtsim, "sample_haar_orthogonal", tracked)
+        _draw(model)
+        assert len(draws) == (6 if model == "network" else 5)
+        assert max(alive) == 1
+
+    def test_repeatable_under_fast_thread_switching(self, model):
+        want = _draw(model)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(_draw(model), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_a_call(self, model):
+        before = threading.active_count()
+        _draw(model)
+        assert threading.active_count() == before
+
+    def test_worker_failure_reaches_caller(self, model, monkeypatch):
+        threads = []
+        real = rmtsim._fim_step
+
+        def failing_third(h, u, layer):
+            threads.append(threading.current_thread())
+            if len(threads) == 3:
+                raise RuntimeError("step 3 failed")
+            real(h, u, layer)
+
+        monkeypatch.setattr(rmtsim, "_fim_step", failing_third)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="step 3 failed"):
+            _draw(model)
+        assert threading.active_count() == before
+        assert len(threads) == 3
+        assert threading.main_thread() not in threads
+
+    def test_step_failure_wins_over_the_next_draws(self, model, monkeypatch):
+        # step 2 conjugates the layer drawn by draw 3 (network) or 2 (atoms);
+        # the draw after it fails too, but a serial loop never reaches it
+        steps, draws = [], []
+        real_step, real_draw = rmtsim._fim_step, rmtsim.sample_haar_orthogonal
+
+        def failing_second(h, u, layer):
+            steps.append(1)
+            if len(steps) == 2:
+                raise RuntimeError("step 2 failed")
+            real_step(h, u, layer)
+
+        def failing_draw(M, rng):
+            draws.append(1)
+            if len(draws) == (4 if model == "network" else 3):
+                raise NumericalError("draw failed")
+            return real_draw(M, rng)
+
+        monkeypatch.setattr(rmtsim, "_fim_step", failing_second)
+        monkeypatch.setattr(rmtsim, "sample_haar_orthogonal", failing_draw)
+        with pytest.raises(RuntimeError, match="step 2 failed") as err:
+            _draw(model)
+        assert isinstance(err.value.__context__, NumericalError)
+
+    def test_steps_run_under_the_callers_error_state(self, model, monkeypatch):
+        real = rmtsim._fim_step
+
+        def dividing(h, u, layer):
+            np.divide(1.0, np.zeros(1))
+            real(h, u, layer)
+
+        monkeypatch.setattr(rmtsim, "_fim_step", dividing)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            _draw(model)
+
+
 class TestNtkBlockMatrix:
     def test_single_sample_is_scaled_fim(self):
         net = OrthogonalNet.sample(12, 3, HardTanh(s=1.0, g=1.0), seed=10)
@@ -371,6 +478,14 @@ class TestEmpiricalMeasure:
 
 
 class TestModelFimSample:
+    @pytest.mark.parametrize("alpha", [0.6, 1.0], ids=["zero_columns", "alpha_1"])
+    def test_bitwise_equal_to_serial_loop(self, alpha):
+        args = (48, [1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [alpha] * 3, [1.7, 1.3, 0.9])
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = model_fim_sample(*args, rng)
+        assert np.array_equal(got, reference_model_fim(*args, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_linear_model_is_depth_identity(self):
         rng = np.random.default_rng(4)
         h = model_fim_sample(64, [1.0] * 3, [1.0] * 3, [1.0] * 2, [1.0] * 2, rng)
