@@ -582,9 +582,25 @@ def cmd_theory(args) -> int:
     _require(grid >= MIN_GRID, "grid", f"must be at least {MIN_GRID}")
     outdir = _outdir(merged)
 
-    measures = propagate_schedule(schedule, grid_count=grid)
+    measures, stats = propagate_schedule(schedule, grid_count=grid, return_stats=True)
     for i, mu in enumerate(measures, start=1):
         _write_json(outdir / f"mu_{i:03d}.json", mu.to_json_dict())
+
+    # solver diagnostics per layer, no wall times, so reruns are identical
+    layers = []
+    for i, (mu, st, m1) in enumerate(zip(measures, stats, mean_track(schedule)), start=1):
+        layers.append({
+            "layer": i,
+            "grid_count": st.grid_count,
+            "newton_steps_max": st.iterations_max,
+            "newton_steps_mean": st.iterations_mean,
+            "continued": st.continued,
+            "flagged": len(st.flagged),
+            "mass_defect": st.mass_defect,
+            "clamped": st.clamped,
+            "mean_resid": abs(moment(mu, 1) - m1) / m1,
+        })
+    _write_json(outdir / "diagnostics.json", {"layers": layers})
 
     track = max_support_track(schedule)
     rows = ["layer,lambda_max,beta,atom_valid"]

@@ -169,6 +169,10 @@ class ConvolutionStats:
     continued: int
 
 
+# the record of a layer that needs no numeric solve
+_TRIVIAL_STATS = ConvolutionStats(0, 0.0, 0, 0.0, (), 0.0, 0.0, 0)
+
+
 # ----------------------------------------------------------------------
 # transforms
 # ----------------------------------------------------------------------
@@ -270,14 +274,15 @@ def free_mult_conv_two_atom(
     strip Im z = eps over [0, ||mu|| * gamma * (1 + margin)], followed by
     Stieltjes inversion with the atoms' Cauchy terms subtracted.
 
-    The solve runs Newton's method at every grid point from w = h_mu(z).
-    A root is accepted only if it converged, is finite, gives Im G <= 1e-8,
-    attracts the fixed-point map (|d/dw h_mu(z S_nu(w))| <= 1) and is not
-    the spurious root w = -1 (|w + 1| > 1e-6). Points
-    without such a root are solved again along Im z, from 8 (|x| + 1)
-    down to eps, and accepted if they converge at every level and end
-    with Im G <= 1e-8. Points that are still not accepted are flagged and
-    their G interpolated from the accepted neighbors.
+    The solve runs Newton's method at every grid point from one Picard
+    step of the fixed-point map, w = h_mu(z S_nu(h_mu(z))). A root is
+    accepted only if it converged, is finite, gives Im G <= 1e-8, attracts
+    the fixed-point map (|d/dw h_mu(z S_nu(w))| <= 1) and is not the
+    spurious root w = -1 (|w + 1| > 1e-6). Points without such a root are
+    solved again along Im z, from 8 (|x| + 1) down to eps, and accepted if
+    they converge at every level and end with Im G <= 1e-8. Points that
+    are still not accepted are flagged and their G interpolated from the
+    accepted neighbors.
 
     Purely atomic cases (nu = delta_gamma, or mu a single atom) bypass
     the solver.
@@ -305,17 +310,16 @@ def free_mult_conv_two_atom(
     if grid_count < MIN_GRID:
         raise ValueError(f"grid_count must be at least {MIN_GRID}")
 
-    trivial_stats = ConvolutionStats(0, 0.0, 0, 0.0, (), 0.0, 0.0, 0)
     if nu.alpha == 1.0:
         result = affine_pushforward(mu, nu.gamma, 0.0)
-        return (result, trivial_stats) if return_stats else result
+        return (result, _TRIVIAL_STATS) if return_stats else result
     if mu.density is None and len(mu.atoms) == 1:
         loc, _ = mu.atoms[0]
         if loc == 0.0:
             result = SpectralMeasure.dirac(0.0)
         else:
             result = affine_pushforward(nu.as_measure(), loc, 0.0)
-        return (result, trivial_stats) if return_stats else result
+        return (result, _TRIVIAL_STATS) if return_stats else result
 
     atoms = _product_atoms(mu, nu)
     atom_mass = sum(w for _, w in atoms)
@@ -324,7 +328,7 @@ def free_mult_conv_two_atom(
     if target < 1e-9 or bound <= 0:
         # nothing continuous left; can happen only in degenerate corners
         result = SpectralMeasure.from_atoms(atoms)
-        return (result, trivial_stats) if return_stats else result
+        return (result, _TRIVIAL_STATS) if return_stats else result
 
     window = bound * (1.0 + margin)
     if eps is None:
@@ -387,21 +391,27 @@ def free_mult_conv_two_atom(
 def _subordination_solve(locs, masses, nu, z, *, tol, max_iter):
     """Newton solve of w = F(w) = h_mu(z S_nu(w)) at every z at once.
 
-    A root found from the cold start w = h_mu(z) is accepted if it has
-    Im G <= 1e-8 for G = (w + 1) / z, attracts F (|F'(w)| <= 1), as the
-    subordination point must, and has |w + 1| > 1e-6. The last two
-    reject the root w = -1, which exists at every z: the attraction test
-    alone cannot at small |z|, where F'(-1) shrinks with |z| wherever
-    mu has no atom at 0. The other points, mostly in spectral gaps, walk
-    down geometrically from Im z = 8 (|x| + 1), where the cold start finds
-    the physical root, to the strip. Returns w, the Newton steps of each
-    point, the accepted mask and the number of points the walk accepted.
+    The cold start is one Picard step w = F(h_mu(z)), toward the
+    subordination point, which is the attracting fixed point of F; where
+    that step is not finite it stays at h_mu(z). A root found from the
+    cold start is accepted if it has Im G <= 1e-8 for G = (w + 1) / z,
+    attracts F (|F'(w)| <= 1), as the subordination point must, and has
+    |w + 1| > 1e-6. The last two reject the root w = -1, which exists at
+    every z: the attraction test alone cannot at small |z|, where F'(-1)
+    shrinks with |z| wherever mu has no atom at 0. The other points,
+    mostly in spectral gaps, walk down geometrically from Im z = 8 (|x| + 1),
+    where Newton from h_mu(z) finds the physical root, to the strip.
+    Returns w, the Newton steps of each point, the accepted mask and the
+    number of points the walk accepted.
     """
     z = np.asarray(z, dtype=complex)
     rows = max(1, min(z.size, _BLOCK_BYTES // (16 * locs.size)))
     work = np.empty((rows, locs.size), dtype=complex)
     masses = masses.astype(complex)
     w = _h_of(locs, masses, z, work)[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        picard = _h_of(locs, masses, z * (w + 1.0) / (nu.gamma * (w + nu.alpha)), work)[0]
+    w = np.where(np.isfinite(picard), picard, w)
     iters = np.zeros(z.size, dtype=int)
     done, slope = _newton(locs, masses, nu, z, w, iters, np.arange(z.size), work, tol, max_iter)
     accepted = np.zeros(z.size, dtype=bool)
@@ -466,28 +476,44 @@ def propagate_layer(
     nu_l: TwoAtomJacobianLaw,
     sigma_next: float,
     q_l: float,
+    *,
+    return_stats: bool = False,
     **grid_kwargs,
-) -> SpectralMeasure:
+):
     """One layer of the spectrum recursion:
-    (q_l + sigma_next^2 * .)_* (nu_l boxtimes mu_l)."""
-    conv = free_mult_conv_two_atom(mu_l, nu_l, **grid_kwargs)
-    return affine_pushforward(conv, sigma_next**2, q_l)
+    (q_l + sigma_next^2 * .)_* (nu_l boxtimes mu_l).
+
+    With `return_stats`, also returns the convolution's ConvolutionStats.
+    """
+    conv, stats = free_mult_conv_two_atom(mu_l, nu_l, return_stats=True, **grid_kwargs)
+    result = affine_pushforward(conv, sigma_next**2, q_l)
+    return (result, stats) if return_stats else result
 
 
-def propagate_schedule(schedule: LayerSchedule, **grid_kwargs) -> list:
-    """All measures mu_1 .. mu_L along the schedule; mu_1 = delta_{q_0}."""
+def propagate_schedule(schedule: LayerSchedule, *, return_stats: bool = False, **grid_kwargs):
+    """All measures mu_1 .. mu_L along the schedule; mu_1 = delta_{q_0}.
+
+    With `return_stats`, also returns one ConvolutionStats per layer, the
+    all-zero record for mu_1 and for layers that need no numeric solve.
+    A NumericalError names the layer it came from.
+    """
     out = [SpectralMeasure.dirac(schedule.q[0])]
+    stats = [_TRIVIAL_STATS]
     for ell in range(1, schedule.depth):
-        out.append(
-            propagate_layer(
+        try:
+            mu, st = propagate_layer(
                 out[-1],
                 schedule.jacobians[ell - 1],
                 schedule.sigma[ell],
                 schedule.q[ell],
+                return_stats=True,
                 **grid_kwargs,
             )
-        )
-    return out
+        except NumericalError as exc:
+            raise NumericalError(f"layer {ell + 1}: {exc}") from exc
+        out.append(mu)
+        stats.append(st)
+    return (out, stats) if return_stats else out
 
 
 def solve_three_layer(

@@ -5,7 +5,9 @@ forward pass and layer recursion that `rmtsim.dual_fim` must reproduce
 bit for bit, the serial matrix-model loop that `rmtsim.model_fim_sample`
 must reproduce bit for bit, the dense parameter Jacobian behind H_L and
 the conditional FIM, and an alternating-moment test of asymptotic
-freeness.
+freeness. The one exception is the cold-start subordination solve, which
+differs from `freeconv._subordination_solve` only in where Newton starts
+and shares its Cauchy evaluator and Newton loop.
 """
 
 import math
@@ -13,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from isospec.freeconv import _BLOCK_BYTES, _WALK_LEVELS, _h_of, _newton
 from isospec.meanfield import activation_apply, activation_deriv_sq
 from isospec.rmtsim import ForwardTrace, OrthogonalNet, sample_haar_orthogonal
 from isospec.specmeasure import NumericalError
@@ -117,3 +120,35 @@ def freeness_probe(M: int, trials: int, rng: np.random.Generator) -> FreenessPro
         moments.append(float(np.trace(pb @ pb)) / M)
     arr = np.abs(moments)
     return FreenessProbe(M, trials, tuple(moments), float(np.median(arr)))
+
+
+def reference_subordination_solve(locs, masses, nu, z, *, tol, max_iter):
+    """`freeconv._subordination_solve` started cold from w = h_mu(z).
+
+    Same acceptance tests, walk and return values; with it in place of
+    the solver, `free_mult_conv_two_atom` computes what it did before the
+    Picard warm start.
+    """
+    z = np.asarray(z, dtype=complex)
+    rows = max(1, min(z.size, _BLOCK_BYTES // (16 * locs.size)))
+    work = np.empty((rows, locs.size), dtype=complex)
+    masses = masses.astype(complex)
+    w = _h_of(locs, masses, z, work)[0]
+    iters = np.zeros(z.size, dtype=int)
+    done, slope = _newton(locs, masses, nu, z, w, iters, np.arange(z.size), work, tol, max_iter)
+    accepted = np.zeros(z.size, dtype=bool)
+    w1 = w[done] + 1.0
+    ok = ((w1 / z[done]).imag <= 1e-8) & (np.abs(slope) <= 1.0) & (np.abs(w1) > 1e-6)
+    accepted[done[ok]] = True
+
+    walk = np.flatnonzero(~accepted)
+    top = 8.0 * (np.abs(z.real) + 1.0)
+    zz = z.real + 1j * top
+    w[walk] = _h_of(locs, masses, zz[walk], work)[0]
+    for frac in np.linspace(0.0, 1.0, _WALK_LEVELS):
+        zz.imag[walk] = top[walk] * (z.imag[walk] / top[walk]) ** frac
+        level_tol = tol if frac == 1.0 else math.sqrt(tol)
+        walk, _ = _newton(locs, masses, nu, zz, w, iters, walk, work, level_tol, max_iter)
+    walk = walk[((w[walk] + 1.0) / z[walk]).imag <= 1e-8]
+    accepted[walk] = True
+    return w, iters, accepted, walk.size

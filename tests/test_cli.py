@@ -44,6 +44,28 @@ class TestTheory:
         assert len(limits["mean_track"]) == 3
         assert limits["eps1"] is not None
 
+    def test_diagnostics_per_layer(self, tmp_path):
+        runs = [tmp_path / "d1", tmp_path / "d2"]
+        for out in runs:
+            assert _run("theory", "--out", out, "--depth", 4, "--grid", 512) == 0
+        text = (runs[0] / "diagnostics.json").read_text()
+        assert (runs[1] / "diagnostics.json").read_text() == text
+        layers = json.loads(text)["layers"]
+        assert [rec["layer"] for rec in layers] == [1, 2, 3, 4]
+        assert layers[0]["grid_count"] == 0
+        for rec in layers[2:]:
+            assert rec["grid_count"] == 512
+            assert rec["newton_steps_max"] >= rec["newton_steps_mean"] > 0
+            assert rec["continued"] > 0
+            assert rec["flagged"] == 0 and rec["clamped"] == 0.0
+            assert 0 < rec["mass_defect"] < 1e-2
+            assert 0 <= rec["mean_resid"] < 1e-2
+
+    def test_numerical_failure_names_the_layer(self, tmp_path, capsys):
+        assert _run("theory", "--out", tmp_path / "x", "--depth", 5, "--grid", 512) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: layer 5: mass defect" in err
+
     def test_bad_depth_is_config_error(self, tmp_path):
         assert _run("theory", "--out", tmp_path / "x", "--depth", 0) == 2
 

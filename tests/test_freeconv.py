@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import reference_subordination_solve
 
+from isospec import freeconv
 from isospec.freeconv import (
     MAX_ITER,
     SOLVER_TOL,
@@ -310,6 +312,81 @@ class TestPropagateSchedule:
         assert dens.cdf(1.95) < 1e-3
         carried = dens.values > 1e-3
         assert x[carried].max() < 2.75 + 0.05
+
+
+def _warm_start_cases():
+    """Solver runs by name, each a function returning (measures, stats)
+    per layer: the benchmark's default depth-3 schedule at grid 2048, the
+    tuned depth-16 schedule at grid 512 and the three-atom convolutions
+    of test_m1_multiplicativity."""
+    p = tune_constant_q(16, 0.1).params
+    cases = {
+        "theory3": lambda: propagate_schedule(
+            LayerSchedule.constant(3, 1.0, 1.0, 0.75, 1.0), grid_count=2048, return_stats=True
+        ),
+        "tuned16": lambda: propagate_schedule(
+            LayerSchedule.constant(16, p.q, p.sigma, p.alpha, p.gamma),
+            grid_count=512, return_stats=True,
+        ),
+    }
+    rng = np.random.default_rng(5)
+    for k in range(4):
+        locs = np.sort(rng.uniform(0.2, 3.0, size=3))
+        ws = rng.dirichlet(np.ones(3))
+        mu = SpectralMeasure.from_atoms(list(zip(locs.tolist(), ws.tolist())))
+        nu = TwoAtomJacobianLaw(float(rng.uniform(0.4, 0.95)), float(rng.uniform(0.6, 1.8)))
+        window = float(locs[-1]) * nu.gamma * 1.05
+
+        def conv(mu=mu, nu=nu, window=window):
+            out, stats = free_mult_conv_two_atom(
+                mu, nu, grid_count=8192, eps=1e-5 * window, return_stats=True
+            )
+            return [out], [stats]
+
+        cases[f"three_atom{k}"] = conv
+    return cases
+
+
+@pytest.fixture(scope="module")
+def warm_and_cold():
+    """name -> ((measures, stats) of the solver, the same from the cold
+    start w = h_mu(z) of the reference solve)."""
+    out = {}
+    for name, run in _warm_start_cases().items():
+        warm = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(freeconv, "_subordination_solve", reference_subordination_solve)
+            cold = run()
+        out[name] = (warm, cold)
+    return out
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name", list(_warm_start_cases()))
+    def test_matches_cold_start_with_fewer_steps(self, warm_and_cold, name):
+        (mus, stats), (ref_mus, ref_stats) = warm_and_cold[name]
+        assert len(mus) == len(ref_mus)
+        for ell, (mu, st, ref, ref_st) in enumerate(zip(mus, stats, ref_mus, ref_stats), 1):
+            assert mu.atoms == ref.atoms, ell
+            assert st.flagged == ref_st.flagged, ell
+            if ref.density is None:
+                assert mu.density is None, ell
+                continue
+            d, r = mu.density, ref.density
+            assert (d.left, d.right, d.grid_count) == (r.left, r.right, r.grid_count), ell
+            diff = np.abs(d.values - r.values)
+            assert diff.max() <= 1e-8 * r.values.max(), ell
+            assert np.trapezoid(diff, dx=r.step) <= 1e-9, ell
+            assert st.iterations_mean * st.grid_count < ref_st.iterations_mean * ref_st.grid_count, ell
+
+    @pytest.mark.parametrize("name", ["theory3", "tuned16"])
+    def test_no_spurious_root_on_benchmark_schedules(self, warm_and_cold, name):
+        # the warm start must not land on the root w = -1, which would show
+        # as a negative density (clamped) or as flagged points
+        (_, stats), _ = warm_and_cold[name]
+        for ell, st in enumerate(stats, start=1):
+            assert st.clamped == 0.0, ell
+            assert st.flagged == (), ell
 
 
 # frozen reference values: exact three-layer spectra evaluated from the
