@@ -23,6 +23,7 @@ from .specmeasure import (
 from .freeconv import (
     AsymptoticRegime,
     AtomTrack,
+    LayerError,
     LayerSchedule,
     TwoAtomJacobianLaw,
     asymptotic_max,
@@ -43,7 +44,7 @@ from .meanfield import (
     MeanFieldParams,
     ShiftedRelu,
     activation_apply,
-    activation_deriv_sq,
+    activation_deriv,
     mean_field_schedule,
     moment_map,
     tune_constant_q,

@@ -23,6 +23,7 @@ from .freeconv import (
     DEFAULT_GRID,
     MIN_GRID,
     AsymptoticRegime,
+    LayerError,
     LayerSchedule,
     TwoAtomJacobianLaw,
     asymptotic_max,
@@ -575,20 +576,13 @@ def _schedule_from_config(merged: dict, sigma) -> LayerSchedule:
                     jacobians=tuple(jacobians))
 
 
-def cmd_theory(args) -> int:
-    merged = _resolve(args)
-    schedule = _schedule_from_config(merged, merged["sigma"])
-    grid = merged["grid"]
-    _require(grid >= MIN_GRID, "grid", f"must be at least {MIN_GRID}")
-    outdir = _outdir(merged)
-
-    measures, stats = propagate_schedule(schedule, grid_count=grid, return_stats=True)
-    for i, mu in enumerate(measures, start=1):
-        _write_json(outdir / f"mu_{i:03d}.json", mu.to_json_dict())
-
-    # solver diagnostics per layer, no wall times, so reruns are identical
+def _write_layers(outdir: Path, schedule: LayerSchedule, measures, stats, failure=None):
+    """mu_001.json onwards, and diagnostics.json: the solver's record of
+    each layer (no wall times, so reruns are identical), then that of the
+    LayerError `failure`, if the recursion stopped."""
     layers = []
     for i, (mu, st, m1) in enumerate(zip(measures, stats, mean_track(schedule)), start=1):
+        _write_json(outdir / f"mu_{i:03d}.json", mu.to_json_dict())
         layers.append({
             "layer": i,
             "grid_count": st.grid_count,
@@ -600,7 +594,25 @@ def cmd_theory(args) -> int:
             "clamped": st.clamped,
             "mean_resid": abs(moment(mu, 1) - m1) / m1,
         })
+    if failure is not None:
+        layers.append({"layer": failure.layer, "error": failure.reason})
     _write_json(outdir / "diagnostics.json", {"layers": layers})
+
+
+def cmd_theory(args) -> int:
+    merged = _resolve(args)
+    schedule = _schedule_from_config(merged, merged["sigma"])
+    grid = merged["grid"]
+    _require(grid >= MIN_GRID, "grid", f"must be at least {MIN_GRID}")
+    outdir = _outdir(merged)
+
+    try:
+        measures, stats = propagate_schedule(schedule, grid_count=grid, return_stats=True)
+    except LayerError as exc:
+        # keep the layers that converged, and say where the recursion stopped
+        _write_layers(outdir, schedule, exc.measures, exc.stats, failure=exc)
+        raise
+    _write_layers(outdir, schedule, measures, stats)
 
     track = max_support_track(schedule)
     rows = ["layer,lambda_max,beta,atom_valid"]

@@ -173,6 +173,21 @@ class ConvolutionStats:
 _TRIVIAL_STATS = ConvolutionStats(0, 0.0, 0, 0.0, (), 0.0, 0.0, 0)
 
 
+class LayerError(NumericalError):
+    """A NumericalError at one layer of propagate_schedule.
+
+    `reason` is the failing layer's own message; `measures` and `stats`
+    hold the layers before it, which converged.
+    """
+
+    def __init__(self, layer: int, reason: str, measures: list, stats: list):
+        super().__init__(f"layer {layer}: {reason}")
+        self.layer = layer
+        self.reason = reason
+        self.measures = measures
+        self.stats = stats
+
+
 # ----------------------------------------------------------------------
 # transforms
 # ----------------------------------------------------------------------
@@ -495,7 +510,8 @@ def propagate_schedule(schedule: LayerSchedule, *, return_stats: bool = False, *
 
     With `return_stats`, also returns one ConvolutionStats per layer, the
     all-zero record for mu_1 and for layers that need no numeric solve.
-    A NumericalError names the layer it came from.
+    A NumericalError from a layer is raised as a LayerError, which names
+    that layer and carries the measures and stats of the layers before it.
     """
     out = [SpectralMeasure.dirac(schedule.q[0])]
     stats = [_TRIVIAL_STATS]
@@ -510,7 +526,7 @@ def propagate_schedule(schedule: LayerSchedule, *, return_stats: bool = False, *
                 **grid_kwargs,
             )
         except NumericalError as exc:
-            raise NumericalError(f"layer {ell + 1}: {exc}") from exc
+            raise LayerError(ell + 1, str(exc), out, stats) from exc
         out.append(mu)
         stats.append(st)
     return (out, stats) if return_stats else out

@@ -91,15 +91,16 @@ def activation_apply(spec: ActivationSpec, x):
     return out if out.ndim else float(out)
 
 
-def activation_deriv_sq(spec: ActivationSpec, x):
-    """Squared derivative of phi pointwise (0 on the saturated branch)."""
+def activation_deriv(spec: ActivationSpec, x):
+    """|phi'| pointwise: the slope g or a on the linear branch, 0 on the
+    saturated one."""
     x = np.asarray(x, dtype=float)
     if isinstance(spec, HardTanh):
-        out = np.where(spec.s * spec.g * np.abs(x) < 1.0, spec.g**2, 0.0)
+        out = np.where(spec.s * spec.g * np.abs(x) < 1.0, spec.g, 0.0)
     elif isinstance(spec, ShiftedRelu):
-        out = np.where(x > spec.b, spec.a**2, 0.0)
+        out = np.where(x > spec.b, spec.a, 0.0)
     elif isinstance(spec, Linear):
-        out = np.full_like(x, spec.g**2)
+        out = np.full_like(x, spec.g)
     else:
         raise TypeError(f"unknown activation {spec!r}")
     return out if out.ndim else float(out)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import ActivationSpec, activation_apply, activation_deriv_sq
+from .meanfield import ActivationSpec, activation_apply, activation_deriv
 from .specmeasure import GridDensity, NumericalError, SpectralMeasure
 
 ORTHO_TOL = 1e-10
@@ -172,7 +172,7 @@ def _forward_layers(weights: Iterable, activation: ActivationSpec, x: np.ndarray
         raise ValueError("input must be nonzero")
     h = None
     for ell, w in enumerate(weights, start=1):
-        d = None if h is None else np.sqrt(activation_deriv_sq(activation, h))
+        d = None if h is None else activation_deriv(activation, h)
         q = float(cur @ cur) / cur.size
         h = w @ cur
         if not np.all(np.isfinite(h)):

@@ -5,18 +5,21 @@ ingestion, synthetic cluster datasets with orthonormal class targets,
 per-sample (online) gradient descent on the MSE loss ||f - y||^2 / (2M),
 and the (depth, learning rate) sweep that locates the divergence
 boundary to compare against eta = 2 / lambda_max. The sweep steps the
-cells of one depth together as stacks of weights; a single run is the
-one-cell case of the same step.
+cells of one depth together as stacks of weights, and trains the stacks
+on worker processes; a single run is the one-cell case of the same step.
 """
 
 import logging
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .meanfield import ActivationSpec, activation_apply, activation_deriv_sq
+from .meanfield import ActivationSpec, activation_apply, activation_deriv
 from .rmtsim import OrthogonalNet
 
 logger = logging.getLogger(__name__)
@@ -238,7 +241,7 @@ def _group_step(weights: np.ndarray, activation, x, y, etas, scratch: np.ndarray
                 s *= e
             w -= scratch
             if ell > 0:
-                delta = np.sqrt(activation_deriv_sq(activation, hs[ell - 1])) * back
+                delta = activation_deriv(activation, hs[ell - 1]) * back
         # outer(delta, x) is finite exactly when max|delta| * max|x| is
         peaks = np.abs(np.stack(deltas)).max(axis=2) * np.abs(np.stack(xs)).max(axis=2)
         norms = _norms(weights)
@@ -386,6 +389,50 @@ def _train_group(configs, weights: np.ndarray, train: Dataset, test: Dataset | N
     return results
 
 
+def _train_fresh(configs, train: Dataset, test: Dataset | None):
+    """One sweep group's whole work: draw its stack, then train it."""
+    return _train_group(configs, _sampled_stack(configs), train, test)
+
+
+def _worker_count(jobs: int) -> int:
+    """Worker processes for `jobs` groups: one per CPU this process may
+    run on, at most one per group."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs)
+
+
+def _train_groups(groups, train: Dataset, test: Dataset | None) -> list:
+    """_train_fresh on every group, the results in group order.
+
+    The groups go to forked worker processes, one per _worker_count.
+    They run here in turn instead with one worker, where fork is
+    unavailable, or while another thread runs: a forked child gets no
+    copy of that thread, and would wait forever on any lock it held. A
+    worker's exception cancels the queued groups and is raised here,
+    once every worker has been joined, so no process outlives the call.
+    """
+    workers = _worker_count(len(groups))
+    context = None
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+    if context is None:
+        return list(map(_train_fresh, groups, repeat(train), repeat(test)))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        try:
+            return list(pool.map(_train_fresh, groups, repeat(train), repeat(test)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _sampled_stack(configs) -> np.ndarray:
     """(L, A, M, M) initial weights, cell a drawn by OrthogonalNet.sample
     from configs[a]; the nets themselves are not kept."""
@@ -502,11 +549,14 @@ def lr_depth_sweep(
     cells of one depth train together in groups: a group's weights are
     copied into one stack of at most GROUP_BYTES, stepped with one
     batched mat-vec per layer, and a cell leaves the stack at its
-    divergence step. The results are identical to training each cell
-    alone with train_run. Each SweepCell also records how its run ended:
-    the steps run, the divergence step and its cause, with the layer of
-    a norm blow-up. A depth whose divergence is not monotone in eta gets
-    one warning, from estimate_boundary.
+    divergence step. No group shares work with another, so the groups
+    of every depth are built first and trained in forked worker
+    processes, one per available CPU (see _train_groups). The results
+    are identical, bit for bit, to training each cell alone with
+    train_run in this process. Each SweepCell also records how its run
+    ended: the steps run, the divergence step and its cause, with the
+    layer of a norm blow-up. A depth whose divergence is not monotone in
+    eta gets one warning, from estimate_boundary.
     """
     depths = list(depths)
     etas = list(etas)
@@ -515,9 +565,9 @@ def lr_depth_sweep(
     if train.width != base_config.width:
         raise ValueError("dataset width does not match the config")
     width = base_config.width
-    result = SweepResult()
+    groups = []
     for di, depth in enumerate(depths):
-        configs = [
+        row = [
             TrainConfig(
                 depth=depth,
                 width=width,
@@ -532,14 +582,14 @@ def lr_depth_sweep(
             for ei, eta in enumerate(etas)
         ]
         size = max(1, GROUP_BYTES // (depth * width * width * 8))
-        runs = []
-        for start in range(0, len(configs), size):
-            group = configs[start : start + size]
-            runs += _train_group(group, _sampled_stack(group), train, test)
-        for config, run in zip(configs, runs):
+        groups += [row[start : start + size] for start in range(0, len(row), size)]
+
+    result = SweepResult()
+    for group, runs in zip(groups, _train_groups(groups, train, test)):
+        for config, run in zip(group, runs):
             result.cells.append(
                 SweepCell(
-                    depth=depth,
+                    depth=config.depth,
                     eta=config.eta,
                     seed=config.seed,
                     train_loss=run.train_loss,
@@ -553,7 +603,9 @@ def lr_depth_sweep(
                     layer=run.layer,
                 )
             )
+    for di, depth in enumerate(depths):
+        row = result.cells[di * len(etas) : (di + 1) * len(etas)]
         result.boundary[depth] = estimate_boundary(
-            etas, [run.diverged for run in runs], depth=depth
+            etas, [cell.diverged for cell in row], depth=depth
         )
     return result

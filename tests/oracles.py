@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from isospec.freeconv import _BLOCK_BYTES, _WALK_LEVELS, _h_of, _newton
-from isospec.meanfield import activation_apply, activation_deriv_sq
+from isospec.meanfield import activation_apply, activation_deriv
 from isospec.rmtsim import ForwardTrace, OrthogonalNet, sample_haar_orthogonal
 from isospec.specmeasure import NumericalError
 
@@ -37,7 +37,7 @@ def reference_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
         cur = activation_apply(net.activation, h)
         xs.append(cur)
         if ell < net.depth:
-            ds.append(np.sqrt(activation_deriv_sq(net.activation, h)))
+            ds.append(activation_deriv(net.activation, h))
     return ForwardTrace(x=xs, h=hs, deriv=ds, q_hat=qs)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import isospec.cli as cli
+from isospec import trainlab
 from isospec.cli import main, read_matrix_dump, write_matrix_dump
 from isospec.meanfield import moment_map
 from isospec.specmeasure import NumericalError, SpectralMeasure, distance_L1
@@ -65,6 +66,23 @@ class TestTheory:
         assert _run("theory", "--out", tmp_path / "x", "--depth", 5, "--grid", 512) == 3
         err = capsys.readouterr().err
         assert "numerical failure: layer 5: mass defect" in err
+
+    def test_failed_layer_keeps_the_converged_layers(self, tmp_path, capsys):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert _run("theory", "--out", out, "--depth", 5, "--grid", 512) == 3
+            assert capsys.readouterr().err == (
+                "numerical failure: layer 5: mass defect 2.414e-02 after convolution\n")
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[0] == runs[1]
+        assert set(runs[0]) == {f"mu_{i:03d}.json" for i in range(1, 5)} | {"diagnostics.json"}
+        layers = json.loads(runs[0]["diagnostics.json"])["layers"]
+        assert [rec["layer"] for rec in layers] == [1, 2, 3, 4, 5]
+        assert all(0 <= rec["mass_defect"] < 1e-2 for rec in layers[:4])
+        assert layers[4] == {"layer": 5, "error": "mass defect 2.414e-02 after convolution"}
+        mu4 = SpectralMeasure.from_json(runs[0]["mu_004.json"].decode())
+        assert mu4.mass() == pytest.approx(1.0)
 
     def test_bad_depth_is_config_error(self, tmp_path):
         assert _run("theory", "--out", tmp_path / "x", "--depth", 0) == 2
@@ -272,6 +290,17 @@ class TestSweep:
                     "--etas", "60,90", *self.SMALL)
         assert code == 4
         assert "all sweep cells diverged" in capsys.readouterr().err
+
+    def test_worker_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def failing_draw(configs):
+            raise NumericalError("forced failure")
+
+        monkeypatch.setattr(trainlab, "_sampled_stack", failing_draw)
+        monkeypatch.setattr(trainlab, "_worker_count", lambda jobs: min(2, jobs))
+        code = _run("sweep", "--out", tmp_path / "swf", "--depths", "1,2",
+                    "--etas", "0.001,80", *self.SMALL)
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: forced failure\n"
 
     def test_idx_dataset_path(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -19,7 +19,7 @@ from isospec.meanfield import (
     Linear,
     ShiftedRelu,
     activation_apply,
-    activation_deriv_sq,
+    activation_deriv,
     mean_field_schedule,
     moment_map,
     tune_constant_q,
@@ -56,20 +56,21 @@ class TestActivationApply:
 
     def test_hard_tanh_deriv_sq_branches(self):
         ht = HardTanh(s=0.5, g=2.0)
-        assert activation_deriv_sq(ht, 0.25) == pytest.approx(4.0)
-        assert activation_deriv_sq(ht, 3.0) == 0.0
+        assert activation_deriv(ht, 0.25) ** 2 == pytest.approx(4.0)
+        assert activation_deriv(ht, 3.0) == 0.0
+        assert activation_deriv(ht, -0.25) == 2.0
 
     def test_shifted_relu_branches(self):
         sr = ShiftedRelu(a=1.5, b=0.4)
         assert activation_apply(sr, 1.0) == pytest.approx(1.5)
         # constant a b below the threshold, not zero
         assert activation_apply(sr, 0.0) == pytest.approx(0.6)
-        assert activation_deriv_sq(sr, 1.0) == pytest.approx(2.25)
-        assert activation_deriv_sq(sr, 0.0) == 0.0
+        assert activation_deriv(sr, 1.0) ** 2 == pytest.approx(2.25)
+        assert activation_deriv(sr, 0.0) == 0.0
 
     def test_linear_is_scaling(self):
         assert activation_apply(Linear(1.3), -2.0) == pytest.approx(-2.6)
-        assert activation_deriv_sq(Linear(1.3), 5.0) == pytest.approx(1.69)
+        assert activation_deriv(Linear(1.3), 5.0) ** 2 == pytest.approx(1.69)
 
     def test_array_input_returns_array(self):
         ht = HardTanh(s=0.5, g=2.0)
@@ -81,7 +82,7 @@ class TestActivationApply:
         with pytest.raises(TypeError):
             activation_apply(object(), 1.0)
         with pytest.raises(TypeError):
-            activation_deriv_sq(object(), 1.0)
+            activation_deriv(object(), 1.0)
 
 
 def _q_next(spec, sigma, q):

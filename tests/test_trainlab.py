@@ -3,14 +3,20 @@
 import dataclasses
 import logging
 import math
+import multiprocessing
+import os
 import struct
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from isospec import trainlab
-from isospec.meanfield import HardTanh, Linear, activation_apply, activation_deriv_sq
+from isospec.meanfield import HardTanh, Linear, activation_apply, activation_deriv
 from isospec.rmtsim import OrthogonalNet, normalized_input
+from isospec.specmeasure import NumericalError
 from isospec.trainlab import (
     NONFINITE_GRADIENT,
     NONFINITE_LOSS,
@@ -365,7 +371,7 @@ def _ref_step(weights, activation, x, y, eta):
             grads[ell] = np.outer(delta, xs[ell])
             if ell > 0:
                 back = weights[ell].T @ delta
-                delta = np.sqrt(activation_deriv_sq(activation, hs[ell - 1])) * back
+                delta = activation_deriv(activation, hs[ell - 1]) * back
     if not all(np.all(np.isfinite(g)) for g in grads):
         return loss, NONFINITE_GRADIENT
     with np.errstate(over="ignore"):
@@ -535,6 +541,100 @@ class TestStackedSweepMatchesReference:
             assert set(rec) == {"depth", "eta", "seed", "steps", "diverged_at", "cause", "layer"}
             assert rec["steps"] == (cell.diverged_at + 1 if cell.diverged else 40)
             assert (rec["layer"] is not None) == (rec["cause"] == NORM_BLOWUP)
+
+
+def _two_workers(jobs):
+    return min(2, jobs)
+
+
+def _one_worker(jobs):
+    return 1
+
+
+def _pids(path) -> set:
+    return set(path.read_text().split())
+
+
+@pytest.fixture
+def draw_pids(monkeypatch, tmp_path):
+    """A file that gets the process id of each group's draw, one a line."""
+    pids = tmp_path / "pids"
+    draw = trainlab._sampled_stack
+
+    def logged_draw(configs):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return draw(configs)
+
+    monkeypatch.setattr(trainlab, "_sampled_stack", logged_draw)
+    return pids
+
+
+class TestSweepWorkers:
+    """The sweep's groups trained in forked worker processes."""
+
+    @pytest.mark.parametrize("group_bytes", [trainlab.GROUP_BYTES, 1])
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
+    def test_pooled_sweep_bit_equal_to_in_process(self, name, group_bytes, monkeypatch,
+                                                   draw_pids):
+        inputs = _grid_inputs(name, True)
+        monkeypatch.setattr(trainlab, "GROUP_BYTES", group_bytes)
+        monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
+        pooled = lr_depth_sweep(*inputs)
+        workers = _pids(draw_pids)
+        groups = len(draw_pids.read_text().split())
+        draw_pids.unlink()
+        monkeypatch.setattr(trainlab, "_worker_count", _one_worker)
+        alone = lr_depth_sweep(*inputs)
+        assert _pids(draw_pids) == {str(os.getpid())}
+        if groups > 1:  # one group takes one worker: no pool
+            assert str(os.getpid()) not in workers
+        _assert_same_cells(pooled.cells, alone.cells)
+        assert list(pooled.boundary) == list(alone.boundary)
+        for depth in alone.boundary:
+            assert _same(pooled.boundary[depth], alone.boundary[depth])
+        assert multiprocessing.active_children() == []
+
+    def test_runs_in_process_while_another_thread_runs(self, monkeypatch, draw_pids):
+        monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            lr_depth_sweep(*_grid_inputs("hard_tanh", False))
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert _pids(draw_pids) == {str(os.getpid())}
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        draw = trainlab._sampled_stack
+
+        def failing_draw(configs):
+            if configs[0].depth == 2:
+                raise NumericalError(f"forced failure in process {os.getpid()}")
+            return draw(configs)
+
+        monkeypatch.setattr(trainlab, "_sampled_stack", failing_draw)
+        monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
+        with pytest.raises(NumericalError, match="forced failure in process") as err:
+            lr_depth_sweep(*_grid_inputs("hard_tanh", False))
+        assert type(err.value) is NumericalError
+        assert str(err.value) != f"forced failure in process {os.getpid()}"
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_is_capped_by_groups(self):
+        assert trainlab._worker_count(1) == 1
+        assert 1 <= trainlab._worker_count(1000) <= (os.cpu_count() or 1)
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        code = ("import sys, isospec.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 def test_non_monotone_grid_warns_once_per_depth(caplog):
