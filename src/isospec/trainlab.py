@@ -394,6 +394,51 @@ def _train_fresh(configs, train: Dataset, test: Dataset | None):
     return _train_group(configs, _sampled_stack(configs), train, test)
 
 
+# The (train, test) datasets of a sweep worker process. _start_worker sets
+# them once as the worker starts; under fork the worker inherits them from
+# the parent's memory, so they are never pickled.
+_shared = None
+
+# Thread-count entry points of the OpenBLAS that numpy's wheels bundle,
+# for the 64-bit and the 32-bit integer builds.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _split_blas_threads(workers: int) -> None:
+    """Give this worker 1/workers of the BLAS threads the parent had.
+
+    A forked worker keeps the parent's BLAS thread count, so `workers`
+    workers would each run that many BLAS threads on the same CPUs: at
+    M = 784 with the default threads, a 2-worker sweep took 99 s without
+    this split and 46 s with it, where one process took 38 s. Only the
+    OpenBLAS bundled in numpy's wheels (in numpy.libs) is reached; any
+    other BLAS keeps its thread count.
+    """
+    import ctypes
+    from pathlib import Path
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for get, put in _OPENBLAS_THREADS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                getattr(lib, put)(max(1, getattr(lib, get)() // workers))
+                return
+
+
+def _start_worker(train: Dataset, test: Dataset | None, workers: int) -> None:
+    global _shared
+    _shared = (train, test)
+    _split_blas_threads(workers)
+
+
+def _train_shared(configs):
+    """_train_fresh on the worker's inherited datasets."""
+    return _train_fresh(configs, *_shared)
+
+
 def _worker_count(jobs: int) -> int:
     """Worker processes for `jobs` groups: one per CPU this process may
     run on, at most one per group."""
@@ -408,11 +453,14 @@ def _train_groups(groups, train: Dataset, test: Dataset | None) -> list:
     """_train_fresh on every group, the results in group order.
 
     The groups go to forked worker processes, one per _worker_count.
-    They run here in turn instead with one worker, where fork is
-    unavailable, or while another thread runs: a forked child gets no
-    copy of that thread, and would wait forever on any lock it held. A
-    worker's exception cancels the queued groups and is raised here,
-    once every worker has been joined, so no process outlives the call.
+    Each worker inherits the datasets at fork and takes its share of
+    the BLAS threads (see _start_worker); only the group configs and
+    their results cross the pipes. The groups run here in turn instead
+    with one worker, where fork is unavailable, or while another thread
+    runs: a forked child gets no copy of that thread, and would wait
+    forever on any lock it held. A worker's exception cancels the queued
+    groups and is raised here, once every worker has been joined, so no
+    process outlives the call.
     """
     workers = _worker_count(len(groups))
     context = None
@@ -425,9 +473,12 @@ def _train_groups(groups, train: Dataset, test: Dataset | None) -> list:
         return list(map(_train_fresh, groups, repeat(train), repeat(test)))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_start_worker,
+        initargs=(train, test, workers),
+    ) as pool:
         try:
-            return list(pool.map(_train_fresh, groups, repeat(train), repeat(test)))
+            return list(pool.map(_train_shared, groups))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

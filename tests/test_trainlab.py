@@ -5,6 +5,7 @@ import logging
 import math
 import multiprocessing
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -570,8 +571,27 @@ def draw_pids(monkeypatch, tmp_path):
     return pids
 
 
+class _UnpicklableDataset(trainlab.Dataset):
+    """A dataset that fails the moment anything pickles it."""
+
+    def __reduce__(self):
+        raise AssertionError("dataset pickled")
+
+
 class TestSweepWorkers:
     """The sweep's groups trained in forked worker processes."""
+
+    def test_datasets_reach_workers_unpickled(self, monkeypatch, draw_pids):
+        depths, etas, base, train, test = _grid_inputs("hard_tanh", True)
+        alone = lr_depth_sweep(depths, etas, base, train, test)
+        train, test = (_UnpicklableDataset(d.inputs, d.labels, d.classes) for d in (train, test))
+        with pytest.raises(AssertionError, match="dataset pickled"):
+            pickle.dumps(train)  # the guard works
+        monkeypatch.setattr(trainlab, "GROUP_BYTES", 1)  # one group per cell
+        monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
+        pooled = lr_depth_sweep(depths, etas, base, train, test)
+        assert str(os.getpid()) not in _pids(draw_pids)
+        _assert_same_cells(pooled.cells, alone.cells)
 
     @pytest.mark.parametrize("group_bytes", [trainlab.GROUP_BYTES, 1])
     @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
@@ -623,6 +643,24 @@ class TestSweepWorkers:
         assert type(err.value) is NumericalError
         assert str(err.value) != f"forced failure in process {os.getpid()}"
         assert multiprocessing.active_children() == []
+
+    def test_workers_split_the_blas_threads(self):
+        code = (
+            "import ctypes, pathlib, numpy, isospec.trainlab as t\n"
+            "libs = (pathlib.Path(numpy.__file__).parent.parent / 'numpy.libs').glob('*openblas*')\n"
+            "lib = next((ctypes.CDLL(str(p)) for p in libs), None)\n"
+            "get = next((getattr(lib, g) for g, _ in t._OPENBLAS_THREADS if hasattr(lib, g)), None)\n"
+            "if get is None: raise SystemExit('no bundled OpenBLAS')\n"
+            "before = get(); t._split_blas_threads(2); print(before, get())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="4")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        if run.returncode and "no bundled OpenBLAS" in run.stderr:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        assert run.returncode == 0, run.stderr
+        before, after = map(int, run.stdout.split())  # OpenBLAS caps at the CPU count
+        assert after == max(1, before // 2)
 
     def test_worker_count_is_capped_by_groups(self):
         assert trainlab._worker_count(1) == 1
