@@ -32,9 +32,7 @@ from .freeconv import (
     free_mult_conv_two_atom,
     max_support_track,
     mean_track,
-    propagate_layer,
     propagate_schedule,
-    s_transform_two_atom,
     solve_three_layer,
     theta_mean_limit,
 )
@@ -54,7 +52,6 @@ from .rmtsim import (
     ForwardTrace,
     OrthogonalNet,
     dual_fim,
-    eig_sym,
     empirical_measure,
     forward_trace,
     network_fim_sample,
@@ -65,12 +62,9 @@ from .trainlab import (
     Dataset,
     SweepResult,
     TrainConfig,
-    TrainResult,
     load_idx,
     lr_depth_sweep,
-    online_gd_step,
     synth_dataset,
-    train_run,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

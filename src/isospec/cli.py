@@ -200,10 +200,10 @@ def _resolve(args: argparse.Namespace) -> dict:
             if kind is not None and (value is not None or default is not None):
                 value = _typed(value, kind, key)
             merged[key] = value
-    for key in table:
+    for key, (_, kind, _) in table.items():
         value = getattr(args, key)
         if value is not None:
-            merged[key] = value
+            merged[key] = value if kind is None else _typed(value, kind, key)
     for (command, choice, value), unread in UNREAD.items():
         if command == args.command and merged[choice] == value:
             for key in unread:
@@ -229,8 +229,12 @@ def _checked(path: str, build, *args, **kwargs):
 
 def _typed(value, kind, path: str):
     """`value` as `kind`: strings parse as on the command line, other
-    values must convert unchanged (2.5 is not an int)."""
+    values must convert unchanged (2.5 is not an int), and no number may
+    be NaN or infinite."""
+    _require(not isinstance(value, float) or math.isfinite(value), path,
+             f"{value!r} is not finite")
     out = _checked(path, kind, value)
+    _require(kind is not float or math.isfinite(out), path, f"{value!r} is not finite")
     _require(out == value or (isinstance(value, str) and kind in (int, float)),
              path, f"{value!r} is not a {kind.__name__}")
     return out
@@ -266,7 +270,8 @@ def _activation_from_dict(d: dict, path: str):
     _require(isinstance(family, str) and family in FAMILIES, f"{path}.family",
              f"unknown family {family!r}")
     cls, keys = FAMILIES[family]
-    return _checked(path, lambda: cls(**{k: float(d[k]) for k in keys}))
+    params = {k: _typed(d[k], float, f"{path}.{k}") for k in keys if k in d}
+    return _checked(path, cls, **params)
 
 
 def _activation_to_dict(spec) -> dict:

@@ -193,15 +193,6 @@ class LayerError(NumericalError):
 # ----------------------------------------------------------------------
 
 
-def s_transform_two_atom(nu: TwoAtomJacobianLaw, z):
-    """S_nu(z) = (z + 1) / (gamma (z + alpha)) for the two-atom law."""
-    z = complex(z) if np.isscalar(z) else np.asarray(z, dtype=complex)
-    pole = np.abs(z + nu.alpha)
-    if np.any(pole < 1e-12 * (1.0 + abs(nu.alpha))):
-        raise ValueError(f"S-transform pole at z = {-nu.alpha}")
-    return (z + 1.0) / (nu.gamma * (z + nu.alpha))
-
-
 def atom_rule(wa: float, wb: float) -> float:
     """Weight of the product atom: max(wa + wb - 1, 0)."""
     if not (0.0 <= wa <= 1.0 and 0.0 <= wb <= 1.0):
@@ -486,27 +477,9 @@ def _newton(locs, masses, nu, z, w, iters, idx, work, tol, max_iter):
 # ----------------------------------------------------------------------
 
 
-def propagate_layer(
-    mu_l: SpectralMeasure,
-    nu_l: TwoAtomJacobianLaw,
-    sigma_next: float,
-    q_l: float,
-    *,
-    return_stats: bool = False,
-    **grid_kwargs,
-):
-    """One layer of the spectrum recursion:
-    (q_l + sigma_next^2 * .)_* (nu_l boxtimes mu_l).
-
-    With `return_stats`, also returns the convolution's ConvolutionStats.
-    """
-    conv, stats = free_mult_conv_two_atom(mu_l, nu_l, return_stats=True, **grid_kwargs)
-    result = affine_pushforward(conv, sigma_next**2, q_l)
-    return (result, stats) if return_stats else result
-
-
 def propagate_schedule(schedule: LayerSchedule, *, return_stats: bool = False, **grid_kwargs):
-    """All measures mu_1 .. mu_L along the schedule; mu_1 = delta_{q_0}.
+    """All measures mu_1 .. mu_L along the schedule: mu_1 = delta_{q_0} and
+    mu_{l+1} = (q_l + sigma_{l+1}^2 * .)_* (nu_l boxtimes mu_l).
 
     With `return_stats`, also returns one ConvolutionStats per layer, the
     all-zero record for mu_1 and for layers that need no numeric solve.
@@ -517,14 +490,10 @@ def propagate_schedule(schedule: LayerSchedule, *, return_stats: bool = False, *
     stats = [_TRIVIAL_STATS]
     for ell in range(1, schedule.depth):
         try:
-            mu, st = propagate_layer(
-                out[-1],
-                schedule.jacobians[ell - 1],
-                schedule.sigma[ell],
-                schedule.q[ell],
-                return_stats=True,
-                **grid_kwargs,
+            conv, st = free_mult_conv_two_atom(
+                out[-1], schedule.jacobians[ell - 1], return_stats=True, **grid_kwargs
             )
+            mu = affine_pushforward(conv, schedule.sigma[ell] ** 2, schedule.q[ell])
         except NumericalError as exc:
             raise LayerError(ell + 1, str(exc), out, stats) from exc
         out.append(mu)
@@ -555,11 +524,12 @@ def solve_three_layer(
     lives on [lambda_minus, lambda_plus]. Cell masses are integrated in
     the angular variable x = mid - (width/2) cos(theta), where the
     integrand is smooth even at the inverse-square-root edges, so the
-    sampled grid carries the exact continuous mass.
+    sampled grid carries the exact continuous mass. When an alpha is 1
+    the atoms carry all the mass and there is no density.
     """
     for name, val in (("alpha1", alpha1), ("alpha2", alpha2)):
-        if not 0.0 < val < 1.0:
-            raise ValueError(f"{name} must be in (0, 1), got {val}")
+        if not 0.0 < val <= 1.0:
+            raise ValueError(f"{name} must be in (0, 1], got {val}")
     for name, val in (
         ("q0", q0), ("q1", q1), ("q2", q2),
         ("sigma2", sigma2), ("sigma3", sigma3),
@@ -582,6 +552,8 @@ def solve_three_layer(
         (lam_mid, max(alpha2 - alpha1, 0.0)),
         (lam_max, max(alpha1 + alpha2 - 1.0, 0.0)),
     ]
+    if alpha1 == 1.0 or alpha2 == 1.0:
+        return SpectralMeasure.from_atoms(atom_pairs)
     target = 1.0 - sum(w for _, w in atom_pairs)
 
     width = lam_plus - lam_minus

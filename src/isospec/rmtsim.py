@@ -30,7 +30,6 @@ from .meanfield import ActivationSpec, activation_apply, activation_deriv
 from .specmeasure import GridDensity, NumericalError, SpectralMeasure
 
 ORTHO_TOL = 1e-10
-SYM_TOL = 1e-8
 NTK_MAX_SIZE = 4096
 
 
@@ -103,9 +102,7 @@ class OrthogonalNet:
     """Depth-L, width-M network with scaled-orthogonal weights.
 
     weights[l] is W_{l+1} = sigma_{l+1} Q with Q orthogonal; the
-    orthogonality of every W/sigma is checked at construction. Training
-    code mutates `weights` afterwards, so the check certifies the
-    initial state only.
+    orthogonality of every W/sigma is checked at construction.
     """
 
     width: int
@@ -132,16 +129,6 @@ class OrthogonalNet:
         sig = _layer_sigmas(sigma, depth)
         weights = list(_haar_layers(width, sig, np.random.default_rng(seed)))
         return cls(width, depth, weights, sig, activation, seed)
-
-    def copy(self) -> "OrthogonalNet":
-        clone = object.__new__(OrthogonalNet)
-        clone.width = self.width
-        clone.depth = self.depth
-        clone.weights = [w.copy() for w in self.weights]
-        clone.sigma = self.sigma
-        clone.activation = self.activation
-        clone.seed = self.seed
-        return clone
 
 
 @dataclass
@@ -378,30 +365,6 @@ class EigenReport:
             histogram=(edges, counts),
             atom_mass_near_max=near,
         )
-
-
-def eig_sym(a: np.ndarray, bin_count: int = 64, atom_window: float = 0.01) -> EigenReport:
-    """Full spectrum of a symmetric matrix, summarized by EigenReport.
-
-    The input must be symmetric to 1e-8; it is then symmetrized exactly
-    before the solve. A handful of recomputed eigenpairs are checked
-    against ||A v - lambda v|| <= 1e-8 ||A||.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("need a square matrix")
-    asym = np.abs(a - a.T).max()
-    if asym >= SYM_TOL:
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.2e}")
-    sym = (a + a.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    scale = max(np.abs(vals).max(), 1e-300)
-    spot = np.linspace(0, len(vals) - 1, min(5, len(vals)), dtype=int)
-    for i in spot:
-        resid = np.linalg.norm(sym @ vecs[:, i] - vals[i] * vecs[:, i])
-        if resid > 1e-8 * scale:
-            raise NumericalError(f"eigenpair residual {resid:.2e} exceeds tolerance")
-    return EigenReport.from_eigenvalues(vals, bin_count, atom_window)
 
 
 def empirical_measure(

@@ -4,9 +4,9 @@ Small training harness for the square orthogonal networks: IDX file
 ingestion, synthetic cluster datasets with orthonormal class targets,
 per-sample (online) gradient descent on the MSE loss ||f - y||^2 / (2M),
 and the (depth, learning rate) sweep that locates the divergence
-boundary to compare against eta = 2 / lambda_max. The sweep steps the
-cells of one depth together as stacks of weights, and trains the stacks
-on worker processes; a single run is the one-cell case of the same step.
+boundary to compare against eta = 2 / lambda_max. The sweep is the only
+trainer: it steps the cells of one depth together as stacks of weights
+and trains the stacks on worker processes.
 """
 
 import logging
@@ -14,7 +14,7 @@ import math
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -24,6 +24,8 @@ from .rmtsim import OrthogonalNet
 
 logger = logging.getLogger(__name__)
 
+# Reported losses are clamped at LOSS_CLAMP, and a cell diverges once a
+# layer's Frobenius norm passes BLOWUP_FACTOR times its initial value.
 LOSS_CLAMP = 10.0
 BLOWUP_FACTOR = 1e3
 # Byte budget for the weights of one group of sweep cells trained as a
@@ -130,8 +132,8 @@ class Dataset:
 def synth_dataset(M: int, n: int, classes: int, seed: int) -> Dataset:
     """Gaussian cluster dataset: per-class random centers plus unit noise,
     labels balanced, everything normalized to q_hat = 1."""
-    if classes > M:
-        raise ValueError("classes must not exceed the width")
+    if not 1 <= classes <= M:
+        raise ValueError(f"classes must be in [1, {M}], got {classes}")
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -157,7 +159,7 @@ def idx_dataset(images_path, labels_path, classes: int = 10, limit: int | None =
 
 @dataclass
 class TrainConfig:
-    """Knobs for one training run."""
+    """Knobs for one training run: one sweep cell."""
 
     depth: int
     width: int
@@ -166,16 +168,12 @@ class TrainConfig:
     steps: int
     sigma: float = 1.0
     seed: int = 0
-    blowup_factor: float = BLOWUP_FACTOR
-    loss_clamp: float = LOSS_CLAMP
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
         if self.steps < 1 or self.depth < 1 or self.width < 2:
             raise ValueError("steps, depth >= 1 and width >= 2 required")
-        if self.blowup_factor <= 1:
-            raise ValueError("blowup_factor must exceed 1")
 
 
 def _layers(weights, activation, x):
@@ -249,44 +247,31 @@ def _group_step(weights: np.ndarray, activation, x, y, etas, scratch: np.ndarray
     return loss, ok, norms
 
 
-def online_gd_step(net: OrthogonalNet, x: np.ndarray, y: np.ndarray, eta: float):
-    """One SGD step on loss(x, y) = ||h^L - y||^2 / (2M), updating the
-    network in place: the one-cell case of the stacked step.
-
-    Returns (pre-update loss, ok). A non-finite loss or gradient leaves
-    the weights untouched and reports ok=False.
-    """
-    weights = np.stack(net.weights)[:, None]
-    loss, ok, _ = _group_step(
-        weights, net.activation, x[None], y[None], np.array([eta]), np.empty_like(weights[0])
-    )
-    if ok[0]:
-        for w, new in zip(net.weights, weights[:, 0]):
-            w[...] = new
-    return float(loss[0]), bool(ok[0])
-
-
 NONFINITE_LOSS = "nonfinite_loss"
 NONFINITE_GRADIENT = "nonfinite_gradient"
 NORM_BLOWUP = "norm_blowup"
 
 
 @dataclass
-class TrainResult:
-    """Per-step losses plus end-of-run metrics for one configuration.
+class SweepCell:
+    """One (depth, eta) cell: its metrics and how its run ended.
 
-    A diverged run records its cause: NONFINITE_LOSS, NONFINITE_GRADIENT
+    A diverged cell records its cause: NONFINITE_LOSS, NONFINITE_GRADIENT
     or NORM_BLOWUP, the last with the first layer (1-based) whose norm
-    passed its limit.
+    passed its limit. `steps` counts the steps run, the divergent one
+    included.
     """
 
-    losses: np.ndarray
-    diverged: bool
-    diverged_at: int | None
+    depth: int
+    eta: float
+    seed: int
     train_loss: float
+    test_loss: float
     train_acc: float
-    test_loss: float = math.nan
-    test_acc: float = math.nan
+    test_acc: float
+    diverged: bool
+    steps: int
+    diverged_at: int | None = None
     cause: str | None = None
     layer: int | None = None
 
@@ -313,33 +298,28 @@ def _evaluate(weights, activation, data: Dataset):
     return total / data.size, hits / data.size
 
 
-def evaluate(net: OrthogonalNet, data: Dataset):
-    """Mean loss and top-1 accuracy of the current weights on a dataset."""
-    return _evaluate(net.weights, net.activation, data)
-
-
 def _train_group(configs, weights: np.ndarray, train: Dataset, test: Dataset | None):
-    """Train a stack of cells side by side; one TrainResult per cell.
+    """Train a stack of cells side by side; one SweepCell per cell.
 
     weights is (L, A, M, M), cell a starting from weights[:, a] and
     trained under configs[a]. The configs differ in eta and seed only.
     Each cell follows its own sample order and leaves the stack at its
-    divergence step; survivors are evaluated one by one.
+    divergence step: a step that is not finite, or a layer whose norm
+    passes BLOWUP_FACTOR times its initial value. Survivors are
+    evaluated one by one. Reported losses are clamped at LOSS_CLAMP.
     """
     first = configs[0]
-    steps, clamp = first.steps, first.loss_clamp
     orders = np.stack(
         [np.random.default_rng(c.seed + 0x5EED).permutation(train.size) for c in configs]
     )
     etas = np.array([c.eta for c in configs])
     with np.errstate(over="ignore"):
-        limits = first.blowup_factor * _norms(weights)
+        limits = BLOWUP_FACTOR * _norms(weights)
     eye = np.eye(train.width)
-    losses = np.empty((len(configs), steps))
     stops = {}  # cell -> (step, cause, layer)
     live = np.arange(len(configs))
     scratch = np.empty_like(weights[0])
-    for step in range(steps):
+    for step in range(first.steps):
         if not live.size:
             break
         idx = orders[live, step % train.size]
@@ -347,7 +327,6 @@ def _train_group(configs, weights: np.ndarray, train: Dataset, test: Dataset | N
             weights, first.activation, train.inputs[idx], eye[train.labels[idx]], etas[live],
             scratch[: live.size],
         )
-        losses[live, step] = np.where(np.isfinite(loss), np.minimum(loss, clamp), clamp)
         over = norms > limits[:, live]
         leave = ~ok | over.any(axis=0)
         if not leave.any():
@@ -364,29 +343,28 @@ def _train_group(configs, weights: np.ndarray, train: Dataset, test: Dataset | N
             w[: keep.size] = w[keep]
         weights, live = weights[:, : keep.size], live[keep]
 
-    results = []
+    cells = []
     survivors = {int(cell): k for k, cell in enumerate(live)}
     no_test = (math.nan, math.nan)
-    for cell in range(len(configs)):
+    for cell, c in enumerate(configs):
         if cell in survivors:
             w = weights[:, survivors[cell]]
             train_loss, train_acc = _evaluate(w, first.activation, train)
             test_loss, test_acc = (
                 _evaluate(w, first.activation, test) if test is not None else no_test
             )
-            run = TrainResult(  # min(nan, clamp) is nan: no test set stays NaN
-                losses[cell].copy(), False, None, min(train_loss, clamp), train_acc,
-                min(test_loss, clamp), test_acc,
-            )
+            cells.append(SweepCell(  # min(nan, LOSS_CLAMP) is nan: no test set stays NaN
+                c.depth, c.eta, c.seed, min(train_loss, LOSS_CLAMP), min(test_loss, LOSS_CLAMP),
+                train_acc, test_acc, diverged=False, steps=first.steps,
+            ))
         else:
             step, cause, layer = stops[cell]
-            test_loss, test_acc = (clamp, 0.0) if test is not None else no_test
-            run = TrainResult(
-                losses[cell, : step + 1].copy(), True, step, clamp, 0.0, test_loss, test_acc,
-                cause, layer,
-            )
-        results.append(run)
-    return results
+            test_loss, test_acc = (LOSS_CLAMP, 0.0) if test is not None else no_test
+            cells.append(SweepCell(
+                c.depth, c.eta, c.seed, LOSS_CLAMP, test_loss, 0.0, test_acc, diverged=True,
+                steps=step + 1, diverged_at=step, cause=cause, layer=layer,
+            ))
+    return cells
 
 
 def _train_fresh(configs, train: Dataset, test: Dataset | None):
@@ -496,48 +474,6 @@ def _sampled_stack(configs) -> np.ndarray:
     return stack
 
 
-def train_run(
-    config: TrainConfig,
-    train: Dataset,
-    test: Dataset | None = None,
-    net: OrthogonalNet | None = None,
-) -> TrainResult:
-    """One epoch of online gradient descent over a shuffled sample stream.
-
-    The run aborts as diverged when a step produces a non-finite value
-    or any layer's Frobenius norm exceeds blowup_factor times its
-    initial value. Reported losses are clamped at loss_clamp. `net`,
-    when given, replaces the seeded draw as the initial network and is
-    left unchanged. This is the one-cell case of the sweep's stacked
-    training.
-    """
-    if train.width != config.width:
-        raise ValueError("dataset width does not match the config")
-    if net is None:
-        net = OrthogonalNet.sample(
-            config.width, config.depth, config.activation, config.sigma, config.seed
-        )
-    return _train_group([config], np.stack(net.weights)[:, None], train, test)[0]
-
-
-@dataclass
-class SweepCell:
-    """One (depth, eta) cell: its metrics and how its run ended."""
-
-    depth: int
-    eta: float
-    seed: int
-    train_loss: float
-    test_loss: float
-    train_acc: float
-    test_acc: float
-    diverged: bool
-    steps: int
-    diverged_at: int | None = None
-    cause: str | None = None
-    layer: int | None = None
-
-
 @dataclass
 class SweepResult:
     """Grid of training outcomes plus the estimated stability boundary.
@@ -603,8 +539,9 @@ def lr_depth_sweep(
     divergence step. No group shares work with another, so the groups
     of every depth are built first and trained in forked worker
     processes, one per available CPU (see _train_groups). The results
-    are identical, bit for bit, to training each cell alone with
-    train_run in this process. Each SweepCell also records how its run
+    are identical, bit for bit, to training each cell alone, one sample
+    at a time, as the plain loop _ref_cell in tests/test_trainlab.py
+    does. Each SweepCell also records how its run
     ended: the steps run, the divergence step and its cause, with the
     layer of a norm blow-up. A depth whose divergence is not monotone in
     eta gets one warning, from estimate_boundary.
@@ -619,41 +556,14 @@ def lr_depth_sweep(
     groups = []
     for di, depth in enumerate(depths):
         row = [
-            TrainConfig(
-                depth=depth,
-                width=width,
-                activation=base_config.activation,
-                eta=eta,
-                steps=base_config.steps,
-                sigma=base_config.sigma,
-                seed=base_config.seed + 100_003 * di + 1_009 * ei,
-                blowup_factor=base_config.blowup_factor,
-                loss_clamp=base_config.loss_clamp,
-            )
+            replace(base_config, depth=depth, eta=eta,
+                    seed=base_config.seed + 100_003 * di + 1_009 * ei)
             for ei, eta in enumerate(etas)
         ]
         size = max(1, GROUP_BYTES // (depth * width * width * 8))
         groups += [row[start : start + size] for start in range(0, len(row), size)]
 
-    result = SweepResult()
-    for group, runs in zip(groups, _train_groups(groups, train, test)):
-        for config, run in zip(group, runs):
-            result.cells.append(
-                SweepCell(
-                    depth=config.depth,
-                    eta=config.eta,
-                    seed=config.seed,
-                    train_loss=run.train_loss,
-                    test_loss=run.test_loss,
-                    train_acc=run.train_acc,
-                    test_acc=run.test_acc,
-                    diverged=run.diverged,
-                    steps=len(run.losses),
-                    diverged_at=run.diverged_at,
-                    cause=run.cause,
-                    layer=run.layer,
-                )
-            )
+    result = SweepResult([cell for cells in _train_groups(groups, train, test) for cell in cells])
     for di, depth in enumerate(depths):
         row = result.cells[di * len(etas) : (di + 1) * len(etas)]
         result.boundary[depth] = estimate_boundary(

@@ -24,9 +24,9 @@ from isospec.freeconv import (
 )
 from isospec.meanfield import HardTanh, Linear, mean_field_schedule, tune_constant_q
 from isospec.rmtsim import (
+    EigenReport,
     OrthogonalNet,
     dual_fim,
-    eig_sym,
     empirical_measure,
     model_fim_sample,
     network_fim_sample,
@@ -41,7 +41,7 @@ from isospec.specmeasure import (
     moment,
     stieltjes_invert,
 )
-from isospec.trainlab import TrainConfig, lr_depth_sweep, online_gd_step, synth_dataset
+from isospec.trainlab import TrainConfig, _group_step, lr_depth_sweep, synth_dataset
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,11 @@ def report(request):
 def _dual_fim(width, depth, activation, sigma, seed):
     x = normalized_input(width, np.random.default_rng(seed ^ 0x5A5A))
     return network_fim_sample(width, depth, activation, sigma, seed, x)
+
+
+def _eigen_report(h):
+    """The CLI's eigen report of a symmetric matrix."""
+    return EigenReport.from_eigenvalues(np.linalg.eigvalsh(h))
 
 
 def test_criterion_1_three_layer_closed_form(report):
@@ -103,13 +108,13 @@ def test_criterion_2_depth_three_panels(report):
         t0 = time.monotonic()
         theory = propagate_schedule(mean_field_schedule(spec, 1.0, 3))[-1]
         h = _dual_fim(M, 3, spec, 1.0, seed=seed)
-        emp = empirical_measure(eig_sym(h), bins)
+        emp = empirical_measure(_eigen_report(h), bins)
         results.append((name, distance_L1(emp, theory, bins), time.monotonic() - t0))
     t0 = time.monotonic()
     theory = propagate_schedule(LayerSchedule.constant(3, 1.0, 1.0, 0.5, 1.0))[-1]
     h = model_fim_sample(M, [1, 1, 1], [1, 1, 1], [0.5, 0.5], [1, 1],
                          np.random.default_rng(5))
-    emp = empirical_measure(eig_sym(h), bins)
+    emp = empirical_measure(_eigen_report(h), bins)
     results.append(("half-half atoms", distance_L1(emp, theory, bins),
                     time.monotonic() - t0))
     ok = all(l1 < 0.1 and dt < 300 for _, l1, dt in results)
@@ -254,30 +259,32 @@ def test_criterion_8_boundary_monotone(report, lr_sweep_boundaries):
 
 
 def test_criterion_9_property_suites(report):
-    # gradient vs centered finite differences, sampled entries off kinks
-    net = OrthogonalNet.sample(8, 3, HardTanh(1.0, 1.0), sigma=1.0, seed=3)
+    # gradient of the sweep's step, at one cell, vs centered finite
+    # differences, sampled entries off kinks
+    act = HardTanh(1.0, 1.0)
+    weights = np.stack(OrthogonalNet.sample(8, 3, act, sigma=1.0, seed=3).weights)[:, None]
     rng = np.random.default_rng(99)
-    x = normalized_input(8, rng)
-    y = np.eye(8)[0]
+    x = normalized_input(8, rng)[None]
+    y = np.eye(8)[:1]
 
-    def loss_of(n):
-        c = n.copy()
-        loss, _ = online_gd_step(c, x, y, 0.0)
-        return loss
+    def step(stack, eta):
+        """Pre-update loss of one step of the stack, stepped in place."""
+        loss, _, _ = _group_step(stack, act, x, y, np.array([eta]), np.empty_like(stack[0]))
+        return float(loss[0])
 
-    stepped = net.copy()
-    online_gd_step(stepped, x, y, 1.0)
+    stepped = weights.copy()
+    step(stepped, 1.0)
     grad_err = 0.0
     h = 1e-6
     for ell in range(3):
-        grad = net.weights[ell] - stepped.weights[ell]
+        grad = weights[ell, 0] - stepped[ell, 0]
         for _ in range(4):
             i, j = rng.integers(0, 8, size=2)
             probes = []
             for sgn in (1.0, -1.0):
-                p = net.copy()
-                p.weights[ell][i, j] += sgn * h
-                probes.append(loss_of(p))
+                p = weights.copy()
+                p[ell, 0, i, j] += sgn * h
+                probes.append(step(p, 0.0))
             fd = (probes[0] - probes[1]) / (2 * h)
             grad_err = max(grad_err, abs(fd - grad[i, j]) / max(abs(fd), 1e-12))
 

@@ -94,6 +94,16 @@ class TestTheory:
         assert _run("theory", "--out", tmp_path / "x", "--depth", 4,
                     "--alpha", "0.5,0.6") == 2
 
+    @pytest.mark.parametrize("alpha", ["1", "0.5,1", "1,0.5"])
+    def test_alpha_one_closed_form_is_the_atoms(self, alpha, tmp_path):
+        out = tmp_path / "a"
+        assert _run("theory", "--out", out, "--depth", 3, "--alpha", alpha) == 0
+        assert (out / "config.json").exists()
+        mu = SpectralMeasure.from_json((out / "mu_003.json").read_text())
+        closed = SpectralMeasure.from_json((out / "mu_003_closed.json").read_text())
+        assert closed.density is None
+        assert closed.atoms == mu.atoms
+
 
 class TestTune:
     def test_constant_q_mode_writes_reference_values(self, tmp_path, capsys):
@@ -338,6 +348,12 @@ class TestSweep:
         assert _run("sweep", "--out", x, "--eta-min", 2.0, "--eta-max", 1.0,
                     *self.SMALL) == 2
 
+    @pytest.mark.parametrize("classes", [0, -1])
+    def test_class_count_below_one_is_config_error(self, classes, tmp_path, capsys):
+        assert _run("sweep", "--out", tmp_path / "x", "--depths", "1", "--etas", "0.1",
+                    *self.SMALL, "--classes", classes) == 2
+        assert "classes must be in [1, 16]" in capsys.readouterr().err
+
 
 class TestCompare:
     def _measure_file(self, path, atoms):
@@ -432,6 +448,7 @@ BAD_INPUTS = [
     _case(["sweep", "--g", "2"], id="argv23-None"),
     _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--width", "1"]),
     _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--depth", "0"]),
+    _case(["theory"], {"depth": float("inf")}),
 ]
 
 
@@ -443,6 +460,28 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
         argv = argv + ["--config", conf]
     assert _run(*argv, "--out", tmp_path / "x") == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--sigma", "nan"],
+    ["theory", "--q", "inf"],
+    ["theory", "--gamma", "inf"],
+    ["simulate", "--model", "atoms", "--gamma", "inf"],
+    ["simulate", "--family", "linear", "--g", "inf"],
+    ["sweep", "--sigma", "inf"],
+    ["sweep", "--etas", "inf"],
+], ids=" ".join)
+def test_non_finite_number_exits_2(argv, tmp_path, capsys):
+    assert _run(*argv, "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "is not finite" in err
+
+
+def test_non_finite_activation_file_value_exits_2(tmp_path, capsys):
+    tune = tmp_path / "tune.json"
+    tune.write_text(json.dumps({"spec": {"family": "linear", "g": float("inf")}}))
+    assert _run("simulate", "--out", tmp_path / "x", "--activation-file", tune) == 2
+    assert "activation_file.spec.g: inf is not finite" in capsys.readouterr().err
 
 
 def test_unread_flag_at_its_default_is_accepted(tmp_path):

@@ -18,9 +18,7 @@ from isospec.freeconv import (
     free_mult_conv_two_atom,
     max_support_track,
     mean_track,
-    propagate_layer,
     propagate_schedule,
-    s_transform_two_atom,
     solve_three_layer,
     theta_mean_limit,
     _atomize,
@@ -65,24 +63,6 @@ class TestLayerSchedule:
         assert sched.depth == 4
         assert len(sched.jacobians) == 3
         assert sched.sigma == (0.9,) * 4
-
-
-class TestSTransform:
-    def test_identity_law(self):
-        for z in (0.5, 1.0 + 1.0j, -0.2 + 0.3j):
-            assert s_transform_two_atom(TwoAtomJacobianLaw(1.0, 1.0), z) == pytest.approx(1.0)
-
-    def test_plug_in_value(self):
-        val = s_transform_two_atom(TwoAtomJacobianLaw(0.5, 2.0), 0.5)
-        assert val == pytest.approx(0.75)
-
-    def test_large_z_limit(self):
-        val = s_transform_two_atom(TwoAtomJacobianLaw(0.5, 1.0), 1e9)
-        assert val == pytest.approx(1.0, rel=1e-6)
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            s_transform_two_atom(TwoAtomJacobianLaw(0.5, 1.0), -0.5)
 
 
 class TestAtomRule:
@@ -252,15 +232,21 @@ class TestFreeMultConv:
         assert np.all(out.density.values[inside] > 0)
 
 
+def _second_layer(q0, q1, sigma, alpha, gamma):
+    """mu_2 of the depth-2 schedule: one layer of the recursion from delta_{q0}."""
+    nu = TwoAtomJacobianLaw(alpha, gamma)
+    return propagate_schedule(LayerSchedule(q=(q0, q1), sigma=(1.0, sigma), jacobians=(nu,)))[-1]
+
+
 class TestPropagateLayer:
     def test_all_identity_layer(self):
-        out = propagate_layer(SpectralMeasure.dirac(1.0), TwoAtomJacobianLaw(1.0, 1.0), 1.0, 1.0)
+        out = _second_layer(1.0, 1.0, 1.0, 1.0, 1.0)
         assert out.atom_weight(2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_atom_formula(self):
         # delta_{q0} in: (1 - alpha) delta_{q1} + alpha delta_{q1 + s^2 g q0}
         q0, q1, sigma, alpha, gamma = 1.3, 0.8, 1.1, 0.75, 1.6
-        out = propagate_layer(SpectralMeasure.dirac(q0), TwoAtomJacobianLaw(alpha, gamma), sigma, q1)
+        out = _second_layer(q0, q1, sigma, alpha, gamma)
         assert out.atom_weight(q1) == pytest.approx(1 - alpha, abs=1e-6)
         assert out.atom_weight(q1 + sigma**2 * gamma * q0) == pytest.approx(alpha, abs=1e-6)
 
@@ -436,9 +422,24 @@ class TestSolveThreeLayer:
         ref = 1.0 / (2 * np.pi * np.sqrt((x[inside] - 2.0) * (3.0 - x[inside])))
         assert np.max(np.abs(out.density.values[inside] - ref) / ref) < 0.05
 
+    @pytest.mark.parametrize("a1,a2", [(1.0, 1.0), (0.4, 1.0), (1.0, 0.4)])
+    def test_alpha_one_leaves_only_atoms(self, a1, a2):
+        # when an alpha is 1 the continuous part has no weight
+        sched = LayerSchedule(
+            q=(1.3, 0.8, 1.1),
+            sigma=(1.0, 0.9, 1.2),
+            jacobians=(TwoAtomJacobianLaw(a1, 1.4), TwoAtomJacobianLaw(a2, 0.7)),
+        )
+        numeric = propagate_schedule(sched)[-1]
+        closed = solve_three_layer(1.3, 0.8, 1.1, 0.9, 1.2, a1, a2, 1.4, 0.7)
+        assert closed.density is None and numeric.density is None
+        assert np.array(closed.atoms) == pytest.approx(np.array(numeric.atoms), rel=1e-12)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             solve_three_layer(1, 1, 1, 1, 1, 1.5, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            solve_three_layer(1, 1, 1, 1, 1, 0.5, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             solve_three_layer(-1, 1, 1, 1, 1, 0.5, 0.5, 1.0, 1.0)
 

@@ -19,20 +19,20 @@ from isospec.meanfield import HardTanh, Linear, activation_apply, activation_der
 from isospec.rmtsim import OrthogonalNet, normalized_input
 from isospec.specmeasure import NumericalError
 from isospec.trainlab import (
+    BLOWUP_FACTOR,
+    LOSS_CLAMP,
     NONFINITE_GRADIENT,
     NONFINITE_LOSS,
     NORM_BLOWUP,
     Dataset,
     SweepCell,
     TrainConfig,
+    _group_step,
     estimate_boundary,
-    evaluate,
     idx_dataset,
     load_idx,
     lr_depth_sweep,
-    online_gd_step,
     synth_dataset,
-    train_run,
 )
 
 
@@ -152,136 +152,149 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(4, 0, 2, seed=0)
 
+    @pytest.mark.parametrize("classes", [0, -1, 5])
+    def test_class_count_outside_the_width_is_rejected(self, classes):
+        with pytest.raises(ValueError, match=r"classes must be in \[1, 4\]"):
+            synth_dataset(4, 10, classes, seed=0)
 
-def _loss_of(net: OrthogonalNet, x: np.ndarray, y: np.ndarray) -> float:
+
+def _loss_of(weights, activation, x: np.ndarray, y: np.ndarray) -> float:
     cur = x
-    for ell in range(net.depth):
-        h = net.weights[ell] @ cur
-        if ell < net.depth - 1:
-            cur = activation_apply(net.activation, h)
-    return float((h - y) @ (h - y)) / (2.0 * net.width)
+    for ell, w in enumerate(weights):
+        h = w @ cur
+        if ell < len(weights) - 1:
+            cur = activation_apply(activation, h)
+    return float((h - y) @ (h - y)) / (2.0 * len(x))
+
+
+def _one_cell_step(weights, activation, x, y, eta):
+    """_group_step on a stack of one cell: (loss, ok, stepped weights).
+    `weights` is a list of (M, M) arrays and is left as it was."""
+    stack = np.stack(weights)[:, None]
+    loss, ok, _ = _group_step(
+        stack, activation, x[None], y[None], np.array([eta]), np.empty_like(stack[0])
+    )
+    return float(loss[0]), bool(ok[0]), list(stack[:, 0])
 
 
 class TestOnlineGdStep:
     def test_zero_eta_leaves_weights(self):
         net = OrthogonalNet.sample(8, 2, Linear(1.0), seed=0)
-        before = [w.copy() for w in net.weights]
         x = normalized_input(8, np.random.default_rng(0))
         y = np.zeros(8)
-        loss, ok = online_gd_step(net, x, y, 0.0)
+        loss, ok, stepped = _one_cell_step(net.weights, Linear(1.0), x, y, 0.0)
         assert ok
-        for w0, w1 in zip(before, net.weights):
+        for w0, w1 in zip(net.weights, stepped):
             np.testing.assert_array_equal(w0, w1)
 
     def test_reported_loss_matches_definition(self):
-        net = OrthogonalNet.sample(8, 3, HardTanh(s=1.0, g=1.0), seed=3)
+        act = HardTanh(s=1.0, g=1.0)
+        net = OrthogonalNet.sample(8, 3, act, seed=3)
         x = normalized_input(8, np.random.default_rng(3))
         y = np.zeros(8)
         y[0] = 1.0
-        expected = _loss_of(net, x, y)
-        loss, ok = online_gd_step(net.copy(), x, y, 0.1)
+        loss, ok, _ = _one_cell_step(net.weights, act, x, y, 0.1)
         assert ok
-        assert loss == pytest.approx(expected, abs=1e-12)
+        assert loss == pytest.approx(_loss_of(net.weights, act, x, y), abs=1e-12)
 
     def test_gradient_against_finite_differences(self):
         # seed 3 keeps every preactivation well away from the kink
-        net = OrthogonalNet.sample(8, 3, HardTanh(s=1.0, g=1.0), seed=3)
+        act = HardTanh(s=1.0, g=1.0)
+        weights = OrthogonalNet.sample(8, 3, act, seed=3).weights
         x = normalized_input(8, np.random.default_rng(3))
         y = np.zeros(8)
         y[0] = 1.0
-        stepped = net.copy()
-        online_gd_step(stepped, x, y, 1.0)
-        grads = [w0 - w1 for w0, w1 in zip(net.weights, stepped.weights)]
+        _, _, stepped = _one_cell_step(weights, act, x, y, 1.0)
+        grads = [w0 - w1 for w0, w1 in zip(weights, stepped)]
         h = 1e-6
         rng = np.random.default_rng(99)
         for ell in range(3):
             for _ in range(4):
                 i, j = rng.integers(0, 8, size=2)
-                plus, minus = net.copy(), net.copy()
-                plus.weights[ell][i, j] += h
-                minus.weights[ell][i, j] -= h
-                fd = (_loss_of(plus, x, y) - _loss_of(minus, x, y)) / (2 * h)
+                plus, minus = [w.copy() for w in weights], [w.copy() for w in weights]
+                plus[ell][i, j] += h
+                minus[ell][i, j] -= h
+                fd = (_loss_of(plus, act, x, y) - _loss_of(minus, act, x, y)) / (2 * h)
                 assert abs(fd - grads[ell][i, j]) < 1e-5
 
     def test_nonfinite_loss_reports_failure(self):
-        net = OrthogonalNet.sample(8, 2, Linear(1.0), seed=0)
-        net.weights[0] *= 1e200
-        before = [w.copy() for w in net.weights]
+        weights = OrthogonalNet.sample(8, 2, Linear(1.0), seed=0).weights
+        weights[0] *= 1e200
         x = normalized_input(8, np.random.default_rng(0))
-        loss, ok = online_gd_step(net, x, np.zeros(8), 0.1)
+        loss, ok, _ = _one_cell_step(weights, Linear(1.0), x, np.zeros(8), 0.1)
         assert not ok
-        for w0, w1 in zip(before, net.weights):
-            np.testing.assert_array_equal(w0, w1)
+        assert not math.isfinite(loss)
+
+
+def _one_cell(train, test=None, **config):
+    """The only cell of a sweep over one depth and one eta."""
+    base = TrainConfig(width=train.width, **config)
+    (cell,) = lr_depth_sweep([base.depth], [base.eta], base, train, test).cells
+    assert cell.seed == base.seed
+    return cell
 
 
 class TestEvaluate:
     def test_matches_single_step_loss(self):
         data = synth_dataset(8, 1, 2, seed=4)
         net = OrthogonalNet.sample(8, 2, Linear(1.0), seed=4)
-        probe = net.copy()
-        loss, _ = online_gd_step(probe, data.inputs[0], data.target(0), 0.0)
-        mean_loss, acc = evaluate(net, data)
-        assert mean_loss == pytest.approx(loss, abs=1e-12)
-        assert 0.0 <= acc <= 1.0
+        loss, _, _ = _one_cell_step(net.weights, Linear(1.0), data.inputs[0], data.target(0), 0.0)
+        cell = _one_cell(data, depth=2, activation=Linear(1.0), eta=0.0, steps=1, seed=4)
+        assert cell.train_loss == pytest.approx(loss, abs=1e-12)
+        assert 0.0 <= cell.train_acc <= 1.0
 
 
 class TestTrainRun:
     def test_small_eta_descends(self):
         data = synth_dataset(16, 32, 4, seed=0)
-        cfg = TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=1e-2, steps=200, seed=1)
-        r = train_run(cfg, data)
-        assert not r.diverged
-        assert r.losses[-20:].mean() < r.losses[:20].mean()
+        config = dict(depth=1, activation=Linear(1.0), steps=200, seed=1)
+        trained = _one_cell(data, eta=1e-2, **config)
+        untrained = _one_cell(data, eta=0.0, **config)
+        assert not trained.diverged
+        assert trained.train_loss < untrained.train_loss
 
     def test_moderate_eta_completes(self):
         data = synth_dataset(16, 32, 4, seed=0)
-        cfg = TrainConfig(
-            depth=4, width=16, activation=HardTanh(s=1.0, g=1.0), eta=0.1, steps=100, seed=2
-        )
-        r = train_run(cfg, data)
-        assert not r.diverged
-        assert r.train_loss < 0.5
+        cell = _one_cell(data, depth=4, activation=HardTanh(s=1.0, g=1.0), eta=0.1, steps=100,
+                         seed=2)
+        assert not cell.diverged
+        assert cell.train_loss < 0.5
 
     def test_extreme_eta_diverges_and_clamps(self):
         data = synth_dataset(16, 32, 4, seed=0)
-        cfg = TrainConfig(
-            depth=4, width=16, activation=HardTanh(s=1.0, g=1.0), eta=80.0, steps=100, seed=2
-        )
-        r = train_run(cfg, data)
-        assert r.diverged and r.diverged_at is not None
-        assert r.train_loss == cfg.loss_clamp
-        assert r.train_acc == 0.0
-        assert r.losses.max() <= cfg.loss_clamp
+        cell = _one_cell(data, depth=4, activation=HardTanh(s=1.0, g=1.0), eta=80.0, steps=100,
+                         seed=2)
+        assert cell.diverged and cell.diverged_at is not None
+        assert cell.steps == cell.diverged_at + 1
+        assert cell.train_loss == LOSS_CLAMP
+        assert cell.train_acc == 0.0
 
     def test_seeded_runs_are_identical(self):
         data = synth_dataset(16, 32, 4, seed=0)
-        cfg = TrainConfig(depth=2, width=16, activation=Linear(1.0), eta=0.05, steps=50, seed=5)
-        ra, rb = train_run(cfg, data), train_run(cfg, data)
-        np.testing.assert_array_equal(ra.losses, rb.losses)
+        config = dict(depth=2, activation=Linear(1.0), eta=0.05, steps=50, seed=5)
+        _assert_same_cells([_one_cell(data, **config)], [_one_cell(data, **config)])
 
     def test_test_metrics_follow_dataset_presence(self):
         data = synth_dataset(16, 32, 4, seed=0)
         test = synth_dataset(16, 16, 4, seed=9)
-        cfg = TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=0.01, steps=20, seed=0)
-        with_test = train_run(cfg, data, test)
+        config = dict(depth=1, activation=Linear(1.0), eta=0.01, steps=20, seed=0)
+        with_test = _one_cell(data, test, **config)
         assert math.isfinite(with_test.test_loss)
         assert 0.0 <= with_test.test_acc <= 1.0
-        without = train_run(cfg, data)
+        without = _one_cell(data, **config)
         assert math.isnan(without.test_loss) and math.isnan(without.test_acc)
 
     def test_rejects_width_mismatch(self):
         data = synth_dataset(8, 8, 2, seed=0)
         cfg = TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=0.01, steps=5)
         with pytest.raises(ValueError):
-            train_run(cfg, data)
+            lr_depth_sweep([1], [0.01], cfg, data)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=-0.1, steps=5)
         with pytest.raises(ValueError):
             TrainConfig(depth=0, width=16, activation=Linear(1.0), eta=0.1, steps=5)
-        with pytest.raises(ValueError):
-            TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=0.1, steps=5, blowup_factor=0.5)
 
 
 class TestEstimateBoundary:
@@ -393,20 +406,19 @@ def _ref_evaluate(weights, activation, data):
 
 
 def _ref_cell(config, train, test):
-    """(SweepCell, clamped per-step losses) of one cell."""
+    """The SweepCell of one cell, trained on its own."""
     net = OrthogonalNet.sample(
         config.width, config.depth, config.activation, config.sigma, config.seed
     )
     weights = net.weights
     order = np.random.default_rng(config.seed + 0x5EED).permutation(train.size)
     with np.errstate(over="ignore"):
-        limits = [config.blowup_factor * np.linalg.norm(w) for w in weights]
-    losses, stop = [], None
+        limits = [trainlab.BLOWUP_FACTOR * np.linalg.norm(w) for w in weights]
+    stop = None
     for step in range(config.steps):
         i = int(order[step % train.size])
-        loss, cause = _ref_step(weights, config.activation, train.inputs[i], train.target(i),
-                                config.eta)
-        losses.append(min(loss, config.loss_clamp) if math.isfinite(loss) else config.loss_clamp)
+        _, cause = _ref_step(weights, config.activation, train.inputs[i], train.target(i),
+                             config.eta)
         if cause is not None:
             stop = (step, cause, None)
             break
@@ -415,7 +427,7 @@ def _ref_cell(config, train, test):
         if any(over):
             stop = (step, NORM_BLOWUP, over.index(True) + 1)
             break
-    clamp = config.loss_clamp
+    clamp = trainlab.LOSS_CLAMP
     if stop is None:
         train_loss, train_acc = _ref_evaluate(weights, config.activation, train)
         train_loss = min(train_loss, clamp)
@@ -423,18 +435,18 @@ def _ref_cell(config, train, test):
         if test is not None:
             test_loss, test_acc = _ref_evaluate(weights, config.activation, test)
             test_loss = min(test_loss, clamp)
-        diverged_at, cause, layer = None, None, None
+        steps, diverged_at, cause, layer = config.steps, None, None, None
     else:
         train_loss, train_acc = clamp, 0.0
         test_loss, test_acc = (clamp, 0.0) if test is not None else (math.nan, math.nan)
         diverged_at, cause, layer = stop
-    cell = SweepCell(
+        steps = diverged_at + 1
+    return SweepCell(
         depth=config.depth, eta=config.eta, seed=config.seed, train_loss=train_loss,
         test_loss=test_loss, train_acc=train_acc, test_acc=test_acc,
-        diverged=stop is not None, steps=len(losses), diverged_at=diverged_at,
+        diverged=stop is not None, steps=steps, diverged_at=diverged_at,
         cause=cause, layer=layer,
     )
-    return cell, np.asarray(losses)
 
 
 def _ref_sweep(depths, etas, base, train, test):
@@ -445,7 +457,7 @@ def _ref_sweep(depths, etas, base, train, test):
             config = dataclasses.replace(
                 base, depth=depth, eta=eta, seed=base.seed + 100_003 * di + 1_009 * ei
             )
-            row.append(_ref_cell(config, train, test)[0])
+            row.append(_ref_cell(config, train, test))
         cells += row
         boundary[depth] = estimate_boundary(etas, [c.diverged for c in row])
     return cells, boundary
@@ -477,7 +489,7 @@ SWEEP_GRIDS = {
     ),
     "linear_overflow": dict(
         width=16, classes=4, depths=[1, 3], etas=[1e-3, 0.5, 1e100, 1e250],
-        config=dict(activation=Linear(1.0), steps=40, seed=3, blowup_factor=1e200),
+        config=dict(activation=Linear(1.0), steps=40, seed=3), blowup_factor=1e200,
     ),
     "gradient_overflow": dict(
         width=8, classes=2, depths=[2], etas=[1e-3, 0.1],
@@ -486,8 +498,9 @@ SWEEP_GRIDS = {
 }
 
 
-def _grid_inputs(name, with_test):
+def _grid_inputs(name, with_test, monkeypatch):
     grid = SWEEP_GRIDS[name]
+    monkeypatch.setattr(trainlab, "BLOWUP_FACTOR", grid.get("blowup_factor", BLOWUP_FACTOR))
     m = grid["width"]
     train = synth_dataset(m, 32, grid["classes"], seed=0)
     test = synth_dataset(m, 8, grid["classes"], seed=1) if with_test else None
@@ -498,8 +511,8 @@ def _grid_inputs(name, with_test):
 class TestStackedSweepMatchesReference:
     @pytest.mark.parametrize("with_test", [False, True])
     @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
-    def test_cells_and_boundaries_bit_equal(self, name, with_test):
-        depths, etas, base, train, test = _grid_inputs(name, with_test)
+    def test_cells_and_boundaries_bit_equal(self, name, with_test, monkeypatch):
+        depths, etas, base, train, test = _grid_inputs(name, with_test, monkeypatch)
         got = lr_depth_sweep(depths, etas, base, train, test)
         cells, boundary = _ref_sweep(depths, etas, base, train, test)
         _assert_same_cells(got.cells, cells)
@@ -507,35 +520,31 @@ class TestStackedSweepMatchesReference:
         for depth in depths:
             assert _same(got.boundary[depth], boundary[depth])
 
-    def test_grids_cover_every_outcome(self):
+    def test_grids_cover_every_outcome(self, monkeypatch):
         causes = set()
         for name in SWEEP_GRIDS:
-            causes |= {c.cause for c in lr_depth_sweep(*_grid_inputs(name, False)).cells}
+            inputs = _grid_inputs(name, False, monkeypatch)
+            causes |= {c.cause for c in lr_depth_sweep(*inputs).cells}
         assert causes == {None, NORM_BLOWUP, NONFINITE_LOSS, NONFINITE_GRADIENT}
 
     @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
     def test_one_cell_groups_give_the_same_result(self, name, monkeypatch):
-        inputs = _grid_inputs(name, True)
+        inputs = _grid_inputs(name, True, monkeypatch)
         grouped = lr_depth_sweep(*inputs)
         monkeypatch.setattr(trainlab, "GROUP_BYTES", 1)
         single = lr_depth_sweep(*inputs)
         _assert_same_cells(single.cells, grouped.cells)
         assert single.boundary == grouped.boundary
 
-    def test_train_run_matches_reference(self):
-        depths, etas, base, train, test = _grid_inputs("hard_tanh", True)
+    def test_one_cell_sweep_matches_reference(self, monkeypatch):
+        depths, etas, base, train, test = _grid_inputs("hard_tanh", True, monkeypatch)
         for eta in etas:
             config = dataclasses.replace(base, depth=3, eta=eta)
-            run = train_run(config, train, test)
-            cell, losses = _ref_cell(config, train, test)
-            assert np.array_equal(run.losses, losses)
-            assert (run.diverged, run.diverged_at, run.cause, run.layer) == (
-                cell.diverged, cell.diverged_at, cell.cause, cell.layer)
-            for key in ("train_loss", "train_acc", "test_loss", "test_acc"):
-                assert _same(getattr(run, key), getattr(cell, key))
+            _assert_same_cells(lr_depth_sweep([3], [eta], config, train, test).cells,
+                               [_ref_cell(config, train, test)])
 
-    def test_outcomes_record_each_cell(self):
-        sw = lr_depth_sweep(*_grid_inputs("linear_overflow", False))
+    def test_outcomes_record_each_cell(self, monkeypatch):
+        sw = lr_depth_sweep(*_grid_inputs("linear_overflow", False, monkeypatch))
         records = sw.outcomes()
         assert len(records) == len(sw.cells)
         for rec, cell in zip(records, sw.cells):
@@ -582,7 +591,7 @@ class TestSweepWorkers:
     """The sweep's groups trained in forked worker processes."""
 
     def test_datasets_reach_workers_unpickled(self, monkeypatch, draw_pids):
-        depths, etas, base, train, test = _grid_inputs("hard_tanh", True)
+        depths, etas, base, train, test = _grid_inputs("hard_tanh", True, monkeypatch)
         alone = lr_depth_sweep(depths, etas, base, train, test)
         train, test = (_UnpicklableDataset(d.inputs, d.labels, d.classes) for d in (train, test))
         with pytest.raises(AssertionError, match="dataset pickled"):
@@ -597,7 +606,7 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
     def test_pooled_sweep_bit_equal_to_in_process(self, name, group_bytes, monkeypatch,
                                                    draw_pids):
-        inputs = _grid_inputs(name, True)
+        inputs = _grid_inputs(name, True, monkeypatch)
         monkeypatch.setattr(trainlab, "GROUP_BYTES", group_bytes)
         monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
         pooled = lr_depth_sweep(*inputs)
@@ -621,7 +630,7 @@ class TestSweepWorkers:
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
         try:
-            lr_depth_sweep(*_grid_inputs("hard_tanh", False))
+            lr_depth_sweep(*_grid_inputs("hard_tanh", False, monkeypatch))
         finally:
             release.set()
             other.join(60)
@@ -639,7 +648,7 @@ class TestSweepWorkers:
         monkeypatch.setattr(trainlab, "_sampled_stack", failing_draw)
         monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
         with pytest.raises(NumericalError, match="forced failure in process") as err:
-            lr_depth_sweep(*_grid_inputs("hard_tanh", False))
+            lr_depth_sweep(*_grid_inputs("hard_tanh", False, monkeypatch))
         assert type(err.value) is NumericalError
         assert str(err.value) != f"forced failure in process {os.getpid()}"
         assert multiprocessing.active_children() == []
@@ -675,12 +684,12 @@ class TestSweepWorkers:
         assert out.strip() == "[]"
 
 
-def test_non_monotone_grid_warns_once_per_depth(caplog):
+def test_non_monotone_grid_warns_once_per_depth(caplog, monkeypatch):
     # one step at a tight blow-up limit: whether a cell diverges depends
     # on its own draw and sample, so both depths come out non-monotone
+    monkeypatch.setattr(trainlab, "BLOWUP_FACTOR", 1.5)
     data = synth_dataset(8, 16, 2, seed=0)
-    base = TrainConfig(depth=1, width=8, activation=Linear(1.0), eta=0.1, steps=1, seed=75,
-                       blowup_factor=1.5)
+    base = TrainConfig(depth=1, width=8, activation=Linear(1.0), eta=0.1, steps=1, seed=75)
     etas = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0]
     with caplog.at_level(logging.WARNING, logger="isospec.trainlab"):
         sw = lr_depth_sweep([1, 2], etas, base, data)
