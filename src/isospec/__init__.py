@@ -41,8 +41,6 @@ from .meanfield import (
     Linear,
     MeanFieldParams,
     ShiftedRelu,
-    activation_apply,
-    activation_deriv,
     mean_field_schedule,
     moment_map,
     tune_constant_q,

@@ -14,6 +14,7 @@ import json
 import math
 import struct
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +35,7 @@ from .freeconv import (
     solve_three_layer,
     theta_mean_limit,
 )
-from .meanfield import (
-    HardTanh,
-    Linear,
-    ShiftedRelu,
-    mean_field_schedule,
-    tune_constant_q,
-)
+from .meanfield import FAMILIES, mean_field_schedule, tune_constant_q
 from .rmtsim import (
     EigenReport,
     empirical_measure,
@@ -81,12 +76,12 @@ _SCHEDULE = {
     "alpha": (0.75, None, {"help": "scalar or comma list, one per hidden layer"}),
     "gamma": (1.0, None, {"help": "scalar or comma list, one per hidden layer"}),
 }
+# every family's parameters (dataclass fields), one flag each however
+# many families read it
+_ACTIVATION_PARAMS = tuple(dict.fromkeys(f.name for c in FAMILIES.values() for f in fields(c)))
 _ACTIVATION = {
-    "family": (None, str, {"choices": ["hard_tanh", "shifted_relu", "linear"]}),
-    "s": (None, float, {}),
-    "g": (None, float, {}),
-    "a": (None, float, {}),
-    "b": (None, float, {}),
+    "family": (None, str, {"choices": list(FAMILIES)}),
+    **{k: (None, float, {}) for k in _ACTIVATION_PARAMS},
     "activation_file": (None, str, {"help": "tune.json produced by the tune command"}),
 }
 FLAGS = {
@@ -256,27 +251,19 @@ def _as_list(value, path: str, kind=float, length: int | None = None) -> list:
     return out
 
 
-# family -> (activation class, the parameters it reads)
-FAMILIES = {
-    "hard_tanh": (HardTanh, ("s", "g")),
-    "shifted_relu": (ShiftedRelu, ("a", "b")),
-    "linear": (Linear, ("g",)),
-}
-
-
 def _activation_from_dict(d: dict, path: str):
     _require(isinstance(d, dict), path, "activation must be an object")
     family = d.get("family")
     _require(isinstance(family, str) and family in FAMILIES, f"{path}.family",
              f"unknown family {family!r}")
-    cls, keys = FAMILIES[family]
-    params = {k: _typed(d[k], float, f"{path}.{k}") for k in keys if k in d}
+    cls = FAMILIES[family]
+    keys = [f.name for f in fields(cls) if f.name in d]
+    params = {k: _typed(d[k], float, f"{path}.{k}") for k in keys}
     return _checked(path, cls, **params)
 
 
 def _activation_to_dict(spec) -> dict:
-    family = next(name for name, (cls, _) in FAMILIES.items() if isinstance(spec, cls))
-    return {"family": family, **{k: getattr(spec, k) for k in FAMILIES[family][1]}}
+    return {"family": spec.family, **asdict(spec)}
 
 
 def _resolve_activation(merged: dict):
@@ -293,10 +280,11 @@ def _resolve_activation(merged: dict):
         reads, source = (), "with --activation-file"
     elif family:
         _require(family in FAMILIES, "family", f"unknown family {family!r}")
-        reads, source = ("family", *FAMILIES[family][1]), f"with --family {family}"
+        keys = (f.name for f in fields(FAMILIES[family]))
+        reads, source = ("family", *keys), f"with --family {family}"
     else:
         reads, source = (), "without --family or --activation-file"
-    for key in ("family", "s", "g", "a", "b"):
+    for key in ("family", *_ACTIVATION_PARAMS):
         _require(merged[key] is None or key in reads, key, f"not read {source}")
     if path:
         record = _load_config_file(path)
@@ -772,6 +760,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     merged = _resolve(args)
     width, seed, samples = merged["width"], merged["seed"], merged["samples"]
+    _require(width >= 2, "width", "must be at least 2")
     depths = _as_list(merged["depths"], "depths", int)
     _require(all(d >= 1 for d in depths), "depths", "entries must be positive")
     if merged["etas"] is not None:
@@ -800,6 +789,9 @@ def cmd_sweep(args) -> int:
         test = None
     else:
         classes = min(merged["classes"], width)
+        if classes < merged["classes"]:
+            print(f"classes: {merged['classes']} lowered to the width {classes}", file=sys.stderr)
+            merged["classes"] = classes
         train = _checked("dataset", synth_dataset, width, samples, classes, seed)
         test = synth_dataset(width, max(samples // 4, 1), classes, seed + 1)
     _require(train.width == width, "width", f"dataset width {train.width} != {width}")

@@ -4,26 +4,41 @@ With orthogonal weights and a Gaussian-looking preactivation of variance
 sigma^2 q_in, each layer is summarized by three scalars: the normalized
 post-activation second moment q = E[phi(h)^2], the weight alpha of the
 nonzero atom of the squared-derivative law, and the atom's value gamma.
-This module evaluates the moment map for the three piecewise-linear
-activation families in closed form, and builds hard-tanh layers that sit
-exactly on a fixed point q* of that map with prescribed depth-scaled
-deviations from isometry; choosing eps2 so that sigma^2 gamma alpha = 1
-puts the network on the critical line.
+
+Each of the three piecewise-linear activation families is one class that
+holds everything about it: its name (`family`, the key of FAMILIES), its
+parameters (the dataclass fields), phi (`apply`) and |phi'| (`deriv`) on
+float arrays of any shape, and its closed-form branch of the Gaussian
+moment map (`_moments`, read through moment_map). The module also builds
+hard-tanh layers that sit exactly on a fixed point q* of that map with
+prescribed depth-scaled deviations from isometry; choosing eps2 so that
+sigma^2 gamma alpha = 1 puts the network on the critical line.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
 from .specmeasure import NumericalError
 
 
+def _r0(u: float) -> float:
+    """Gaussian tail mass P(|Z| > u)."""
+    return math.erfc(u / math.sqrt(2.0))
+
+
+def _r2(u: float) -> float:
+    """1 - E[Z^2; |Z| < u] for a standard normal Z."""
+    return u * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * u * u) + _r0(u)
+
+
 @dataclass(frozen=True)
 class HardTanh:
     """phi(x) = g x while s g |x| < 1, saturating at g sgn(x) outside."""
 
+    family: ClassVar[str] = "hard_tanh"
     s: float
     g: float
 
@@ -31,11 +46,25 @@ class HardTanh:
         if self.s <= 0 or self.g <= 0:
             raise ValueError("hard tanh needs s > 0 and g > 0")
 
+    def apply(self, x):
+        return np.where(self.s * self.g * np.abs(x) < 1.0, self.g * x, self.g * np.sign(x))
+
+    def deriv(self, x):
+        """|phi'|: g on the linear branch, 0 where saturated."""
+        return np.where(self.s * self.g * np.abs(x) < 1.0, self.g, 0.0)
+
+    def _moments(self, std: float, var: float):
+        u = 1.0 / (self.s * self.g * std)
+        alpha = math.erf(u / math.sqrt(2.0))
+        gamma = self.g**2
+        return gamma * (var * (1.0 - _r2(u)) + _r0(u)), alpha, gamma
+
 
 @dataclass(frozen=True)
 class ShiftedRelu:
     """phi(x) = a x for x > b, constant a b below the threshold."""
 
+    family: ClassVar[str] = "shifted_relu"
     a: float
     b: float
 
@@ -43,19 +72,48 @@ class ShiftedRelu:
         if self.a <= 0 or self.b < 0:
             raise ValueError("shifted relu needs a > 0 and b >= 0")
 
+    def apply(self, x):
+        return np.where(x > self.b, self.a * x, self.a * self.b)
+
+    def deriv(self, x):
+        """|phi'|: a above the threshold, 0 below."""
+        return np.where(x > self.b, self.a, 0.0)
+
+    def _moments(self, std: float, var: float):
+        # Z > t on the linear branch; each tail of |Z| > t holds half of
+        # P(|Z| > t) and half of E[Z^2; |Z| > t]
+        t = self.b / std
+        alpha = 0.5 * _r0(t)
+        gamma = self.a**2
+        return gamma * (var * 0.5 * _r2(t) + self.b**2 * (1.0 - alpha)), alpha, gamma
+
 
 @dataclass(frozen=True)
 class Linear:
     """phi(x) = g x."""
 
+    family: ClassVar[str] = "linear"
     g: float
 
     def __post_init__(self):
         if self.g <= 0:
             raise ValueError("linear activation needs g > 0")
 
+    def apply(self, x):
+        return self.g * x
+
+    def deriv(self, x):
+        """|phi'| = g everywhere."""
+        return np.full(np.shape(x), self.g)
+
+    def _moments(self, std: float, var: float):
+        gamma = self.g**2
+        return gamma * var, 1.0, gamma
+
 
 ActivationSpec = Union[HardTanh, ShiftedRelu, Linear]
+# family name -> activation class
+FAMILIES = {cls.family: cls for cls in get_args(ActivationSpec)}
 
 
 @dataclass(frozen=True)
@@ -77,45 +135,6 @@ class MeanFieldParams:
         return {"q": self.q, "alpha": self.alpha, "gamma": self.gamma, "sigma": self.sigma}
 
 
-def activation_apply(spec: ActivationSpec, x):
-    """Evaluate phi pointwise; x may be a scalar or an array."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, HardTanh):
-        out = np.where(spec.s * spec.g * np.abs(x) < 1.0, spec.g * x, spec.g * np.sign(x))
-    elif isinstance(spec, ShiftedRelu):
-        out = np.where(x > spec.b, spec.a * x, spec.a * spec.b)
-    elif isinstance(spec, Linear):
-        out = spec.g * x
-    else:
-        raise TypeError(f"unknown activation {spec!r}")
-    return out if out.ndim else float(out)
-
-
-def activation_deriv(spec: ActivationSpec, x):
-    """|phi'| pointwise: the slope g or a on the linear branch, 0 on the
-    saturated one."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, HardTanh):
-        out = np.where(spec.s * spec.g * np.abs(x) < 1.0, spec.g, 0.0)
-    elif isinstance(spec, ShiftedRelu):
-        out = np.where(x > spec.b, spec.a, 0.0)
-    elif isinstance(spec, Linear):
-        out = np.full_like(x, spec.g)
-    else:
-        raise TypeError(f"unknown activation {spec!r}")
-    return out if out.ndim else float(out)
-
-
-def _r0(u: float) -> float:
-    """Gaussian tail mass P(|Z| > u)."""
-    return math.erfc(u / math.sqrt(2.0))
-
-
-def _r2(u: float) -> float:
-    """1 - E[Z^2; |Z| < u] for a standard normal Z."""
-    return u * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * u * u) + _r0(u)
-
-
 def moment_map(spec: ActivationSpec, sigma: float, q: float):
     """(q_next, alpha, gamma) of one layer at preactivation h ~ N(0, sigma^2 q).
 
@@ -126,25 +145,7 @@ def moment_map(spec: ActivationSpec, sigma: float, q: float):
     """
     if q <= 0 or sigma <= 0:
         raise ValueError("sigma and q must be positive")
-    std = sigma * math.sqrt(q)
-    var = sigma**2 * q
-    if isinstance(spec, HardTanh):
-        u = 1.0 / (spec.s * spec.g * std)
-        alpha = math.erf(u / math.sqrt(2.0))
-        gamma = spec.g**2
-        q_next = gamma * (var * (1.0 - _r2(u)) + _r0(u))
-    elif isinstance(spec, ShiftedRelu):
-        # Z > t on the linear branch; each tail of |Z| > t holds half of
-        # P(|Z| > t) and half of E[Z^2; |Z| > t]
-        t = spec.b / std
-        alpha = 0.5 * _r0(t)
-        gamma = spec.a**2
-        q_next = gamma * (var * 0.5 * _r2(t) + spec.b**2 * (1.0 - alpha))
-    elif isinstance(spec, Linear):
-        alpha, gamma = 1.0, spec.g**2
-        q_next = gamma * var
-    else:
-        raise TypeError(f"unknown activation {spec!r}")
+    q_next, alpha, gamma = spec._moments(sigma * math.sqrt(q), sigma**2 * q)
     if not math.isfinite(q_next):
         raise NumericalError("the moment map produced a non-finite moment")
     return q_next, alpha, gamma

@@ -9,13 +9,14 @@ central object measured here is the dual conditional Fisher information
 
 built by the layer recursion H_{l+1} = q_hat_l I + W_{l+1} D_l H_l D_l
 W_{l+1}^T (starting from H_1 = q_hat_0 I), plus the N-sample block
-kernel Theta whose diagonal blocks are (M/N) H_L(x_n). The recursion
-consumes the forward pass one layer at a time, so a network draw can be
-streamed through it without ever holding more than two weights; one
-worker thread conjugates layer l while the calling thread draws layer
-l + 1.
-Eigenvalue reports and empirical spectral measures feed the comparison
-against the free-probability predictions.
+kernel Theta whose diagonal blocks are (M/N) H_L(x_n). The one forward
+loop, _forward_layers, runs one input or a batch (trainlab's sweep
+steps through it too). The recursion consumes it one layer at a time,
+so a network draw can be streamed through it without ever holding more
+than two weights; one worker thread conjugates layer l while the
+calling thread draws layer l + 1. Eigenvalue reports and empirical
+spectral measures feed the comparison against the free-probability
+predictions.
 """
 
 import contextvars
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import ActivationSpec, activation_apply, activation_deriv
+from .meanfield import ActivationSpec
 from .specmeasure import GridDensity, NumericalError, SpectralMeasure
 
 ORTHO_TOL = 1e-10
@@ -92,6 +93,19 @@ def _check_layer(w: np.ndarray, s: float, width: int, ell: int) -> None:
         raise ValueError(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
 
 
+def _checked_haar_layers(width: int, sigma: tuple, seed: int) -> Iterator:
+    """OrthogonalNet.sample's draw from `seed`, each layer checked as
+    OrthogonalNet checks it as soon as it is drawn; a bad layer stops the
+    draw there."""
+    layers = _haar_layers(width, sigma, np.random.default_rng(seed))
+    # next() rather than zip: zip's and enumerate's cached result
+    # tuples would keep the layer before last alive during a draw
+    for ell, s in enumerate(sigma, start=1):
+        w = next(layers)
+        _check_layer(w, float(s), width, ell)
+        yield w
+
+
 def _layer_sigmas(sigma, depth: int) -> tuple:
     """One sigma per layer from a scalar or a per-layer sequence."""
     return tuple(sigma) if np.iterable(sigma) else (float(sigma),) * depth
@@ -149,23 +163,25 @@ class ForwardTrace:
 def _forward_layers(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> Iterator:
     """The forward pass, one layer at a time: the one forward loop.
 
-    For l = 1, 2, ... takes W_l from `weights` and yields
-    (W_l, q_hat_{l-1}, d_{l-1}, h^l, x^l), where q_hat_{l-1} =
-    ||x^{l-1}||^2 / M and d_{l-1} = phi'(h^{l-1}) (None at l = 1). Each
-    d is formed when the next layer arrives, so the last layer's never is.
+    For l = 1, 2, ... takes W_l from `weights` and yields (W_l, x^{l-1},
+    h^l). x is one input (M,) or a batch (..., M), and each W_l is
+    (M, M) or a stack (A, M, M) that meets a batch (A, M) row by row.
+    Each row takes one mat-vec per layer, so it gets exactly the bits of
+    `W @ x` on that row alone. x^l is formed only when W_{l+1} arrives,
+    so the last layer's never is.
     """
-    cur = np.asarray(x, dtype=float)
-    if not np.linalg.norm(cur) > 0:
-        raise ValueError("input must be nonzero")
     h = None
-    for ell, w in enumerate(weights, start=1):
-        d = None if h is None else activation_deriv(activation, h)
-        q = float(cur @ cur) / cur.size
-        h = w @ cur
-        if not np.all(np.isfinite(h)):
-            raise NumericalError(f"non-finite preactivation at layer {ell}")
-        cur = activation_apply(activation, h)
-        yield w, q, d, h, cur
+    for w in weights:
+        if h is not None:
+            x = activation.apply(h)
+        h = np.matmul(w, x[..., None])[..., 0]
+        yield w, x, h
+
+
+def _finite(h: np.ndarray, ell: int) -> np.ndarray:
+    if not np.all(np.isfinite(h)):
+        raise NumericalError(f"non-finite preactivation at layer {ell}")
+    return h
 
 
 def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
@@ -177,14 +193,16 @@ def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.width,):
         raise ValueError(f"input must have shape ({net.width},)")
-    xs, hs, ds, qs = [x], [], [], []
-    for _, q, d, h, cur in _forward_layers(net.weights, net.activation, x):
-        if d is not None:
-            ds.append(d)
-        qs.append(q)
-        hs.append(h)
+    if not np.linalg.norm(x) > 0:
+        raise ValueError("input must be nonzero")
+    xs, hs = [], []
+    for ell, (_, cur, h) in enumerate(_forward_layers(net.weights, net.activation, x), start=1):
         xs.append(cur)
-    return ForwardTrace(x=xs, h=hs, deriv=ds, q_hat=qs)
+        hs.append(_finite(h, ell))
+    deriv = [net.activation.deriv(h) for h in hs[:-1]]
+    q_hat = [float(cur @ cur) / cur.size for cur in xs]
+    xs.append(net.activation.apply(hs[-1]))
+    return ForwardTrace(x=xs, h=hs, deriv=deriv, q_hat=q_hat)
 
 
 def _fim_step(h: np.ndarray, u: np.ndarray, layer: list) -> None:
@@ -244,13 +262,22 @@ def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> np
     hand, whatever the depth.
     """
     x = np.asarray(x, dtype=float)
-    layers = _forward_layers(weights, activation, x)
-    first = next(layers, None)
-    if first is None:
-        raise ValueError("need at least one layer")
-    q0 = first[1]
-    del first  # holds W_1, which must not live through the recursion
-    return _fim_recursion(x.size, q0, ((w, d, q) for w, q, d, _, _ in layers))
+    if not np.linalg.norm(x) > 0:
+        raise ValueError("input must be nonzero")
+
+    def steps():
+        """(W_l, d_{l-1}, q_hat_{l-1}) for l = 2..L; d_{l-1} =
+        phi'(h^{l-1}) is formed when W_l arrives."""
+        prev = None
+        for ell, (w, cur, h) in enumerate(_forward_layers(weights, activation, x), start=1):
+            _finite(h, ell)
+            if prev is not None:
+                yield w, activation.deriv(prev), float(cur @ cur) / cur.size
+            prev = h
+        if prev is None:
+            raise ValueError("need at least one layer")
+
+    return _fim_recursion(x.size, float(x @ x) / x.size, steps())
 
 
 def network_fim_sample(
@@ -278,17 +305,7 @@ def network_fim_sample(
         raise ValueError("need depth >= 1 and one sigma per layer")
     if any(s <= 0 for s in sig):
         raise ValueError("sigma entries must be positive")
-
-    def checked():
-        layers = _haar_layers(width, sig, np.random.default_rng(seed))
-        # next() rather than zip: zip's and enumerate's cached result
-        # tuples would keep the layer before last alive during a draw
-        for ell, s in enumerate(sig, start=1):
-            w = next(layers)
-            _check_layer(w, float(s), width, ell)
-            yield w
-
-    return dual_fim(checked(), activation, x)
+    return dual_fim(_checked_haar_layers(width, sig, seed), activation, x)
 
 
 def _chain_matrices(net: OrthogonalNet, trace: ForwardTrace) -> list:

@@ -6,7 +6,8 @@ per-sample (online) gradient descent on the MSE loss ||f - y||^2 / (2M),
 and the (depth, learning rate) sweep that locates the divergence
 boundary to compare against eta = 2 / lambda_max. The sweep is the only
 trainer: it steps the cells of one depth together as stacks of weights
-and trains the stacks on worker processes.
+and trains the stacks on worker processes. The weights are drawn, and
+run forward, by rmtsim's code.
 """
 
 import logging
@@ -19,8 +20,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .meanfield import ActivationSpec, activation_apply, activation_deriv
-from .rmtsim import OrthogonalNet
+from .meanfield import ActivationSpec
+from .rmtsim import _checked_haar_layers, _forward_layers, _layer_sigmas
 
 logger = logging.getLogger(__name__)
 
@@ -174,22 +175,9 @@ class TrainConfig:
             raise ValueError("eta must be nonnegative")
         if self.steps < 1 or self.depth < 1 or self.width < 2:
             raise ValueError("steps, depth >= 1 and width >= 2 required")
-
-
-def _layers(weights, activation, x):
-    """Yield the input x^{l-1} and preactivation h^l of each layer l of a
-    batch; the last h is the output.
-
-    `weights` is a sequence of L matrices, each (M, M) or a stack
-    (A, M, M), and x is (..., M). Every row takes one mat-vec per layer,
-    so it gets exactly the bits of `W @ x`.
-    """
-    last = len(weights) - 1
-    for ell, w in enumerate(weights):
-        h = np.matmul(w, x[..., None])[..., 0]
-        yield x, h
-        if ell < last:
-            x = activation_apply(activation, h)
+        sigma = _layer_sigmas(self.sigma, self.depth)
+        if len(sigma) != self.depth or any(s <= 0 for s in sigma):
+            raise ValueError("sigma must be positive: one value, or one per layer")
 
 
 def _row_dots(v: np.ndarray) -> np.ndarray:
@@ -222,7 +210,7 @@ def _group_step(weights: np.ndarray, activation, x, y, etas, scratch: np.ndarray
     eta_list = etas.tolist()
     deltas = [None] * depth
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the checks below
-        xs, hs = zip(*_layers(weights, activation, x))
+        _, xs, hs = zip(*_forward_layers(weights, activation, x))
         resid = hs[-1] - y
         loss = _row_dots(resid) / (2.0 * M)
         delta = resid / M
@@ -239,7 +227,7 @@ def _group_step(weights: np.ndarray, activation, x, y, etas, scratch: np.ndarray
                 s *= e
             w -= scratch
             if ell > 0:
-                delta = activation_deriv(activation, hs[ell - 1]) * back
+                delta = activation.deriv(hs[ell - 1]) * back
         # outer(delta, x) is finite exactly when max|delta| * max|x| is
         peaks = np.abs(np.stack(deltas)).max(axis=2) * np.abs(np.stack(xs)).max(axis=2)
         norms = _norms(weights)
@@ -289,8 +277,8 @@ def _evaluate(weights, activation, data: Dataset):
     per_sample, hits = [], 0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, data.size, rows):
-            labels = data.labels[start : start + rows]
-            for _, out in _layers(weights, activation, data.inputs[start : start + rows]):
+            inputs, labels = data.inputs[start : start + rows], data.labels[start : start + rows]
+            for _, _, out in _forward_layers(weights, activation, inputs):
                 pass
             per_sample.append(_row_dots(out - eye[labels]) / (2.0 * M))
             hits += int(np.count_nonzero(np.argmax(out[:, : data.classes], axis=1) == labels))
@@ -463,13 +451,13 @@ def _train_groups(groups, train: Dataset, test: Dataset | None) -> list:
 
 
 def _sampled_stack(configs) -> np.ndarray:
-    """(L, A, M, M) initial weights, cell a drawn by OrthogonalNet.sample
-    from configs[a]; the nets themselves are not kept."""
+    """(L, A, M, M) initial weights, cell a drawn and checked as
+    OrthogonalNet.sample draws configs[a]'s network."""
     first = configs[0]
     stack = np.empty((first.depth, len(configs), first.width, first.width))
     for k, c in enumerate(configs):
-        net = OrthogonalNet.sample(c.width, c.depth, c.activation, c.sigma, c.seed)
-        for ell, w in enumerate(net.weights):
+        sigma = _layer_sigmas(c.sigma, c.depth)
+        for ell, w in enumerate(_checked_haar_layers(c.width, sigma, c.seed)):
             stack[ell, k] = w
     return stack
 

@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from isospec.freeconv import _BLOCK_BYTES, _WALK_LEVELS, _h_of, _newton
-from isospec.meanfield import activation_apply, activation_deriv
 from isospec.rmtsim import ForwardTrace, OrthogonalNet, sample_haar_orthogonal
 from isospec.specmeasure import NumericalError
 
@@ -34,10 +33,10 @@ def reference_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
         if not np.all(np.isfinite(h)):
             raise NumericalError(f"non-finite preactivation at layer {ell}")
         hs.append(h)
-        cur = activation_apply(net.activation, h)
+        cur = net.activation.apply(h)
         xs.append(cur)
         if ell < net.depth:
-            ds.append(activation_deriv(net.activation, h))
+            ds.append(net.activation.deriv(h))
     return ForwardTrace(x=xs, h=hs, deriv=ds, q_hat=qs)
 
 

@@ -301,6 +301,14 @@ class TestSweep:
         assert code == 4
         assert "all sweep cells diverged" in capsys.readouterr().err
 
+    def test_classes_above_the_width_are_lowered_and_recorded(self, tmp_path, capsys):
+        out = tmp_path / "swk"
+        code = _run("sweep", "--out", out, "--width", 8, "--classes", 10, "--samples", 16,
+                    "--depths", 1, "--etas", 0.01, "--steps", 5, "--family", "linear", "--g", 1)
+        assert code == 0
+        assert json.loads((out / "config.json").read_text())["classes"] == 8
+        assert capsys.readouterr().err == "classes: 10 lowered to the width 8\n"
+
     def test_worker_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def failing_draw(configs):
             raise NumericalError("forced failure")

@@ -18,8 +18,6 @@ from isospec.meanfield import (
     HardTanh,
     Linear,
     ShiftedRelu,
-    activation_apply,
-    activation_deriv,
     mean_field_schedule,
     moment_map,
     tune_constant_q,
@@ -50,39 +48,33 @@ class TestActivationSpecs:
 class TestActivationApply:
     def test_hard_tanh_branches(self):
         ht = HardTanh(s=0.5, g=2.0)  # kink at |x| = 1
-        assert activation_apply(ht, 0.25) == pytest.approx(0.5)
-        assert activation_apply(ht, 3.0) == pytest.approx(2.0)
-        assert activation_apply(ht, -3.0) == pytest.approx(-2.0)
+        assert ht.apply(0.25) == pytest.approx(0.5)
+        assert ht.apply(3.0) == pytest.approx(2.0)
+        assert ht.apply(-3.0) == pytest.approx(-2.0)
 
     def test_hard_tanh_deriv_sq_branches(self):
         ht = HardTanh(s=0.5, g=2.0)
-        assert activation_deriv(ht, 0.25) ** 2 == pytest.approx(4.0)
-        assert activation_deriv(ht, 3.0) == 0.0
-        assert activation_deriv(ht, -0.25) == 2.0
+        assert ht.deriv(0.25) ** 2 == pytest.approx(4.0)
+        assert ht.deriv(3.0) == 0.0
+        assert ht.deriv(-0.25) == 2.0
 
     def test_shifted_relu_branches(self):
         sr = ShiftedRelu(a=1.5, b=0.4)
-        assert activation_apply(sr, 1.0) == pytest.approx(1.5)
+        assert sr.apply(1.0) == pytest.approx(1.5)
         # constant a b below the threshold, not zero
-        assert activation_apply(sr, 0.0) == pytest.approx(0.6)
-        assert activation_deriv(sr, 1.0) ** 2 == pytest.approx(2.25)
-        assert activation_deriv(sr, 0.0) == 0.0
+        assert sr.apply(0.0) == pytest.approx(0.6)
+        assert sr.deriv(1.0) ** 2 == pytest.approx(2.25)
+        assert sr.deriv(0.0) == 0.0
 
     def test_linear_is_scaling(self):
-        assert activation_apply(Linear(1.3), -2.0) == pytest.approx(-2.6)
-        assert activation_deriv(Linear(1.3), 5.0) ** 2 == pytest.approx(1.69)
+        assert Linear(1.3).apply(-2.0) == pytest.approx(-2.6)
+        assert Linear(1.3).deriv(5.0) ** 2 == pytest.approx(1.69)
 
     def test_array_input_returns_array(self):
         ht = HardTanh(s=0.5, g=2.0)
-        out = activation_apply(ht, np.array([0.25, -4.0]))
+        out = ht.apply(np.array([0.25, -4.0]))
         assert isinstance(out, np.ndarray)
         np.testing.assert_allclose(out, [0.5, -2.0])
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(TypeError):
-            activation_apply(object(), 1.0)
-        with pytest.raises(TypeError):
-            activation_deriv(object(), 1.0)
 
 
 def _q_next(spec, sigma, q):
@@ -127,8 +119,6 @@ class TestQForward:
             _q_next(Linear(1.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             _q_next(Linear(1.0), -1.0, 1.0)
-        with pytest.raises(TypeError):
-            moment_map(object(), 1.0, 1.0)
 
     def test_expanding_linear_overflows(self):
         # the next moment lies past float range

@@ -103,6 +103,30 @@ class TestOrthogonalNet:
             OrthogonalNet(4, 1, [w], (-1.0,), Linear(1.0))
 
 
+class TestForwardLayers:
+    @pytest.mark.parametrize("M", [8, 64, 1000])
+    def test_rows_get_the_bits_of_the_single_vector_pass(self, M):
+        # a batch (A, M) through one weight per layer, and through a stack
+        # (A, M, M) per layer, row a meeting weights[:, a]
+        rng = np.random.default_rng(M)
+        act = HardTanh(s=0.5, g=1.3)
+        weights = rng.standard_normal((2, 2, M, M)) / math.sqrt(M)  # (L, A, M, M)
+        x = rng.standard_normal((2, M))
+
+        def run(ws, v):
+            return [(cur, h) for _, cur, h in rmtsim._forward_layers(ws, act, v)]
+
+        batched, stacked = run(weights[:, 0], x), run(weights, x)
+        for a in range(2):
+            for got, ws in ((batched, weights[:, 0]), (stacked, weights[:, a])):
+                want = run(ws, x[a])
+                assert np.array_equal(want[0][1], ws[0] @ x[a])
+                assert len(got) == len(want) == 2
+                for (got_x, got_h), (want_x, want_h) in zip(got, want):
+                    assert np.array_equal(got_x[a], want_x)
+                    assert np.array_equal(got_h[a], want_h)
+
+
 class TestForwardTrace:
     def test_linear_preserves_moments(self):
         net = OrthogonalNet.sample(32, 4, Linear(1.0), seed=0)

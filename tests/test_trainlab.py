@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from isospec import trainlab
-from isospec.meanfield import HardTanh, Linear, activation_apply, activation_deriv
+from isospec.meanfield import HardTanh, Linear
 from isospec.rmtsim import OrthogonalNet, normalized_input
 from isospec.specmeasure import NumericalError
 from isospec.trainlab import (
@@ -163,7 +163,7 @@ def _loss_of(weights, activation, x: np.ndarray, y: np.ndarray) -> float:
     for ell, w in enumerate(weights):
         h = w @ cur
         if ell < len(weights) - 1:
-            cur = activation_apply(activation, h)
+            cur = activation.apply(h)
     return float((h - y) @ (h - y)) / (2.0 * len(x))
 
 
@@ -295,6 +295,8 @@ class TestTrainRun:
             TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=-0.1, steps=5)
         with pytest.raises(ValueError):
             TrainConfig(depth=0, width=16, activation=Linear(1.0), eta=0.1, steps=5)
+        with pytest.raises(ValueError, match="sigma"):
+            TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=0.1, steps=5, sigma=0.0)
 
 
 class TestEstimateBoundary:
@@ -367,7 +369,7 @@ def _ref_forward(weights, activation, x):
         h = w @ xs[-1]
         hs.append(h)
         if ell < len(weights) - 1:
-            xs.append(activation_apply(activation, h))
+            xs.append(activation.apply(h))
     return xs, hs
 
 
@@ -385,7 +387,7 @@ def _ref_step(weights, activation, x, y, eta):
             grads[ell] = np.outer(delta, xs[ell])
             if ell > 0:
                 back = weights[ell].T @ delta
-                delta = activation_deriv(activation, hs[ell - 1]) * back
+                delta = activation.deriv(hs[ell - 1]) * back
     if not all(np.all(np.isfinite(g)) for g in grads):
         return loss, NONFINITE_GRADIENT
     with np.errstate(over="ignore"):
