@@ -14,7 +14,12 @@ loop, _forward_layers, runs one input or a batch (trainlab's sweep
 steps through it too). The recursion consumes it one layer at a time,
 so a network draw can be streamed through it without ever holding more
 than two weights; one worker thread conjugates layer l while the
-calling thread draws layer l + 1. Eigenvalue reports and empirical
+calling thread draws layer l + 1. Each Haar draw is factored in its
+own M x M buffer by the LAPACK routines numpy's QR calls, reached in
+numpy's bundled OpenBLAS (see _openblas), so Q keeps np.linalg.qr's
+bits; np.linalg.qr itself is the fallback where that library is not
+found. The orthogonality check forms its Gram matrix in bands, so
+neither needs a second M x M array. Eigenvalue reports and empirical
 spectral measures feed the comparison against the free-probability
 predictions.
 """
@@ -27,11 +32,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _openblas
 from .meanfield import ActivationSpec
 from .specmeasure import GridDensity, NumericalError, SpectralMeasure
 
 ORTHO_TOL = 1e-10
 NTK_MAX_SIZE = 4096
+# Tile of the in-place transposes and band of the orthogonality check.
+TILE = 128
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """a <- a^T for a square C-ordered a, one TILE x TILE tile at a time,
+    so the only temporary is one tile."""
+    M = a.shape[0]
+    for i in range(0, M, TILE):
+        rows = slice(i, i + TILE)
+        a[rows, rows] = a[rows, rows].T.copy()
+        for j in range(i + TILE, M, TILE):
+            cols = slice(j, j + TILE)
+            upper = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = upper.T
+
+
+def _qr(a: np.ndarray) -> tuple:
+    """(Q, diag R) of numpy's QR of the square Gaussian `a`.
+
+    Where numpy's OpenBLAS is found, its dgeqrf and dorgqr run in a's own
+    buffer, which becomes Q: a is transposed in place so that LAPACK
+    reads it column-major, as numpy's QR copies it, and back again. Q and
+    diag R get the bits of np.linalg.qr(a), which is the fallback and
+    holds about four M x M arrays at once.
+    """
+    if not _openblas.found():
+        q, r = np.linalg.qr(a)
+        return q, np.diagonal(r)
+    _transpose_in_place(a)
+    tau = _openblas.dgeqrf(a.T)
+    d = np.diagonal(a).copy()
+    _openblas.dorgqr(a.T, tau)
+    _transpose_in_place(a)
+    return a, d
 
 
 def sample_haar_orthogonal(M: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,14 +82,12 @@ def sample_haar_orthogonal(M: int, rng: np.random.Generator) -> np.ndarray:
     QR of a Gaussian matrix with the sign ambiguity fixed by forcing a
     positive triangular diagonal; without the fix numpy's QR biases the
     draw away from uniform. A (probability-zero) near-singular draw is
-    resampled.
+    resampled. The draw takes one M x M buffer (see _qr).
     """
     if M < 2:
         raise ValueError("M must be at least 2")
     for _ in range(8):
-        a = rng.standard_normal((M, M))
-        q, r = np.linalg.qr(a)
-        d = np.diagonal(r)
+        q, d = _qr(rng.standard_normal((M, M)))
         if np.abs(d).min() < 1e-12 * math.sqrt(M):
             continue
         q *= np.sign(d)
@@ -77,19 +117,22 @@ def _haar_layers(width: int, sigma: Iterable, rng: np.random.Generator) -> Itera
 
 def _check_layer(w: np.ndarray, s: float, width: int, ell: int) -> None:
     """Raise ValueError unless layer `ell`'s W is width x width and W/s
-    is orthogonal: max |(W/s)^T (W/s) - I| < ORTHO_TOL.
+    is orthogonal: max |(W/s)^T (W/s) - I| < ORTHO_TOL, which NaN fails.
 
-    Two M x M temporaries: W/s and its Gram matrix, from which I is
-    subtracted and the magnitude taken in place.
+    The Gram matrix is symmetric, so only its part on and above the
+    diagonal is formed, one band of TILE rows at a time: the temporaries
+    are a TILE-column slice of W/s and its band of the Gram matrix. Each
+    slice is scaled before its product, so a huge sigma cannot overflow.
     """
     if w.shape != (width, width):
         raise ValueError(f"weight {ell} has shape {w.shape}")
-    q = w / s
-    gram = q.T @ q
-    del q
-    gram.flat[:: width + 1] -= 1.0
-    defect = np.abs(gram, out=gram).max()
-    if defect >= ORTHO_TOL:
+    defect = 0.0
+    for i in range(0, width, TILE):
+        gram = (w[:, i : i + TILE] / s).T @ w[:, i:]
+        gram /= s
+        gram.flat[:: gram.shape[1] + 1] -= 1.0
+        defect = np.maximum(defect, np.abs(gram, out=gram).max())
+    if not defect < ORTHO_TOL:
         raise ValueError(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
 
 
@@ -132,8 +175,8 @@ class OrthogonalNet:
         self.sigma = tuple(float(s) for s in self.sigma)
         if len(self.weights) != self.depth or len(self.sigma) != self.depth:
             raise ValueError("need one weight matrix and one sigma per layer")
-        if any(s <= 0 for s in self.sigma):
-            raise ValueError("sigma entries must be positive")
+        if not all(0 < s < math.inf for s in self.sigma):
+            raise ValueError("sigma entries must be finite and positive")
         for ell, (w, s) in enumerate(zip(self.weights, self.sigma), start=1):
             _check_layer(w, s, self.width, ell)
 
@@ -248,7 +291,10 @@ def _fim_recursion(M: int, q0: float, layers: Iterable) -> np.ndarray:
         finally:
             if pending is not None:
                 pending.result()
-    return (h + h.T) / 2.0
+    np.copyto(u, h.T)
+    h += u
+    h /= 2.0
+    return h
 
 
 def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> np.ndarray:
@@ -303,8 +349,8 @@ def network_fim_sample(
     sig = _layer_sigmas(sigma, depth)
     if depth < 1 or len(sig) != depth:
         raise ValueError("need depth >= 1 and one sigma per layer")
-    if any(s <= 0 for s in sig):
-        raise ValueError("sigma entries must be positive")
+    if not all(0 < s < math.inf for s in sig):
+        raise ValueError("sigma entries must be finite and positive")
     return dual_fim(_checked_haar_layers(width, sig, seed), activation, x)
 
 

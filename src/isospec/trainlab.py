@@ -20,6 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import _openblas
 from .meanfield import ActivationSpec
 from .rmtsim import _checked_haar_layers, _forward_layers, _layer_sigmas
 
@@ -171,13 +172,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and nonnegative")
         if self.steps < 1 or self.depth < 1 or self.width < 2:
             raise ValueError("steps, depth >= 1 and width >= 2 required")
         sigma = _layer_sigmas(self.sigma, self.depth)
-        if len(sigma) != self.depth or any(s <= 0 for s in sigma):
-            raise ValueError("sigma must be positive: one value, or one per layer")
+        if len(sigma) != self.depth or not all(0 < s < math.inf for s in sigma):
+            raise ValueError("sigma must be finite and positive: one value, or one per layer")
 
 
 def _row_dots(v: np.ndarray) -> np.ndarray:
@@ -365,39 +366,10 @@ def _train_fresh(configs, train: Dataset, test: Dataset | None):
 # the parent's memory, so they are never pickled.
 _shared = None
 
-# Thread-count entry points of the OpenBLAS that numpy's wheels bundle,
-# for the 64-bit and the 32-bit integer builds.
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-def _split_blas_threads(workers: int) -> None:
-    """Give this worker 1/workers of the BLAS threads the parent had.
-
-    A forked worker keeps the parent's BLAS thread count, so `workers`
-    workers would each run that many BLAS threads on the same CPUs: at
-    M = 784 with the default threads, a 2-worker sweep took 99 s without
-    this split and 46 s with it, where one process took 38 s. Only the
-    OpenBLAS bundled in numpy's wheels (in numpy.libs) is reached; any
-    other BLAS keeps its thread count.
-    """
-    import ctypes
-    from pathlib import Path
-
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
-        for get, put in _OPENBLAS_THREADS:
-            if hasattr(lib, get) and hasattr(lib, put):
-                getattr(lib, put)(max(1, getattr(lib, get)() // workers))
-                return
-
-
 def _start_worker(train: Dataset, test: Dataset | None, workers: int) -> None:
     global _shared
     _shared = (train, test)
-    _split_blas_threads(workers)
+    _openblas.split_threads(workers)
 
 
 def _train_shared(configs):

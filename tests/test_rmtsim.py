@@ -1,6 +1,8 @@
 """Tests for the finite-width simulator: sampling, FIM builders, spectra."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -18,7 +20,7 @@ from oracles import (
     reference_trace,
 )
 
-from isospec import rmtsim
+from isospec import _openblas, rmtsim
 from isospec.meanfield import HardTanh, Linear
 from isospec.rmtsim import (
     EigenReport,
@@ -33,6 +35,43 @@ from isospec.rmtsim import (
     sample_haar_orthogonal,
 )
 from isospec.specmeasure import NumericalError
+
+
+def _numpy_haar(M, rng):
+    """The Haar draw through np.linalg.qr: the reference of both paths."""
+    for _ in range(8):
+        q, r = np.linalg.qr(rng.standard_normal((M, M)))
+        d = np.diagonal(r)
+        if np.abs(d).min() >= 1e-12 * math.sqrt(M):
+            return q * np.sign(d)
+    raise AssertionError("no full-rank draw")
+
+
+class _SingularDraws:
+    """A generator whose first `singular` Gaussians have a zero column."""
+
+    def __init__(self, singular, seed):
+        self.rng = np.random.default_rng(seed)
+        self.singular = singular
+        self.draws = 0
+
+    def standard_normal(self, size):
+        a = self.rng.standard_normal(size)
+        if self.draws < self.singular:
+            a[:, 1] = 0.0
+        self.draws += 1
+        return a
+
+
+@pytest.fixture(params=["lapack", "fallback"])
+def haar_path(request, monkeypatch):
+    """The draw through numpy's OpenBLAS, or with the lookup forced to
+    find nothing, through np.linalg.qr."""
+    if request.param == "fallback":
+        monkeypatch.setattr(_openblas, "_library", lambda: None)
+    elif not _openblas.found():
+        pytest.skip("numpy bundles no OpenBLAS here")
+    return request.param
 
 
 class TestSampleHaarOrthogonal:
@@ -58,6 +97,83 @@ class TestSampleHaarOrthogonal:
     def test_rejects_tiny_width(self):
         with pytest.raises(ValueError):
             sample_haar_orthogonal(1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 129, 1000])
+    def test_both_paths_give_numpys_bits(self, haar_path, M):
+        rng, ref = np.random.default_rng(M), np.random.default_rng(M)
+        q = sample_haar_orthogonal(M, rng)
+        assert q.flags.c_contiguous
+        assert q.tobytes() == _numpy_haar(M, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_singular_draw_is_resampled(self, haar_path):
+        rng, ref = _SingularDraws(1, seed=3), np.random.default_rng(3)
+        ref.standard_normal((16, 16))
+        q = sample_haar_orthogonal(16, rng)
+        assert rng.draws == 2
+        assert q.tobytes() == _numpy_haar(16, ref).tobytes()
+        with pytest.raises(NumericalError, match="rank-deficient"):
+            sample_haar_orthogonal(16, _SingularDraws(8, seed=3))
+
+    def test_importing_the_cli_looks_up_no_library(self):
+        code = "import isospec.cli, isospec._openblas as o; print(o._library.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0"
+
+    def test_one_draw_holds_about_one_matrix(self):
+        if not _openblas.found():
+            pytest.skip("numpy bundles no OpenBLAS here")
+        M = 512
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            sample_haar_orthogonal(M, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * M * M
+
+
+class TestCheckLayer:
+    @pytest.mark.parametrize("M", [129, 1000])
+    @pytest.mark.parametrize("spot", ["first", "last", "band_edge_upper", "band_edge_lower",
+                                      "upper", "lower"])
+    def test_catches_one_perturbed_entry(self, M, spot):
+        at = {"first": (0, 0), "last": (M - 1, M - 1), "band_edge_upper": (127, 128),
+              "band_edge_lower": (128, 127), "upper": (3, M - 2), "lower": (M - 2, 3)}[spot]
+        w = sample_haar_orthogonal(M, np.random.default_rng(M))
+        rmtsim._check_layer(w, 1.0, M, 1)
+        w[at] += 1e-6
+        with pytest.raises(ValueError, match="layer 1: W/sigma off orthogonal"):
+            rmtsim._check_layer(w, 1.0, M, 1)
+
+    @pytest.mark.parametrize("s", [1e-7, 1e160, 1e300])
+    def test_scale_neither_underflows_nor_overflows(self, s):
+        w = sample_haar_orthogonal(200, np.random.default_rng(0))
+        w *= s
+        rmtsim._check_layer(w, s, 200, 1)
+        w[150, 10] += 1e-6 * s
+        with pytest.raises(ValueError, match="off orthogonal"):
+            rmtsim._check_layer(w, s, 200, 1)
+
+    def test_nan_entry_fails(self):
+        w = sample_haar_orthogonal(4, np.random.default_rng(0))
+        w[1, 2] = math.nan
+        with pytest.raises(ValueError, match="off orthogonal by nan"):
+            OrthogonalNet(4, 1, [w], (1.0,), Linear(1.0))
+
+    def test_peak_memory_below_one_matrix(self):
+        M = 512
+        w = sample_haar_orthogonal(M, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            rmtsim._check_layer(w, 1.0, M, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * M * M
 
 
 class TestNormalizedInput:
@@ -101,6 +217,9 @@ class TestOrthogonalNet:
             OrthogonalNet(6, 1, [w], (1.0,), Linear(1.0))
         with pytest.raises(ValueError):
             OrthogonalNet(4, 1, [w], (-1.0,), Linear(1.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                OrthogonalNet(4, 1, [w], (bad,), Linear(1.0))
 
 
 class TestForwardLayers:
@@ -279,6 +398,8 @@ class TestNetworkFimSample:
             network_fim_sample(8, 2, Linear(1.0), [1.0, 0.0], 0, x)
         with pytest.raises(ValueError):
             network_fim_sample(8, 3, Linear(1.0), [1.0, 1.0], 0, x)
+        with pytest.raises(ValueError, match="finite and positive"):
+            network_fim_sample(8, 2, Linear(1.0), [1.0, math.nan], 0, x)
 
     def test_peak_memory_is_flat_in_depth(self):
         # a stored network would hold depth x 0.5 MB of weights at M = 256

@@ -297,6 +297,12 @@ class TestTrainRun:
             TrainConfig(depth=0, width=16, activation=Linear(1.0), eta=0.1, steps=5)
         with pytest.raises(ValueError, match="sigma"):
             TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=0.1, steps=5, sigma=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta"):
+                TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=bad, steps=5)
+            with pytest.raises(ValueError, match="sigma"):
+                TrainConfig(depth=2, width=16, activation=Linear(1.0), eta=0.1, steps=5,
+                            sigma=(1.0, bad))
 
 
 class TestEstimateBoundary:
@@ -657,12 +663,10 @@ class TestSweepWorkers:
 
     def test_workers_split_the_blas_threads(self):
         code = (
-            "import ctypes, pathlib, numpy, isospec.trainlab as t\n"
-            "libs = (pathlib.Path(numpy.__file__).parent.parent / 'numpy.libs').glob('*openblas*')\n"
-            "lib = next((ctypes.CDLL(str(p)) for p in libs), None)\n"
-            "get = next((getattr(lib, g) for g, _ in t._OPENBLAS_THREADS if hasattr(lib, g)), None)\n"
-            "if get is None: raise SystemExit('no bundled OpenBLAS')\n"
-            "before = get(); t._split_blas_threads(2); print(before, get())\n"
+            "import isospec.trainlab as t\n"
+            "lib = t._openblas._library()\n"
+            "if lib is None: raise SystemExit('no bundled OpenBLAS')\n"
+            "before = lib.get(); t._start_worker(None, None, 2); print(before, lib.get())\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="4")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
