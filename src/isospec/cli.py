@@ -708,6 +708,7 @@ def cmd_simulate(args) -> int:
     values = []
     matrix = None
     for k in range(draws):
+        matrix = None  # release the last draw's H before this draw's recursion
         if model == "network":
             x = normalized_input(width, np.random.default_rng((seed + k) ^ 0xA5A5))
             matrix = network_fim_sample(width, depth, spec, sigma, seed + k, x)

@@ -13,15 +13,15 @@ kernel Theta whose diagonal blocks are (M/N) H_L(x_n). The one forward
 loop, _forward_layers, runs one input or a batch (trainlab's sweep
 steps through it too). The recursion consumes it one layer at a time,
 so a network draw can be streamed through it without ever holding more
-than two weights; one worker thread conjugates layer l while the
-calling thread draws layer l + 1. Each Haar draw is factored in its
-own M x M buffer by the LAPACK routines numpy's QR calls, reached in
-numpy's bundled OpenBLAS (see _openblas), so Q keeps np.linalg.qr's
-bits; np.linalg.qr itself is the fallback where that library is not
-found. The orthogonality check forms its Gram matrix in bands, so
-neither needs a second M x M array. Eigenvalue reports and empirical
-spectral measures feed the comparison against the free-probability
-predictions.
+than two weights; one worker thread conjugates layer l, in H's own
+buffer by panels of TILE columns and rows, while the calling thread
+draws layer l + 1. Each Haar draw is factored in its own M x M buffer
+by the LAPACK routines numpy's QR calls, reached in numpy's bundled
+OpenBLAS (see _openblas), so Q keeps np.linalg.qr's bits;
+np.linalg.qr itself is the fallback where that library is not found.
+The orthogonality check forms its Gram matrix in bands, so neither
+needs a second M x M array. Eigenvalue reports and empirical spectral
+measures feed the comparison against the free-probability predictions.
 """
 
 import contextvars
@@ -38,7 +38,8 @@ from .specmeasure import GridDensity, NumericalError, SpectralMeasure
 
 ORTHO_TOL = 1e-10
 NTK_MAX_SIZE = 4096
-# Tile of the in-place transposes and band of the orthogonality check.
+# Tile of the in-place transposes and symmetrization, band of the
+# orthogonality check and panel width of the FIM conjugation.
 TILE = 128
 
 
@@ -54,6 +55,21 @@ def _transpose_in_place(a: np.ndarray) -> None:
             upper = a[rows, cols].copy()
             a[rows, cols] = a[cols, rows].T
             a[cols, rows] = upper.T
+
+
+def _symmetrize_in_place(a: np.ndarray) -> None:
+    """a <- (a + a^T) / 2 for a square a, one TILE x TILE tile pair at a
+    time, so the only temporary is one tile. a + a^T and a^T + a agree
+    bit for bit, so a ends exactly symmetric."""
+    M = a.shape[0]
+    for i in range(0, M, TILE):
+        rows = slice(i, i + TILE)
+        for j in range(i, M, TILE):
+            cols = slice(j, j + TILE)
+            tile = a[rows, cols] + a[cols, rows].T
+            tile /= 2.0
+            a[rows, cols] = tile
+            a[cols, rows] = tile.T
 
 
 def _qr(a: np.ndarray) -> tuple:
@@ -248,21 +264,36 @@ def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x=xs, h=hs, deriv=deriv, q_hat=q_hat)
 
 
-def _fim_step(h: np.ndarray, u: np.ndarray, layer: list) -> None:
+def _fim_step(h: np.ndarray, panel: np.ndarray, layer: list) -> None:
     """One step of the recursion in place: h <- q I + W D h D W^T.
 
     `layer` is [W, d, q]; d None skips the D scaling, for callers that
-    pass W D as W. u is an M x M scratch buffer. The step empties
-    `layer`, so the thread that runs it keeps no weight once it returns.
+    pass W D as W. W h W^T is formed in h's own buffer by two sweeps
+    through `panel`, a scratch of M x TILE doubles: each column panel
+    h[:, c] <- W h[:, c], which reads only that panel of h, then each row
+    panel h[r] <- h[r] W^T. BLAS need not sum a panel's entries in the
+    order of the full products W h and (W h) W^T, so above TILE the
+    result can differ from theirs in the last bits at some widths. The
+    step empties `layer`, so the thread that runs it keeps no weight
+    once it returns.
     """
     w, d, q = layer
     layer.clear()
     if d is not None:
         h *= d[:, None]
         h *= d[None, :]
-    np.matmul(w, h, out=u)
-    np.matmul(u, w.T, out=h)
-    h.flat[:: h.shape[0] + 1] += q
+    M = h.shape[0]
+    for i in range(0, M, TILE):
+        k = min(TILE, M - i)
+        u = panel[: M * k].reshape(M, k)
+        np.matmul(w, h[:, i : i + k], out=u)
+        h[:, i : i + k] = u
+    for i in range(0, M, TILE):
+        k = min(TILE, M - i)
+        u = panel[: k * M].reshape(k, M)
+        np.matmul(h[i : i + k], w.T, out=u)
+        h[i : i + k] = u
+    h.flat[:: M + 1] += q
 
 
 def _fim_recursion(M: int, q0: float, layers: Iterable) -> np.ndarray:
@@ -275,25 +306,25 @@ def _fim_recursion(M: int, q0: float, layers: Iterable) -> np.ndarray:
     sampling, checks and forward propagation stay there, in order. A
     failure on either thread stops the recursion; the step in flight is
     always waited for, and its failure, which a serial loop would have
-    met first, wins. No thread outlives the call. Two M x M buffers are
-    allocated once and updated in place.
+    met first, wins. No thread outlives the call. H and one M x TILE
+    panel are allocated once; H is updated and symmetrized in place.
     """
     h = np.zeros((M, M))
     h.flat[:: M + 1] = q0
-    u = np.empty((M, M))
+    panel = np.empty(M * min(M, TILE))
     with ThreadPoolExecutor(1) as pool:
         pending = None
         try:
             for w, d, q in layers:
                 if pending is not None:
                     pending.result()
-                pending = pool.submit(contextvars.copy_context().run, _fim_step, h, u, [w, d, q])
+                pending = pool.submit(
+                    contextvars.copy_context().run, _fim_step, h, panel, [w, d, q]
+                )
         finally:
             if pending is not None:
                 pending.result()
-    np.copyto(u, h.T)
-    h += u
-    h /= 2.0
+    _symmetrize_in_place(h)
     return h
 
 
@@ -304,8 +335,8 @@ def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> np
     through _forward_layers on the calling thread while _fim_recursion
     conjugates the previous layer on its worker. Each step needs only the
     current W_l and D_{l-1}, so beyond what the caller keeps the working
-    memory is two M x M buffers plus the weights of the two layers in
-    hand, whatever the depth.
+    memory is three M x M arrays, H and the weights of the two layers in
+    hand, plus one M x TILE panel, whatever the depth.
     """
     x = np.asarray(x, dtype=float)
     if not np.linalg.norm(x) > 0:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from isospec.freeconv import _BLOCK_BYTES, _WALK_LEVELS, _h_of, _newton
-from isospec.rmtsim import ForwardTrace, OrthogonalNet, sample_haar_orthogonal
+from isospec.rmtsim import TILE, ForwardTrace, OrthogonalNet, sample_haar_orthogonal
 from isospec.specmeasure import NumericalError
 
 DENSE_MAX_WIDTH = 16
@@ -40,6 +40,19 @@ def reference_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x=xs, h=hs, deriv=ds, q_hat=qs)
 
 
+def conjugate_by_panels(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """W h W^T summed as the recursion sums it, out of place: W h by
+    TILE-column panels, then (W h) W^T by TILE-row panels.
+
+    BLAS need not sum an entry of a panel's product in the order it sums
+    the same entry of the full product, so above TILE the two can differ
+    in the last bits at some widths (300 is one).
+    """
+    M = len(h)
+    u = np.hstack([w @ h[:, i : i + TILE] for i in range(0, M, TILE)])
+    return np.vstack([u[i : i + TILE] @ w.T for i in range(0, M, TILE)])
+
+
 def reference_dual_fim(net: OrthogonalNet, x: np.ndarray) -> np.ndarray:
     """H_L by the layer recursion, run after the stored forward pass."""
     trace = reference_trace(net, x)
@@ -47,7 +60,7 @@ def reference_dual_fim(net: OrthogonalNet, x: np.ndarray) -> np.ndarray:
     for ell in range(1, net.depth):
         d = trace.deriv[ell - 1]
         w = net.weights[ell]
-        inner = w @ (d[:, None] * h * d[None, :]) @ w.T
+        inner = conjugate_by_panels(w, d[:, None] * h * d[None, :])
         h = trace.q_hat[ell] * np.eye(net.width) + inner
     return (h + h.T) / 2.0
 
@@ -59,7 +72,7 @@ def reference_model_fim(M: int, q, sigma, alpha, gamma, rng: np.random.Generator
     for ell in range(1, len(q)):
         d = math.sqrt(gamma[ell - 1]) * (rng.random(M) < alpha[ell - 1]).astype(float)
         wd = sigma[ell] * sample_haar_orthogonal(M, rng) * d[None, :]
-        h = float(q[ell]) * np.eye(M) + wd @ h @ wd.T
+        h = float(q[ell]) * np.eye(M) + conjugate_by_panels(wd, h)
     return (h + h.T) / 2.0
 
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,28 @@ class TestSimulate:
         assert h.shape == (16, 16)
         assert np.abs(h - h.T).max() < 1e-12
         assert np.abs(np.linalg.eigvalsh(h) - 2.0).max() < 1e-9
+
+    def test_each_draw_releases_the_last_draws_matrix(self, tmp_path):
+        M = 400
+
+        def peak(draws):
+            out = tmp_path / f"d{draws}"
+            tracemalloc.start()
+            try:
+                assert _run("simulate", "--out", out, "--model", "atoms", "--width", M,
+                            "--depth", 6, "--alpha", "0.75", "--gamma", "1", "--draws", draws,
+                            "--dump-matrix", "h.isom") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, two = peak(1), peak(2)
+        assert two - one <= 0.25 * 8 * M * M
+        # the dump is still the last draw's H
+        rows = (tmp_path / "d2" / "eigenvalues.csv").read_text().splitlines()[1:]
+        last = [float(r.split(",")[2]) for r in rows if r.startswith("1,")]
+        h = read_matrix_dump(tmp_path / "d2" / "h.isom")
+        assert np.allclose(np.linalg.eigvalsh(h), last, rtol=1e-10, atol=0)
 
     def test_byte_determinism_across_runs(self, tmp_path):
         args = ["simulate", "--model", "atoms", "--width", 40, "--depth", 3,

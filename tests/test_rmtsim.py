@@ -341,14 +341,16 @@ STREAM_SIGMAS = (0.8, 1.1, 0.9, 1.2, 1.0)
 class TestNetworkFimSample:
     """The streamed draw: each layer drawn, checked and consumed in turn."""
 
-    @pytest.mark.parametrize("depth", [1, 2, 5])
+    # at width 300 the conjugation takes two full panels and a remainder
+    @pytest.mark.parametrize("M, depth", [(32, 1), (32, 2), (32, 5), (300, 5)],
+                             ids=["1", "2", "5", "5-width300"])
     @pytest.mark.parametrize("activation", STREAM_ACTIVATIONS, ids=["linear", "hard_tanh"])
-    def test_bitwise_equal_to_reference_loop(self, activation, depth):
+    def test_bitwise_equal_to_reference_loop(self, activation, M, depth):
         sigma = list(STREAM_SIGMAS[:depth])
-        x = normalized_input(32, np.random.default_rng(40 + depth))
-        net = OrthogonalNet.sample(32, depth, activation, sigma, seed=depth)
+        x = normalized_input(M, np.random.default_rng(40 + depth))
+        net = OrthogonalNet.sample(M, depth, activation, sigma, seed=depth)
         want = reference_dual_fim(net, x)
-        assert np.array_equal(network_fim_sample(32, depth, activation, sigma, depth, x), want)
+        assert np.array_equal(network_fim_sample(M, depth, activation, sigma, depth, x), want)
         assert np.array_equal(dual_fim(net.weights, activation, x), want)
 
     def test_streamed_weights_are_the_sampled_network(self, monkeypatch):
@@ -417,13 +419,28 @@ class TestNetworkFimSample:
         assert abs(deep - shallow) <= 0.1 * shallow
 
 
-def _draw(model: str) -> np.ndarray:
-    """One small six-layer draw of either simulate model."""
+class TestFimStep:
+    # BLAS may sum a panel's entries in another order than the full
+    # products sum them, so the last bits can differ (they do at M = 300)
+    @pytest.mark.parametrize("M", [32, 128, 300])
+    def test_panels_give_the_full_products_to_rounding(self, M):
+        rng = np.random.default_rng(M)
+        w, h, d = rng.standard_normal((M, M)), rng.standard_normal((M, M)), rng.random(M)
+        want = w @ (d[:, None] * h * d[None, :]) @ w.T + 0.7 * np.eye(M)
+        layer = [w, d, 0.7]
+        rmtsim._fim_step(h, np.empty(M * min(M, rmtsim.TILE)), layer)
+        assert layer == []
+        assert np.abs(h - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _draw(model: str, M: int = 24, depth: int = 6) -> np.ndarray:
+    """One draw of either simulate model, by default small and six layers deep."""
     if model == "network":
-        x = normalized_input(24, np.random.default_rng(0))
-        return network_fim_sample(24, 6, HardTanh(s=0.5, g=1.3), 1.0, 0, x)
+        x = normalized_input(M, np.random.default_rng(0))
+        return network_fim_sample(M, depth, HardTanh(s=0.5, g=1.3), 1.0, 0, x)
     return model_fim_sample(
-        24, [1.0] * 6, [1.1] * 6, [0.75] * 5, [1.3] * 5, np.random.default_rng(0)
+        M, [1.0] * depth, [1.1] * depth, [0.75] * (depth - 1), [1.3] * (depth - 1),
+        np.random.default_rng(0),
     )
 
 
@@ -446,6 +463,17 @@ class TestFimRecursionWorker:
         assert len(draws) == (6 if model == "network" else 5)
         assert max(alive) == 1
 
+    def test_peak_memory_below_four_matrices(self, model):
+        # H, the layer in conjugation, the layer being drawn, one M x TILE panel
+        M = 768
+        tracemalloc.start()
+        try:
+            _draw(model, M, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.9 * 8 * M * M
+
     def test_repeatable_under_fast_thread_switching(self, model):
         want = _draw(model)
         interval = sys.getswitchinterval()
@@ -465,11 +493,11 @@ class TestFimRecursionWorker:
         threads = []
         real = rmtsim._fim_step
 
-        def failing_third(h, u, layer):
+        def failing_third(h, panel, layer):
             threads.append(threading.current_thread())
             if len(threads) == 3:
                 raise RuntimeError("step 3 failed")
-            real(h, u, layer)
+            real(h, panel, layer)
 
         monkeypatch.setattr(rmtsim, "_fim_step", failing_third)
         before = threading.active_count()
@@ -485,11 +513,11 @@ class TestFimRecursionWorker:
         steps, draws = [], []
         real_step, real_draw = rmtsim._fim_step, rmtsim.sample_haar_orthogonal
 
-        def failing_second(h, u, layer):
+        def failing_second(h, panel, layer):
             steps.append(1)
             if len(steps) == 2:
                 raise RuntimeError("step 2 failed")
-            real_step(h, u, layer)
+            real_step(h, panel, layer)
 
         def failing_draw(M, rng):
             draws.append(1)
@@ -506,9 +534,9 @@ class TestFimRecursionWorker:
     def test_steps_run_under_the_callers_error_state(self, model, monkeypatch):
         real = rmtsim._fim_step
 
-        def dividing(h, u, layer):
+        def dividing(h, panel, layer):
             np.divide(1.0, np.zeros(1))
-            real(h, u, layer)
+            real(h, panel, layer)
 
         monkeypatch.setattr(rmtsim, "_fim_step", dividing)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
@@ -616,9 +644,11 @@ class TestEmpiricalMeasure:
 
 
 class TestModelFimSample:
-    @pytest.mark.parametrize("alpha", [0.6, 1.0], ids=["zero_columns", "alpha_1"])
-    def test_bitwise_equal_to_serial_loop(self, alpha):
-        args = (48, [1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [alpha] * 3, [1.7, 1.3, 0.9])
+    @pytest.mark.parametrize("M, alpha", [(48, 0.6), (48, 1.0), (300, 0.6), (300, 1.0)],
+                             ids=["zero_columns", "alpha_1", "zero_columns-width300",
+                                  "alpha_1-width300"])
+    def test_bitwise_equal_to_serial_loop(self, M, alpha):
+        args = (M, [1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [alpha] * 3, [1.7, 1.3, 0.9])
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         got = model_fim_sample(*args, rng)
         assert np.array_equal(got, reference_model_fim(*args, ref_rng))
