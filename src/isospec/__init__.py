@@ -47,13 +47,10 @@ from .meanfield import (
 )
 from .rmtsim import (
     EigenReport,
-    ForwardTrace,
     OrthogonalNet,
     dual_fim,
     empirical_measure,
-    forward_trace,
     network_fim_sample,
-    ntk_block_matrix,
     sample_haar_orthogonal,
 )
 from .trainlab import (

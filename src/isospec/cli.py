@@ -43,7 +43,7 @@ from .rmtsim import (
     network_fim_sample,
     normalized_input,
 )
-from .specmeasure import NumericalError, SpectralMeasure, _bin_masses, distance_L1, moment
+from .specmeasure import NumericalError, SpectralMeasure, _bin_masses, bin_grid, distance_L1, moment
 from .trainlab import TrainConfig, idx_dataset, lr_depth_sweep, synth_dataset
 
 MATRIX_MAGIC = b"ISOM"
@@ -386,18 +386,15 @@ def emit_svg_histogram(
     overlay: SpectralMeasure | None = None,
     *,
     bin_width: float = 0.1,
-    log_y: bool = False,
     title: str = "",
 ) -> str:
     """Deterministic 800x600 SVG: the first measure as density-scale
-    bars, the optional overlay as a density polyline with atom stems."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    bars, the optional overlay as a density polyline with atom stems, on
+    a log y axis spanning four decades."""
     measures = [measure] + ([overlay] if overlay is not None else [])
     lo = min(m.support_min() for m in measures)
     hi = max(m.support_max for m in measures)
-    origin = math.floor(lo / bin_width) * bin_width
-    n_bins = max(int(math.ceil((hi - origin) / bin_width)) + 1, 1)
+    origin, n_bins = bin_grid(lo, hi, bin_width)
     heights = _bin_masses(measure, origin, bin_width, n_bins) / bin_width
 
     x_lo, x_hi = origin, origin + n_bins * bin_width
@@ -415,16 +412,12 @@ def emit_svg_histogram(
         return left + (x - x_lo) / (x_hi - x_lo) * PLOT_W
 
     def ypix(v):
-        if log_y:
-            v = max(v, y_floor)
-            frac = math.log(v / y_floor) / math.log(y_max / y_floor)
-        else:
-            frac = max(v, 0.0) / y_max
+        frac = math.log(max(v, y_floor) / y_floor) / math.log(y_max / y_floor)
         return bottom - frac * PLOT_H
 
     parts = _svg_open(title)
     for i, h in enumerate(heights):
-        if h <= (y_floor if log_y else 0.0):
+        if h <= y_floor:
             continue
         x0 = xpix(origin + i * bin_width)
         x1 = xpix(origin + (i + 1) * bin_width)
@@ -461,10 +454,7 @@ def emit_svg_histogram(
         parts.append(_text(xp, bottom + 20, _fmt(x)))
     for i in range(5):
         frac = i / 4
-        if log_y:
-            v = y_floor * (y_max / y_floor) ** frac
-        else:
-            v = y_max * frac
+        v = y_floor * (y_max / y_floor) ** frac
         yp = _fmt(bottom - frac * PLOT_H)
         parts.append(_line(left - 5, yp, left, yp))
         parts.append(_text(left - 8, yp, _fmt(v), attrs=' text-anchor="end" dy="4"'))
@@ -480,10 +470,10 @@ def emit_svg_histogram(
     return _svg_close(parts)
 
 
-def emit_svg_heatmap(sweep, *, value: str = "train_acc", title: str = "") -> str:
+def emit_svg_heatmap(sweep, *, title: str = "") -> str:
     """Deterministic 800x600 heatmap over (depth, eta) with the 2/L line.
 
-    Cells are colored by `value` (accuracy: white to blue); diverged
+    Cells are colored by training accuracy, white to blue; diverged
     cells are red. The y axis is the eta grid in log scale.
     """
     cells = sweep.cells
@@ -501,7 +491,7 @@ def emit_svg_heatmap(sweep, *, value: str = "train_acc", title: str = "") -> str
     def cell_color(c):
         if c.diverged:
             return "#d62728"
-        v = getattr(c, value)
+        v = c.train_acc
         v = 0.0 if not math.isfinite(v) else min(max(v, 0.0), 1.0)
         r = round(255 + (8 - 255) * v)
         g = round(255 + (81 - 255) * v)
@@ -731,10 +721,11 @@ def cmd_simulate(args) -> int:
     (outdir / "eigenvalues.csv").write_text("\n".join(rows) + "\n")
 
     report = EigenReport.from_eigenvalues(np.sort(np.concatenate(values)))
-    empirical = empirical_measure(report, bins, atom_window=merged["atom_window"])
+    empirical = _checked("bins", empirical_measure, report, bins,
+                         atom_window=merged["atom_window"])
     _write_json(outdir / "empirical.json", empirical.to_json_dict())
-    svg = emit_svg_histogram(
-        empirical, theory, bin_width=bins, log_y=True,
+    svg = _checked(
+        "bins", emit_svg_histogram, empirical, theory, bin_width=bins,
         title=f"spectrum M={width} L={depth} ({model})",
     )
     (outdir / "histogram.svg").write_text(svg)
@@ -826,8 +817,8 @@ def cmd_compare(args) -> int:
     bins = merged["bins"]
     _require(bins > 0, "bins", "must be positive")
     ms = {key: _load_measure(merged[key], key) for key in ("a", "b")}
+    l1 = _checked("bins", distance_L1, ms["a"], ms["b"], bins)
     outdir = _outdir(merged)
-    l1 = distance_L1(ms["a"], ms["b"], bins)
     summary = {
         "l1": l1,
         "bin_width": bins,

@@ -110,11 +110,6 @@ class LayerSchedule:
     def depth(self) -> int:
         return len(self.q)
 
-    @classmethod
-    def constant(cls, depth: int, q: float, sigma: float, alpha: float, gamma: float):
-        nu = TwoAtomJacobianLaw(alpha, gamma)
-        return cls(q=(q,) * depth, sigma=(sigma,) * depth, jacobians=(nu,) * (depth - 1))
-
 
 @dataclass(frozen=True)
 class AsymptoticRegime:
@@ -144,10 +139,6 @@ class AtomTrack:
     lam: tuple
     beta: tuple
     valid_depth: int
-
-    @property
-    def depth(self) -> int:
-        return len(self.lam)
 
 
 @dataclass(frozen=True)
@@ -268,8 +259,6 @@ def free_mult_conv_two_atom(
     *,
     grid_count: int = DEFAULT_GRID,
     eps: float | None = None,
-    margin: float = WINDOW_MARGIN,
-    tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITER,
     return_stats: bool = False,
 ):
@@ -277,8 +266,9 @@ def free_mult_conv_two_atom(
 
     Atoms are placed by the exact rules; the continuous part comes from
     solving the subordination fixed point w = h_mu(z S_nu(w)) on the
-    strip Im z = eps over [0, ||mu|| * gamma * (1 + margin)], followed by
-    Stieltjes inversion with the atoms' Cauchy terms subtracted.
+    strip Im z = eps over [0, ||mu|| * gamma * (1 + WINDOW_MARGIN)],
+    followed by Stieltjes inversion with the atoms' Cauchy terms
+    subtracted.
 
     The solve runs Newton's method at every grid point from one Picard
     step of the fixed-point map, w = h_mu(z S_nu(h_mu(z))). A root is
@@ -293,11 +283,11 @@ def free_mult_conv_two_atom(
     Purely atomic cases (nu = delta_gamma, or mu a single atom) bypass
     the solver.
 
+    A point has converged when its Newton step is at most
+    SOLVER_TOL * (1 + |w|).
+
     Parameters
     ----------
-    tol : float
-        A point has converged when its Newton step is at most
-        tol * (1 + |w|).
     max_iter : int
         Newton steps allowed per point at each Im z level, the cold start
         included. `ConvolutionStats.iterations_*` count all Newton steps
@@ -336,7 +326,7 @@ def free_mult_conv_two_atom(
         result = SpectralMeasure.from_atoms(atoms)
         return (result, _TRIVIAL_STATS) if return_stats else result
 
-    window = bound * (1.0 + margin)
+    window = bound * (1.0 + WINDOW_MARGIN)
     if eps is None:
         eps = 1e-4 * window
     x = np.linspace(0.0, window, grid_count)
@@ -344,7 +334,7 @@ def free_mult_conv_two_atom(
 
     locs, masses = _atomize(mu)
     w_sol, iters, accepted, continued = _subordination_solve(
-        locs, masses, nu, z, tol=tol, max_iter=max_iter
+        locs, masses, nu, z, tol=SOLVER_TOL, max_iter=max_iter
     )
     g = (w_sol + 1.0) / z
     bad = ~accepted

@@ -8,10 +8,9 @@ central object measured here is the dual conditional Fisher information
         = sum_l q_hat_{l-1} delta_{L->l} delta_{L->l}^T,
 
 built by the layer recursion H_{l+1} = q_hat_l I + W_{l+1} D_l H_l D_l
-W_{l+1}^T (starting from H_1 = q_hat_0 I), plus the N-sample block
-kernel Theta whose diagonal blocks are (M/N) H_L(x_n). The one forward
-loop, _forward_layers, runs one input or a batch (trainlab's sweep
-steps through it too). The recursion consumes it one layer at a time,
+W_{l+1}^T (starting from H_1 = q_hat_0 I). The one forward loop,
+_forward_layers, runs one input or a batch (trainlab's sweep steps
+through it too). The recursion consumes it one layer at a time,
 so a network draw can be streamed through it without ever holding more
 than two weights; one worker thread conjugates layer l, in H's own
 buffer by panels of TILE columns and rows, while the calling thread
@@ -34,10 +33,9 @@ import numpy as np
 
 from . import _openblas
 from .meanfield import ActivationSpec
-from .specmeasure import GridDensity, NumericalError, SpectralMeasure
+from .specmeasure import GridDensity, NumericalError, SpectralMeasure, check_bin_width
 
 ORTHO_TOL = 1e-10
-NTK_MAX_SIZE = 4096
 # Tile of the in-place transposes and symmetrization, band of the
 # orthogonality check and panel width of the FIM conjugation.
 TILE = 128
@@ -111,12 +109,10 @@ def sample_haar_orthogonal(M: int, rng: np.random.Generator) -> np.ndarray:
     raise NumericalError("repeated rank-deficient Gaussian draws")
 
 
-def normalized_input(M: int, rng: np.random.Generator, q_hat: float = 1.0) -> np.ndarray:
-    """Standard Gaussian vector rescaled so that ||x||^2 / M = q_hat."""
-    if q_hat <= 0:
-        raise ValueError("q_hat must be positive")
+def normalized_input(M: int, rng: np.random.Generator) -> np.ndarray:
+    """Standard Gaussian vector rescaled so that ||x||^2 / M = 1."""
     x = rng.standard_normal(M)
-    return x * math.sqrt(M * q_hat) / np.linalg.norm(x)
+    return x * math.sqrt(M) / np.linalg.norm(x)
 
 
 def _haar_layers(width: int, sigma: Iterable, rng: np.random.Generator) -> Iterator:
@@ -204,21 +200,6 @@ class OrthogonalNet:
         return cls(width, depth, weights, sig, activation, seed)
 
 
-@dataclass
-class ForwardTrace:
-    """Everything the backward pass and the FIM recursions need.
-
-    x[0..L] activations (x[0] the input), h[1..L] preactivations stored
-    at index l-1, deriv[l-1] = phi'(h^l) for l = 1..L-1, and
-    q_hat[l] = ||x^l||^2 / M for l = 0..L-1.
-    """
-
-    x: list
-    h: list
-    deriv: list
-    q_hat: list
-
-
 def _forward_layers(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> Iterator:
     """The forward pass, one layer at a time: the one forward loop.
 
@@ -237,31 +218,9 @@ def _forward_layers(weights: Iterable, activation: ActivationSpec, x: np.ndarray
         yield w, x, h
 
 
-def _finite(h: np.ndarray, ell: int) -> np.ndarray:
+def _finite(h: np.ndarray, ell: int) -> None:
     if not np.all(np.isfinite(h)):
         raise NumericalError(f"non-finite preactivation at layer {ell}")
-    return h
-
-
-def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
-    """Run the network on one input, recording the full trace.
-
-    The network output is the last preactivation h^L; x^L is recorded
-    anyway for schedule measurements.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.width,):
-        raise ValueError(f"input must have shape ({net.width},)")
-    if not np.linalg.norm(x) > 0:
-        raise ValueError("input must be nonzero")
-    xs, hs = [], []
-    for ell, (_, cur, h) in enumerate(_forward_layers(net.weights, net.activation, x), start=1):
-        xs.append(cur)
-        hs.append(_finite(h, ell))
-    deriv = [net.activation.deriv(h) for h in hs[:-1]]
-    q_hat = [float(cur @ cur) / cur.size for cur in xs]
-    xs.append(net.activation.apply(hs[-1]))
-    return ForwardTrace(x=xs, h=hs, deriv=deriv, q_hat=q_hat)
 
 
 def _fim_step(h: np.ndarray, panel: np.ndarray, layer: list) -> None:
@@ -385,46 +344,6 @@ def network_fim_sample(
     return dual_fim(_checked_haar_layers(width, sig, seed), activation, x)
 
 
-def _chain_matrices(net: OrthogonalNet, trace: ForwardTrace) -> list:
-    """delta_{L->l} = W_L D_{L-1} ... W_{l+1} D_l for l = 1..L (identity at L)."""
-    out = [np.eye(net.width)]
-    for ell in range(net.depth - 1, 0, -1):
-        out.append((out[-1] @ net.weights[ell]) * trace.deriv[ell - 1][None, :])
-    out.reverse()
-    return out
-
-
-def ntk_block_matrix(net: OrthogonalNet, inputs: list) -> np.ndarray:
-    """N-sample tangent-kernel block matrix Theta (NM x NM).
-
-    Block (m, n) is (M/N) sum_l Sigma_l(m, n) delta_{L->l}(m)
-    delta_{L->l}(n)^T with Sigma_l(m, n) = <x^{l-1}(m), x^{l-1}(n)> / M,
-    so the diagonal blocks are (M/N) H_L(x_n) and the normalized traces
-    satisfy tr(Theta/M) = sum_n tr(H_L(x_n)) / N^2 exactly.
-    """
-    n_samples = len(inputs)
-    if n_samples < 1:
-        raise ValueError("need at least one input")
-    size = n_samples * net.width
-    if size > NTK_MAX_SIZE:
-        raise ValueError(f"NM = {size} exceeds the guard {NTK_MAX_SIZE}")
-    traces = [forward_trace(net, x) for x in inputs]
-    chains = [_chain_matrices(net, t) for t in traces]
-    theta = np.zeros((size, size))
-    M = net.width
-    for m in range(n_samples):
-        for n in range(m, n_samples):
-            block = np.zeros((M, M))
-            for ell in range(net.depth):
-                overlap = float(traces[m].x[ell] @ traces[n].x[ell]) / M
-                block += overlap * (chains[m][ell] @ chains[n][ell].T)
-            block *= M / n_samples
-            theta[m * M : (m + 1) * M, n * M : (n + 1) * M] = block
-            if n != m:
-                theta[n * M : (n + 1) * M, m * M : (m + 1) * M] = block.T
-    return theta
-
-
 @dataclass
 class EigenReport:
     """Sorted spectrum of one symmetric matrix plus summary statistics."""
@@ -432,33 +351,16 @@ class EigenReport:
     eigenvalues: np.ndarray
     max: float
     mean: float
-    histogram: tuple
     atom_mass_near_max: float
 
     @classmethod
-    def from_eigenvalues(
-        cls, vals: np.ndarray, bin_count: int = 64, atom_window: float = 0.01
-    ) -> "EigenReport":
+    def from_eigenvalues(cls, vals: np.ndarray) -> "EigenReport":
         """Summary of an ascending spectrum. atom_mass_near_max is the
-        fraction of eigenvalues within `atom_window` (relative) of the top."""
+        fraction of eigenvalues within 1% (relative) of the top."""
         top = float(vals[-1])
-        lo, hi = float(vals[0]), top
-        # a near-degenerate spectrum can have hi - lo below what bin_count
-        # finite bins can resolve; collapse it to one bin instead
-        if hi - lo <= bin_count * np.spacing(max(abs(lo), abs(hi), 1.0)):
-            edges = np.array([lo - 0.5, hi + 0.5])
-            counts = np.array([len(vals)])
-        else:
-            counts, edges = np.histogram(vals, bins=bin_count, range=(lo, hi))
-        window = atom_window * max(abs(top), 1e-300)
+        window = 0.01 * max(abs(top), 1e-300)
         near = float(np.count_nonzero(vals >= top - window)) / len(vals)
-        return cls(
-            eigenvalues=vals,
-            max=top,
-            mean=float(vals.mean()),
-            histogram=(edges, counts),
-            atom_mass_near_max=near,
-        )
+        return cls(eigenvalues=vals, max=top, mean=float(vals.mean()), atom_mass_near_max=near)
 
 
 def empirical_measure(
@@ -472,13 +374,13 @@ def empirical_measure(
     distance_L1 uses, so theory-vs-empirical comparisons bin
     consistently). With atom_window set, eigenvalues within that
     relative distance of the maximum become a single atom at their mean
-    and only the rest is histogrammed.
+    and only the rest is histogrammed. A bin width that check_bin_width
+    refuses for the spectrum's range raises ValueError.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
     vals = report.eigenvalues
     if len(vals) == 0:
         raise ValueError("empty eigenvalue report")
+    check_bin_width(vals.min(), vals.max(), bin_width)
     total = len(vals)
     atoms = []
     if atom_window is not None:

@@ -13,7 +13,7 @@ so everything here is safe to evaluate concurrently.
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,10 @@ MASS_TOL = 1e-6
 
 # Coarser grids cannot resolve the densities we propagate.
 MIN_GRID_COUNT = 64
+
+# A bin width that cuts a span into more bins than this is refused before
+# any array of that many bins is made.
+MAX_BINS = 100_000
 
 
 class NumericalError(RuntimeError):
@@ -127,7 +131,7 @@ class SpectralMeasure:
 
     atoms: tuple
     density: GridDensity | None = None
-    support_max: float = None  # computed; do not pass
+    support_max: float = field(init=False)
 
     def __post_init__(self):
         atoms = _as_atom_tuple(self.atoms)
@@ -140,20 +144,13 @@ class SpectralMeasure:
         locs = [loc for loc, _ in atoms]
         if any(b <= a for a, b in zip(locs, locs[1:])):
             raise ValueError("atom locations must be strictly increasing")
-        mass = sum(w for _, w in atoms)
-        if self.density is not None:
-            mass += self.density.mass()
+        mass = self.mass()
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {mass} deviates from 1 beyond {MASS_TOL}")
         support = [loc for loc, _ in atoms]
         if self.density is not None:
             support.append(self.density.right)
-        if not support:
-            raise ValueError("measure has no support")
-        computed = max(support)
-        if self.support_max is not None and abs(self.support_max - computed) > 1e-12:
-            raise ValueError("support_max does not match the actual support")
-        object.__setattr__(self, "support_max", computed)
+        object.__setattr__(self, "support_max", max(support))
 
     # ------------------------------------------------------------------
     # constructors
@@ -186,10 +183,10 @@ class SpectralMeasure:
     def atom_mass(self) -> float:
         return sum(w for _, w in self.atoms)
 
-    def atom_weight(self, x: float, tol: float = 1e-9) -> float:
-        """Weight of the atom at x, or 0 if no atom sits there."""
+    def atom_weight(self, x: float) -> float:
+        """Weight of the atom within 1e-9 (1 + |x|) of x, or 0 if none."""
         for loc, w in self.atoms:
-            if abs(loc - x) <= tol * (1.0 + abs(x)):
+            if abs(loc - x) <= 1e-9 * (1.0 + abs(x)):
                 return w
         return 0.0
 
@@ -215,20 +212,15 @@ class SpectralMeasure:
             }
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SpectralMeasure":
+    def from_json(cls, text: str) -> "SpectralMeasure":
+        """The measure of a to_json_dict record written as JSON."""
+        data = json.loads(text)
         density = None
         if data.get("density") is not None:
             d = data["density"]
             density = GridDensity(d["left"], d["right"], np.asarray(d["values"]))
         return cls(atoms=tuple((a[0], a[1]) for a in data["atoms"]), density=density)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralMeasure":
-        return cls.from_json_dict(json.loads(text))
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +297,27 @@ def moment(mu: SpectralMeasure, k: int) -> float:
     return float(total)
 
 
+def check_bin_width(lo: float, hi: float, bin_width: float) -> None:
+    """Raise ValueError unless bin_width is positive and cuts [lo, hi]
+    into fewer than MAX_BINS bins."""
+    lo, hi = float(lo), float(hi)
+    if bin_width <= 0:
+        raise ValueError("bin_width must be positive")
+    # Python floats overflow to inf without a warning, and inf fails
+    if not ((hi - lo) / bin_width < MAX_BINS and math.isfinite(lo / bin_width)):
+        raise ValueError(
+            f"bin width {bin_width:g} cuts [{lo:g}, {hi:g}] into more than {MAX_BINS} bins"
+        )
+
+
+def bin_grid(lo: float, hi: float, bin_width: float) -> tuple:
+    """(origin, n_bins) of the bins of width bin_width that cover [lo, hi],
+    their edges at integer multiples of bin_width; see check_bin_width."""
+    check_bin_width(lo, hi, bin_width)
+    origin = math.floor(lo / bin_width) * bin_width
+    return origin, max(int(math.ceil((hi - origin) / bin_width)) + 1, 1)
+
+
 def _bin_masses(mu: SpectralMeasure, origin: float, bin_width: float, n_bins: int) -> np.ndarray:
     masses = np.zeros(n_bins)
     for loc, w in mu.atoms:
@@ -326,14 +339,12 @@ def distance_L1(mu: SpectralMeasure, nu: SpectralMeasure, bin_width: float) -> f
 
     Both measures are accumulated on one uniform grid whose edges sit at
     integer multiples of `bin_width`, atoms landing in their containing
-    half-open bin. Identical measures give 0, disjoint supports give 2.
+    half-open bin (bin_grid). Identical measures give 0, disjoint
+    supports give 2.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
     lo = min(mu.support_min(), nu.support_min())
     hi = max(mu.support_max, nu.support_max)
-    origin = math.floor(lo / bin_width) * bin_width
-    n_bins = max(int(math.ceil((hi - origin) / bin_width)) + 1, 1)
+    origin, n_bins = bin_grid(lo, hi, bin_width)
     p = _bin_masses(mu, origin, bin_width, n_bins)
     q = _bin_masses(nu, origin, bin_width, n_bins)
     return float(np.abs(p - q).sum())

@@ -111,11 +111,6 @@ class Dataset:
     def width(self) -> int:
         return self.inputs.shape[1]
 
-    def target(self, i: int) -> np.ndarray:
-        y = np.zeros(self.width)
-        y[self.labels[i]] = 1.0
-        return y
-
     @classmethod
     def from_arrays(cls, vectors: np.ndarray, labels: np.ndarray, classes: int) -> "Dataset":
         """Normalize raw vectors to q_hat = 1 and wrap them up."""
@@ -145,7 +140,7 @@ def synth_dataset(M: int, n: int, classes: int, seed: int) -> Dataset:
     return Dataset.from_arrays(raw, labels, classes)
 
 
-def idx_dataset(images_path, labels_path, classes: int = 10, limit: int | None = None) -> Dataset:
+def idx_dataset(images_path, labels_path, classes: int = 10) -> Dataset:
     """Flatten an IDX image/label pair into a normalized Dataset."""
     images = load_idx(images_path)
     labels = load_idx(labels_path)
@@ -153,8 +148,6 @@ def idx_dataset(images_path, labels_path, classes: int = 10, limit: int | None =
         raise ValueError("images file must hold a 3-D tensor")
     if len(images) != len(labels):
         raise ValueError(f"{len(images)} images vs {len(labels)} labels")
-    if limit is not None:
-        images, labels = images[:limit], labels[:limit]
     flat = images.reshape(len(images), -1).astype(float)
     return Dataset.from_arrays(flat, labels.astype(int), classes)
 

@@ -1,26 +1,120 @@
-"""Reference computations that only the tests use.
+"""Reference computations and helpers that only the tests use.
 
-Each one is written independently of the code it checks: the stored
-forward pass and layer recursion that `rmtsim.dual_fim` must reproduce
-bit for bit, the serial matrix-model loop that `rmtsim.model_fim_sample`
-must reproduce bit for bit, the dense parameter Jacobian behind H_L and
-the conditional FIM, and an alternating-moment test of asymptotic
-freeness. The one exception is the cold-start subordination solve, which
-differs from `freeconv._subordination_solve` only in where Newton starts
-and shares its Cauchy evaluator and Newton loop.
+The references are written independently of the code they check: the
+stored forward pass and layer recursion that `rmtsim.dual_fim` must
+reproduce bit for bit, the serial matrix-model loop that
+`rmtsim.model_fim_sample` must reproduce bit for bit, the dense
+parameter Jacobian behind H_L and the conditional FIM, and an
+alternating-moment test of asymptotic freeness. The cold-start
+subordination solve differs from `freeconv._subordination_solve` only in
+where Newton starts and shares its Cauchy evaluator and Newton loop.
+
+The helpers are not independent: `forward_trace` runs the package's own
+forward loop, and `ntk_block_matrix`, the N-sample tangent kernel that
+acceptance criterion 5 checks, is built on it. `constant_schedule` is
+the one-value-per-layer LayerSchedule many tests start from.
 """
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from isospec.freeconv import _BLOCK_BYTES, _WALK_LEVELS, _h_of, _newton
-from isospec.rmtsim import TILE, ForwardTrace, OrthogonalNet, sample_haar_orthogonal
+from isospec.freeconv import (
+    _BLOCK_BYTES,
+    _WALK_LEVELS,
+    LayerSchedule,
+    TwoAtomJacobianLaw,
+    _h_of,
+    _newton,
+)
+from isospec.rmtsim import TILE, OrthogonalNet, _finite, _forward_layers, sample_haar_orthogonal
 from isospec.specmeasure import NumericalError
 
 DENSE_MAX_WIDTH = 16
 DENSE_MAX_DEPTH = 4
+NTK_MAX_SIZE = 4096
+
+
+def constant_schedule(depth: int, q: float, sigma: float, alpha: float, gamma: float):
+    """The LayerSchedule with the same q, sigma and Jacobian law at every layer."""
+    nu = TwoAtomJacobianLaw(alpha, gamma)
+    return LayerSchedule(q=(q,) * depth, sigma=(sigma,) * depth, jacobians=(nu,) * (depth - 1))
+
+
+@dataclass
+class ForwardTrace:
+    """Everything the backward pass and the FIM recursions need.
+
+    x[0..L] activations (x[0] the input), h[1..L] preactivations stored
+    at index l-1, deriv[l-1] = phi'(h^l) for l = 1..L-1, and
+    q_hat[l] = ||x^l||^2 / M for l = 0..L-1.
+    """
+
+    x: list
+    h: list
+    deriv: list
+    q_hat: list
+
+
+def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
+    """Run the network on one input through `rmtsim._forward_layers`,
+    recording the full trace; x^L is recorded too."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (net.width,):
+        raise ValueError(f"input must have shape ({net.width},)")
+    if not np.linalg.norm(x) > 0:
+        raise ValueError("input must be nonzero")
+    xs, hs = [], []
+    for ell, (_, cur, h) in enumerate(_forward_layers(net.weights, net.activation, x), start=1):
+        _finite(h, ell)
+        xs.append(cur)
+        hs.append(h)
+    deriv = [net.activation.deriv(h) for h in hs[:-1]]
+    q_hat = [float(cur @ cur) / cur.size for cur in xs]
+    xs.append(net.activation.apply(hs[-1]))
+    return ForwardTrace(x=xs, h=hs, deriv=deriv, q_hat=q_hat)
+
+
+def _chain_matrices(net: OrthogonalNet, trace: ForwardTrace) -> list:
+    """delta_{L->l} = W_L D_{L-1} ... W_{l+1} D_l for l = 1..L (identity at L)."""
+    out = [np.eye(net.width)]
+    for ell in range(net.depth - 1, 0, -1):
+        out.append((out[-1] @ net.weights[ell]) * trace.deriv[ell - 1][None, :])
+    out.reverse()
+    return out
+
+
+def ntk_block_matrix(net: OrthogonalNet, inputs: list) -> np.ndarray:
+    """N-sample tangent-kernel block matrix Theta (NM x NM).
+
+    Block (m, n) is (M/N) sum_l Sigma_l(m, n) delta_{L->l}(m)
+    delta_{L->l}(n)^T with Sigma_l(m, n) = <x^{l-1}(m), x^{l-1}(n)> / M,
+    so the diagonal blocks are (M/N) H_L(x_n) and the normalized traces
+    satisfy tr(Theta/M) = sum_n tr(H_L(x_n)) / N^2 exactly.
+    """
+    n_samples = len(inputs)
+    if n_samples < 1:
+        raise ValueError("need at least one input")
+    size = n_samples * net.width
+    if size > NTK_MAX_SIZE:
+        raise ValueError(f"NM = {size} exceeds the guard {NTK_MAX_SIZE}")
+    traces = [forward_trace(net, x) for x in inputs]
+    chains = [_chain_matrices(net, t) for t in traces]
+    theta = np.zeros((size, size))
+    M = net.width
+    for m in range(n_samples):
+        for n in range(m, n_samples):
+            block = np.zeros((M, M))
+            for ell in range(net.depth):
+                overlap = float(traces[m].x[ell] @ traces[n].x[ell]) / M
+                block += overlap * (chains[m][ell] @ chains[n][ell].T)
+            block *= M / n_samples
+            theta[m * M : (m + 1) * M, n * M : (n + 1) * M] = block
+            if n != m:
+                theta[n * M : (n + 1) * M, m * M : (m + 1) * M] = block.T
+    return theta
 
 
 def reference_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
@@ -88,11 +182,7 @@ def dual_fim_dense(net: OrthogonalNet, x: np.ndarray):
             f"dense construction limited to M <= {DENSE_MAX_WIDTH}, L <= {DENSE_MAX_DEPTH}"
         )
     trace = reference_trace(net, x)
-    # delta_{L->l} = W_L D_{L-1} ... W_{l+1} D_l, the identity at l = L
-    chains = [np.eye(net.width)]
-    for ell in range(net.depth - 1, 0, -1):
-        chains.append((chains[-1] @ net.weights[ell]) * trace.deriv[ell - 1][None, :])
-    chains.reverse()
+    chains = _chain_matrices(net, trace)
     blocks = [np.kron(chains[ell], trace.x[ell][None, :]) for ell in range(net.depth)]
     jac = np.hstack(blocks)
     h = jac @ jac.T / net.width

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import dual_fim_dense, freeness_probe
+from oracles import constant_schedule, dual_fim_dense, freeness_probe, ntk_block_matrix
 
 from isospec.freeconv import (
     AsymptoticRegime,
@@ -31,7 +31,6 @@ from isospec.rmtsim import (
     model_fim_sample,
     network_fim_sample,
     normalized_input,
-    ntk_block_matrix,
 )
 from isospec.specmeasure import (
     GridDensity,
@@ -111,7 +110,7 @@ def test_criterion_2_depth_three_panels(report):
         emp = empirical_measure(_eigen_report(h), bins)
         results.append((name, distance_L1(emp, theory, bins), time.monotonic() - t0))
     t0 = time.monotonic()
-    theory = propagate_schedule(LayerSchedule.constant(3, 1.0, 1.0, 0.5, 1.0))[-1]
+    theory = propagate_schedule(constant_schedule(3, 1.0, 1.0, 0.5, 1.0))[-1]
     h = model_fim_sample(M, [1, 1, 1], [1, 1, 1], [0.5, 0.5], [1, 1],
                          np.random.default_rng(5))
     emp = empirical_measure(_eigen_report(h), bins)

@@ -274,6 +274,14 @@ class TestSimulate:
         conf.write_text(json.dumps({"model": "quantum"}))
         assert _run("simulate", "--out", x, "--config", conf) == 2
 
+    @pytest.mark.parametrize("bins", [1e-9, 1e-320])
+    def test_tiny_bin_width_is_config_error(self, tmp_path, capsys, bins):
+        # 1e-9 asks for ~1e9 bins; it is refused before any array of them exists
+        code = _run("simulate", "--out", tmp_path / "x", "--model", "atoms", "--width", 8,
+                    "--depth", 3, "--bins", bins)
+        assert code == 2
+        assert "config error: bins: bin width" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise NumericalError("forced failure")
@@ -406,6 +414,13 @@ class TestCompare:
         assert _run("compare", "--out", tmp_path / "c", a, b) == 0
         summary = json.loads((tmp_path / "c" / "compare.json").read_text())
         assert summary["l1"] == 0.0
+
+    def test_tiny_bin_width_is_config_error(self, tmp_path, capsys):
+        a = self._measure_file(tmp_path / "a.json", [(1.0, 1.0)])
+        b = self._measure_file(tmp_path / "b.json", [(2.0, 1.0)])
+        assert _run("compare", "--out", tmp_path / "c", a, b, "--bins", 1e-9) == 2
+        assert "config error: bins: bin width" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_missing_operands_or_files(self, tmp_path):
         a = self._measure_file(tmp_path / "a.json", [(1.0, 1.0)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import reference_subordination_solve
+from oracles import constant_schedule, reference_subordination_solve
 
 from isospec import freeconv
 from isospec.freeconv import (
@@ -59,7 +59,7 @@ class TestLayerSchedule:
             LayerSchedule(q=(1.0, 1.0), sigma=(1.0, 1.0), jacobians=())
 
     def test_constant_builder(self):
-        sched = LayerSchedule.constant(4, 1.0, 0.9, 0.95, 1.1)
+        sched = constant_schedule(4, 1.0, 0.9, 0.95, 1.1)
         assert sched.depth == 4
         assert len(sched.jacobians) == 3
         assert sched.sigma == (0.9,) * 4
@@ -165,7 +165,7 @@ class TestFreeMultConv:
         # layer 5 of `theory --depth 5 --grid 512` at the default schedule:
         # nu's zero atom puts an atom at 0 that mu_4 lacks, and near x = 0
         # the cold start converges to the root w = -1, which attracts there
-        schedule = LayerSchedule.constant(5, 1.0, 1.0, 0.75, 1.0)
+        schedule = constant_schedule(5, 1.0, 1.0, 0.75, 1.0)
         mu = SpectralMeasure.dirac(schedule.q[0])
         for ell in range(1, 4):
             conv, stats = free_mult_conv_two_atom(
@@ -256,9 +256,9 @@ class TestPropagateSchedule:
     def test_layer_invariants(self, tuned):
         if tuned:
             p = tune_constant_q(16, 0.1).params
-            sched = LayerSchedule.constant(16, p.q, p.sigma, p.alpha, p.gamma)
+            sched = constant_schedule(16, p.q, p.sigma, p.alpha, p.gamma)
         else:
-            sched = LayerSchedule.constant(10, 1.0, 1.0, 0.9, 1.0)
+            sched = constant_schedule(10, 1.0, 1.0, 0.9, 1.0)
         mus = propagate_schedule(sched, grid_count=512)
         track = max_support_track(sched)
         assert track.valid_depth == sched.depth
@@ -277,7 +277,7 @@ class TestPropagateSchedule:
         assert out[0].atom_weight(1.0) == 1.0
 
     def test_exact_di_pure_atoms(self):
-        sched = LayerSchedule.constant(3, 1.0, 1.0, 1.0, 1.0)
+        sched = constant_schedule(3, 1.0, 1.0, 1.0, 1.0)
         mus = propagate_schedule(sched)
         for i, mu in enumerate(mus, start=1):
             assert mu.atom_weight(float(i)) == pytest.approx(1.0, abs=1e-9)
@@ -285,7 +285,7 @@ class TestPropagateSchedule:
     def test_three_quarters_config(self):
         # alpha = 3/4 everywhere: atoms 1/4 at 1 and 1/2 at 3, density
         # supported on [2, 2.75], nothing at the middle candidate 2
-        sched = LayerSchedule.constant(3, 1.0, 1.0, 0.75, 1.0)
+        sched = constant_schedule(3, 1.0, 1.0, 0.75, 1.0)
         mu3 = propagate_schedule(sched)[-1]
         assert mu3.atom_weight(1.0) == pytest.approx(0.25, abs=1e-3)
         assert mu3.atom_weight(3.0) == pytest.approx(0.50, abs=1e-3)
@@ -308,10 +308,10 @@ def _warm_start_cases():
     p = tune_constant_q(16, 0.1).params
     cases = {
         "theory3": lambda: propagate_schedule(
-            LayerSchedule.constant(3, 1.0, 1.0, 0.75, 1.0), grid_count=2048, return_stats=True
+            constant_schedule(3, 1.0, 1.0, 0.75, 1.0), grid_count=2048, return_stats=True
         ),
         "tuned16": lambda: propagate_schedule(
-            LayerSchedule.constant(16, p.q, p.sigma, p.alpha, p.gamma),
+            constant_schedule(16, p.q, p.sigma, p.alpha, p.gamma),
             grid_count=512, return_stats=True,
         ),
     }
@@ -456,32 +456,32 @@ class TestSolveThreeLayer:
 
 class TestMaxSupportTrack:
     def test_unit_constants_telescope(self):
-        sched = LayerSchedule.constant(6, 1.0, 1.0, 1.0, 1.0)
+        sched = constant_schedule(6, 1.0, 1.0, 1.0, 1.0)
         track = max_support_track(sched)
         np.testing.assert_allclose(track.lam, np.arange(1, 7), atol=1e-12)
         np.testing.assert_allclose(track.beta, np.ones(6), atol=1e-12)
         assert track.valid_depth == 6
 
     def test_contracting_recursion(self):
-        sched = LayerSchedule.constant(3, 1.0, 1.0, 0.9, 0.9)
+        sched = constant_schedule(3, 1.0, 1.0, 0.9, 0.9)
         track = max_support_track(sched)
         assert track.lam[-1] == pytest.approx(1 + 0.9 * (1 + 0.9), abs=1e-12)
 
     def test_paper_weight_example(self):
-        sched = LayerSchedule.constant(11, 1.0, 1.0, 0.99, 1.0)
+        sched = constant_schedule(11, 1.0, 1.0, 0.99, 1.0)
         track = max_support_track(sched)
         assert track.beta[-1] == pytest.approx(0.9, abs=1e-12)
 
     def test_invalid_marker(self):
         # alpha = 0.7: beta goes negative after 1/(1-alpha) ~ 4 layers
-        sched = LayerSchedule.constant(8, 1.0, 1.0, 0.7, 1.0)
+        sched = constant_schedule(8, 1.0, 1.0, 0.7, 1.0)
         track = max_support_track(sched)
         assert track.valid_depth < 8
         assert track.beta[track.valid_depth - 1] > 0
         assert len(track.lam) == 8
 
     def test_beta_nonincreasing(self):
-        sched = LayerSchedule.constant(10, 1.0, 1.0, 0.95, 1.0)
+        sched = constant_schedule(10, 1.0, 1.0, 0.95, 1.0)
         track = max_support_track(sched)
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(track.beta, track.beta[1:]))
 
@@ -505,12 +505,12 @@ class TestAsymptoticMax:
 
 class TestMeanTrack:
     def test_unit_constants(self):
-        sched = LayerSchedule.constant(5, 1.0, 1.0, 1.0, 1.0)
+        sched = constant_schedule(5, 1.0, 1.0, 1.0, 1.0)
         np.testing.assert_allclose(mean_track(sched), [1, 2, 3, 4, 5], atol=1e-12)
 
     def test_contracting_example(self):
         # sigma^2 alpha gamma = 0.5 per layer
-        sched = LayerSchedule.constant(3, 1.0, 1.0, 0.5, 1.0)
+        sched = constant_schedule(3, 1.0, 1.0, 0.5, 1.0)
         np.testing.assert_allclose(mean_track(sched), [1.0, 1.5, 1.75], atol=1e-12)
 
     def test_matches_numeric_moment(self):
@@ -530,14 +530,14 @@ class TestMeanTrack:
         L = 256
         alpha = 1.0 - 0.1 / L
         sg2 = float(np.exp(-0.1 / L))
-        sched = LayerSchedule.constant(L, 1.0, 1.0, alpha, sg2)
+        sched = constant_schedule(L, 1.0, 1.0, alpha, sg2)
         final = mean_track(sched)[-1] / L
         assert final == pytest.approx(0.9063462346100909, rel=0.02)
 
     def test_max_track_deep_limit(self):
         L = 256
         sg2 = float(np.exp(-0.1 / L))
-        sched = LayerSchedule.constant(L, 1.0, 1.0, 1.0, sg2)
+        sched = constant_schedule(L, 1.0, 1.0, 1.0, sg2)
         track = max_support_track(sched)
         assert track.lam[-1] / L == pytest.approx(0.9516258196404048, rel=0.02)
 
@@ -574,7 +574,7 @@ class TestAtomTrackingInvariant:
         depth=st.integers(3, 5),
     )
     def test_largest_atom_follows_track(self, alpha, gamma, depth):
-        sched = LayerSchedule.constant(depth, 1.0, 1.0, alpha, gamma)
+        sched = constant_schedule(depth, 1.0, 1.0, alpha, gamma)
         track = max_support_track(sched)
         beta_L = track.beta[-1]
         if beta_L <= 0.05:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,7 +73,7 @@ class TestSpectralMeasure:
     def test_json_round_trip(self):
         dens = GridDensity(1.0, 2.0, np.full(64, 0.5))
         mu = SpectralMeasure(atoms=((0.0, 0.5),), density=dens)
-        back = SpectralMeasure.from_json_dict(mu.to_json_dict())
+        back = SpectralMeasure.from_json(json.dumps(mu.to_json_dict()))
         assert back.atoms == mu.atoms
         assert back.density.left == 1.0
         assert back.density.right == 2.0
@@ -238,6 +240,14 @@ class TestDistanceL1:
         mu = SpectralMeasure.dirac(0.0)
         with pytest.raises(ValueError):
             distance_L1(mu, mu, 0.0)
+
+    def test_bin_count_is_bounded(self):
+        mu, nu = SpectralMeasure.dirac(1.0), SpectralMeasure.dirac(2.0)
+        assert distance_L1(mu, nu, 2e-5) == pytest.approx(2.0)  # 50001 bins
+        # 1e-9 would take ~1e9 bins; 1e-320 overflows x / width even on a point
+        for a, b, bin_width in ((mu, nu, 1e-9), (mu, mu, 1e-320)):
+            with pytest.raises(ValueError, match="more than 100000 bins"):
+                distance_L1(a, b, bin_width)
 
     @settings(max_examples=30, deadline=None)
     @given(

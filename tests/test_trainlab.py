@@ -92,8 +92,8 @@ class TestIdxDataset:
         ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
         ipath.write_bytes(_idx_bytes(0x00000803, images.shape, images.tobytes()))
         lpath.write_bytes(_idx_bytes(0x00000801, (6,), labels.tobytes()))
-        data = idx_dataset(ipath, lpath, classes=3, limit=4)
-        assert data.size == 4 and data.width == 4
+        data = idx_dataset(ipath, lpath, classes=3)
+        assert data.size == 6 and data.width == 4
         qhat = (data.inputs**2).sum(axis=1) / 4
         np.testing.assert_allclose(qhat, 1.0, atol=1e-12)
 
@@ -111,10 +111,6 @@ class TestDataset:
         data = Dataset.from_arrays(raw, [0, 1], classes=2)
         qhat = (data.inputs**2).sum(axis=1) / 3
         np.testing.assert_allclose(qhat, 1.0, atol=1e-12)
-
-    def test_target_is_basis_vector(self):
-        data = Dataset.from_arrays(np.ones((2, 4)), [0, 2], classes=3)
-        np.testing.assert_array_equal(data.target(1), [0.0, 0.0, 1.0, 0.0])
 
     def test_rejects_unnormalized_direct_construction(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -156,6 +152,13 @@ class TestSynthDataset:
     def test_class_count_outside_the_width_is_rejected(self, classes):
         with pytest.raises(ValueError, match=r"classes must be in \[1, 4\]"):
             synth_dataset(4, 10, classes, seed=0)
+
+
+def _target(data, i: int) -> np.ndarray:
+    """The encoded target of sample i: e_k in R^M for its label k."""
+    y = np.zeros(data.width)
+    y[data.labels[i]] = 1.0
+    return y
 
 
 def _loss_of(weights, activation, x: np.ndarray, y: np.ndarray) -> float:
@@ -238,7 +241,7 @@ class TestEvaluate:
     def test_matches_single_step_loss(self):
         data = synth_dataset(8, 1, 2, seed=4)
         net = OrthogonalNet.sample(8, 2, Linear(1.0), seed=4)
-        loss, _, _ = _one_cell_step(net.weights, Linear(1.0), data.inputs[0], data.target(0), 0.0)
+        loss, _, _ = _one_cell_step(net.weights, Linear(1.0), data.inputs[0], _target(data, 0), 0.0)
         cell = _one_cell(data, depth=2, activation=Linear(1.0), eta=0.0, steps=1, seed=4)
         assert cell.train_loss == pytest.approx(loss, abs=1e-12)
         assert 0.0 <= cell.train_acc <= 1.0
@@ -407,7 +410,7 @@ def _ref_evaluate(weights, activation, data):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(data.size):
             _, hs = _ref_forward(weights, activation, data.inputs[i])
-            resid = hs[-1] - data.target(i)
+            resid = hs[-1] - _target(data, i)
             total += float(resid @ resid) / (2.0 * data.width)
             hits += int(np.argmax(hs[-1][: data.classes]) == data.labels[i])
     return total / data.size, hits / data.size
@@ -425,7 +428,7 @@ def _ref_cell(config, train, test):
     stop = None
     for step in range(config.steps):
         i = int(order[step % train.size])
-        _, cause = _ref_step(weights, config.activation, train.inputs[i], train.target(i),
+        _, cause = _ref_step(weights, config.activation, train.inputs[i], _target(train, i),
                              config.eta)
         if cause is not None:
             stop = (step, cause, None)
