@@ -41,6 +41,7 @@ from .meanfield import (
     Linear,
     MeanFieldParams,
     ShiftedRelu,
+    layer_sigmas,
     mean_field_schedule,
     moment_map,
     tune_constant_q,
@@ -56,7 +57,6 @@ from .rmtsim import (
 from .trainlab import (
     Dataset,
     SweepResult,
-    TrainConfig,
     load_idx,
     lr_depth_sweep,
     synth_dataset,

@@ -44,7 +44,7 @@ from .rmtsim import (
     normalized_input,
 )
 from .specmeasure import NumericalError, SpectralMeasure, _bin_masses, bin_grid, distance_L1, moment
-from .trainlab import TrainConfig, idx_dataset, lr_depth_sweep, synth_dataset
+from .trainlab import idx_dataset, lr_depth_sweep, synth_dataset
 
 MATRIX_MAGIC = b"ISOM"
 MATRIX_VERSION = 1
@@ -144,11 +144,18 @@ FLAGS = {
     },
 }
 # (command, key, value) -> the flags that choice does not read; each must
-# stay at its default, so that a saved config.json still replays.
+# stay at its default, so that a saved config.json still replays. The
+# value SET stands for any value but the key's default.
+SET = object()
 UNREAD = {
     ("tune", "mode", "di"): ("eps2",),
     ("simulate", "model", "network"): ("q", "alpha", "gamma"),
     ("simulate", "model", "atoms"): tuple(_ACTIVATION),
+    ("simulate", "theory_auto", SET): ("theory",),
+    ("sweep", "etas", SET): ("eta_min", "eta_max", "per_decade"),
+    ("sweep", "family", SET): ("eps1", "eps2"),
+    ("sweep", "activation_file", SET): ("eps1", "eps2"),
+    ("sweep", "idx_images", SET): ("samples",),
 }
 
 
@@ -200,12 +207,19 @@ def _resolve(args: argparse.Namespace) -> dict:
         if value is not None:
             merged[key] = value if kind is None else _typed(value, kind, key)
     for (command, choice, value), unread in UNREAD.items():
-        if command == args.command and merged[choice] == value:
-            for key in unread:
-                default, kind, _ = table[key]
-                same = (merged[key] == default if kind is not None
-                        else _as_list(merged[key], key) == _as_list(default, key))
-                _require(same, key, f"not read with --{choice} {value}")
+        if command != args.command:
+            continue
+        if value is SET:
+            chosen, said = merged[choice] != table[choice][0], ""
+        else:
+            chosen, said = merged[choice] == value, f" {value}"
+        if not chosen:
+            continue
+        for key in unread:
+            default, kind, _ = table[key]
+            same = (merged[key] == default if kind is not None
+                    else _as_list(merged[key], key) == _as_list(default, key))
+            _require(same, key, f"not read with --{choice.replace('_', '-')}{said}")
     return merged
 
 
@@ -622,13 +636,7 @@ def cmd_theory(args) -> int:
     _write_json(outdir / "limits.json", limits)
 
     if schedule.depth == 3:
-        nu1, nu2 = schedule.jacobians
-        closed = solve_three_layer(
-            schedule.q[0], schedule.q[1], schedule.q[2],
-            schedule.sigma[1], schedule.sigma[2],
-            nu1.alpha, nu2.alpha, nu1.gamma, nu2.gamma,
-            grid_count=grid,
-        )
+        closed = solve_three_layer(schedule, grid)
         _write_json(outdir / "mu_003_closed.json", closed.to_json_dict())
 
     _write_config(outdir, "theory", merged)
@@ -693,7 +701,8 @@ def cmd_simulate(args) -> int:
     else:
         sigma = 1.0 if merged["sigma"] is None else merged["sigma"]
         schedule = _schedule_from_config(merged, sigma)
-    outdir = _outdir(merged)
+    if merged["theory_auto"]:
+        theory = propagate_schedule(schedule)[-1]
 
     values = []
     matrix = None
@@ -703,31 +712,27 @@ def cmd_simulate(args) -> int:
             x = normalized_input(width, np.random.default_rng((seed + k) ^ 0xA5A5))
             matrix = network_fim_sample(width, depth, spec, sigma, seed + k, x)
         else:
-            matrix = model_fim_sample(
-                width, schedule.q, schedule.sigma,
-                [nu.alpha for nu in schedule.jacobians], [nu.gamma for nu in schedule.jacobians],
-                np.random.default_rng(seed + k),
-            )
+            matrix = model_fim_sample(width, schedule, np.random.default_rng(seed + k))
         values.append(np.linalg.eigvalsh(matrix))
-    if merged["theory_auto"]:
-        theory = propagate_schedule(schedule)[-1]
-        _write_json(outdir / "theory.json", theory.to_json_dict())
 
+    report = EigenReport.from_eigenvalues(np.sort(np.concatenate(values)))
+    empirical = _checked("bins", empirical_measure, report, bins,
+                         atom_window=merged["atom_window"])
+    svg = _checked(
+        "bins", emit_svg_histogram, empirical, theory, bin_width=bins,
+        title=f"spectrum M={width} L={depth} ({model})",
+    )
+    # every input is checked by now, so a refused one leaves no --out behind
+    outdir = _outdir(merged)
+    if merged["theory_auto"]:
+        _write_json(outdir / "theory.json", theory.to_json_dict())
     rows = ["draw,index,eigenvalue,width,depth,seed"]
     for k, vals in enumerate(values):
         rows.extend(
             f"{k},{i},{v:.12g},{width},{depth},{seed + k}" for i, v in enumerate(vals)
         )
     (outdir / "eigenvalues.csv").write_text("\n".join(rows) + "\n")
-
-    report = EigenReport.from_eigenvalues(np.sort(np.concatenate(values)))
-    empirical = _checked("bins", empirical_measure, report, bins,
-                         atom_window=merged["atom_window"])
     _write_json(outdir / "empirical.json", empirical.to_json_dict())
-    svg = _checked(
-        "bins", emit_svg_histogram, empirical, theory, bin_width=bins,
-        title=f"spectrum M={width} L={depth} ({model})",
-    )
     (outdir / "histogram.svg").write_text(svg)
 
     if theory is not None:
@@ -753,6 +758,7 @@ def cmd_sweep(args) -> int:
     merged = _resolve(args)
     width, seed, samples = merged["width"], merged["seed"], merged["samples"]
     _require(width >= 2, "width", "must be at least 2")
+    _require(merged["steps"] >= 1, "steps", "must be at least 1")
     depths = _as_list(merged["depths"], "depths", int)
     _require(all(d >= 1 for d in depths), "depths", "entries must be positive")
     if merged["etas"] is not None:
@@ -787,11 +793,10 @@ def cmd_sweep(args) -> int:
         train = _checked("dataset", synth_dataset, width, samples, classes, seed)
         test = synth_dataset(width, max(samples // 4, 1), classes, seed + 1)
     _require(train.width == width, "width", f"dataset width {train.width} != {width}")
-    base = _checked("sweep", TrainConfig, depth=depths[0], width=width, activation=spec,
-                    eta=etas[0], steps=merged["steps"], sigma=sigma, seed=seed)
     outdir = _outdir(merged)
 
-    result = lr_depth_sweep(depths, etas, base, train, test)
+    result = lr_depth_sweep(depths, etas, train, test, activation=spec,
+                            steps=merged["steps"], sigma=sigma, seed=seed)
 
     (outdir / "sweep.csv").write_text("\n".join(result.to_csv_rows()) + "\n")
     boundary = {

@@ -64,8 +64,8 @@ class TwoAtomJacobianLaw:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
 
     def as_measure(self) -> SpectralMeasure:
         if self.alpha == 1.0:
@@ -80,7 +80,9 @@ class LayerSchedule:
     `q` holds q_0 .. q_{L-1}, `sigma` holds sigma_1 .. sigma_L, and
     `jacobians` holds the laws nu_1 .. nu_{L-1}. sigma_1 never enters the
     measure recursion (the first weight matrix cancels by orthogonality)
-    but belongs to the network description.
+    but belongs to the network description. The recursion, the closed
+    form and rmtsim's matrix model all take their laws as one schedule,
+    and construction is their one range check.
     """
 
     q: tuple
@@ -100,8 +102,8 @@ class LayerSchedule:
             raise ValueError(f"need {len(q)} sigma values, got {len(sigma)}")
         if len(jac) != len(q) - 1:
             raise ValueError(f"need {len(q) - 1} jacobian laws, got {len(jac)}")
-        if any(v <= 0 for v in q) or any(v <= 0 for v in sigma):
-            raise ValueError("q and sigma entries must be positive")
+        if not all(0.0 < v < math.inf for v in q + sigma):
+            raise ValueError("q and sigma entries must be finite and positive")
         for nu in jac:
             if not isinstance(nu, TwoAtomJacobianLaw):
                 raise TypeError("jacobians must be TwoAtomJacobianLaw instances")
@@ -467,7 +469,9 @@ def _newton(locs, masses, nu, z, w, iters, idx, work, tol, max_iter):
 # ----------------------------------------------------------------------
 
 
-def propagate_schedule(schedule: LayerSchedule, *, return_stats: bool = False, **grid_kwargs):
+def propagate_schedule(
+    schedule: LayerSchedule, *, return_stats: bool = False, grid_count: int = DEFAULT_GRID
+):
     """All measures mu_1 .. mu_L along the schedule: mu_1 = delta_{q_0} and
     mu_{l+1} = (q_l + sigma_{l+1}^2 * .)_* (nu_l boxtimes mu_l).
 
@@ -481,7 +485,7 @@ def propagate_schedule(schedule: LayerSchedule, *, return_stats: bool = False, *
     for ell in range(1, schedule.depth):
         try:
             conv, st = free_mult_conv_two_atom(
-                out[-1], schedule.jacobians[ell - 1], return_stats=True, **grid_kwargs
+                out[-1], schedule.jacobians[ell - 1], grid_count=grid_count, return_stats=True
             )
             mu = affine_pushforward(conv, schedule.sigma[ell] ** 2, schedule.q[ell])
         except NumericalError as exc:
@@ -491,19 +495,8 @@ def propagate_schedule(schedule: LayerSchedule, *, return_stats: bool = False, *
     return (out, stats) if return_stats else out
 
 
-def solve_three_layer(
-    q0: float,
-    q1: float,
-    q2: float,
-    sigma2: float,
-    sigma3: float,
-    alpha1: float,
-    alpha2: float,
-    gamma1: float,
-    gamma2: float,
-    grid_count: int = DEFAULT_GRID,
-) -> SpectralMeasure:
-    """Closed-form limit spectrum of the three-layer dual FIM.
+def solve_three_layer(schedule: LayerSchedule, grid_count: int = DEFAULT_GRID) -> SpectralMeasure:
+    """Closed-form limit spectrum of a depth-3 schedule's dual FIM.
 
     Atoms: (1 - alpha2) at lambda_min = q2, (alpha2 - alpha1)^+ at
     lambda_mid, (alpha1 + alpha2 - 1)^+ at lambda_max. The density
@@ -517,16 +510,12 @@ def solve_three_layer(
     sampled grid carries the exact continuous mass. When an alpha is 1
     the atoms carry all the mass and there is no density.
     """
-    for name, val in (("alpha1", alpha1), ("alpha2", alpha2)):
-        if not 0.0 < val <= 1.0:
-            raise ValueError(f"{name} must be in (0, 1], got {val}")
-    for name, val in (
-        ("q0", q0), ("q1", q1), ("q2", q2),
-        ("sigma2", sigma2), ("sigma3", sigma3),
-        ("gamma1", gamma1), ("gamma2", gamma2),
-    ):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
+    if schedule.depth != 3:
+        raise ValueError(f"the closed form needs depth 3, got {schedule.depth}")
+    q0, q1, q2 = schedule.q
+    _, sigma2, sigma3 = schedule.sigma
+    nu1, nu2 = schedule.jacobians
+    alpha1, gamma1, alpha2, gamma2 = nu1.alpha, nu1.gamma, nu2.alpha, nu2.gamma
 
     lam_min = q2
     lam_mid = q2 + sigma3**2 * gamma2 * q1

@@ -143,8 +143,8 @@ def moment_map(spec: ActivationSpec, sigma: float, q: float):
     landing on that branch. Every family is piecewise linear, so each
     moment is an exact erf/pdf form in the standardized kink position.
     """
-    if q <= 0 or sigma <= 0:
-        raise ValueError("sigma and q must be positive")
+    if not (0.0 < q < math.inf and 0.0 < sigma < math.inf):
+        raise ValueError("sigma and q must be finite and positive")
     q_next, alpha, gamma = spec._moments(sigma * math.sqrt(q), sigma**2 * q)
     if not math.isfinite(q_next):
         raise NumericalError("the moment map produced a non-finite moment")
@@ -167,8 +167,22 @@ class TuneResult:
     ref_depth: int
 
 
+def layer_sigmas(sigma, depth: int) -> tuple:
+    """A depth-`depth` network's sigma_1 .. sigma_L from one value or one
+    per layer, each finite and positive."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    sig = tuple(float(s) for s in sigma) if np.iterable(sigma) else (float(sigma),) * depth
+    if len(sig) != depth:
+        raise ValueError(f"need {depth} sigma values, got {len(sig)}")
+    if not all(0.0 < s < math.inf for s in sig):
+        raise ValueError("sigma entries must be finite and positive")
+    return sig
+
+
 def mean_field_schedule(spec: ActivationSpec, sigma, depth: int, q0: float = 1.0):
-    """LayerSchedule induced by one activation at input moment q0.
+    """LayerSchedule induced by one activation at input moment q0, with
+    `sigma` one value or one per layer (see layer_sigmas).
 
     Layer l's preactivation variance is sigma_l^2 q_{l-1}, so its
     derivative statistics and the next moment both come from the
@@ -176,11 +190,7 @@ def mean_field_schedule(spec: ActivationSpec, sigma, depth: int, q0: float = 1.0
     """
     from .freeconv import LayerSchedule, TwoAtomJacobianLaw
 
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    sig = tuple(float(s) for s in sigma) if np.iterable(sigma) else (float(sigma),) * depth
-    if len(sig) != depth:
-        raise ValueError(f"need {depth} sigma values, got {len(sig)}")
+    sig = layer_sigmas(sigma, depth)
     qs = [float(q0)]
     jacobians = []
     for ell in range(1, depth):
@@ -190,23 +200,17 @@ def mean_field_schedule(spec: ActivationSpec, sigma, depth: int, q0: float = 1.0
     return LayerSchedule(q=tuple(qs), sigma=sig, jacobians=tuple(jacobians))
 
 
-def tune_constant_q(
-    depth: int,
-    eps1: float | None = None,
-    u_star: float | None = None,
-    eps2: float = 0.0,
-    q_star: float = 1.0,
-) -> TuneResult:
+def tune_constant_q(depth: int, eps1: float, eps2: float = 0.0, q_star: float = 1.0) -> TuneResult:
     """Hard-tanh layer whose mean-field scalars are exactly constant in
     depth with prescribed isometry deviations and fixed point q_star.
 
-    u* is the saturation point of the normalized preactivation (provide
-    it directly, or via eps1 = depth * P(|Z| > u*)). The per-layer decay
-    pins sigma^2 g^2 = exp(-eps2 / depth); holding q_star fixed then
-    forces g^2 = q_star (1 - sigma^2 g^2 E[Z^2; |Z| < u*]) / P(|Z| > u*),
-    which determines sigma and finally s. Inputs normalized to
-    q_hat_0 = q_star sit exactly on the fixed point, so every layer of a
-    simulated network shares one (q, alpha, gamma). The critical line
+    eps1 = depth * P(|Z| > u*) sets u*, the saturation point of the
+    normalized preactivation. The per-layer decay pins
+    sigma^2 g^2 = exp(-eps2 / depth); holding q_star fixed then forces
+    g^2 = q_star (1 - sigma^2 g^2 E[Z^2; |Z| < u*]) / P(|Z| > u*), which
+    determines sigma and finally s. Inputs normalized to q_hat_0 = q_star
+    sit exactly on the fixed point, so every layer of a simulated network
+    shares one (q, alpha, gamma). The critical line
     sigma^2 gamma alpha = 1 is eps2 = depth log(1 - eps1/depth); there
     the denominator below is r2(u*) - r0(u*) over alpha, always positive.
     """
@@ -214,22 +218,17 @@ def tune_constant_q(
         raise ValueError("depth must be at least 1")
     if q_star <= 0:
         raise ValueError("q_star must be positive")
-    if (eps1 is None) == (u_star is None):
-        raise ValueError("provide exactly one of eps1 or u_star")
-    if eps1 is not None:
-        if not 0.0 < eps1 < depth:
-            raise ValueError("eps1 must be in (0, depth)")
-        target = eps1 / depth
-        lo, hi = 0.0, 40.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _r0(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        u_star = 0.5 * (lo + hi)
-    if u_star <= 0:
-        raise ValueError("u_star must be positive")
+    if not 0.0 < eps1 < depth:
+        raise ValueError("eps1 must be in (0, depth)")
+    target = eps1 / depth
+    lo, hi = 0.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _r0(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    u_star = 0.5 * (lo + hi)
 
     c0 = math.exp(-eps2 / depth)
     r0, r2 = _r0(u_star), _r2(u_star)

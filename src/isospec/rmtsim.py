@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _openblas
-from .meanfield import ActivationSpec
+from .freeconv import LayerSchedule
+from .meanfield import ActivationSpec, layer_sigmas
 from .specmeasure import GridDensity, NumericalError, SpectralMeasure, check_bin_width
 
 ORTHO_TOL = 1e-10
@@ -161,11 +162,6 @@ def _checked_haar_layers(width: int, sigma: tuple, seed: int) -> Iterator:
         yield w
 
 
-def _layer_sigmas(sigma, depth: int) -> tuple:
-    """One sigma per layer from a scalar or a per-layer sequence."""
-    return tuple(sigma) if np.iterable(sigma) else (float(sigma),) * depth
-
-
 @dataclass
 class OrthogonalNet:
     """Depth-L, width-M network with scaled-orthogonal weights.
@@ -182,20 +178,18 @@ class OrthogonalNet:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.width < 2 or self.depth < 1:
-            raise ValueError("need width >= 2 and depth >= 1")
-        self.sigma = tuple(float(s) for s in self.sigma)
-        if len(self.weights) != self.depth or len(self.sigma) != self.depth:
-            raise ValueError("need one weight matrix and one sigma per layer")
-        if not all(0 < s < math.inf for s in self.sigma):
-            raise ValueError("sigma entries must be finite and positive")
+        if self.width < 2:
+            raise ValueError("need width >= 2")
+        self.sigma = layer_sigmas(self.sigma, self.depth)
+        if len(self.weights) != self.depth:
+            raise ValueError("need one weight matrix per layer")
         for ell, (w, s) in enumerate(zip(self.weights, self.sigma), start=1):
             _check_layer(w, s, self.width, ell)
 
     @classmethod
     def sample(cls, width, depth, activation, sigma=1.0, seed=0):
         """Draw all layers from the Haar measure with one seeded generator."""
-        sig = _layer_sigmas(sigma, depth)
+        sig = layer_sigmas(sigma, depth)
         weights = list(_haar_layers(width, sig, np.random.default_rng(seed)))
         return cls(width, depth, weights, sig, activation, seed)
 
@@ -336,11 +330,7 @@ def network_fim_sample(
     """
     if np.shape(x) != (width,):
         raise ValueError(f"input must have shape ({width},)")
-    sig = _layer_sigmas(sigma, depth)
-    if depth < 1 or len(sig) != depth:
-        raise ValueError("need depth >= 1 and one sigma per layer")
-    if not all(0 < s < math.inf for s in sig):
-        raise ValueError("sigma entries must be finite and positive")
+    sig = layer_sigmas(sigma, depth)
     return dual_fim(_checked_haar_layers(width, sig, seed), activation, x)
 
 
@@ -411,37 +401,28 @@ def empirical_measure(
     return SpectralMeasure.from_atoms(atoms, density=density)
 
 
-def model_fim_sample(
-    M: int,
-    q: list,
-    sigma: list,
-    alpha: list,
-    gamma: list,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) -> np.ndarray:
     """Sample the matrix model behind the spectrum recursion directly.
 
-    Runs H <- q_l I + W D H D W^T with independent Haar W = sigma Q and
-    iid diagonal D whose squared entries follow (1-alpha) delta_0 +
-    alpha delta_gamma. This replaces the network's correlated
-    activations by their limiting law, which is what the free
-    convolution describes exactly; finite-M agreement with network
-    draws is itself a freeness check.
+    Runs H <- q_l I + W D H D W^T along the LayerSchedule `schedule`, with
+    independent Haar W = sigma_l Q and iid diagonal D whose squared
+    entries follow layer l's Jacobian law (1-alpha) delta_0 + alpha
+    delta_gamma. This replaces the network's correlated activations by
+    their limiting law, which is what the free convolution describes
+    exactly; finite-M agreement with network draws is itself a freeness
+    check.
 
     Each layer's D and W are drawn from `rng` on the calling thread, in
     order, while _fim_recursion's worker conjugates the layer before, so
     the rng ends in the same state as a serial loop would leave it.
     """
-    depth = len(q)
-    if len(sigma) != depth or len(alpha) != depth - 1 or len(gamma) != depth - 1:
-        raise ValueError("need len(sigma) = len(q) and len(alpha) = len(gamma) = len(q) - 1")
 
     def layers():
-        for ell in range(1, depth):
-            d = math.sqrt(gamma[ell - 1]) * (rng.random(M) < alpha[ell - 1]).astype(float)
+        for ell, nu in enumerate(schedule.jacobians, start=1):
+            d = math.sqrt(nu.gamma) * (rng.random(M) < nu.alpha).astype(float)
             wd = sample_haar_orthogonal(M, rng)
-            wd *= sigma[ell]
+            wd *= schedule.sigma[ell]
             wd *= d[None, :]
-            yield wd, None, float(q[ell])
+            yield wd, None, schedule.q[ell]
 
-    return _fim_recursion(M, float(q[0]), layers())
+    return _fim_recursion(M, schedule.q[0], layers())

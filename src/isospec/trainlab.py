@@ -15,14 +15,13 @@ import math
 import os
 import struct
 import threading
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _openblas
-from .meanfield import ActivationSpec
-from .rmtsim import _checked_haar_layers, _forward_layers, _layer_sigmas
+from .meanfield import ActivationSpec, layer_sigmas
+from .rmtsim import _checked_haar_layers, _forward_layers
 
 logger = logging.getLogger(__name__)
 
@@ -152,28 +151,6 @@ def idx_dataset(images_path, labels_path, classes: int = 10) -> Dataset:
     return Dataset.from_arrays(flat, labels.astype(int), classes)
 
 
-@dataclass
-class TrainConfig:
-    """Knobs for one training run: one sweep cell."""
-
-    depth: int
-    width: int
-    activation: ActivationSpec
-    eta: float
-    steps: int
-    sigma: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.eta < math.inf:
-            raise ValueError("eta must be finite and nonnegative")
-        if self.steps < 1 or self.depth < 1 or self.width < 2:
-            raise ValueError("steps, depth >= 1 and width >= 2 required")
-        sigma = _layer_sigmas(self.sigma, self.depth)
-        if len(sigma) != self.depth or not all(0 < s < math.inf for s in sigma):
-            raise ValueError("sigma must be finite and positive: one value, or one per layer")
-
-
 def _row_dots(v: np.ndarray) -> np.ndarray:
     """v_i @ v_i for every row of v (..., K); each is the 1-D dot's bits."""
     return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
@@ -280,33 +257,37 @@ def _evaluate(weights, activation, data: Dataset):
     return total / data.size, hits / data.size
 
 
-def _train_group(configs, weights: np.ndarray, train: Dataset, test: Dataset | None):
-    """Train a stack of cells side by side; one SweepCell per cell.
+def _train_group(group, train: Dataset, test: Dataset | None, activation, steps: int, sigma):
+    """Draw and train one group of cells side by side; one SweepCell per
+    cell.
 
-    weights is (L, A, M, M), cell a starting from weights[:, a] and
-    trained under configs[a]. The configs differ in eta and seed only.
-    Each cell follows its own sample order and leaves the stack at its
-    divergence step: a step that is not finite, or a layer whose norm
-    passes BLOWUP_FACTOR times its initial value. Survivors are
-    evaluated one by one. Reported losses are clamped at LOSS_CLAMP.
+    `group` is (depth, cells), each cell an (eta, seed) pair; cell a
+    starts from the network its seed draws (see _sampled_stack) and
+    follows its own sample order. The stack of weights is (L, A, M, M).
+    A cell leaves the stack at its divergence step: a step that is not
+    finite, or a layer whose norm passes BLOWUP_FACTOR times its initial
+    value. Survivors are evaluated one by one. Reported losses are
+    clamped at LOSS_CLAMP.
     """
-    first = configs[0]
+    depth, cells = group
+    seeds = [seed for _, seed in cells]
+    weights = _sampled_stack(depth, seeds, train.width, sigma)
     orders = np.stack(
-        [np.random.default_rng(c.seed + 0x5EED).permutation(train.size) for c in configs]
+        [np.random.default_rng(seed + 0x5EED).permutation(train.size) for seed in seeds]
     )
-    etas = np.array([c.eta for c in configs])
+    etas = np.array([eta for eta, _ in cells])
     with np.errstate(over="ignore"):
         limits = BLOWUP_FACTOR * _norms(weights)
     eye = np.eye(train.width)
     stops = {}  # cell -> (step, cause, layer)
-    live = np.arange(len(configs))
+    live = np.arange(len(cells))
     scratch = np.empty_like(weights[0])
-    for step in range(first.steps):
+    for step in range(steps):
         if not live.size:
             break
         idx = orders[live, step % train.size]
         loss, ok, norms = _group_step(
-            weights, first.activation, train.inputs[idx], eye[train.labels[idx]], etas[live],
+            weights, activation, train.inputs[idx], eye[train.labels[idx]], etas[live],
             scratch[: live.size],
         )
         over = norms > limits[:, live]
@@ -325,49 +306,43 @@ def _train_group(configs, weights: np.ndarray, train: Dataset, test: Dataset | N
             w[: keep.size] = w[keep]
         weights, live = weights[:, : keep.size], live[keep]
 
-    cells = []
+    out = []
     survivors = {int(cell): k for k, cell in enumerate(live)}
     no_test = (math.nan, math.nan)
-    for cell, c in enumerate(configs):
+    for cell, (eta, seed) in enumerate(cells):
         if cell in survivors:
             w = weights[:, survivors[cell]]
-            train_loss, train_acc = _evaluate(w, first.activation, train)
-            test_loss, test_acc = (
-                _evaluate(w, first.activation, test) if test is not None else no_test
-            )
-            cells.append(SweepCell(  # min(nan, LOSS_CLAMP) is nan: no test set stays NaN
-                c.depth, c.eta, c.seed, min(train_loss, LOSS_CLAMP), min(test_loss, LOSS_CLAMP),
-                train_acc, test_acc, diverged=False, steps=first.steps,
+            train_loss, train_acc = _evaluate(w, activation, train)
+            test_loss, test_acc = _evaluate(w, activation, test) if test is not None else no_test
+            out.append(SweepCell(  # min(nan, LOSS_CLAMP) is nan: no test set stays NaN
+                depth, eta, seed, min(train_loss, LOSS_CLAMP), min(test_loss, LOSS_CLAMP),
+                train_acc, test_acc, diverged=False, steps=steps,
             ))
         else:
             step, cause, layer = stops[cell]
             test_loss, test_acc = (LOSS_CLAMP, 0.0) if test is not None else no_test
-            cells.append(SweepCell(
-                c.depth, c.eta, c.seed, LOSS_CLAMP, test_loss, 0.0, test_acc, diverged=True,
+            out.append(SweepCell(
+                depth, eta, seed, LOSS_CLAMP, test_loss, 0.0, test_acc, diverged=True,
                 steps=step + 1, diverged_at=step, cause=cause, layer=layer,
             ))
-    return cells
+    return out
 
 
-def _train_fresh(configs, train: Dataset, test: Dataset | None):
-    """One sweep group's whole work: draw its stack, then train it."""
-    return _train_group(configs, _sampled_stack(configs), train, test)
-
-
-# The (train, test) datasets of a sweep worker process. _start_worker sets
-# them once as the worker starts; under fork the worker inherits them from
-# the parent's memory, so they are never pickled.
+# The settings a sweep's groups share: (train, test, activation, steps,
+# sigma). _start_worker sets them once as a worker process starts; under
+# fork the worker inherits them from the parent's memory, so the datasets
+# are never pickled.
 _shared = None
 
-def _start_worker(train: Dataset, test: Dataset | None, workers: int) -> None:
+def _start_worker(shared: tuple, workers: int) -> None:
     global _shared
-    _shared = (train, test)
+    _shared = shared
     _openblas.split_threads(workers)
 
 
-def _train_shared(configs):
-    """_train_fresh on the worker's inherited datasets."""
-    return _train_fresh(configs, *_shared)
+def _train_shared(group):
+    """_train_group on the worker's inherited settings."""
+    return _train_group(group, *_shared)
 
 
 def _worker_count(jobs: int) -> int:
@@ -380,13 +355,14 @@ def _worker_count(jobs: int) -> int:
     return min(cpus, jobs)
 
 
-def _train_groups(groups, train: Dataset, test: Dataset | None) -> list:
-    """_train_fresh on every group, the results in group order.
+def _train_groups(groups, shared: tuple) -> list:
+    """_train_group on every group with the `shared` settings, the
+    results in group order.
 
     The groups go to forked worker processes, one per _worker_count.
-    Each worker inherits the datasets at fork and takes its share of
-    the BLAS threads (see _start_worker); only the group configs and
-    their results cross the pipes. The groups run here in turn instead
+    Each worker inherits the shared settings at fork and takes its share
+    of the BLAS threads (see _start_worker); only the groups and their
+    results cross the pipes. The groups run here in turn instead
     with one worker, where fork is unavailable, or while another thread
     runs: a forked child gets no copy of that thread, and would wait
     forever on any lock it held. A worker's exception cancels the queued
@@ -401,12 +377,12 @@ def _train_groups(groups, train: Dataset, test: Dataset | None) -> list:
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
     if context is None:
-        return list(map(_train_fresh, groups, repeat(train), repeat(test)))
+        return [_train_group(group, *shared) for group in groups]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_start_worker,
-        initargs=(train, test, workers),
+        initargs=(shared, workers),
     ) as pool:
         try:
             return list(pool.map(_train_shared, groups))
@@ -415,14 +391,14 @@ def _train_groups(groups, train: Dataset, test: Dataset | None) -> list:
             raise
 
 
-def _sampled_stack(configs) -> np.ndarray:
+def _sampled_stack(depth: int, seeds, width: int, sigma) -> np.ndarray:
     """(L, A, M, M) initial weights, cell a drawn and checked as
-    OrthogonalNet.sample draws configs[a]'s network."""
-    first = configs[0]
-    stack = np.empty((first.depth, len(configs), first.width, first.width))
-    for k, c in enumerate(configs):
-        sigma = _layer_sigmas(c.sigma, c.depth)
-        for ell, w in enumerate(_checked_haar_layers(c.width, sigma, c.seed)):
+    OrthogonalNet.sample(width, depth, ..., sigma, seeds[a]) draws its
+    network."""
+    sig = layer_sigmas(sigma, depth)
+    stack = np.empty((depth, len(seeds), width, width))
+    for k, seed in enumerate(seeds):
+        for ell, w in enumerate(_checked_haar_layers(width, sig, seed)):
             stack[ell, k] = w
     return stack
 
@@ -477,46 +453,54 @@ def estimate_boundary(etas, diverged_flags, depth=None):
 def lr_depth_sweep(
     depths,
     etas,
-    base_config: TrainConfig,
     train: Dataset,
     test: Dataset | None = None,
+    *,
+    activation: ActivationSpec,
+    steps: int,
+    sigma=1.0,
+    seed: int = 0,
 ) -> SweepResult:
     """Run online gradient descent on every (depth, eta) cell and locate
     each depth's divergence boundary.
 
-    Every cell draws its own network from a seed derived from the base
-    seed and the cell coordinates, and follows its own sample order. The
-    cells of one depth train together in groups: a group's weights are
-    copied into one stack of at most GROUP_BYTES, stepped with one
-    batched mat-vec per layer, and a cell leaves the stack at its
-    divergence step. No group shares work with another, so the groups
-    of every depth are built first and trained in forked worker
-    processes, one per available CPU (see _train_groups). The results
-    are identical, bit for bit, to training each cell alone, one sample
-    at a time, as the plain loop _ref_cell in tests/test_trainlab.py
-    does. Each SweepCell also records how its run
-    ended: the steps run, the divergence step and its cause, with the
-    layer of a norm blow-up. A depth whose divergence is not monotone in
-    eta gets one warning, from estimate_boundary.
+    Every cell trains a network of `activation` and the dataset's width,
+    with weight scales `sigma` (one value, or one per layer), for `steps`
+    steps. It draws that network from a seed derived from `seed` and the
+    cell coordinates, and follows its own sample order. The cells of one
+    depth train together in groups: a group's weights are copied into
+    one stack of at most GROUP_BYTES, stepped with one batched mat-vec
+    per layer, and a cell leaves the stack at its divergence step. No
+    group shares work with another, so the groups of every depth are
+    built first and trained in forked worker processes, one per
+    available CPU (see _train_groups). The results are identical, bit
+    for bit, to training each cell alone, one sample at a time, as the
+    plain loop _ref_cell in tests/test_trainlab.py does. Each SweepCell
+    also records how its run ended: the steps run, the divergence step
+    and its cause, with the layer of a norm blow-up. A depth whose
+    divergence is not monotone in eta gets one warning, from
+    estimate_boundary.
     """
     depths = list(depths)
     etas = list(etas)
     if not depths or not etas:
         raise ValueError("depth and eta grids must be nonempty")
-    if train.width != base_config.width:
-        raise ValueError("dataset width does not match the config")
-    width = base_config.width
+    if not all(0 <= eta < math.inf for eta in etas):
+        raise ValueError("eta must be finite and nonnegative")
+    if steps < 1 or train.width < 2:
+        raise ValueError("steps >= 1 and width >= 2 required")
+    if test is not None and test.width != train.width:
+        raise ValueError(f"test width {test.width} does not match train width {train.width}")
+    width = train.width
     groups = []
     for di, depth in enumerate(depths):
-        row = [
-            replace(base_config, depth=depth, eta=eta,
-                    seed=base_config.seed + 100_003 * di + 1_009 * ei)
-            for ei, eta in enumerate(etas)
-        ]
+        layer_sigmas(sigma, depth)  # refuse a bad depth or sigma before any cell runs
+        cells = [(eta, seed + 100_003 * di + 1_009 * ei) for ei, eta in enumerate(etas)]
         size = max(1, GROUP_BYTES // (depth * width * width * 8))
-        groups += [row[start : start + size] for start in range(0, len(row), size)]
+        groups += [(depth, cells[start : start + size]) for start in range(0, len(cells), size)]
 
-    result = SweepResult([cell for cells in _train_groups(groups, train, test) for cell in cells])
+    shared = (train, test, activation, steps, sigma)
+    result = SweepResult([cell for cells in _train_groups(groups, shared) for cell in cells])
     for di, depth in enumerate(depths):
         row = result.cells[di * len(etas) : (di + 1) * len(etas)]
         result.boundary[depth] = estimate_boundary(

@@ -40,7 +40,7 @@ from isospec.specmeasure import (
     moment,
     stieltjes_invert,
 )
-from isospec.trainlab import TrainConfig, _group_step, lr_depth_sweep, synth_dataset
+from isospec.trainlab import _group_step, lr_depth_sweep, synth_dataset
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +75,12 @@ def test_criterion_1_three_layer_closed_form(report):
     for _ in range(20):
         a1, a2 = rng.uniform(0.3, 0.99, size=2)
         g1, g2 = rng.uniform(0.5, 2.0, size=2)
-        closed = solve_three_layer(1, 1, 1, 1, 1, a1, a2, g1, g2)
         schedule = LayerSchedule(
             q=(1, 1, 1),
             sigma=(1, 1, 1),
             jacobians=(TwoAtomJacobianLaw(a1, g1), TwoAtomJacobianLaw(a2, g2)),
         )
+        closed = solve_three_layer(schedule)
         numeric = propagate_schedule(schedule)[-1]
         worst_l1 = max(worst_l1, distance_L1(closed, numeric, 0.05))
         for side_a, side_b in ((closed, numeric), (numeric, closed)):
@@ -110,9 +110,9 @@ def test_criterion_2_depth_three_panels(report):
         emp = empirical_measure(_eigen_report(h), bins)
         results.append((name, distance_L1(emp, theory, bins), time.monotonic() - t0))
     t0 = time.monotonic()
-    theory = propagate_schedule(constant_schedule(3, 1.0, 1.0, 0.5, 1.0))[-1]
-    h = model_fim_sample(M, [1, 1, 1], [1, 1, 1], [0.5, 0.5], [1, 1],
-                         np.random.default_rng(5))
+    half_half = constant_schedule(3, 1.0, 1.0, 0.5, 1.0)
+    theory = propagate_schedule(half_half)[-1]
+    h = model_fim_sample(M, half_half, np.random.default_rng(5))
     emp = empirical_measure(_eigen_report(h), bins)
     results.append(("half-half atoms", distance_L1(emp, theory, bins),
                     time.monotonic() - t0))
@@ -150,8 +150,7 @@ def test_criterion_3_depth_linear_maximum(report):
 def test_criterion_4_concentration_at_maximum(report):
     depth, M = 16, 1000
     alpha = 1.0 - 0.1 / (depth - 1)
-    h = model_fim_sample(M, [1.0] * depth, [1.0] * depth,
-                         [alpha] * (depth - 1), [1.0] * (depth - 1),
+    h = model_fim_sample(M, constant_schedule(depth, 1.0, 1.0, alpha, 1.0),
                          np.random.default_rng(42))
     vals = np.linalg.eigvalsh(h)
     lam_max = vals[-1]
@@ -224,10 +223,9 @@ def lr_sweep_boundaries():
     depths = [4, 8, 16]
     etas = [10 ** (k / 8) for k in range(-10, 9)]
     tuned = tune_constant_q(16, 0.1)
-    base = TrainConfig(depth=4, width=64, activation=tuned.spec, eta=0.1,
-                       steps=500, sigma=tuned.params.sigma, seed=0)
     train = synth_dataset(64, 500, 10, seed=0)
-    sweep = lr_depth_sweep(depths, etas, base, train)
+    sweep = lr_depth_sweep(depths, etas, train, activation=tuned.spec, steps=500,
+                           sigma=tuned.params.sigma, seed=0)
     return {d: sweep.boundary[d] for d in depths}
 
 

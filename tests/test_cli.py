@@ -281,6 +281,7 @@ class TestSimulate:
                     "--depth", 3, "--bins", bins)
         assert code == 2
         assert "config error: bins: bin width" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
@@ -341,7 +342,7 @@ class TestSweep:
         assert capsys.readouterr().err == "classes: 10 lowered to the width 8\n"
 
     def test_worker_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        def failing_draw(configs):
+        def failing_draw(*args):
             raise NumericalError("forced failure")
 
         monkeypatch.setattr(trainlab, "_sampled_stack", failing_draw)
@@ -361,8 +362,10 @@ class TestSweep:
         lpath.write_bytes(struct.pack(">i", 0x00000801)
                           + struct.pack(">i", 8) + labels.tobytes())
         out = tmp_path / "swi"
+        cut = self.SMALL.index("--samples")
+        small = self.SMALL[:cut] + self.SMALL[cut + 2:]  # idx data reads no --samples
         code = _run("sweep", "--out", out, "--depths", "1", "--etas", "0.01",
-                    "--idx-images", ipath, "--idx-labels", lpath, *self.SMALL)
+                    "--idx-images", ipath, "--idx-labels", lpath, *small)
         assert code == 0
         assert (out / "sweep.csv").exists()
 
@@ -534,6 +537,25 @@ def test_unread_flag_at_its_default_is_accepted(tmp_path):
     assert _run("tune", "--out", tmp_path / "t", "--mode", "di", "--eps2", "0") == 0
     assert _run("simulate", "--out", tmp_path / "s", "--model", "network", "--width", 8,
                 "--family", "linear", "--g", "1", "--q", "1", "--alpha", "0.75") == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", *TestSweep.SMALL, "--depths", 1, "--etas", "0.01,0.1", "--eta-min", 0.5,
+      "--eta-max", 0.9], "eta_min: not read with --etas"),
+    (["sweep", "--width", 16, "--steps", 5, "--samples", 16, "--classes", 4, "--depths", 1,
+      "--etas", 0.01, "--family", "linear", "--g", 1, "--eps1", 0.3],
+     "eps1: not read with --family"),
+    (["sweep", "--activation-file", "tune.json", "--eps2", 0.1],
+     "eps2: not read with --activation-file"),
+    (["simulate", "--model", "atoms", "--theory", "t3/mu_003.json", "--theory-auto"],
+     "theory: not read with --theory-auto"),
+    (["sweep", "--idx-images", "i.idx", "--idx-labels", "l.idx", "--samples", 16],
+     "samples: not read with --idx-images"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_flag_the_choice_does_not_read_exits_2(argv, message, tmp_path, capsys):
+    assert _run(*argv, "--out", tmp_path / "x") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 class TestFlagTable:

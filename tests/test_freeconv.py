@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +45,11 @@ class TestTwoAtomJacobianLaw:
             TwoAtomJacobianLaw(1.2, 1.0)
         with pytest.raises(ValueError):
             TwoAtomJacobianLaw(0.5, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                TwoAtomJacobianLaw(0.5, bad)
+            with pytest.raises(ValueError, match="alpha"):
+                TwoAtomJacobianLaw(bad, 1.0)
 
     def test_as_measure_mass(self):
         nu = TwoAtomJacobianLaw(0.7, 1.5)
@@ -57,6 +64,14 @@ class TestLayerSchedule:
             LayerSchedule(q=(1.0, 1.0), sigma=(1.0,), jacobians=(TwoAtomJacobianLaw(1, 1),))
         with pytest.raises(ValueError):
             LayerSchedule(q=(1.0, 1.0), sigma=(1.0, 1.0), jacobians=())
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["q", "sigma"])
+    def test_values_must_be_finite_and_positive(self, field, bad):
+        values = {"q": [1.0, 1.0], "sigma": [1.0, 1.0]}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            LayerSchedule(**values, jacobians=(TwoAtomJacobianLaw(0.5, 1.0),))
 
     def test_constant_builder(self):
         sched = constant_schedule(4, 1.0, 0.9, 0.95, 1.1)
@@ -224,7 +239,7 @@ class TestFreeMultConv:
         # solver that accepts the root w = -1 (G = 0) there zeroes it.
         mu = SpectralMeasure.from_atoms([(1.0, 0.25), (2.0, 0.75)])
         out = free_mult_conv_two_atom(mu, TwoAtomJacobianLaw(0.75, 1.0))
-        closed = solve_three_layer(1, 1, 1, 1, 1, 0.75, 0.75, 1.0, 1.0)
+        closed = solve_three_layer(constant_schedule(3, 1.0, 1.0, 0.75, 1.0))
         lo, hi = closed.density.left - 1.0, closed.density.right - 1.0
         x = out.density.grid()
         inside = (x > lo) & (x < hi)
@@ -389,12 +404,18 @@ THREE_LAYER_CASES = [
 ]
 
 
+def _depth_three(a1, a2, g1, g2, q=(1.0, 1.0, 1.0), sigma=(1.0, 1.0, 1.0)):
+    """The depth-3 LayerSchedule with Jacobian laws (a1, g1) and (a2, g2)."""
+    jacobians = (TwoAtomJacobianLaw(a1, g1), TwoAtomJacobianLaw(a2, g2))
+    return LayerSchedule(q=q, sigma=sigma, jacobians=jacobians)
+
+
 class TestSolveThreeLayer:
     @pytest.mark.parametrize(
         "a1,a2,g1,g2,mid,lo,hi,top,w_min,w_mid,w_max,m1", THREE_LAYER_CASES
     )
     def test_frozen_reference_spectra(self, a1, a2, g1, g2, mid, lo, hi, top, w_min, w_mid, w_max, m1):
-        out = solve_three_layer(1, 1, 1, 1, 1, a1, a2, g1, g2)
+        out = solve_three_layer(_depth_three(a1, a2, g1, g2))
         assert out.atom_weight(1.0) == pytest.approx(w_min, abs=1e-9)
         if w_mid > 0:
             assert out.atom_weight(mid) == pytest.approx(w_mid, abs=1e-9)
@@ -408,12 +429,12 @@ class TestSolveThreeLayer:
         assert moment(out, 1) == pytest.approx(m1, abs=2e-3)
 
     def test_near_isometry_concentrates_at_depth(self):
-        out = solve_three_layer(1, 1, 1, 1, 1, 0.999, 0.999, 1.0, 1.0)
+        out = solve_three_layer(constant_schedule(3, 1.0, 1.0, 0.999, 1.0))
         assert out.atom_weight(3.0) == pytest.approx(0.998, abs=1e-9)
         assert out.support_max == pytest.approx(3.0, abs=1e-9)
 
     def test_arcsine_case(self):
-        out = solve_three_layer(1, 1, 1, 1, 1, 0.5, 0.5, 1.0, 1.0)
+        out = solve_three_layer(constant_schedule(3, 1.0, 1.0, 0.5, 1.0))
         assert out.atom_weight(1.0) == pytest.approx(0.5, abs=1e-9)
         assert out.atom_weight(2.0) == 0.0
         assert out.atom_weight(3.0) == 0.0
@@ -425,32 +446,28 @@ class TestSolveThreeLayer:
     @pytest.mark.parametrize("a1,a2", [(1.0, 1.0), (0.4, 1.0), (1.0, 0.4)])
     def test_alpha_one_leaves_only_atoms(self, a1, a2):
         # when an alpha is 1 the continuous part has no weight
-        sched = LayerSchedule(
-            q=(1.3, 0.8, 1.1),
-            sigma=(1.0, 0.9, 1.2),
-            jacobians=(TwoAtomJacobianLaw(a1, 1.4), TwoAtomJacobianLaw(a2, 0.7)),
-        )
+        sched = _depth_three(a1, a2, 1.4, 0.7, q=(1.3, 0.8, 1.1), sigma=(1.0, 0.9, 1.2))
         numeric = propagate_schedule(sched)[-1]
-        closed = solve_three_layer(1.3, 0.8, 1.1, 0.9, 1.2, a1, a2, 1.4, 0.7)
+        closed = solve_three_layer(sched)
         assert closed.density is None and numeric.density is None
         assert np.array(closed.atoms) == pytest.approx(np.array(numeric.atoms), rel=1e-12)
 
     def test_parameter_validation(self):
+        # the schedule refuses bad values before the closed form sees them
         with pytest.raises(ValueError):
-            solve_three_layer(1, 1, 1, 1, 1, 1.5, 0.5, 1.0, 1.0)
+            _depth_three(1.5, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            solve_three_layer(1, 1, 1, 1, 1, 0.5, 0.0, 1.0, 1.0)
+            _depth_three(0.5, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            solve_three_layer(-1, 1, 1, 1, 1, 0.5, 0.5, 1.0, 1.0)
+            _depth_three(0.5, 0.5, 1.0, 1.0, q=(-1.0, 1.0, 1.0))
+        for depth in (2, 4):
+            with pytest.raises(ValueError, match="needs depth 3"):
+                solve_three_layer(constant_schedule(depth, 1.0, 1.0, 0.5, 1.0))
 
     def test_matches_numeric_propagation(self):
-        sched = LayerSchedule(
-            q=(1.0, 1.0, 1.0),
-            sigma=(1.0, 1.0, 1.0),
-            jacobians=(TwoAtomJacobianLaw(0.8, 1.2), TwoAtomJacobianLaw(0.6, 0.9)),
-        )
+        sched = _depth_three(0.8, 0.6, 1.2, 0.9)
         numeric = propagate_schedule(sched)[-1]
-        closed = solve_three_layer(1, 1, 1, 1, 1, 0.8, 0.6, 1.2, 0.9)
+        closed = solve_three_layer(sched)
         assert distance_L1(numeric, closed, 0.02) < 1e-2
 
 

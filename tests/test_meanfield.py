@@ -119,6 +119,11 @@ class TestQForward:
             _q_next(Linear(1.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             _q_next(Linear(1.0), -1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                moment_map(Linear(1.0), bad, 1.0)
+            with pytest.raises(ValueError, match="finite and positive"):
+                moment_map(Linear(1.0), 1.0, bad)
 
     def test_expanding_linear_overflows(self):
         # the next moment lies past float range
@@ -185,11 +190,11 @@ class TestTuneConstantQ:
         assert r.spec.s == pytest.approx(0.4028775939807329, rel=1e-10)
         assert r.params.gamma == pytest.approx(8.939001604905918, rel=1e-10)
 
-    def test_u_star_and_eps1_paths_agree(self):
-        ra = tune_constant_q(16, eps1=0.1)
-        rb = tune_constant_q(16, u_star=2.7343687865331816)
-        assert ra.spec.g == pytest.approx(rb.spec.g, rel=1e-9)
-        assert ra.spec.s == pytest.approx(rb.spec.s, rel=1e-9)
+    def test_eps1_sets_the_saturation_point(self):
+        # u* = 1 / (s g sigma sqrt(q*)) solves 16 P(|Z| > u*) = 0.1
+        r = tune_constant_q(16, eps1=0.1)
+        u_star = 1.0 / (r.spec.s * r.spec.g * r.params.sigma * math.sqrt(r.params.q))
+        assert u_star == pytest.approx(2.7343687865331816, rel=1e-9)
 
     def test_tuning_is_self_consistent(self):
         r = tune_constant_q(8, eps1=0.2, q_star=2.5)
@@ -237,10 +242,6 @@ class TestTuneConstantQ:
         with pytest.raises(ValueError):
             tune_constant_q(0, eps1=0.1)
         with pytest.raises(ValueError):
-            tune_constant_q(16)  # neither eps1 nor u_star
-        with pytest.raises(ValueError):
-            tune_constant_q(16, eps1=0.1, u_star=2.0)  # both
-        with pytest.raises(ValueError):
             tune_constant_q(16, eps1=16.5)  # out of (0, depth)
         with pytest.raises(ValueError):
             tune_constant_q(16, eps1=0.1, q_star=0.0)
@@ -274,3 +275,6 @@ class TestMeanFieldSchedule:
             mean_field_schedule(Linear(1.0), 1.0, 0)
         with pytest.raises(ValueError):
             mean_field_schedule(Linear(1.0), [1.0, 1.0], 3)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma entries must be finite and positive"):
+                mean_field_schedule(Linear(1.0), [1.0, bad, 1.0], 3)

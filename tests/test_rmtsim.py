@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    constant_schedule,
     dual_fim_dense,
     forward_trace,
     freeness_probe,
@@ -23,6 +24,7 @@ from oracles import (
 )
 
 from isospec import _openblas, rmtsim
+from isospec.freeconv import LayerSchedule, TwoAtomJacobianLaw
 from isospec.meanfield import HardTanh, Linear
 from isospec.rmtsim import (
     EigenReport,
@@ -433,10 +435,8 @@ def _draw(model: str, M: int = 24, depth: int = 6) -> np.ndarray:
     if model == "network":
         x = normalized_input(M, np.random.default_rng(0))
         return network_fim_sample(M, depth, HardTanh(s=0.5, g=1.3), 1.0, 0, x)
-    return model_fim_sample(
-        M, [1.0] * depth, [1.1] * depth, [0.75] * (depth - 1), [1.3] * (depth - 1),
-        np.random.default_rng(0),
-    )
+    return model_fim_sample(M, constant_schedule(depth, 1.0, 1.1, 0.75, 1.3),
+                            np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("model", ["network", "atoms"])
@@ -647,30 +647,25 @@ class TestModelFimSample:
                              ids=["zero_columns", "alpha_1", "zero_columns-width300",
                                   "alpha_1-width300"])
     def test_bitwise_equal_to_serial_loop(self, M, alpha):
-        args = (M, [1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [alpha] * 3, [1.7, 1.3, 0.9])
+        laws = ([1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [alpha] * 3, [1.7, 1.3, 0.9])
+        q, sigma, alphas, gammas = laws
+        schedule = LayerSchedule(q, sigma, tuple(map(TwoAtomJacobianLaw, alphas, gammas)))
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got = model_fim_sample(*args, rng)
-        assert np.array_equal(got, reference_model_fim(*args, ref_rng))
+        got = model_fim_sample(M, schedule, rng)
+        assert np.array_equal(got, reference_model_fim(M, *laws, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_linear_model_is_depth_identity(self):
         rng = np.random.default_rng(4)
-        h = model_fim_sample(64, [1.0] * 3, [1.0] * 3, [1.0] * 2, [1.0] * 2, rng)
+        h = model_fim_sample(64, constant_schedule(3, 1.0, 1.0, 1.0, 1.0), rng)
         assert np.abs(np.linalg.eigvalsh(h) - 3.0).max() < 1e-10
 
     def test_trace_tracks_mean_recursion(self):
         # E[tr H / M] = 1 + a + a^2 for constant alpha = a, unit scales
         rng = np.random.default_rng(3)
-        h = model_fim_sample(400, [1.0] * 3, [1.0] * 3, [0.75] * 2, [1.0] * 2, rng)
+        h = model_fim_sample(400, constant_schedule(3, 1.0, 1.0, 0.75, 1.0), rng)
         assert np.trace(h) / 400 == pytest.approx(2.3125, abs=0.05)
         assert np.linalg.eigvalsh(h)[0] > -1e-10
-
-    def test_rejects_mismatched_lengths(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            model_fim_sample(16, [1.0] * 3, [1.0] * 2, [0.5] * 2, [1.0] * 2, rng)
-        with pytest.raises(ValueError):
-            model_fim_sample(16, [1.0] * 3, [1.0] * 3, [0.5] * 1, [1.0] * 2, rng)
 
 
 class TestFreenessProbe:

@@ -26,7 +26,6 @@ from isospec.trainlab import (
     NORM_BLOWUP,
     Dataset,
     SweepCell,
-    TrainConfig,
     _group_step,
     estimate_boundary,
     idx_dataset,
@@ -229,11 +228,10 @@ class TestOnlineGdStep:
         assert not math.isfinite(loss)
 
 
-def _one_cell(train, test=None, **config):
+def _one_cell(train, test=None, *, depth, eta, seed=0, **shared):
     """The only cell of a sweep over one depth and one eta."""
-    base = TrainConfig(width=train.width, **config)
-    (cell,) = lr_depth_sweep([base.depth], [base.eta], base, train, test).cells
-    assert cell.seed == base.seed
+    (cell,) = lr_depth_sweep([depth], [eta], train, test, seed=seed, **shared).cells
+    assert cell.seed == seed
     return cell
 
 
@@ -288,24 +286,29 @@ class TestTrainRun:
         assert math.isnan(without.test_loss) and math.isnan(without.test_acc)
 
     def test_rejects_width_mismatch(self):
-        data = synth_dataset(8, 8, 2, seed=0)
-        cfg = TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=0.01, steps=5)
-        with pytest.raises(ValueError):
-            lr_depth_sweep([1], [0.01], cfg, data)
+        train, test = synth_dataset(8, 8, 2, seed=0), synth_dataset(16, 8, 2, seed=1)
+        with pytest.raises(ValueError, match="test width 16 does not match train width 8"):
+            lr_depth_sweep([1], [0.01], train, test, activation=Linear(1.0), steps=5)
 
     def test_config_validation(self):
+        data = synth_dataset(16, 8, 2, seed=0)
+
+        def sweep(depth=1, eta=0.1, steps=5, sigma=1.0):
+            lr_depth_sweep([depth], [eta], data, activation=Linear(1.0), steps=steps, sigma=sigma)
+
         with pytest.raises(ValueError):
-            TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=-0.1, steps=5)
+            sweep(eta=-0.1)
         with pytest.raises(ValueError):
-            TrainConfig(depth=0, width=16, activation=Linear(1.0), eta=0.1, steps=5)
+            sweep(depth=0)
+        with pytest.raises(ValueError, match="steps"):
+            sweep(steps=0)
         with pytest.raises(ValueError, match="sigma"):
-            TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=0.1, steps=5, sigma=0.0)
+            sweep(sigma=0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="eta"):
-                TrainConfig(depth=1, width=16, activation=Linear(1.0), eta=bad, steps=5)
+                sweep(eta=bad)
             with pytest.raises(ValueError, match="sigma"):
-                TrainConfig(depth=2, width=16, activation=Linear(1.0), eta=0.1, steps=5,
-                            sigma=(1.0, bad))
+                sweep(depth=2, sigma=(1.0, bad))
 
 
 class TestEstimateBoundary:
@@ -329,14 +332,11 @@ class TestEstimateBoundary:
 
 
 class TestLrDepthSweep:
-    def _base(self):
-        return TrainConfig(
-            depth=1, width=16, activation=HardTanh(s=1.0, g=1.0), eta=0.1, steps=40, seed=3
-        )
+    SHARED = dict(activation=HardTanh(s=1.0, g=1.0), steps=40, seed=3)
 
     def test_grid_and_boundary(self):
         data = synth_dataset(16, 32, 4, seed=0)
-        sw = lr_depth_sweep([1, 2], [1e-3, 80.0], self._base(), data)
+        sw = lr_depth_sweep([1, 2], [1e-3, 80.0], data, **self.SHARED)
         assert len(sw.cells) == 4
         assert sw.boundary[1] == pytest.approx(math.sqrt(1e-3 * 80.0))
         assert sw.boundary[2] == pytest.approx(math.sqrt(1e-3 * 80.0))
@@ -346,7 +346,7 @@ class TestLrDepthSweep:
 
     def test_csv_rows(self):
         data = synth_dataset(16, 32, 4, seed=0)
-        sw = lr_depth_sweep([1], [1e-3, 80.0], self._base(), data)
+        sw = lr_depth_sweep([1], [1e-3, 80.0], data, **self.SHARED)
         rows = list(sw.to_csv_rows())
         assert rows[0] == "L,eta,train_loss,test_loss,train_acc,test_acc,diverged"
         assert len(rows) == 3
@@ -354,16 +354,16 @@ class TestLrDepthSweep:
 
     def test_all_diverged_grid(self):
         data = synth_dataset(16, 32, 4, seed=0)
-        sw = lr_depth_sweep([2], [60.0, 90.0], self._base(), data)
+        sw = lr_depth_sweep([2], [60.0, 90.0], data, **self.SHARED)
         assert sw.all_diverged()
         assert sw.boundary[2] is None
 
     def test_rejects_empty_grids(self):
         data = synth_dataset(16, 32, 4, seed=0)
         with pytest.raises(ValueError):
-            lr_depth_sweep([], [0.1], self._base(), data)
+            lr_depth_sweep([], [0.1], data, **self.SHARED)
         with pytest.raises(ValueError):
-            lr_depth_sweep([1], [], self._base(), data)
+            lr_depth_sweep([1], [], data, **self.SHARED)
 
 
 # ----------------------------------------------------------------------
@@ -416,20 +416,16 @@ def _ref_evaluate(weights, activation, data):
     return total / data.size, hits / data.size
 
 
-def _ref_cell(config, train, test):
+def _ref_cell(train, test, depth, eta, *, activation, steps, sigma=1.0, seed=0):
     """The SweepCell of one cell, trained on its own."""
-    net = OrthogonalNet.sample(
-        config.width, config.depth, config.activation, config.sigma, config.seed
-    )
-    weights = net.weights
-    order = np.random.default_rng(config.seed + 0x5EED).permutation(train.size)
+    weights = OrthogonalNet.sample(train.width, depth, activation, sigma, seed).weights
+    order = np.random.default_rng(seed + 0x5EED).permutation(train.size)
     with np.errstate(over="ignore"):
         limits = [trainlab.BLOWUP_FACTOR * np.linalg.norm(w) for w in weights]
     stop = None
-    for step in range(config.steps):
+    for step in range(steps):
         i = int(order[step % train.size])
-        _, cause = _ref_step(weights, config.activation, train.inputs[i], _target(train, i),
-                             config.eta)
+        _, cause = _ref_step(weights, activation, train.inputs[i], _target(train, i), eta)
         if cause is not None:
             stop = (step, cause, None)
             break
@@ -440,35 +436,33 @@ def _ref_cell(config, train, test):
             break
     clamp = trainlab.LOSS_CLAMP
     if stop is None:
-        train_loss, train_acc = _ref_evaluate(weights, config.activation, train)
+        train_loss, train_acc = _ref_evaluate(weights, activation, train)
         train_loss = min(train_loss, clamp)
         test_loss, test_acc = math.nan, math.nan
         if test is not None:
-            test_loss, test_acc = _ref_evaluate(weights, config.activation, test)
+            test_loss, test_acc = _ref_evaluate(weights, activation, test)
             test_loss = min(test_loss, clamp)
-        steps, diverged_at, cause, layer = config.steps, None, None, None
+        diverged_at, cause, layer = None, None, None
     else:
         train_loss, train_acc = clamp, 0.0
         test_loss, test_acc = (clamp, 0.0) if test is not None else (math.nan, math.nan)
         diverged_at, cause, layer = stop
         steps = diverged_at + 1
     return SweepCell(
-        depth=config.depth, eta=config.eta, seed=config.seed, train_loss=train_loss,
+        depth=depth, eta=eta, seed=seed, train_loss=train_loss,
         test_loss=test_loss, train_acc=train_acc, test_acc=test_acc,
         diverged=stop is not None, steps=steps, diverged_at=diverged_at,
         cause=cause, layer=layer,
     )
 
 
-def _ref_sweep(depths, etas, base, train, test):
+def _ref_sweep(depths, etas, train, test, *, seed=0, **shared):
     cells, boundary = [], {}
     for di, depth in enumerate(depths):
         row = []
         for ei, eta in enumerate(etas):
-            config = dataclasses.replace(
-                base, depth=depth, eta=eta, seed=base.seed + 100_003 * di + 1_009 * ei
-            )
-            row.append(_ref_cell(config, train, test))
+            cell_seed = seed + 100_003 * di + 1_009 * ei
+            row.append(_ref_cell(train, test, depth, eta, seed=cell_seed, **shared))
         cells += row
         boundary[depth] = estimate_boundary(etas, [c.diverged for c in row])
     return cells, boundary
@@ -515,47 +509,46 @@ def _grid_inputs(name, with_test, monkeypatch):
     m = grid["width"]
     train = synth_dataset(m, 32, grid["classes"], seed=0)
     test = synth_dataset(m, 8, grid["classes"], seed=1) if with_test else None
-    base = TrainConfig(depth=grid["depths"][0], width=m, eta=grid["etas"][0], **grid["config"])
-    return grid["depths"], grid["etas"], base, train, test
+    return (grid["depths"], grid["etas"], train, test), grid["config"]
 
 
 class TestStackedSweepMatchesReference:
     @pytest.mark.parametrize("with_test", [False, True])
     @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
     def test_cells_and_boundaries_bit_equal(self, name, with_test, monkeypatch):
-        depths, etas, base, train, test = _grid_inputs(name, with_test, monkeypatch)
-        got = lr_depth_sweep(depths, etas, base, train, test)
-        cells, boundary = _ref_sweep(depths, etas, base, train, test)
+        args, shared = _grid_inputs(name, with_test, monkeypatch)
+        got = lr_depth_sweep(*args, **shared)
+        cells, boundary = _ref_sweep(*args, **shared)
         _assert_same_cells(got.cells, cells)
         assert list(got.boundary) == list(boundary)
-        for depth in depths:
+        for depth in args[0]:
             assert _same(got.boundary[depth], boundary[depth])
 
     def test_grids_cover_every_outcome(self, monkeypatch):
         causes = set()
         for name in SWEEP_GRIDS:
-            inputs = _grid_inputs(name, False, monkeypatch)
-            causes |= {c.cause for c in lr_depth_sweep(*inputs).cells}
+            args, shared = _grid_inputs(name, False, monkeypatch)
+            causes |= {c.cause for c in lr_depth_sweep(*args, **shared).cells}
         assert causes == {None, NORM_BLOWUP, NONFINITE_LOSS, NONFINITE_GRADIENT}
 
     @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
     def test_one_cell_groups_give_the_same_result(self, name, monkeypatch):
-        inputs = _grid_inputs(name, True, monkeypatch)
-        grouped = lr_depth_sweep(*inputs)
+        args, shared = _grid_inputs(name, True, monkeypatch)
+        grouped = lr_depth_sweep(*args, **shared)
         monkeypatch.setattr(trainlab, "GROUP_BYTES", 1)
-        single = lr_depth_sweep(*inputs)
+        single = lr_depth_sweep(*args, **shared)
         _assert_same_cells(single.cells, grouped.cells)
         assert single.boundary == grouped.boundary
 
     def test_one_cell_sweep_matches_reference(self, monkeypatch):
-        depths, etas, base, train, test = _grid_inputs("hard_tanh", True, monkeypatch)
+        (_, etas, train, test), shared = _grid_inputs("hard_tanh", True, monkeypatch)
         for eta in etas:
-            config = dataclasses.replace(base, depth=3, eta=eta)
-            _assert_same_cells(lr_depth_sweep([3], [eta], config, train, test).cells,
-                               [_ref_cell(config, train, test)])
+            _assert_same_cells(lr_depth_sweep([3], [eta], train, test, **shared).cells,
+                               [_ref_cell(train, test, 3, eta, **shared)])
 
     def test_outcomes_record_each_cell(self, monkeypatch):
-        sw = lr_depth_sweep(*_grid_inputs("linear_overflow", False, monkeypatch))
+        args, shared = _grid_inputs("linear_overflow", False, monkeypatch)
+        sw = lr_depth_sweep(*args, **shared)
         records = sw.outcomes()
         assert len(records) == len(sw.cells)
         for rec, cell in zip(records, sw.cells):
@@ -582,10 +575,10 @@ def draw_pids(monkeypatch, tmp_path):
     pids = tmp_path / "pids"
     draw = trainlab._sampled_stack
 
-    def logged_draw(configs):
+    def logged_draw(*args):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return draw(configs)
+        return draw(*args)
 
     monkeypatch.setattr(trainlab, "_sampled_stack", logged_draw)
     return pids
@@ -602,14 +595,14 @@ class TestSweepWorkers:
     """The sweep's groups trained in forked worker processes."""
 
     def test_datasets_reach_workers_unpickled(self, monkeypatch, draw_pids):
-        depths, etas, base, train, test = _grid_inputs("hard_tanh", True, monkeypatch)
-        alone = lr_depth_sweep(depths, etas, base, train, test)
+        (depths, etas, train, test), shared = _grid_inputs("hard_tanh", True, monkeypatch)
+        alone = lr_depth_sweep(depths, etas, train, test, **shared)
         train, test = (_UnpicklableDataset(d.inputs, d.labels, d.classes) for d in (train, test))
         with pytest.raises(AssertionError, match="dataset pickled"):
             pickle.dumps(train)  # the guard works
         monkeypatch.setattr(trainlab, "GROUP_BYTES", 1)  # one group per cell
         monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
-        pooled = lr_depth_sweep(depths, etas, base, train, test)
+        pooled = lr_depth_sweep(depths, etas, train, test, **shared)
         assert str(os.getpid()) not in _pids(draw_pids)
         _assert_same_cells(pooled.cells, alone.cells)
 
@@ -617,15 +610,15 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
     def test_pooled_sweep_bit_equal_to_in_process(self, name, group_bytes, monkeypatch,
                                                    draw_pids):
-        inputs = _grid_inputs(name, True, monkeypatch)
+        args, shared = _grid_inputs(name, True, monkeypatch)
         monkeypatch.setattr(trainlab, "GROUP_BYTES", group_bytes)
         monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
-        pooled = lr_depth_sweep(*inputs)
+        pooled = lr_depth_sweep(*args, **shared)
         workers = _pids(draw_pids)
         groups = len(draw_pids.read_text().split())
         draw_pids.unlink()
         monkeypatch.setattr(trainlab, "_worker_count", _one_worker)
-        alone = lr_depth_sweep(*inputs)
+        alone = lr_depth_sweep(*args, **shared)
         assert _pids(draw_pids) == {str(os.getpid())}
         if groups > 1:  # one group takes one worker: no pool
             assert str(os.getpid()) not in workers
@@ -640,8 +633,9 @@ class TestSweepWorkers:
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
+        args, shared = _grid_inputs("hard_tanh", False, monkeypatch)
         try:
-            lr_depth_sweep(*_grid_inputs("hard_tanh", False, monkeypatch))
+            lr_depth_sweep(*args, **shared)
         finally:
             release.set()
             other.join(60)
@@ -651,15 +645,16 @@ class TestSweepWorkers:
     def test_worker_exception_reaches_caller(self, monkeypatch):
         draw = trainlab._sampled_stack
 
-        def failing_draw(configs):
-            if configs[0].depth == 2:
+        def failing_draw(depth, *args):
+            if depth == 2:
                 raise NumericalError(f"forced failure in process {os.getpid()}")
-            return draw(configs)
+            return draw(depth, *args)
 
         monkeypatch.setattr(trainlab, "_sampled_stack", failing_draw)
         monkeypatch.setattr(trainlab, "_worker_count", _two_workers)
+        args, shared = _grid_inputs("hard_tanh", False, monkeypatch)
         with pytest.raises(NumericalError, match="forced failure in process") as err:
-            lr_depth_sweep(*_grid_inputs("hard_tanh", False, monkeypatch))
+            lr_depth_sweep(*args, **shared)
         assert type(err.value) is NumericalError
         assert str(err.value) != f"forced failure in process {os.getpid()}"
         assert multiprocessing.active_children() == []
@@ -669,7 +664,7 @@ class TestSweepWorkers:
             "import isospec.trainlab as t\n"
             "lib = t._openblas._library()\n"
             "if lib is None: raise SystemExit('no bundled OpenBLAS')\n"
-            "before = lib.get(); t._start_worker(None, None, 2); print(before, lib.get())\n"
+            "before = lib.get(); t._start_worker(None, 2); print(before, lib.get())\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="4")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -698,10 +693,9 @@ def test_non_monotone_grid_warns_once_per_depth(caplog, monkeypatch):
     # on its own draw and sample, so both depths come out non-monotone
     monkeypatch.setattr(trainlab, "BLOWUP_FACTOR", 1.5)
     data = synth_dataset(8, 16, 2, seed=0)
-    base = TrainConfig(depth=1, width=8, activation=Linear(1.0), eta=0.1, steps=1, seed=75)
     etas = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0]
     with caplog.at_level(logging.WARNING, logger="isospec.trainlab"):
-        sw = lr_depth_sweep([1, 2], etas, base, data)
+        sw = lr_depth_sweep([1, 2], etas, data, activation=Linear(1.0), steps=1, seed=75)
     for depth in (1, 2):
         flags = [c.diverged for c in sw.cells if c.depth == depth]
         assert any(a and not b for a, b in zip(flags, flags[1:])), depth
