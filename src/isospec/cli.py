@@ -12,7 +12,6 @@ nothing but divergence.
 import argparse
 import json
 import math
-import struct
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -45,9 +44,6 @@ from .rmtsim import (
 )
 from .specmeasure import NumericalError, SpectralMeasure, _bin_masses, bin_grid, distance_L1, moment
 from .trainlab import idx_dataset, lr_depth_sweep, synth_dataset
-
-MATRIX_MAGIC = b"ISOM"
-MATRIX_VERSION = 1
 
 CANVAS_W, CANVAS_H = 800, 600
 MARGIN = {"left": 70, "right": 24, "top": 34, "bottom": 52}
@@ -115,11 +111,11 @@ FLAGS = {
         "theory_auto": (False, bool, {
             "action": "store_const", "const": True,
             "help": "derive the prediction from the schedule and compare"}),
-        "dump_matrix": (None, str, {"help": "also dump the last H matrix under this filename"}),
+        "dump_matrix": (None, str, {"help": "also save the last H as .npy under this name"}),
     },
     "sweep": {
         **_COMMON,
-        "width": (64, int, {}),
+        "width": (None, int, {"help": "default 64, or the pixel count of --idx-images"}),
         "depths": ("4,8,16", None, {"help": "comma list of depths"}),
         "etas": (None, None, {"help": "explicit comma list of learning rates"}),
         "eta_min": (0.01, float, {}),
@@ -332,32 +328,6 @@ def _outdir(merged: dict) -> Path:
     out = Path(merged["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def write_matrix_dump(path, matrix: np.ndarray):
-    """Row-major float64 dump: 16-byte header (magic "ISOM", version,
-    rows, cols as little-endian uint32), then the payload."""
-    matrix = np.asarray(matrix, dtype="<f8")
-    if matrix.ndim != 2:
-        raise ValueError("matrix dump needs a 2-D array")
-    header = MATRIX_MAGIC + struct.pack("<III", MATRIX_VERSION, *matrix.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(matrix).tobytes())
-
-
-def read_matrix_dump(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MATRIX_MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}")
-    version, rows, cols = struct.unpack("<III", blob[4:16])
-    if version != MATRIX_VERSION:
-        raise ValueError(f"{path}: unsupported dump version {version}")
-    expected = 16 + 8 * rows * cols
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    return np.frombuffer(blob[16:], dtype="<f8").reshape(rows, cols)
 
 
 # ----------------------------------------------------------------------
@@ -686,6 +656,8 @@ def cmd_simulate(args) -> int:
     _require(depth >= 1, "depth", "must be at least 1")
     _require(draws >= 1, "draws", "must be at least 1")
     _require(bins > 0, "bins", "must be positive")
+    atom_window = merged["atom_window"]
+    _require(atom_window is None or atom_window > 0, "atom_window", "must be positive")
     model = merged["model"]
     _require(model in ("network", "atoms"), "model", f"unknown model {model!r}")
     theory = _load_measure(merged["theory"], "theory") if merged["theory"] else None
@@ -716,8 +688,7 @@ def cmd_simulate(args) -> int:
         values.append(np.linalg.eigvalsh(matrix))
 
     report = EigenReport.from_eigenvalues(np.sort(np.concatenate(values)))
-    empirical = _checked("bins", empirical_measure, report, bins,
-                         atom_window=merged["atom_window"])
+    empirical = _checked("bins", empirical_measure, report, bins, atom_window=atom_window)
     svg = _checked(
         "bins", emit_svg_histogram, empirical, theory, bin_width=bins,
         title=f"spectrum M={width} L={depth} ({model})",
@@ -748,7 +719,9 @@ def cmd_simulate(args) -> int:
         _write_json(outdir / "compare.json", compare)
 
     if merged["dump_matrix"]:
-        write_matrix_dump(outdir / merged["dump_matrix"], matrix)
+        # a file object, so that np.save adds no .npy suffix to the name
+        with open(outdir / merged["dump_matrix"], "wb") as fh:
+            np.save(fh, matrix)
 
     _write_config(outdir, "simulate", merged)
     return 0
@@ -757,7 +730,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     merged = _resolve(args)
     width, seed, samples = merged["width"], merged["seed"], merged["samples"]
-    _require(width >= 2, "width", "must be at least 2")
+    _require(width is None or width >= 2, "width", "must be at least 2")
     _require(merged["steps"] >= 1, "steps", "must be at least 1")
     depths = _as_list(merged["depths"], "depths", int)
     _require(all(d >= 1 for d in depths), "depths", "entries must be positive")
@@ -785,14 +758,18 @@ def cmd_sweep(args) -> int:
         train = _checked("idx", idx_dataset, merged["idx_images"], merged["idx_labels"],
                          classes=merged["classes"])
         test = None
+        width = train.width if width is None else width
+        _require(train.width == width, "width", f"dataset width {train.width} != {width}")
+        _require(width >= 2, "width", "must be at least 2")
     else:
+        width = 64 if width is None else width
         classes = min(merged["classes"], width)
         if classes < merged["classes"]:
             print(f"classes: {merged['classes']} lowered to the width {classes}", file=sys.stderr)
             merged["classes"] = classes
         train = _checked("dataset", synth_dataset, width, samples, classes, seed)
         test = synth_dataset(width, max(samples // 4, 1), classes, seed + 1)
-    _require(train.width == width, "width", f"dataset width {train.width} != {width}")
+    merged["width"] = width  # what config.json replays
     outdir = _outdir(merged)
 
     result = lr_depth_sweep(depths, etas, train, test, activation=spec,

@@ -123,10 +123,10 @@ class AsymptoticRegime:
     eps2: float
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-        if abs(self.eps1) >= 1 or abs(self.eps2) >= 1:
-            raise ValueError("|eps1| and |eps2| must be < 1")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError("q must be finite and positive")
+        if not (abs(self.eps1) < 1 and abs(self.eps2) < 1):
+            raise ValueError("eps1 and eps2 must be finite, with |eps1|, |eps2| < 1")
 
 
 @dataclass(frozen=True)

@@ -126,8 +126,8 @@ class MeanFieldParams:
     sigma: float
 
     def __post_init__(self):
-        if self.q <= 0 or self.gamma <= 0 or self.sigma <= 0:
-            raise ValueError("q, gamma, sigma must be positive")
+        if not all(0.0 < v < math.inf for v in (self.q, self.gamma, self.sigma)):
+            raise ValueError("q, gamma, sigma must be finite and positive")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
 

@@ -116,18 +116,6 @@ def normalized_input(M: int, rng: np.random.Generator) -> np.ndarray:
     return x * math.sqrt(M) / np.linalg.norm(x)
 
 
-def _haar_layers(width: int, sigma: Iterable, rng: np.random.Generator) -> Iterator:
-    """W_l = sigma_l Q_l with Q_l Haar, drawn from `rng` one layer at a time.
-
-    This is OrthogonalNet.sample's draw, in its order; the caller decides
-    how many layers stay alive.
-    """
-    for s in sigma:
-        w = sample_haar_orthogonal(width, rng)
-        w *= s
-        yield w
-
-
 def _check_layer(w: np.ndarray, s: float, width: int, ell: int) -> None:
     """Raise ValueError unless layer `ell`'s W is width x width and W/s
     is orthogonal: max |(W/s)^T (W/s) - I| < ORTHO_TOL, which NaN fails.
@@ -149,16 +137,18 @@ def _check_layer(w: np.ndarray, s: float, width: int, ell: int) -> None:
         raise ValueError(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
 
 
-def _checked_haar_layers(width: int, sigma: tuple, seed: int) -> Iterator:
-    """OrthogonalNet.sample's draw from `seed`, each layer checked as
-    OrthogonalNet checks it as soon as it is drawn; a bad layer stops the
-    draw there."""
-    layers = _haar_layers(width, sigma, np.random.default_rng(seed))
-    # next() rather than zip: zip's and enumerate's cached result
-    # tuples would keep the layer before last alive during a draw
+def _haar_layers(width: int, sigma: tuple, seed: int) -> Iterator:
+    """OrthogonalNet.sample's draw: W_l = sigma_l Q_l with Q_l Haar from
+    default_rng(seed), one layer at a time, each checked as OrthogonalNet
+    checks it as soon as it is drawn; a bad layer stops the draw there.
+    The caller decides how many layers stay alive. Inside, no zip or
+    enumerate runs over the draws: their cached result tuples would keep
+    the layer before last alive during a draw."""
+    rng = np.random.default_rng(seed)
     for ell, s in enumerate(sigma, start=1):
-        w = next(layers)
-        _check_layer(w, float(s), width, ell)
+        w = sample_haar_orthogonal(width, rng)
+        w *= s
+        _check_layer(w, s, width, ell)
         yield w
 
 
@@ -190,7 +180,7 @@ class OrthogonalNet:
     def sample(cls, width, depth, activation, sigma=1.0, seed=0):
         """Draw all layers from the Haar measure with one seeded generator."""
         sig = layer_sigmas(sigma, depth)
-        weights = list(_haar_layers(width, sig, np.random.default_rng(seed)))
+        weights = list(_haar_layers(width, sig, seed))
         return cls(width, depth, weights, sig, activation, seed)
 
 
@@ -331,7 +321,7 @@ def network_fim_sample(
     if np.shape(x) != (width,):
         raise ValueError(f"input must have shape ({width},)")
     sig = layer_sigmas(sigma, depth)
-    return dual_fim(_checked_haar_layers(width, sig, seed), activation, x)
+    return dual_fim(_haar_layers(width, sig, seed), activation, x)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _openblas
 from .meanfield import ActivationSpec, layer_sigmas
-from .rmtsim import _checked_haar_layers, _forward_layers
+from .rmtsim import _forward_layers, _haar_layers
 
 logger = logging.getLogger(__name__)
 
@@ -398,7 +398,7 @@ def _sampled_stack(depth: int, seeds, width: int, sigma) -> np.ndarray:
     sig = layer_sigmas(sigma, depth)
     stack = np.empty((depth, len(seeds), width, width))
     for k, seed in enumerate(seeds):
-        for ell, w in enumerate(_checked_haar_layers(width, sig, seed)):
+        for ell, w in enumerate(_haar_layers(width, sig, seed)):
             stack[ell, k] = w
     return stack
 

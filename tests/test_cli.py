@@ -9,7 +9,7 @@ import pytest
 
 import isospec.cli as cli
 from isospec import trainlab
-from isospec.cli import main, read_matrix_dump, write_matrix_dump
+from isospec.cli import main
 from isospec.meanfield import moment_map
 from isospec.specmeasure import NumericalError, SpectralMeasure, distance_L1
 
@@ -217,7 +217,7 @@ class TestSimulate:
                     "--depth", 2, "--family", "linear", "--g", 1.0, "--seed", 1,
                     "--dump-matrix", "h.isom")
         assert code == 0
-        h = read_matrix_dump(out / "h.isom")
+        h = np.load(out / "h.isom")  # saved at exactly the name given
         assert h.shape == (16, 16)
         assert np.abs(h - h.T).max() < 1e-12
         assert np.abs(np.linalg.eigvalsh(h) - 2.0).max() < 1e-9
@@ -241,7 +241,7 @@ class TestSimulate:
         # the dump is still the last draw's H
         rows = (tmp_path / "d2" / "eigenvalues.csv").read_text().splitlines()[1:]
         last = [float(r.split(",")[2]) for r in rows if r.startswith("1,")]
-        h = read_matrix_dump(tmp_path / "d2" / "h.isom")
+        h = np.load(tmp_path / "d2" / "h.isom")
         assert np.allclose(np.linalg.eigvalsh(h), last, rtol=1e-10, atol=0)
 
     def test_byte_determinism_across_runs(self, tmp_path):
@@ -352,7 +352,7 @@ class TestSweep:
         assert code == 3
         assert capsys.readouterr().err == "numerical failure: forced failure\n"
 
-    def test_idx_dataset_path(self, tmp_path):
+    def test_idx_dataset_path(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         images = rng.integers(1, 255, size=(8, 4, 4), dtype=np.uint8)
         labels = (np.arange(8) % 4).astype(np.uint8)
@@ -362,12 +362,26 @@ class TestSweep:
         lpath.write_bytes(struct.pack(">i", 0x00000801)
                           + struct.pack(">i", 8) + labels.tobytes())
         out = tmp_path / "swi"
-        cut = self.SMALL.index("--samples")
-        small = self.SMALL[:cut] + self.SMALL[cut + 2:]  # idx data reads no --samples
-        code = _run("sweep", "--out", out, "--depths", "1", "--etas", "0.01",
-                    "--idx-images", ipath, "--idx-labels", lpath, *small)
-        assert code == 0
+        flags = dict(zip(self.SMALL[::2], self.SMALL[1::2]))
+        del flags["--width"], flags["--samples"]  # idx data reads no --samples
+        argv = ["sweep", "--depths", "1", "--etas", "0.01", "--idx-images", ipath,
+                "--idx-labels", lpath, *(a for flag in flags.items() for a in flag)]
+        assert _run(*argv, "--width", 16, "--out", out) == 0
         assert (out / "sweep.csv").exists()
+        # without --width the width is the images' pixel count, and
+        # config.json records it, so the run replays
+        assert _run(*argv, "--out", tmp_path / "auto") == 0
+        saved = tmp_path / "auto" / "config.json"
+        assert json.loads(saved.read_text())["width"] == 16
+        assert _run("sweep", "--config", saved, "--out", tmp_path / "again") == 0
+        for name in ("sweep.csv", "cells.json"):
+            want = (out / name).read_bytes()
+            assert (tmp_path / "auto" / name).read_bytes() == want
+            assert (tmp_path / "again" / name).read_bytes() == want
+        capsys.readouterr()
+        assert _run(*argv, "--width", 64, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == "config error: width: dataset width 16 != 64\n"
+        assert not (tmp_path / "x").exists()
 
     def test_explicit_sigma_wins_over_activation_file(self, tmp_path):
         tune = tmp_path / "tune"
@@ -498,6 +512,9 @@ BAD_INPUTS = [
     _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--width", "1"]),
     _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--depth", "0"]),
     _case(["theory"], {"depth": float("inf")}),
+    _case(["simulate", "--model", "atoms", "--width", "50", "--depth", "3",
+           "--atom-window", "-0.5"]),
+    _case(["simulate", "--model", "atoms", "--width", "50", "--depth", "3", "--atom-window", "0"]),
 ]
 
 
@@ -605,33 +622,6 @@ class TestFlagTable:
             if extras.get("action") != "store_const":
                 argv.append(extras.get("choices", ["1"])[0])
             assert getattr(parser.parse_args([command, *argv]), key) is not None, key
-
-
-class TestMatrixDump:
-    def test_round_trip(self, tmp_path):
-        m = np.arange(12.0).reshape(3, 4)
-        path = tmp_path / "m.isom"
-        write_matrix_dump(path, m)
-        blob = path.read_bytes()
-        assert blob[:4] == b"ISOM"
-        assert struct.unpack("<III", blob[4:16]) == (1, 3, 4)
-        np.testing.assert_array_equal(read_matrix_dump(path), m)
-
-    def test_rejects_bad_files(self, tmp_path):
-        path = tmp_path / "m.isom"
-        path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(ValueError, match="bad magic"):
-            read_matrix_dump(path)
-        path.write_bytes(b"ISOM" + struct.pack("<III", 9, 1, 1) + bytes(8))
-        with pytest.raises(ValueError, match="version"):
-            read_matrix_dump(path)
-        path.write_bytes(b"ISOM" + struct.pack("<III", 1, 2, 2) + bytes(8))
-        with pytest.raises(ValueError, match="expected 48 bytes"):
-            read_matrix_dump(path)
-
-    def test_rejects_non_2d(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_matrix_dump(tmp_path / "v.isom", np.arange(3.0))
 
 
 def test_version_flag_exits_cleanly(capsys):

@@ -503,6 +503,20 @@ class TestMaxSupportTrack:
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(track.beta, track.beta[1:]))
 
 
+class TestAsymptoticRegime:
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
+    def test_q_must_be_finite_and_positive(self, q):
+        with pytest.raises(ValueError, match="finite and positive"):
+            AsymptoticRegime(q=q, eps1=0.1, eps2=0.1)
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["eps1", "eps2"])
+    def test_eps_must_be_finite_and_below_one(self, field, bad):
+        values = {"q": 1.0, "eps1": 0.1, "eps2": 0.1, field: bad}
+        with pytest.raises(ValueError, match="must be finite"):
+            AsymptoticRegime(**values)
+
+
 class TestAsymptoticMax:
     def test_eps2_zero(self):
         assert asymptotic_max(AsymptoticRegime(1.0, 0.0, 0.0)) == pytest.approx(1.0)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from isospec.meanfield import (
     HardTanh,
     Linear,
+    MeanFieldParams,
     ShiftedRelu,
     mean_field_schedule,
     moment_map,
@@ -158,6 +159,15 @@ class TestJacobianStats:
             _alpha_gamma(Linear(1.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             _alpha_gamma(Linear(1.0), 0.0, 1.0)
+
+
+class TestMeanFieldParams:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["q", "gamma", "sigma"])
+    def test_values_must_be_finite_and_positive(self, field, bad):
+        values = {"q": 1.0, "alpha": 0.5, "gamma": 1.0, "sigma": 1.0, field: bad}
+        with pytest.raises(ValueError, match="finite and positive"):
+            MeanFieldParams(**values)
 
 
 class TestTuneConstantQ:

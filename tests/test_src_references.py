@@ -21,7 +21,6 @@ ALLOWED = {
     "cli.main": "the console script `isospec` (pyproject.toml)",
     "rmtsim.OrthogonalNet": "bench/spans.py wraps it",
     "rmtsim.OrthogonalNet.sample": "bench/spans.py wraps it",
-    "cli.read_matrix_dump": "it reads the --dump-matrix format the CLI writes",
     "specmeasure.stieltjes_invert": "criterion 9 inverts a semicircle with it (until ROADMAP D14)",
 }
 
