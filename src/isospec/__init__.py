@@ -22,7 +22,6 @@ from .specmeasure import (
 )
 from .freeconv import (
     AsymptoticRegime,
-    AtomTrack,
     LayerError,
     LayerSchedule,
     TwoAtomJacobianLaw,
@@ -47,7 +46,6 @@ from .meanfield import (
     tune_constant_q,
 )
 from .rmtsim import (
-    EigenReport,
     OrthogonalNet,
     dual_fim,
     empirical_measure,

@@ -36,9 +36,9 @@ from .freeconv import (
 )
 from .meanfield import FAMILIES, mean_field_schedule, tune_constant_q
 from .rmtsim import (
-    EigenReport,
     empirical_measure,
     model_fim_sample,
+    near_top_mask,
     network_fim_sample,
     normalized_input,
 )
@@ -141,7 +141,8 @@ FLAGS = {
 }
 # (command, key, value) -> the flags that choice does not read; each must
 # stay at its default, so that a saved config.json still replays. The
-# value SET stands for any value but the key's default.
+# value SET stands for any value but the key's default, None for the key
+# left unset. Rows are checked in order, and the first refusal is reported.
 SET = object()
 UNREAD = {
     ("tune", "mode", "di"): ("eps2",),
@@ -150,9 +151,16 @@ UNREAD = {
     ("simulate", "theory_auto", SET): ("theory",),
     ("sweep", "etas", SET): ("eta_min", "eta_max", "per_decade"),
     ("sweep", "family", SET): ("eps1", "eps2"),
-    ("sweep", "activation_file", SET): ("eps1", "eps2"),
     ("sweep", "idx_images", SET): ("samples",),
 }
+# The activation's source: a file reads no inline activation flag, a
+# family only its own parameters, and with neither none of them is read.
+for _command, _tuned in (("simulate", ()), ("sweep", ("eps1", "eps2"))):
+    UNREAD[_command, "activation_file", SET] = (*_tuned, "family", *_ACTIVATION_PARAMS)
+    for _family, _cls in FAMILIES.items():
+        _own = {f.name for f in fields(_cls)}
+        UNREAD[_command, "family", _family] = tuple(k for k in _ACTIVATION_PARAMS if k not in _own)
+    UNREAD[_command, "family", None] = _ACTIVATION_PARAMS
 
 
 # ----------------------------------------------------------------------
@@ -202,20 +210,27 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value if kind is None else _typed(value, kind, key)
+    for key, (_, _, extras) in table.items():
+        choices, value = extras.get("choices"), merged[key]
+        _require(choices is None or value is None or value in choices, key,
+                 f"unknown {key} {value!r}")
     for (command, choice, value), unread in UNREAD.items():
         if command != args.command:
             continue
+        flag = "--" + choice.replace("_", "-")
         if value is SET:
-            chosen, said = merged[choice] != table[choice][0], ""
+            chosen, said = merged[choice] != table[choice][0], f"with {flag}"
+        elif value is None:
+            chosen, said = merged[choice] is None, f"without {flag}"
         else:
-            chosen, said = merged[choice] == value, f" {value}"
+            chosen, said = merged[choice] == value, f"with {flag} {value}"
         if not chosen:
             continue
         for key in unread:
             default, kind, _ = table[key]
             same = (merged[key] == default if kind is not None
                     else _as_list(merged[key], key) == _as_list(default, key))
-            _require(same, key, f"not read with --{choice.replace('_', '-')}{said}")
+            _require(same, key, f"not read {said}")
     return merged
 
 
@@ -279,23 +294,12 @@ def _activation_to_dict(spec) -> dict:
 def _resolve_activation(merged: dict):
     """(activation, sigma) from the inline flags or a tune.json file.
 
-    Each source reads only its own flags: a file none of --family/--s/
-    --g/--a/--b, a family only its own parameters, and without either
-    source none of them is read. An explicit sigma wins over the file's;
-    sigma is None when neither gives one, and the activation is None
-    without a family or a file.
+    _resolve has refused every activation flag the source does not read
+    (see UNREAD). An explicit sigma wins over the file's; sigma is None
+    when neither gives one, and the activation is None without a family
+    or a file.
     """
-    sigma, path, family = merged["sigma"], merged["activation_file"], merged["family"]
-    if path:
-        reads, source = (), "with --activation-file"
-    elif family:
-        _require(family in FAMILIES, "family", f"unknown family {family!r}")
-        keys = (f.name for f in fields(FAMILIES[family]))
-        reads, source = ("family", *keys), f"with --family {family}"
-    else:
-        reads, source = (), "without --family or --activation-file"
-    for key in ("family", *_ACTIVATION_PARAMS):
-        _require(merged[key] is None or key in reads, key, f"not read {source}")
+    sigma, path = merged["sigma"], merged["activation_file"]
     if path:
         record = _load_config_file(path)
         _require("spec" in record, "activation_file", "missing 'spec' entry")
@@ -304,8 +308,8 @@ def _resolve_activation(merged: dict):
         if sigma is None and "sigma" in params:
             sigma = _typed(params["sigma"], float, "activation_file.params.sigma")
         return spec, sigma
-    if family:
-        d = {k: merged[k] for k in reads if merged[k] is not None}
+    if merged["family"]:
+        d = {k: merged[k] for k in ("family", *_ACTIVATION_PARAMS) if merged[k] is not None}
         return _activation_from_dict(d, "activation"), sigma
     return None, sigma
 
@@ -581,15 +585,15 @@ def cmd_theory(args) -> int:
         raise
     _write_layers(outdir, schedule, measures, stats)
 
-    track = max_support_track(schedule)
+    lams, betas = max_support_track(schedule)
     rows = ["layer,lambda_max,beta,atom_valid"]
-    for i, (lam, beta) in enumerate(zip(track.lam, track.beta), start=1):
-        rows.append(f"{i},{lam:.10g},{beta:.10g},{int(i <= track.valid_depth)}")
+    for i, (lam, beta) in enumerate(zip(lams, betas), start=1):
+        rows.append(f"{i},{lam:.10g},{beta:.10g},{int(beta > 0)}")
     (outdir / "atom_track.csv").write_text("\n".join(rows) + "\n")
 
     limits = {
         "mean_track": mean_track(schedule),
-        "lambda_max_track": list(track.lam),
+        "lambda_max_track": lams,
         "eps1": None,
         "eps2": None,
         "asymptotic_max_per_depth": None,
@@ -620,8 +624,6 @@ def cmd_tune(args) -> int:
         # the critical line: sigma^2 gamma alpha = 1 at alpha = 1 - eps1/depth
         _require(0 < eps1 < depth, "eps1", "must be in (0, depth)")
         eps2 = depth * math.log1p(-eps1 / depth)
-    elif mode != "constant_q":
-        raise ConfigError(f"mode: unknown mode {mode!r}")
     result = _checked(
         "tune", tune_constant_q,
         depth=depth,
@@ -635,10 +637,10 @@ def cmd_tune(args) -> int:
         "version": __version__,
         "mode": mode,
         "spec": _activation_to_dict(result.spec),
-        "params": result.params.to_json_dict(),
+        "params": asdict(result.params),
         "eps1": result.eps1,
-        "eps2": result.eps2,
-        "ref_depth": result.ref_depth,
+        "eps2": eps2,
+        "ref_depth": depth,
     }
     _write_json(outdir / "tune.json", record)
     _write_config(outdir, "tune", merged)
@@ -656,10 +658,13 @@ def cmd_simulate(args) -> int:
     _require(depth >= 1, "depth", "must be at least 1")
     _require(draws >= 1, "draws", "must be at least 1")
     _require(bins > 0, "bins", "must be positive")
+    _require(seed >= 0, "seed", "must be nonnegative")
     atom_window = merged["atom_window"]
     _require(atom_window is None or atom_window > 0, "atom_window", "must be positive")
+    out, dump = Path(merged["out"]), merged["dump_matrix"]
+    folder = (out / dump).parent if dump else out
+    _require(folder == out or folder.is_dir(), "dump_matrix", f"no directory {str(folder)!r}")
     model = merged["model"]
-    _require(model in ("network", "atoms"), "model", f"unknown model {model!r}")
     theory = _load_measure(merged["theory"], "theory") if merged["theory"] else None
 
     schedule = None
@@ -687,8 +692,9 @@ def cmd_simulate(args) -> int:
             matrix = model_fim_sample(width, schedule, np.random.default_rng(seed + k))
         values.append(np.linalg.eigvalsh(matrix))
 
-    report = EigenReport.from_eigenvalues(np.sort(np.concatenate(values)))
-    empirical = _checked("bins", empirical_measure, report, bins, atom_window=atom_window)
+    # every draw pooled; the eigenvalues.csv loop below rebinds `vals`
+    spectrum = np.sort(np.concatenate(values))
+    empirical = _checked("bins", empirical_measure, spectrum, bins, atom_window=atom_window)
     svg = _checked(
         "bins", emit_svg_histogram, empirical, theory, bin_width=bins,
         title=f"spectrum M={width} L={depth} ({model})",
@@ -710,11 +716,11 @@ def cmd_simulate(args) -> int:
         compare = {
             "l1": distance_L1(empirical, theory, bins),
             "bin_width": bins,
-            "empirical_max": report.max,
+            "empirical_max": float(spectrum[-1]),
             "theory_max": theory.support_max,
-            "empirical_mean": report.mean,
+            "empirical_mean": float(spectrum.mean()),
             "theory_mean": moment(theory, 1),
-            "near_max_mass": report.atom_mass_near_max,
+            "near_max_mass": float(near_top_mask(spectrum, 0.01).mean()),
         }
         _write_json(outdir / "compare.json", compare)
 
@@ -731,6 +737,7 @@ def cmd_sweep(args) -> int:
     merged = _resolve(args)
     width, seed, samples = merged["width"], merged["seed"], merged["samples"]
     _require(width is None or width >= 2, "width", "must be at least 2")
+    _require(seed >= 0, "seed", "must be nonnegative")
     _require(merged["steps"] >= 1, "steps", "must be at least 1")
     depths = _as_list(merged["depths"], "depths", int)
     _require(all(d >= 1 for d in depths), "depths", "entries must be positive")

@@ -22,7 +22,6 @@ Also here: the closed-form three-layer solution, the max/mean/atom-weight
 recursions along a schedule, and their depth-asymptotic limits.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -34,8 +33,6 @@ from .specmeasure import (
     SpectralMeasure,
     affine_pushforward,
 )
-
-logger = logging.getLogger(__name__)
 
 # Subordination solve: relative Newton step at which a point has
 # converged, Newton steps allowed per point at each Im z level (the cold
@@ -130,20 +127,6 @@ class AsymptoticRegime:
 
 
 @dataclass(frozen=True)
-class AtomTrack:
-    """Per-layer support maximum and the weight of the atom sitting there.
-
-    `valid_depth` is the deepest layer for which the atom claim holds
-    (beta > 0); beyond it the lambda values still bound the support but
-    carry no atom.
-    """
-
-    lam: tuple
-    beta: tuple
-    valid_depth: int
-
-
-@dataclass(frozen=True)
 class ConvolutionStats:
     """Diagnostics from one numeric free multiplicative convolution.
 
@@ -153,7 +136,6 @@ class ConvolutionStats:
     """
 
     grid_count: int
-    eps: float
     iterations_max: int
     iterations_mean: float
     flagged: tuple
@@ -163,7 +145,7 @@ class ConvolutionStats:
 
 
 # the record of a layer that needs no numeric solve
-_TRIVIAL_STATS = ConvolutionStats(0, 0.0, 0, 0.0, (), 0.0, 0.0, 0)
+_TRIVIAL_STATS = ConvolutionStats(0, 0, 0.0, (), 0.0, 0.0, 0)
 
 
 class LayerError(NumericalError):
@@ -375,7 +357,6 @@ def free_mult_conv_two_atom(
     result = SpectralMeasure.from_atoms(atoms, density=density)
     stats = ConvolutionStats(
         grid_count=grid_count,
-        eps=eps,
         iterations_max=int(iters.max()),
         iterations_mean=float(iters.mean()),
         flagged=tuple(flagged.tolist()),
@@ -572,13 +553,14 @@ def solve_three_layer(schedule: LayerSchedule, grid_count: int = DEFAULT_GRID) -
     return SpectralMeasure.from_atoms(atom_pairs, density=density)
 
 
-def max_support_track(schedule: LayerSchedule) -> AtomTrack:
-    """Support maxima lambda_l and top-atom weights beta_l along a schedule.
+def max_support_track(schedule: LayerSchedule) -> tuple:
+    """Support maxima lambda_l and top-atom weights beta_l along a
+    schedule, as two lists.
 
     lambda_1 = q_0 and lambda_{l+1} = q_l + sigma_{l+1}^2 gamma_l lambda_l;
     beta_l = 1 - sum_{k<l} (1 - alpha_k). The lambda recursion always
-    bounds the support (submultiplicativity); the atom interpretation is
-    valid only while beta stays positive, recorded in `valid_depth`.
+    bounds the support (submultiplicativity); lambda_l carries an atom of
+    weight beta_l only while beta_l > 0, and beta never increases.
     """
     lam = [schedule.q[0]]
     beta = [1.0]
@@ -586,14 +568,7 @@ def max_support_track(schedule: LayerSchedule) -> AtomTrack:
         nu = schedule.jacobians[ell - 1]
         lam.append(schedule.q[ell] + schedule.sigma[ell] ** 2 * nu.gamma * lam[-1])
         beta.append(beta[-1] - (1.0 - nu.alpha))
-    valid_depth = 0
-    for b in beta:
-        if b <= 0:
-            break
-        valid_depth += 1
-    if valid_depth < schedule.depth:
-        logger.info("atom track invalid beyond layer %d (beta <= 0)", valid_depth)
-    return AtomTrack(lam=tuple(lam), beta=tuple(beta), valid_depth=valid_depth)
+    return lam, beta
 
 
 def _expm1_ratio(x: float) -> float:

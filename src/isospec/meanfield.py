@@ -131,9 +131,6 @@ class MeanFieldParams:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
 
-    def to_json_dict(self) -> dict:
-        return {"q": self.q, "alpha": self.alpha, "gamma": self.gamma, "sigma": self.sigma}
-
 
 def moment_map(spec: ActivationSpec, sigma: float, q: float):
     """(q_next, alpha, gamma) of one layer at preactivation h ~ N(0, sigma^2 q).
@@ -155,16 +152,14 @@ def moment_map(spec: ActivationSpec, sigma: float, q: float):
 class TuneResult:
     """Tuned activation plus the mean-field scalars it induces.
 
-    eps1/eps2 are the depth-scaled isometry deviations L(1 - alpha) and
-    -L log(sigma^2 gamma) evaluated at ref_depth; params.q is an exact
+    eps1 is the depth-scaled saturation L P(|Z| > u*) the tuning
+    achieved, L(1 - alpha) at the tuning depth L; params.q is an exact
     fixed point of the moment map.
     """
 
     spec: ActivationSpec
     params: MeanFieldParams
     eps1: float
-    eps2: float
-    ref_depth: int
 
 
 def layer_sigmas(sigma, depth: int) -> tuple:
@@ -241,4 +236,4 @@ def tune_constant_q(depth: int, eps1: float, eps2: float = 0.0, q_star: float = 
     spec = HardTanh(s=s, g=g)
     alpha = 1.0 - r0
     params = MeanFieldParams(q=q_star, alpha=alpha, gamma=g**2, sigma=sigma)
-    return TuneResult(spec, params, depth * r0, eps2, depth)
+    return TuneResult(spec, params, depth * r0)

@@ -19,8 +19,8 @@ by the LAPACK routines numpy's QR calls, reached in numpy's bundled
 OpenBLAS (see _openblas), so Q keeps np.linalg.qr's bits;
 np.linalg.qr itself is the fallback where that library is not found.
 The orthogonality check forms its Gram matrix in bands, so neither
-needs a second M x M array. Eigenvalue reports and empirical spectral
-measures feed the comparison against the free-probability predictions.
+needs a second M x M array. Empirical spectral measures feed the
+comparison against the free-probability predictions.
 """
 
 import contextvars
@@ -324,31 +324,19 @@ def network_fim_sample(
     return dual_fim(_haar_layers(width, sig, seed), activation, x)
 
 
-@dataclass
-class EigenReport:
-    """Sorted spectrum of one symmetric matrix plus summary statistics."""
-
-    eigenvalues: np.ndarray
-    max: float
-    mean: float
-    atom_mass_near_max: float
-
-    @classmethod
-    def from_eigenvalues(cls, vals: np.ndarray) -> "EigenReport":
-        """Summary of an ascending spectrum. atom_mass_near_max is the
-        fraction of eigenvalues within 1% (relative) of the top."""
-        top = float(vals[-1])
-        window = 0.01 * max(abs(top), 1e-300)
-        near = float(np.count_nonzero(vals >= top - window)) / len(vals)
-        return cls(eigenvalues=vals, max=top, mean=float(vals.mean()), atom_mass_near_max=near)
+def near_top_mask(vals: np.ndarray, window: float) -> np.ndarray:
+    """Mask of the eigenvalues in `vals` within relative distance
+    `window` of the largest."""
+    top = float(vals.max())
+    return vals >= top - window * max(abs(top), 1e-300)
 
 
 def empirical_measure(
-    report: EigenReport,
+    vals: np.ndarray,
     bin_width: float,
     atom_window: float | None = None,
 ) -> SpectralMeasure:
-    """Histogram the spectrum into a unit-mass SpectralMeasure.
+    """Histogram the spectrum `vals` into a unit-mass SpectralMeasure.
 
     Bin edges sit at integer multiples of bin_width (the same alignment
     distance_L1 uses, so theory-vs-empirical comparisons bin
@@ -357,15 +345,13 @@ def empirical_measure(
     and only the rest is histogrammed. A bin width that check_bin_width
     refuses for the spectrum's range raises ValueError.
     """
-    vals = report.eigenvalues
     if len(vals) == 0:
-        raise ValueError("empty eigenvalue report")
+        raise ValueError("empty spectrum")
     check_bin_width(vals.min(), vals.max(), bin_width)
     total = len(vals)
     atoms = []
     if atom_window is not None:
-        window = atom_window * max(abs(report.max), 1e-300)
-        mask = vals >= report.max - window
+        mask = near_top_mask(vals, atom_window)
         if mask.any():
             atoms.append((float(vals[mask].mean()), float(mask.sum()) / total))
             vals = vals[~mask]

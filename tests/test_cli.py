@@ -138,10 +138,11 @@ class TestTune:
         assert record["ref_depth"] == config["depth"]
         assert record["eps1"] == pytest.approx(config["eps1"], rel=1e-9)
 
-    def test_unknown_mode_from_config_file(self, tmp_path):
+    def test_unknown_mode_from_config_file(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"mode": "bogus"}))
         assert _run("tune", "--out", tmp_path / "x", "--config", conf) == 2
+        assert capsys.readouterr().err == "config error: mode: unknown mode 'bogus'\n"
 
 
 class TestSimulate:
@@ -244,6 +245,38 @@ class TestSimulate:
         h = np.load(tmp_path / "d2" / "h.isom")
         assert np.allclose(np.linalg.eigvalsh(h), last, rtol=1e-10, atol=0)
 
+    def test_dump_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "dm"
+        assert _run("simulate", "--model", "atoms", "--width", 20, "--depth", 2,
+                    "--dump-matrix", "sub/h.npy", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"config error: dump_matrix: no directory {str(out / 'sub')!r}\n")
+        assert not out.exists()
+        # a directory that exists may hold the dump, inside --out or not
+        (tmp_path / "elsewhere").mkdir()
+        for name in ("h.npy", tmp_path / "elsewhere" / "h.npy"):
+            assert _run("simulate", "--model", "atoms", "--width", 20, "--depth", 2,
+                        "--dump-matrix", name, "--out", out) == 0
+            assert np.load(out / name).shape == (20, 20)
+
+    def test_compare_pools_every_draw(self, tmp_path):
+        assert _run("theory", "--out", tmp_path / "t3", "--depth", 3) == 0
+        out = tmp_path / "s"
+        assert _run("simulate", "--model", "atoms", "--width", 300, "--depth", 3,
+                    "--alpha", 0.75, "--gamma", 1, "--seed", 3, "--draws", 2,
+                    "--atom-window", 0.02, "--bins", 0.05,
+                    "--theory", tmp_path / "t3" / "mu_003.json", "--out", out) == 0
+        compare = json.loads((out / "compare.json").read_text())
+        rows = (out / "eigenvalues.csv").read_text().splitlines()[1:]
+        vals = np.array([float(r.split(",")[2]) for r in rows])
+        assert len(vals) == 600
+        top = vals.max()
+        near = np.count_nonzero(vals >= top - 0.01 * abs(top)) / len(vals)
+        assert compare["near_max_mass"] == near == 292 / 600
+        assert compare["empirical_max"] == pytest.approx(top, rel=1e-11)
+        assert compare["empirical_mean"] == pytest.approx(vals.mean(), rel=1e-11)
+        assert compare["empirical_mean"] == pytest.approx(2.3152192392831994, rel=1e-9)
+
     def test_byte_determinism_across_runs(self, tmp_path):
         args = ["simulate", "--model", "atoms", "--width", 40, "--depth", 3,
                 "--alpha", "0.75", "--gamma", "1", "--seed", 7, "--theory-auto"]
@@ -265,7 +298,7 @@ class TestSimulate:
         assert code == 0
         assert "l1" in json.loads((out / "compare.json").read_text())
 
-    def test_config_errors(self, tmp_path):
+    def test_config_errors(self, tmp_path, capsys):
         x = tmp_path / "x"
         assert _run("simulate", "--out", x, "--width", 1) == 2
         assert _run("simulate", "--out", x, "--model", "network", "--width", 16,
@@ -273,6 +306,8 @@ class TestSimulate:
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps({"model": "quantum"}))
         assert _run("simulate", "--out", x, "--config", conf) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("config error: model: unknown model 'quantum'\n")
 
     @pytest.mark.parametrize("bins", [1e-9, 1e-320])
     def test_tiny_bin_width_is_config_error(self, tmp_path, capsys, bins):
@@ -469,13 +504,14 @@ class TestConfigMerge:
         assert "invalid JSON" in capsys.readouterr().err
 
 
-def _case(argv, config=None, id=None):
+def _case(argv, config=None, id=None, message=""):
     """One BAD_INPUTS row with its own test id, so that adding or deleting
     a row renames no other case. The id is the argv and config joined;
-    the first 24 rows keep the ids they had when ids were positional."""
+    the first 24 rows keep the ids they had when ids were positional.
+    The error's text after "config error: " starts with `message`."""
     if id is None:
         id = " ".join(argv + [f"{k}={v}" for k, v in sorted((config or {}).items())])
-    return pytest.param(argv, config, id=id)
+    return pytest.param(argv, config, message, id=id)
 
 
 BAD_INPUTS = [
@@ -515,17 +551,27 @@ BAD_INPUTS = [
     _case(["simulate", "--model", "atoms", "--width", "50", "--depth", "3",
            "--atom-window", "-0.5"]),
     _case(["simulate", "--model", "atoms", "--width", "50", "--depth", "3", "--atom-window", "0"]),
+    _case(["simulate", "--model", "network", "--family", "linear", "--g", "1", "--width", "8",
+           "--depth", "2", "--seed", "-1"], message="seed: must be nonnegative\n"),
+    _case(["sweep", "--width", "8", "--samples", "8", "--classes", "2", "--depths", "1",
+           "--etas", "0.1", "--steps", "2", "--seed", "-1"],
+          message="seed: must be nonnegative\n"),
+    # argparse checks a choice flag's value, and _resolve a config file's
+    _case(["simulate", "--model", "network"], {"family": "tanh"},
+          message="family: unknown family 'tanh'\n"),
+    _case(["sweep"], {"family": "tanh"}, message="family: unknown family 'tanh'\n"),
 ]
 
 
-@pytest.mark.parametrize("argv,config", BAD_INPUTS)
-def test_bad_input_exits_2(argv, config, tmp_path, capsys):
+@pytest.mark.parametrize("argv,config,message", BAD_INPUTS)
+def test_bad_input_exits_2(argv, config, message, tmp_path, capsys):
     if config is not None:
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps(config))
         argv = argv + ["--config", conf]
     assert _run(*argv, "--out", tmp_path / "x") == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -554,6 +600,10 @@ def test_unread_flag_at_its_default_is_accepted(tmp_path):
     assert _run("tune", "--out", tmp_path / "t", "--mode", "di", "--eps2", "0") == 0
     assert _run("simulate", "--out", tmp_path / "s", "--model", "network", "--width", 8,
                 "--family", "linear", "--g", "1", "--q", "1", "--alpha", "0.75") == 0
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"family": None}))  # null is the default, not a family
+    assert _run("simulate", "--out", tmp_path / "a", "--model", "atoms", "--width", 8,
+                "--config", conf) == 0
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -568,6 +618,9 @@ def test_unread_flag_at_its_default_is_accepted(tmp_path):
      "theory: not read with --theory-auto"),
     (["sweep", "--idx-images", "i.idx", "--idx-labels", "l.idx", "--samples", 16],
      "samples: not read with --idx-images"),
+    (["simulate", "--model", "network", "--family", "linear", "--s", 1],
+     "s: not read with --family linear"),
+    (["simulate", "--model", "network", "--g", 1], "g: not read without --family"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_flag_the_choice_does_not_read_exits_2(argv, message, tmp_path, capsys):
     assert _run(*argv, "--out", tmp_path / "x") == 2

@@ -27,11 +27,11 @@ from isospec import _openblas, rmtsim
 from isospec.freeconv import LayerSchedule, TwoAtomJacobianLaw
 from isospec.meanfield import HardTanh, Linear
 from isospec.rmtsim import (
-    EigenReport,
     OrthogonalNet,
     dual_fim,
     empirical_measure,
     model_fim_sample,
+    near_top_mask,
     network_fim_sample,
     normalized_input,
     sample_haar_orthogonal,
@@ -575,71 +575,66 @@ class TestNtkBlockMatrix:
             ntk_block_matrix(net, [normalized_input(64, rng) for _ in range(65)])
 
 
-def _eig_report(a) -> EigenReport:
-    """The CLI's eigen report of a symmetric matrix."""
-    return EigenReport.from_eigenvalues(np.linalg.eigvalsh(a))
-
-
 class TestEigSym:
     def test_identity_spectrum(self):
-        rep = _eig_report(np.eye(12))
-        np.testing.assert_allclose(rep.eigenvalues, 1.0)
-        assert rep.max == 1.0 and rep.mean == 1.0
-        assert rep.atom_mass_near_max == 1.0
+        vals = np.linalg.eigvalsh(np.eye(12))
+        np.testing.assert_allclose(vals, 1.0)
+        assert vals[-1] == 1.0 and vals.mean() == 1.0
+        assert near_top_mask(vals, 0.01).mean() == 1.0
 
     def test_diagonal_spectrum_statistics(self):
-        rep = _eig_report(np.diag(np.arange(1.0, 11.0)))
-        assert rep.max == pytest.approx(10.0)
-        assert rep.mean == pytest.approx(5.5)
-        assert rep.eigenvalues[0] <= rep.eigenvalues[-1]
+        vals = np.linalg.eigvalsh(np.diag(np.arange(1.0, 11.0)))
+        assert vals[-1] == pytest.approx(10.0)
+        assert vals.mean() == pytest.approx(5.5)
+        assert vals[0] <= vals[-1]
 
     def test_matches_direct_solver(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((20, 20))
         sym = (a + a.T) / 2.0
-        rep = _eig_report(sym)
-        np.testing.assert_allclose(rep.eigenvalues, np.linalg.eigh(sym)[0], atol=1e-12)
+        vals = np.linalg.eigvalsh(sym)
+        np.testing.assert_allclose(vals, np.linalg.eigh(sym)[0], atol=1e-12)
 
     def test_atom_mass_counts_top_cluster(self):
-        rep = _eig_report(np.diag([0.2, 0.5, 1.0, 1.0, 1.0]))
-        assert rep.atom_mass_near_max == pytest.approx(0.6)
+        vals = np.linalg.eigvalsh(np.diag([0.2, 0.5, 1.0, 1.0, 1.0]))
+        assert near_top_mask(vals, 0.01).mean() == pytest.approx(0.6)
 
 
 class TestEmpiricalMeasure:
     def test_atom_isolation(self):
-        rep = _eig_report(np.diag([0.53, 0.81, 1.07, 1.33, 2.0, 2.0, 2.0, 2.0]))
-        mu = empirical_measure(rep, 0.25, atom_window=0.01)
+        vals = np.linalg.eigvalsh(np.diag([0.53, 0.81, 1.07, 1.33, 2.0, 2.0, 2.0, 2.0]))
+        mu = empirical_measure(vals, 0.25, atom_window=0.01)
         assert mu.atoms == ((2.0, 0.5),)
         assert mu.density.mass() == pytest.approx(0.5, abs=1e-9)
 
     def test_bin_edges_align_to_width(self):
-        rep = _eig_report(np.diag([0.53, 0.81, 1.07, 1.33, 2.0, 2.0, 2.0, 2.0]))
-        mu = empirical_measure(rep, 0.25, atom_window=0.01)
+        vals = np.linalg.eigvalsh(np.diag([0.53, 0.81, 1.07, 1.33, 2.0, 2.0, 2.0, 2.0]))
+        mu = empirical_measure(vals, 0.25, atom_window=0.01)
         assert mu.density.left / 0.25 == pytest.approx(round(mu.density.left / 0.25))
         assert mu.density.right / 0.25 == pytest.approx(round(mu.density.right / 0.25))
 
     def test_fully_degenerate_becomes_one_atom(self):
-        mu = empirical_measure(_eig_report(np.eye(6)), 0.1, atom_window=0.01)
+        mu = empirical_measure(np.linalg.eigvalsh(np.eye(6)), 0.1, atom_window=0.01)
         assert mu.atoms == ((1.0, 1.0),)
         assert mu.density is None
 
     def test_density_only_mass_is_one(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((30, 30))
-        mu = empirical_measure(_eig_report((a + a.T) / 2.0), 0.5)
+        mu = empirical_measure(np.linalg.eigvalsh((a + a.T) / 2.0), 0.5)
         assert mu.atoms == ()
         assert mu.density.mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_nonpositive_bin_width(self):
         with pytest.raises(ValueError):
-            empirical_measure(_eig_report(np.eye(4)), 0.0)
+            empirical_measure(np.linalg.eigvalsh(np.eye(4)), 0.0)
 
     @pytest.mark.parametrize("bin_width", [1e-9, 1e-320])
     def test_rejects_a_width_past_the_bin_bound(self, bin_width):
         # checked before the edges are made: 1e-9 would need ~1e9 of them
-        rep = _eig_report(np.diag([0.5, 1.0, 2.0]))
+        vals = np.linalg.eigvalsh(np.diag([0.5, 1.0, 2.0]))
         with pytest.raises(ValueError, match="more than 100000 bins"):
-            empirical_measure(rep, bin_width)
+            empirical_measure(vals, bin_width)
 
 
 class TestModelFimSample:
