@@ -664,6 +664,8 @@ def cmd_simulate(args) -> int:
     out, dump = Path(merged["out"]), merged["dump_matrix"]
     folder = (out / dump).parent if dump else out
     _require(folder == out or folder.is_dir(), "dump_matrix", f"no directory {str(folder)!r}")
+    _require(not dump or Path(dump).name not in ("", "..") and not (out / dump).is_dir(),
+             "dump_matrix", f"{dump!r} names a directory")
     model = merged["model"]
     theory = _load_measure(merged["theory"], "theory") if merged["theory"] else None
 

@@ -32,6 +32,7 @@ from .specmeasure import (
     NumericalError,
     SpectralMeasure,
     affine_pushforward,
+    stieltjes_invert,
 )
 
 # Subordination solve: relative Newton step at which a point has
@@ -302,8 +303,7 @@ def free_mult_conv_two_atom(
         return (result, _TRIVIAL_STATS) if return_stats else result
 
     atoms = _product_atoms(mu, nu)
-    atom_mass = sum(w for _, w in atoms)
-    target = 1.0 - atom_mass
+    target = 1.0 - sum(w for _, w in atoms)
     bound = mu.support_max * nu.gamma
     if target < 1e-9 or bound <= 0:
         # nothing continuous left; can happen only in degenerate corners
@@ -334,26 +334,8 @@ def free_mult_conv_two_atom(
         g_interp_im = np.interp(x[bad], x[good], g.imag[good])
         g[bad] = g_interp_re + 1j * g_interp_im
 
-    for loc, w in atoms:
-        g -= w / (z - loc)
-    raw = -g.imag / np.pi
-    clamped = max(0.0, float(-raw.min()))
-    raw = np.maximum(raw, 0.0)
-
-    # Trim to the exact support bound; the margin zone only catches the
-    # strip smearing, whose small mass gets folded back by rescaling.
-    keep = x <= bound + 1e-12
-    x_kept = x[keep]
-    raw = raw[keep]
-    raw_mass = float(np.trapezoid(raw, dx=x_kept[1] - x_kept[0]))
-    defect = abs(atom_mass + raw_mass - 1.0)
-    # the strip smears O(eps) mass past the window edges and under the
-    # atoms; renormalizing restores it, but a large defect means the
-    # solve itself went wrong
-    if defect > 1e-2:
-        raise NumericalError(f"mass defect {defect:.3e} after convolution")
-    values = raw * (target / raw_mass)
-    density = GridDensity(float(x_kept[0]), float(x_kept[-1]), values)
+    # the margin past `bound` only catches strip smearing, folded back by rescaling
+    density, defect, clamped = stieltjes_invert(z, g, atoms, bound)
     result = SpectralMeasure.from_atoms(atoms, density=density)
     stats = ConvolutionStats(
         grid_count=grid_count,

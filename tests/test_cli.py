@@ -252,6 +252,18 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"config error: dump_matrix: no directory {str(out / 'sub')!r}\n")
         assert not out.exists()
+        # a name that is a directory is refused before the first draw
+        for name in (".", ".."):
+            assert _run("simulate", "--model", "atoms", "--width", 20, "--depth", 2,
+                        "--dump-matrix", name, "--out", out) == 2
+            assert capsys.readouterr().err == (
+                f"config error: dump_matrix: {name!r} names a directory\n")
+            assert not out.exists()
+        (out / "sub").mkdir(parents=True)
+        assert _run("simulate", "--model", "atoms", "--width", 20, "--depth", 2,
+                    "--dump-matrix", "sub", "--out", out) == 2
+        assert capsys.readouterr().err == "config error: dump_matrix: 'sub' names a directory\n"
+        assert sorted(out.iterdir()) == [out / "sub"]
         # a directory that exists may hold the dump, inside --out or not
         (tmp_path / "elsewhere").mkdir()
         for name in ("h.npy", tmp_path / "elsewhere" / "h.npy"):

@@ -283,6 +283,9 @@ class TestPropagateSchedule:
             top_loc, top_w = max(mu.atoms)
             assert top_loc == pytest.approx(lam, rel=1e-9), ell
             assert top_w == pytest.approx(beta, abs=1e-9), ell
+            if mu.density is not None:
+                assert mu.density.right <= lam + mu.density.step, ell
+            assert mu.mass() == pytest.approx(1.0, abs=1e-9), ell
 
     def test_depth_one(self):
         sched = LayerSchedule(q=(1.0,), sigma=(1.0,), jacobians=())

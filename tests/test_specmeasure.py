@@ -30,6 +30,13 @@ def semicircle_cauchy(radius):
     return G
 
 
+def strip(lo, hi, grid_count=2048, eps=None):
+    """x + i eps over np.linspace(lo, hi, grid_count), with eps by default
+    max(1e-6, 1e-4 (hi - lo)), which balances atom leakage against bias."""
+    eps = max(1e-6, 1e-4 * (hi - lo)) if eps is None else eps
+    return np.linspace(lo, hi, grid_count) + 1j * eps
+
+
 def semicircle_density(radius, x):
     inside = np.clip(radius**2 - x * x, 0.0, None)
     return 2.0 * np.sqrt(inside) / (np.pi * radius**2)
@@ -154,51 +161,52 @@ class TestAffinePushforward:
 
 class TestStieltjesInvert:
     def test_semicircle_radius_two(self):
-        G = semicircle_cauchy(2.0)
-        dens = stieltjes_invert(G, (-2.0, 2.0), grid_count=2048)
+        z = strip(-2.0, 2.0, grid_count=2048)
+        dens, defect, _ = stieltjes_invert(z, semicircle_cauchy(2.0)(z))
         x = dens.grid()
-        err = np.max(np.abs(dens.values - semicircle_density(2.0, x)))
         # pointwise 1e-3 away from the edges; edges smeared by the strip
         interior = np.abs(x) < 1.9
         assert np.max(np.abs(dens.values - semicircle_density(2.0, x))[interior]) < 1e-3
-        assert dens.mass() == pytest.approx(1.0, abs=2e-3)
+        # the density comes rescaled to mass 1; the defect is |raw mass - 1|
+        assert defect < 2e-3
 
     def test_semicircle_l1(self):
-        G = semicircle_cauchy(1.0)
-        dens = stieltjes_invert(G, (-1.0, 1.0))
+        z = strip(-1.0, 1.0)
+        dens, _, _ = stieltjes_invert(z, semicircle_cauchy(1.0)(z))
         x = dens.grid()
         l1 = np.sum(np.abs(dens.values - semicircle_density(1.0, x))) * dens.step
         assert l1 < 1e-2
 
-    def test_pure_point_nearly_invisible(self):
-        # the Cauchy transform of the Dirac mass at 0
-        dens = stieltjes_invert(lambda z: 1 / z, (-1.0, 1.0))
-        x = dens.grid()
-        away = np.abs(x) > 0.1
-        assert np.all(dens.values[away] < 1e-2)
+    def test_undeclared_atom_fails_the_mass_gate(self):
+        # the Cauchy transform 1/z of the Dirac mass at 0 leaves only the
+        # strip's smear of it on the grid, far from mass 1
+        z = strip(-1.0, 1.0)
+        with pytest.raises(NumericalError, match="mass defect 4.3"):
+            stieltjes_invert(z, 1 / z)
 
     def test_three_layer_arcsine_config(self):
-        # alpha_1 = alpha_2 = 1/2, everything else 1: the continuous part of
-        # the depth-3 limit law is 1/(2 pi sqrt((x-2)(3-x))) on (2, 3)
+        # alpha_1 = alpha_2 = 1/2, everything else 1: the depth-3 limit law
+        # is the atom 1/2 at 1 plus half the arcsine law 1/(pi sqrt((x-2)(3-x)))
+        # on (2, 3); the grid holds the atom, whose subtraction must leave
+        # the arcsine half alone and next to nothing elsewhere
         def G(z):
-            z = np.asarray(z, dtype=complex)
-            root = np.sqrt(z - 2.0) * np.sqrt(z - 3.0)
-            return 1.0 / root
+            return 0.5 / (z - 1.0) + 0.5 / (np.sqrt(z - 2.0) * np.sqrt(z - 3.0))
 
-        # scale: the arcsine piece carries mass 1/2 here, so invert the
-        # half-mass transform and compare to half of the arcsine density
-        dens = stieltjes_invert(lambda z: 0.5 * G(z), (1.9, 3.1), grid_count=4096)
+        z = strip(0.5, 3.1, grid_count=8192)
+        dens, defect, _ = stieltjes_invert(z, G(z), atoms=[(1.0, 0.5)])
+        assert defect < 1e-2
+        assert dens.mass() == pytest.approx(0.5, abs=1e-12)
         x = dens.grid()
+        # an atom left in, or added twice, puts hundreds there
+        assert np.max(dens.values[x < 1.8]) < 1e-3
         inside = (x > 2.02) & (x < 2.98)
         ref = 0.5 / (np.pi * np.sqrt((x[inside] - 2.0) * (3.0 - x[inside])))
         assert np.max(np.abs(dens.values[inside] - ref) / ref) < 0.02
 
     def test_nonfinite_transform_reported(self):
-        def bad(z):
-            return np.full_like(np.asarray(z, dtype=complex), np.nan)
-
+        z = strip(0.0, 1.0)
         with pytest.raises(NumericalError):
-            stieltjes_invert(bad, (0.0, 1.0))
+            stieltjes_invert(z, np.full_like(z, np.nan))
 
 
 class TestMoment:
@@ -215,10 +223,11 @@ class TestMoment:
         assert moment(mu, 0) == pytest.approx(1.0, abs=1e-6)
 
     def test_semicircle_catalan_moment(self):
-        G = semicircle_cauchy(2.0)
-        dens = stieltjes_invert(G, (-2.0, 2.0), grid_count=4096)
-        # normalize by recovered mass so strip smearing cancels
-        assert dens.moment(2) / dens.mass() == pytest.approx(1.0, abs=1e-3)
+        z = strip(-2.0, 2.0, grid_count=4096)
+        dens, _, _ = stieltjes_invert(z, semicircle_cauchy(2.0)(z))
+        # the rescale to mass 1 makes this m2 / m0 of the raw inversion,
+        # in which the strip smearing cancels
+        assert dens.moment(2) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestDistanceL1:

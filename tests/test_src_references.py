@@ -21,7 +21,6 @@ ALLOWED = {
     "cli.main": "the console script `isospec` (pyproject.toml)",
     "rmtsim.OrthogonalNet": "bench/spans.py wraps it",
     "rmtsim.OrthogonalNet.sample": "bench/spans.py wraps it",
-    "specmeasure.stieltjes_invert": "criterion 9 inverts a semicircle with it (until ROADMAP D14)",
 }
 
 
