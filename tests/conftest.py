@@ -1,6 +1,13 @@
 import multiprocessing
+import os
 
-import pytest
+# One BLAS thread for the suite, set before anything loads numpy: with the
+# default threads the suite oversubscribes the CPUs that another numpy
+# process shares and slows badly. A value set in the environment wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -2,8 +2,9 @@
 
 The references are written independently of the code they check: the
 stored forward pass and layer recursion that `rmtsim.dual_fim` must
-reproduce bit for bit, the serial matrix-model loop that
-`rmtsim.model_fim_sample` must reproduce bit for bit, the dense
+reproduce bit for bit on explicit weights, the serial matrix-model loop
+that `rmtsim.model_fim_sample` must reproduce bit for bit where it forms
+each Q and to rounding where it keeps the reflectors, the dense
 parameter Jacobian behind H_L and the conditional FIM, and an
 alternating-moment test of asymptotic freeness. The cold-start
 subordination solve differs from `freeconv._subordination_solve` only in

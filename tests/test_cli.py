@@ -289,6 +289,26 @@ class TestSimulate:
         assert compare["empirical_mean"] == pytest.approx(vals.mean(), rel=1e-11)
         assert compare["empirical_mean"] == pytest.approx(2.3152192392831994, rel=1e-9)
 
+    def test_roundoff_in_h_leaves_the_histogram(self, tmp_path, monkeypatch):
+        # about (1 - alpha) M eigenvalues sit exactly at q = 1, on the edge
+        # 1.0 of the default 0.1-wide bins: last-bit noise must not move them
+        args = ["simulate", "--model", "atoms", "--width", 300, "--depth", 6,
+                "--alpha", 0.75, "--gamma", 1.2, "--seed", 3]
+        assert _run(*args, "--out", tmp_path / "plain") == 0
+        want = (tmp_path / "plain" / "empirical.json").read_bytes()
+        real = cli.model_fim_sample
+        for sign in (1.0, -1.0):
+            def nudged(M, schedule, rng, sign=sign):
+                h = real(M, schedule, rng)
+                noise = np.random.default_rng(0).standard_normal(h.shape)
+                h += sign * 1e-15 * np.abs(h).max() * (noise + noise.T)
+                return h
+
+            monkeypatch.setattr(cli, "model_fim_sample", nudged)
+            out = tmp_path / f"nudged{sign:+.0f}"
+            assert _run(*args, "--out", out) == 0
+            assert (out / "empirical.json").read_bytes() == want
+
     def test_byte_determinism_across_runs(self, tmp_path):
         args = ["simulate", "--model", "atoms", "--width", 40, "--depth", 3,
                 "--alpha", "0.75", "--gamma", "1", "--seed", 7, "--theory-auto"]

@@ -76,6 +76,29 @@ def haar_path(request, monkeypatch):
     return request.param
 
 
+needs_openblas = pytest.mark.skipif(not _openblas.found(),
+                                    reason="numpy bundles no OpenBLAS here")
+
+# max |H - oracle| over max |H| where simulate keeps each layer as its
+# reflectors and the oracle forms Q: rounding, at most 6.6e-15 measured
+# at M = 64, 300 and 1000
+H_TOL = 1e-13
+
+
+def _near(got, want):
+    return np.abs(got - want).max() <= H_TOL * np.abs(want).max()
+
+
+def _dense(layer):
+    """The explicit W of a streamed layer: dorgqr of its reflectors, times
+    its scale, or the layer itself where it is explicit already."""
+    if not isinstance(layer, rmtsim._Householder):
+        return layer
+    f = layer.f.copy(order="F")
+    _openblas.dorgqr(f, layer.tau, np.empty(_openblas.lwork(len(f))))
+    return np.ascontiguousarray(f * layer.scale)
+
+
 class TestSampleHaarOrthogonal:
     def test_orthogonality(self):
         q = sample_haar_orthogonal(32, np.random.default_rng(0))
@@ -176,6 +199,67 @@ class TestCheckLayer:
         finally:
             tracemalloc.stop()
         assert peak < 8 * M * M
+
+
+def _reflectors(M, seed=0):
+    """(F, tau) of one fresh draw, as simulate checks it."""
+    rng = np.random.default_rng(seed)
+    f, tau, _ = rmtsim._householder_draw(M, rng, np.empty(_openblas.lwork(M)))
+    return f, tau
+
+
+@needs_openblas
+class TestCheckReflectors:
+    """The O(M^2) check of a fresh draw, on its reflectors alone."""
+
+    # F[i + 1:, i] is reflector i's tail; the check sums the tails in bands
+    # of TILE reflectors, so 127 and 128 sit on either side of a band edge
+    @pytest.mark.parametrize("M", [300, 1000])
+    @pytest.mark.parametrize("spot", ["first_row", "last_row", "last_reflector",
+                                      "band_edge_end", "band_edge_end_last_row",
+                                      "band_edge_start", "band_edge_start_last_row"])
+    def test_catches_one_perturbed_entry(self, M, spot):
+        at = {"first_row": (1, 0), "last_row": (M - 1, 0), "last_reflector": (M - 1, M - 2),
+              "band_edge_end": (128, 127), "band_edge_end_last_row": (M - 1, 127),
+              "band_edge_start": (129, 128), "band_edge_start_last_row": (M - 1, 128)}[spot]
+        f, tau = _reflectors(M, M)
+        rmtsim._check_reflectors(f, tau, 1)
+        f[at] += 1e-6
+        with pytest.raises(ValueError, match="layer 1: W/sigma off orthogonal"):
+            rmtsim._check_reflectors(f, tau, 1)
+
+    def test_catches_a_changed_tau(self):
+        f, tau = _reflectors(200)
+        tau[77] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="layer 4: W/sigma off orthogonal"):
+            rmtsim._check_reflectors(f, tau, 4)
+
+    @pytest.mark.parametrize("where", ["reflector", "tau"])
+    def test_nan_fails(self, where):
+        f, tau = _reflectors(40)
+        if where == "tau":
+            tau[3] = math.nan
+        else:
+            f[10, 3] = math.nan
+        with pytest.raises(ValueError, match="off orthogonal by nan"):
+            rmtsim._check_reflectors(f, tau, 1)
+
+    @pytest.mark.parametrize("s", [1e-7, 1.0, 1e160, 1e300])
+    def test_any_scale_passes_and_keeps_the_sampled_weight(self, s):
+        layer = next(rmtsim._network_layers(200, (s,), 5))
+        net = OrthogonalNet.sample(200, 1, Linear(1.0), s, seed=5)
+        assert np.array_equal(_dense(layer), net.weights[0])
+
+    def test_peak_memory_about_one_band(self):
+        M = 1000
+        f, tau = _reflectors(M)
+        tracemalloc.start()
+        try:
+            rmtsim._check_reflectors(f, tau, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * rmtsim.TILE * M
 
 
 class TestNormalizedInput:
@@ -343,11 +427,13 @@ class TestNetworkFimSample:
                              ids=["1", "2", "5", "5-width300"])
     @pytest.mark.parametrize("activation", STREAM_ACTIVATIONS, ids=["linear", "hard_tanh"])
     def test_bitwise_equal_to_reference_loop(self, activation, M, depth):
+        # dual_fim on explicit weights keeps the loop's bits; the streamed
+        # draw applies each layer as its reflectors, so it agrees to rounding
         sigma = list(STREAM_SIGMAS[:depth])
         x = normalized_input(M, np.random.default_rng(40 + depth))
         net = OrthogonalNet.sample(M, depth, activation, sigma, seed=depth)
         want = reference_dual_fim(net, x)
-        assert np.array_equal(network_fim_sample(M, depth, activation, sigma, depth, x), want)
+        assert _near(network_fim_sample(M, depth, activation, sigma, depth, x), want)
         assert np.array_equal(dual_fim(net.weights, activation, x), want)
 
     def test_streamed_weights_are_the_sampled_network(self, monkeypatch):
@@ -365,20 +451,21 @@ class TestNetworkFimSample:
         network_fim_sample(16, 5, Linear(1.0), sigma, 3, x)
         net = OrthogonalNet.sample(16, 5, Linear(1.0), sigma, seed=3)
         assert len(seen) == 5
-        assert all(np.array_equal(a, b) for a, b in zip(seen, net.weights))
+        assert all(np.array_equal(_dense(a), b) for a, b in zip(seen, net.weights))
 
+    @needs_openblas
     def test_non_orthogonal_layer_is_named(self, monkeypatch):
         draws = []
-        real = rmtsim.sample_haar_orthogonal
+        real = rmtsim._householder_draw
 
-        def bent_third(M, rng):
-            q = real(M, rng)
+        def bent_third(M, rng, work):
+            f, tau, signs = real(M, rng, work)
             draws.append(M)
             if len(draws) == 3:
-                q[0, 0] += 1e-6
-            return q
+                f[5, 0] += 1e-6
+            return f, tau, signs
 
-        monkeypatch.setattr(rmtsim, "sample_haar_orthogonal", bent_third)
+        monkeypatch.setattr(rmtsim, "_householder_draw", bent_third)
         x = normalized_input(16, np.random.default_rng(0))
         with pytest.raises(ValueError, match="layer 3: W/sigma off orthogonal"):
             network_fim_sample(16, 5, Linear(1.0), 1.0, 0, x)
@@ -429,6 +516,28 @@ class TestFimStep:
         assert layer == []
         assert np.abs(h - want).max() <= 1e-13 * np.abs(want).max()
 
+    # blocks of TILE reflectors: one, a full one, a full one and one
+    # reflector, two full ones and a part
+    @needs_openblas
+    @pytest.mark.parametrize("M", [2, 3, 127, 128, 129, 300])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_reflectors_give_the_formed_product_to_rounding(self, M, scaled):
+        rng = np.random.default_rng(M)
+        f, tau, signs = rmtsim._householder_draw(M, rng, np.empty(_openblas.lwork(M)))
+        layer = rmtsim._Householder(f, tau, 1.3 * signs, None)
+        w = _dense(layer)
+        h = rng.standard_normal((M, M))
+        h += h.T
+        d = rng.random(M) if scaled else None
+        dh = h if d is None else d[:, None] * h * d[None, :]
+        want = w @ dh @ w.T + 0.7 * np.eye(M)
+        step = [layer, d, 0.7]
+        k = min(M, rmtsim.TILE)
+        rmtsim._fim_step(h, np.empty(k * (M + 2 * k)), step)
+        assert step == []
+        assert np.abs(h - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(h, h.T)
+
 
 def _draw(model: str, M: int = 24, depth: int = 6) -> np.ndarray:
     """One draw of either simulate model, by default small and six layers deep."""
@@ -443,17 +552,18 @@ def _draw(model: str, M: int = 24, depth: int = 6) -> np.ndarray:
 class TestFimRecursionWorker:
     """The conjugations run on one worker thread while the caller draws."""
 
+    @needs_openblas
     def test_at_most_one_earlier_draw_alive(self, model, monkeypatch):
         draws, alive = [], []
-        real = rmtsim.sample_haar_orthogonal
+        real = rmtsim._householder_draw
 
-        def tracked(M, rng):
+        def tracked(M, rng, work):
             alive.append(sum(ref() is not None for ref in draws))
-            q = real(M, rng)
-            draws.append(weakref.ref(q))
-            return q
+            f, tau, signs = real(M, rng, work)
+            draws.append(weakref.ref(f))
+            return f, tau, signs
 
-        monkeypatch.setattr(rmtsim, "sample_haar_orthogonal", tracked)
+        monkeypatch.setattr(rmtsim, "_householder_draw", tracked)
         _draw(model)
         assert len(draws) == (6 if model == "network" else 5)
         assert max(alive) == 1
@@ -488,11 +598,11 @@ class TestFimRecursionWorker:
         threads = []
         real = rmtsim._fim_step
 
-        def failing_third(h, panel, layer):
+        def failing_third(h, work, layer):
             threads.append(threading.current_thread())
             if len(threads) == 3:
                 raise RuntimeError("step 3 failed")
-            real(h, panel, layer)
+            real(h, work, layer)
 
         monkeypatch.setattr(rmtsim, "_fim_step", failing_third)
         before = threading.active_count()
@@ -502,26 +612,27 @@ class TestFimRecursionWorker:
         assert len(threads) == 3
         assert threading.main_thread() not in threads
 
+    @needs_openblas
     def test_step_failure_wins_over_the_next_draws(self, model, monkeypatch):
         # step 2 conjugates the layer drawn by draw 3 (network) or 2 (atoms);
         # the draw after it fails too, but a serial loop never reaches it
         steps, draws = [], []
-        real_step, real_draw = rmtsim._fim_step, rmtsim.sample_haar_orthogonal
+        real_step, real_draw = rmtsim._fim_step, rmtsim._householder_draw
 
-        def failing_second(h, panel, layer):
+        def failing_second(h, work, layer):
             steps.append(1)
             if len(steps) == 2:
                 raise RuntimeError("step 2 failed")
-            real_step(h, panel, layer)
+            real_step(h, work, layer)
 
-        def failing_draw(M, rng):
+        def failing_draw(M, rng, work):
             draws.append(1)
             if len(draws) == (4 if model == "network" else 3):
                 raise NumericalError("draw failed")
-            return real_draw(M, rng)
+            return real_draw(M, rng, work)
 
         monkeypatch.setattr(rmtsim, "_fim_step", failing_second)
-        monkeypatch.setattr(rmtsim, "sample_haar_orthogonal", failing_draw)
+        monkeypatch.setattr(rmtsim, "_householder_draw", failing_draw)
         with pytest.raises(RuntimeError, match="step 2 failed") as err:
             _draw(model)
         assert isinstance(err.value.__context__, NumericalError)
@@ -529,9 +640,9 @@ class TestFimRecursionWorker:
     def test_steps_run_under_the_callers_error_state(self, model, monkeypatch):
         real = rmtsim._fim_step
 
-        def dividing(h, panel, layer):
+        def dividing(h, work, layer):
             np.divide(1.0, np.zeros(1))
-            real(h, panel, layer)
+            real(h, work, layer)
 
         monkeypatch.setattr(rmtsim, "_fim_step", dividing)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
@@ -642,12 +753,14 @@ class TestModelFimSample:
                              ids=["zero_columns", "alpha_1", "zero_columns-width300",
                                   "alpha_1-width300"])
     def test_bitwise_equal_to_serial_loop(self, M, alpha):
+        # the loop forms each Q, the model applies its reflectors: the
+        # same draws to rounding, and the rng left in the same state
         laws = ([1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [alpha] * 3, [1.7, 1.3, 0.9])
         q, sigma, alphas, gammas = laws
         schedule = LayerSchedule(q, sigma, tuple(map(TwoAtomJacobianLaw, alphas, gammas)))
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         got = model_fim_sample(M, schedule, rng)
-        assert np.array_equal(got, reference_model_fim(M, *laws, ref_rng))
+        assert _near(got, reference_model_fim(M, *laws, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_linear_model_is_depth_identity(self):
@@ -661,6 +774,30 @@ class TestModelFimSample:
         h = model_fim_sample(400, constant_schedule(3, 1.0, 1.0, 0.75, 1.0), rng)
         assert np.trace(h) / 400 == pytest.approx(2.3125, abs=0.05)
         assert np.linalg.eigvalsh(h)[0] > -1e-10
+
+
+@pytest.mark.parametrize("model", ["network", "atoms"])
+def test_both_paths_of_both_models_agree(haar_path, model):
+    # the fallback forms each Q and keeps the loop's bits; the lapack path
+    # applies reflectors and agrees to rounding; both leave the rng alike
+    M, depth = 130, 4
+    if model == "network":
+        x = normalized_input(M, np.random.default_rng(1))
+        sigma = list(STREAM_SIGMAS[:depth])
+        got = network_fim_sample(M, depth, HardTanh(s=0.5, g=1.3), sigma, 2, x)
+        want = reference_dual_fim(
+            OrthogonalNet.sample(M, depth, HardTanh(s=0.5, g=1.3), sigma, seed=2), x)
+    else:
+        laws = ([1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [0.6] * 3, [1.7, 1.3, 0.9])
+        schedule = LayerSchedule(laws[0], laws[1], tuple(map(TwoAtomJacobianLaw, *laws[2:])))
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = model_fim_sample(M, schedule, rng)
+        want = reference_model_fim(M, *laws, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if haar_path == "fallback":
+        assert np.array_equal(got, want)
+    else:
+        assert _near(got, want)
 
 
 class TestFreenessProbe:
