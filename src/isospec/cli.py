@@ -687,11 +687,16 @@ def cmd_simulate(args) -> int:
     matrix = None
     for k in range(draws):
         matrix = None  # release the last draw's H before this draw's recursion
-        if model == "network":
-            x = normalized_input(width, np.random.default_rng((seed + k) ^ 0xA5A5))
-            matrix = network_fim_sample(width, depth, spec, sigma, seed + k, x)
-        else:
-            matrix = model_fim_sample(width, schedule, np.random.default_rng(seed + k))
+        # an H that overflows is refused below, not warned about on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            if model == "network":
+                x = normalized_input(width, np.random.default_rng((seed + k) ^ 0xA5A5))
+                matrix = network_fim_sample(width, depth, spec, sigma, seed + k, x)
+            else:
+                matrix = model_fim_sample(width, schedule, np.random.default_rng(seed + k))
+        # min and max propagate NaN and inf without an M x M temporary
+        if not (math.isfinite(matrix.min()) and math.isfinite(matrix.max())):
+            raise NumericalError(f"draw {k}: H has non-finite entries")
         values.append(np.linalg.eigvalsh(matrix))
 
     # every draw pooled; the eigenvalues.csv loop below rebinds `vals`

@@ -11,9 +11,10 @@ such a two-atom law is evaluated through S-transforms: with
 h_mu(z) = z G_mu(z) - 1, the unknown w = h_{mu box nu}(z) solves the
 subordination fixed point w = h_mu(z * S_nu(w)), after which
 G(z) = (w + 1) / z and the density follows by Stieltjes inversion. The
-fixed point is found by Newton's method on the whole grid at once; points
-whose cold-start root is not the subordination point are continued down
-from high above the real axis.
+fixed point is found as the root u = z S_nu(w) of the explicit inverse
+map z(u) = gamma u (h_mu(u) + alpha) / (h_mu(u) + 1), by Newton's method
+on the whole grid at once; points whose first root is not the
+subordination point are continued down from high above the real axis.
 Atoms never come from the numerics: they obey the exact rule
 (mu box nu)({ab}) = max(mu({a}) + nu({b}) - 1, 0) for ab != 0, while the
 weight at zero is max(mu({0}), nu({0})) by the rank bound on products.
@@ -36,13 +37,13 @@ from .specmeasure import (
 )
 
 # Subordination solve: relative Newton step at which a point has
-# converged, Newton steps allowed per point at each Im z level (the cold
-# start and every level of the walk), the number of levels of the walk,
+# converged, Newton steps allowed per point at each Im z level (the start
+# at the strip and every level of the walk), the number of levels of the walk,
 # and the size of the pole-term blocks of the Cauchy evaluator, small
 # enough to stay in cache.
 SOLVER_TOL = 1e-12
 MAX_ITER = 50
-_WALK_LEVELS = 24
+_WALK_LEVELS = 8
 _BLOCK_BYTES = 1 << 20
 WINDOW_MARGIN = 0.05
 DEFAULT_GRID = 2048
@@ -102,6 +103,9 @@ class LayerSchedule:
             raise ValueError(f"need {len(q) - 1} jacobian laws, got {len(jac)}")
         if not all(0.0 < v < math.inf for v in q + sigma):
             raise ValueError("q and sigma entries must be finite and positive")
+        # the recursion scales by sigma^2, which must neither overflow nor underflow
+        if not all(0.0 < v * v < math.inf for v in sigma):
+            raise ValueError("sigma^2 must be finite and positive in floats")
         for nu in jac:
             if not isinstance(nu, TwoAtomJacobianLaw):
                 raise TypeError("jacobians must be TwoAtomJacobianLaw instances")
@@ -131,9 +135,9 @@ class AsymptoticRegime:
 class ConvolutionStats:
     """Diagnostics from one numeric free multiplicative convolution.
 
-    `iterations_*` count Newton steps per grid point, `flagged` holds the
-    x of points with no accepted root, and `continued` counts the points
-    accepted only after the walk down Im z.
+    `iterations_*` count Newton steps per grid point, and `continued`
+    counts the points accepted only after the walk down Im z. `flagged`
+    is always empty: a point with no accepted root fails the solve.
     """
 
     grid_count: int
@@ -244,7 +248,6 @@ def free_mult_conv_two_atom(
     *,
     grid_count: int = DEFAULT_GRID,
     eps: float | None = None,
-    max_iter: int = MAX_ITER,
     return_stats: bool = False,
 ):
     """Free multiplicative convolution mu boxtimes nu.
@@ -255,36 +258,31 @@ def free_mult_conv_two_atom(
     followed by Stieltjes inversion with the atoms' Cauchy terms
     subtracted.
 
-    The solve runs Newton's method at every grid point from one Picard
-    step of the fixed-point map, w = h_mu(z S_nu(h_mu(z))). A root is
-    accepted only if it converged, is finite, gives Im G <= 1e-8, attracts
-    the fixed-point map (|d/dw h_mu(z S_nu(w))| <= 1) and is not the
-    spurious root w = -1 (|w + 1| > 1e-6). Points without such a root are
-    solved again along Im z, from 8 (|x| + 1) down to eps, and accepted if
-    they converge at every level and end with Im G <= 1e-8. Points that
-    are still not accepted are flagged and their G interpolated from the
-    accepted neighbors.
+    The solve is Newton's method on z(u) = z at every grid point, in
+    u = z S_nu(w), where z(u) = gamma u (h_mu(u) + alpha) / (h_mu(u) + 1)
+    is explicit and G = (h_mu(u) + 1) / z. It starts from
+    u = z S_nu(h_mu(z)). A root is accepted only if it converged, has
+    Im u > 0 and gives Im G <= 1e-8. Points without such a root are solved
+    again along Im z, from 8 (|x| + 1) down to eps, and accepted by the
+    same rules at the end.
 
     Purely atomic cases (nu = delta_gamma, or mu a single atom) bypass
     the solver.
 
     A point has converged when its Newton step is at most
-    SOLVER_TOL * (1 + |w|).
+    SOLVER_TOL * (|u| + |z| / gamma); each Im z level allows MAX_ITER
+    steps.
 
     Parameters
     ----------
-    max_iter : int
-        Newton steps allowed per point at each Im z level, the cold start
-        included. `ConvolutionStats.iterations_*` count all Newton steps
-        of a point, and `continued` the points accepted after the walk.
     return_stats : bool
         If True, also return a ConvolutionStats record.
 
     Raises
     ------
     NumericalError
-        If more than 1% of the grid points are flagged, or the recovered
-        mass misses 1 by more than 1e-2.
+        If a grid point has no accepted root, or the recovered mass misses
+        1 by more than 1e-2.
     """
     if mu.support_min() < -1e-12:
         raise ValueError("mu must be supported on the nonnegative axis")
@@ -317,23 +315,7 @@ def free_mult_conv_two_atom(
     z = x + 1j * eps
 
     locs, masses = _atomize(mu)
-    w_sol, iters, accepted, continued = _subordination_solve(
-        locs, masses, nu, z, tol=SOLVER_TOL, max_iter=max_iter
-    )
-    g = (w_sol + 1.0) / z
-    bad = ~accepted
-    flagged = x[bad]
-    if flagged.size > 0.01 * grid_count:
-        raise NumericalError(
-            f"subordination failed at {flagged.size}/{grid_count} points, "
-            f"first offenders near x = {flagged[:4].tolist()}"
-        )
-    if flagged.size:
-        good = np.flatnonzero(~bad)
-        g_interp_re = np.interp(x[bad], x[good], g.real[good])
-        g_interp_im = np.interp(x[bad], x[good], g.imag[good])
-        g[bad] = g_interp_re + 1j * g_interp_im
-
+    g, iters, continued = _subordination_solve(locs, masses, nu, z)
     # the margin past `bound` only catches strip smearing, folded back by rescaling
     density, defect, clamped = stieltjes_invert(z, g, atoms, bound)
     result = SpectralMeasure.from_atoms(atoms, density=density)
@@ -341,7 +323,7 @@ def free_mult_conv_two_atom(
         grid_count=grid_count,
         iterations_max=int(iters.max()),
         iterations_mean=float(iters.mean()),
-        flagged=tuple(flagged.tolist()),
+        flagged=(),
         mass_defect=defect,
         clamped=clamped,
         continued=continued,
@@ -349,82 +331,90 @@ def free_mult_conv_two_atom(
     return (result, stats) if return_stats else result
 
 
-def _subordination_solve(locs, masses, nu, z, *, tol, max_iter):
-    """Newton solve of w = F(w) = h_mu(z S_nu(w)) at every z at once.
+def _subordination_solve(locs, masses, nu, z):
+    """Newton on z(u) = z at every z at once, with the start, acceptance
+    rules and walk that free_mult_conv_two_atom describes.
 
-    The cold start is one Picard step w = F(h_mu(z)), toward the
-    subordination point, which is the attracting fixed point of F; where
-    that step is not finite it stays at h_mu(z). A root found from the
-    cold start is accepted if it has Im G <= 1e-8 for G = (w + 1) / z,
-    attracts F (|F'(w)| <= 1), as the subordination point must, and has
-    |w + 1| > 1e-6. The last two reject the root w = -1, which exists at
-    every z: the attraction test alone cannot at small |z|, where F'(-1)
-    shrinks with |z| wherever mu has no atom at 0. The other points,
-    mostly in spectral gaps, walk down geometrically from Im z = 8 (|x| + 1),
-    where Newton from h_mu(z) finds the physical root, to the strip.
-    Returns w, the Newton steps of each point, the accepted mask and the
-    number of points the walk accepted.
+    The spurious root w = -1 of the fixed point in w is a pole of z(u),
+    not a root, and Im u > 0 holds at the subordination point because the
+    subordination function maps the upper half-plane into itself. Where
+    z S_nu(h_mu(z)) is not finite, and at the top of the walk, Newton
+    starts at z / (gamma alpha), the root for large |z|. Returns G, the
+    Newton steps of each point and the number of points the walk
+    accepted; NumericalError if a point is still not accepted.
     """
     z = np.asarray(z, dtype=complex)
     rows = max(1, min(z.size, _BLOCK_BYTES // (16 * locs.size)))
     work = np.empty((rows, locs.size), dtype=complex)
     masses = masses.astype(complex)
-    w = _h_of(locs, masses, z, work)[0]
+    far = 1.0 / (nu.gamma * nu.alpha)
+    h = _h_of(locs, masses, z, work)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        picard = _h_of(locs, masses, z * (w + 1.0) / (nu.gamma * (w + nu.alpha)), work)[0]
-    w = np.where(np.isfinite(picard), picard, w)
+        u = z * (h + 1.0) / (nu.gamma * (h + nu.alpha))
+    u = np.where(np.isfinite(u), u, far * z)
+    g = np.empty(z.size, dtype=complex)
     iters = np.zeros(z.size, dtype=int)
-    done, slope = _newton(locs, masses, nu, z, w, iters, np.arange(z.size), work, tol, max_iter)
-    accepted = np.zeros(z.size, dtype=bool)
-    w1 = w[done] + 1.0
-    ok = ((w1 / z[done]).imag <= 1e-8) & (np.abs(slope) <= 1.0) & (np.abs(w1) > 1e-6)
-    accepted[done[ok]] = True
 
-    walk = np.flatnonzero(~accepted)
+    def accepted(idx):  # of the converged points idx
+        return idx[(u[idx].imag > 0) & (g[idx].imag <= 1e-8)]
+
+    done = _newton(locs, masses, nu, z, u, g, iters, np.arange(z.size), work, SOLVER_TOL)
+    ok = np.zeros(z.size, dtype=bool)
+    ok[accepted(done)] = True
+    walk = np.flatnonzero(~ok)
+
     top = 8.0 * (np.abs(z.real) + 1.0)
     zz = z.real + 1j * top
-    w[walk] = _h_of(locs, masses, zz[walk], work)[0]
+    u[walk] = far * zz[walk]
     for frac in np.linspace(0.0, 1.0, _WALK_LEVELS):
         zz.imag[walk] = top[walk] * (z.imag[walk] / top[walk]) ** frac
         # above the strip a step of sqrt(tol) suffices: it leaves an error
         # of order tol, which the next level's first step absorbs
-        level_tol = tol if frac == 1.0 else math.sqrt(tol)
-        walk, _ = _newton(locs, masses, nu, zz, w, iters, walk, work, level_tol, max_iter)
-    walk = walk[((w[walk] + 1.0) / z[walk]).imag <= 1e-8]
-    accepted[walk] = True
-    return w, iters, accepted, walk.size
+        level_tol = SOLVER_TOL if frac == 1.0 else math.sqrt(SOLVER_TOL)
+        walk = _newton(locs, masses, nu, zz, u, g, iters, walk, work, level_tol)
+    walk = accepted(walk)
+    ok[walk] = True
+    if not ok.all():
+        raise NumericalError(
+            f"subordination failed at {(~ok).sum()}/{z.size} points, "
+            f"first offenders near x = {z.real[~ok][:4].tolist()}"
+        )
+    return g, iters, walk.size
 
 
-def _newton(locs, masses, nu, z, w, iters, idx, work, tol, max_iter):
-    """Newton on w - h_mu(z S_nu(w)) at the points `idx`, all at once.
+def _newton(locs, masses, nu, z, u, g, iters, idx, work, tol):
+    """Newton on z(u) - z at the points `idx`, all at once.
 
-    Updates `w` and `iters` in place. Each step is capped at
-    0.5 (1 + |w|) against branch jumps; a point stops when its step is at
-    most tol (1 + |w|) or its iterate is not finite. Returns the points
-    that converged and F'(w) at their last evaluation.
+    Updates `u`, `iters` and, where a point converges, `g` in place: G at
+    the last iterate, with h_mu carried along the last step to first
+    order. Each step is capped at 0.5 (1 + |u|) against branch jumps; a
+    point stops when its step is at most tol (|u| + |z| / gamma), a scale
+    that holds where G, and with it u, passes near 0, or its iterate is
+    not finite. Returns the points that converged.
     """
-    a, g = nu.alpha, nu.gamma
-    done, slope = [idx[:0]], [np.empty(0, dtype=complex)]
+    a, c = nu.alpha, nu.gamma
+    done = [idx[:0]]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             if idx.size == 0:
                 break
-            wa, za = w[idx], z[idx]
-            h, dh = _h_of(locs, masses, za * (wa + 1.0) / (g * (wa + a)), work)
-            df = dh * za * (a - 1.0) / (g * (wa + a) ** 2)
-            step = (wa - h) / (1.0 - df)
+            ua, za = u[idx], z[idx]
+            h, dh = _h_of(locs, masses, ua, work)
+            h1 = h + 1.0
+            ratio = (h + a) / h1
+            step = (c * ua * ratio - za) / (c * (ratio + ua * dh * (1.0 - a) / h1**2))
             size = np.abs(step)
-            cap = 0.5 * (1.0 + np.abs(wa))
+            cap = 0.5 * (1.0 + np.abs(ua))
             step = np.where(size > cap, step * (cap / size), step)
-            wa = wa - step
-            w[idx] = wa
+            ua = ua - step
+            u[idx] = ua
             iters[idx] += 1
-            finite = np.isfinite(wa)
-            conv = finite & (np.abs(step) <= tol * (1.0 + np.abs(wa)))
+            finite = np.isfinite(ua)
+            conv = finite & (np.abs(step) <= tol * (np.abs(za) / c + np.abs(ua)))
+            g[idx[conv]] = (h[conv] - dh[conv] * step[conv] + 1.0) / za[conv]
             done.append(idx[conv])
-            slope.append(df[conv])
             idx = idx[finite & ~conv]
-    return np.concatenate(done), np.concatenate(slope)
+    return np.concatenate(done)
 
 
 # ----------------------------------------------------------------------

@@ -230,23 +230,26 @@ def affine_pushforward(mu: SpectralMeasure, a: float, b: float) -> SpectralMeasu
 
     Atom locations map through the affine map with weights unchanged;
     density supports map likewise with values rescaled by 1/|a| so the
-    total mass is preserved.
+    total mass is preserved. Atoms that land on one float merge, and a
+    density whose image has zero width in floats becomes an atom of its
+    mass there.
     """
     a, b = float(a), float(b)
     if a == 0.0:
         raise ValueError("scale a = 0 gives a degenerate pushforward")
-    atoms = [(b + a * loc, w) for loc, w in mu.atoms]
-    if a < 0:
-        atoms.reverse()
+    atoms = {}
+    for loc, w in mu.atoms:
+        key = b + a * loc
+        atoms[key] = atoms.get(key, 0.0) + w
     density = None
     if mu.density is not None:
-        lo, hi = b + a * mu.density.left, b + a * mu.density.right
-        values = mu.density.values / abs(a)
-        if a < 0:
-            lo, hi = hi, lo
-            values = values[::-1]
-        density = GridDensity(lo, hi, values)
-    return SpectralMeasure(atoms=tuple(atoms), density=density)
+        lo, hi = sorted((b + a * mu.density.left, b + a * mu.density.right))
+        if lo == hi:
+            atoms[lo] = atoms.get(lo, 0.0) + mu.density.mass()
+        else:
+            values = mu.density.values if a > 0 else mu.density.values[::-1]
+            density = GridDensity(lo, hi, values / abs(a))
+    return SpectralMeasure(atoms=tuple(sorted(atoms.items())), density=density)
 
 
 def stieltjes_invert(z, g, atoms=(), bound: float = math.inf) -> tuple:

@@ -7,8 +7,9 @@ that `rmtsim.model_fim_sample` must reproduce bit for bit where it forms
 each Q and to rounding where it keeps the reflectors, the dense
 parameter Jacobian behind H_L and the conditional FIM, and an
 alternating-moment test of asymptotic freeness. The cold-start
-subordination solve differs from `freeconv._subordination_solve` only in
-where Newton starts and shares its Cauchy evaluator and Newton loop.
+subordination solve is Newton on the fixed point in w with its own copy
+of the Newton loop and the walk; it shares only freeconv's Cauchy
+evaluator.
 
 The helpers are not independent: `forward_trace` runs the package's own
 forward loop, and `ntk_block_matrix`, the N-sample tangent kernel that
@@ -22,14 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from isospec.freeconv import (
-    _BLOCK_BYTES,
-    _WALK_LEVELS,
-    LayerSchedule,
-    TwoAtomJacobianLaw,
-    _h_of,
-    _newton,
-)
+from isospec.freeconv import _BLOCK_BYTES, LayerSchedule, TwoAtomJacobianLaw, _h_of
 from isospec.rmtsim import TILE, OrthogonalNet, _finite, _forward_layers, sample_haar_orthogonal
 from isospec.specmeasure import NumericalError
 
@@ -226,11 +220,16 @@ def freeness_probe(M: int, trials: int, rng: np.random.Generator) -> FreenessPro
 
 
 def reference_subordination_solve(locs, masses, nu, z, *, tol, max_iter):
-    """`freeconv._subordination_solve` started cold from w = h_mu(z).
+    """Newton on w = F(w) = h_mu(z S_nu(w)) at every z, started cold from
+    w = h_mu(z).
 
-    Same acceptance tests, walk and return values; with it in place of
-    the solver, `free_mult_conv_two_atom` computes what it did before the
-    Picard warm start.
+    A root is accepted if it has Im G <= 1e-8 for G = (w + 1) / z,
+    attracts F (|F'(w)| <= 1) and has |w + 1| > 1e-6; the last two reject
+    the root w = -1, which exists at every z. The other points walk down
+    24 levels from Im z = 8 (|x| + 1), started at h_mu(z), and are
+    accepted if they converge at every level and end with Im G <= 1e-8.
+    Returns w, the Newton steps of each point, the accepted mask and the
+    number of points the walk accepted.
     """
     z = np.asarray(z, dtype=complex)
     rows = max(1, min(z.size, _BLOCK_BYTES // (16 * locs.size)))
@@ -238,7 +237,33 @@ def reference_subordination_solve(locs, masses, nu, z, *, tol, max_iter):
     masses = masses.astype(complex)
     w = _h_of(locs, masses, z, work)[0]
     iters = np.zeros(z.size, dtype=int)
-    done, slope = _newton(locs, masses, nu, z, w, iters, np.arange(z.size), work, tol, max_iter)
+
+    def newton(z, idx, tol):
+        # updates w and iters in place; returns the converged points and F'(w)
+        done, slope = [idx[:0]], [np.empty(0, dtype=complex)]
+        a, g = nu.alpha, nu.gamma
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(max_iter):
+                if idx.size == 0:
+                    break
+                wa, za = w[idx], z[idx]
+                h, dh = _h_of(locs, masses, za * (wa + 1.0) / (g * (wa + a)), work)
+                df = dh * za * (a - 1.0) / (g * (wa + a) ** 2)
+                step = (wa - h) / (1.0 - df)
+                size = np.abs(step)
+                cap = 0.5 * (1.0 + np.abs(wa))
+                step = np.where(size > cap, step * (cap / size), step)
+                wa = wa - step
+                w[idx] = wa
+                iters[idx] += 1
+                finite = np.isfinite(wa)
+                conv = finite & (np.abs(step) <= tol * (1.0 + np.abs(wa)))
+                done.append(idx[conv])
+                slope.append(df[conv])
+                idx = idx[finite & ~conv]
+        return np.concatenate(done), np.concatenate(slope)
+
+    done, slope = newton(z, np.arange(z.size), tol)
     accepted = np.zeros(z.size, dtype=bool)
     w1 = w[done] + 1.0
     ok = ((w1 / z[done]).imag <= 1e-8) & (np.abs(slope) <= 1.0) & (np.abs(w1) > 1e-6)
@@ -248,10 +273,9 @@ def reference_subordination_solve(locs, masses, nu, z, *, tol, max_iter):
     top = 8.0 * (np.abs(z.real) + 1.0)
     zz = z.real + 1j * top
     w[walk] = _h_of(locs, masses, zz[walk], work)[0]
-    for frac in np.linspace(0.0, 1.0, _WALK_LEVELS):
+    for frac in np.linspace(0.0, 1.0, 24):
         zz.imag[walk] = top[walk] * (z.imag[walk] / top[walk]) ** frac
-        level_tol = tol if frac == 1.0 else math.sqrt(tol)
-        walk, _ = _newton(locs, masses, nu, zz, w, iters, walk, work, level_tol, max_iter)
+        walk, _ = newton(zz, walk, tol if frac == 1.0 else math.sqrt(tol))
     walk = walk[((w[walk] + 1.0) / z[walk]).imag <= 1e-8]
     accepted[walk] = True
     return w, iters, accepted, walk.size

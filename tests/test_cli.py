@@ -58,10 +58,15 @@ class TestTheory:
         for rec in layers[2:]:
             assert rec["grid_count"] == 512
             assert rec["newton_steps_max"] >= rec["newton_steps_mean"] > 0
-            assert rec["continued"] > 0
             assert rec["flagged"] == 0 and rec["clamped"] == 0.0
             assert 0 < rec["mass_defect"] < 1e-2
             assert 0 <= rec["mean_resid"] < 1e-2
+        # layer 3 solves every point at the strip; layer 4 walks some
+        assert layers[3]["continued"] > 0
+
+    def test_schedule_at_a_large_scale(self, tmp_path):
+        # layer 3 has G = 0 in its gap near x = 4e4, where u passes near 0
+        assert _run("theory", "--out", tmp_path / "q", "--depth", 3, "--q", "1e5") == 0
 
     def test_numerical_failure_names_the_layer(self, tmp_path, capsys):
         assert _run("theory", "--out", tmp_path / "x", "--depth", 5, "--grid", 512) == 3
@@ -146,6 +151,14 @@ class TestTune:
 
 
 class TestSimulate:
+    def test_overflowing_h_exits_3(self, tmp_path, capsys):
+        # sigma^2 = 1e300 is finite, but H overflows after two layers
+        assert _run("simulate", "--out", tmp_path / "x", "--model", "atoms", "--width", 8,
+                    "--depth", 3, "--sigma", "1e150") == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: draw 0: H has non-finite entries\n")
+        assert not (tmp_path / "x").exists()
+
     def test_atoms_model_with_auto_theory(self, tmp_path):
         out = tmp_path / "sa"
         code = _run("simulate", "--out", out, "--model", "atoms", "--width", 50,
@@ -592,6 +605,13 @@ BAD_INPUTS = [
     _case(["simulate", "--model", "network"], {"family": "tanh"},
           message="family: unknown family 'tanh'\n"),
     _case(["sweep"], {"family": "tanh"}, message="family: unknown family 'tanh'\n"),
+    # sigma^2 overflows, or underflows to 0
+    _case(["theory", "--depth", "2", "--sigma", "1e155"],
+          message="schedule: sigma^2 must be finite and positive in floats\n"),
+    _case(["theory", "--depth", "2", "--sigma", "1,1e-170"],
+          message="schedule: sigma^2 must be finite and positive in floats\n"),
+    _case(["simulate", "--model", "atoms", "--width", "8", "--depth", "2", "--sigma", "1e155"],
+          message="schedule: sigma^2 must be finite and positive in floats\n"),
 ]
 
 
@@ -619,6 +639,19 @@ def test_non_finite_number_exits_2(argv, tmp_path, capsys):
     assert _run(*argv, "--out", tmp_path / "x") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "is not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--depth", "2", "--sigma", "1,1e-9"],
+    ["theory", "--depth", "2", "--alpha", "0.5", "--gamma", "1e-17"],
+    ["theory", "--depth", "4", "--sigma", "1,1,1e-9,1"],
+    ["theory", "--depth", "4", "--q", "1,1,1e20,1"],
+    ["simulate", "--model", "atoms", "--width", "8", "--depth", "4", "--sigma", "1,1,1e-9,1",
+     "--theory-auto"],
+], ids=" ".join)
+def test_layer_collapsing_onto_one_float_exits_0(argv, tmp_path):
+    # q + sigma^2 x sends distinct atoms, or a density's whole support, to one float
+    assert _run(*argv, "--out", tmp_path / "x") == 0
 
 
 def test_non_finite_activation_file_value_exits_2(tmp_path, capsys):

@@ -147,6 +147,20 @@ class TestAffinePushforward:
         assert out.density.right == pytest.approx(1.5)
         assert out.density.mass() == pytest.approx(1.0, abs=1e-9)
 
+    def test_atoms_landing_on_one_float_merge(self):
+        # 1 + 1e-18 x sends 1 and 2 to the same float
+        mu = SpectralMeasure.from_atoms([(1.0, 0.25), (2.0, 0.75)])
+        assert affine_pushforward(mu, 1e-18, 1.0).atoms == ((1.0, 1.0),)
+        assert affine_pushforward(mu, -1e-18, 1.0).atoms == ((1.0, 1.0),)
+
+    def test_density_of_zero_image_width_becomes_an_atom(self):
+        # 1 + 2^-60 x sends the density's support [1, 2] to 1.0 and 2^62 to 5
+        dens = GridDensity(1.0, 2.0, np.full(128, 0.5))
+        mu = SpectralMeasure(atoms=((2.0**62, 0.5),), density=dens)
+        out = affine_pushforward(mu, 2.0**-60, 1.0)
+        assert out.density is None
+        assert out.atoms == ((1.0, dens.mass()), (5.0, 0.5))
+
     @settings(max_examples=40, deadline=None)
     @given(
         a=st.floats(0.1, 5.0),
