@@ -46,6 +46,7 @@ from .meanfield import (
     tune_constant_q,
 )
 from .rmtsim import (
+    FimDraw,
     OrthogonalNet,
     dual_fim,
     empirical_measure,

@@ -12,6 +12,7 @@ of the routines below (another BLAS, or another layout of the wheel),
 `found()` is False, and callers keep numpy's own routines.
 """
 
+import contextlib
 import ctypes
 import functools
 from pathlib import Path
@@ -84,6 +85,24 @@ def split_threads(workers: int) -> None:
         lib.put(max(1, lib.get() // workers))
 
 
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the body with numpy's bundled OpenBLAS at `n` threads, and give
+    it back the count it had on every way out, an exception included. The
+    count is the process's, so every thread's BLAS calls run at `n`. Where
+    found() is False this does nothing."""
+    lib = _library()
+    if lib is None:
+        yield
+        return
+    before = lib.get()
+    lib.put(n)
+    try:
+        yield
+    finally:
+        lib.put(before)
+
+
 def _call(name: str, *args) -> None:
     """Routine `name` on `args`: options go as bytes, ints and floats by
     reference, arrays as their data pointers; INFO and the options'
@@ -107,7 +126,8 @@ def lwork(m: int) -> int:
     """A work-array size that serves each routine below that takes one, at
     order m: the largest that an LWORK = -1 query asks for, of dgeqrf and
     dorgqr on an m x m matrix and of dormqr on an m x m matrix from either
-    side and on a vector. More work than a routine asks for changes
+    side and on a vector. Their queries grow with the columns, so it also
+    serves fewer than m of them. More work than a routine asks for changes
     neither its blocking nor its bits, so one array can serve them all."""
     query, dummy = np.zeros(1), np.zeros(1)
     sizes = [m]
@@ -141,6 +161,14 @@ def _square(a: np.ndarray, writeable: bool = False) -> tuple:
     return a.shape[0], _columns(a, writeable)
 
 
+def _tall(a: np.ndarray) -> tuple:
+    """(rows, columns, leading dimension) of the writeable matrix `a`
+    stored by columns, with no more columns than rows."""
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ValueError("need a float64 matrix with no more columns than rows")
+    return (*a.shape, _columns(a, writeable=True))
+
+
 def _tau_and_work(m: int, tau: np.ndarray, work: np.ndarray) -> None:
     if tau.shape != (m,) or tau.dtype != np.float64:
         raise ValueError("need one float64 tau per column")
@@ -149,23 +177,24 @@ def _tau_and_work(m: int, tau: np.ndarray, work: np.ndarray) -> None:
 
 
 def dgeqrf(a: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Householder QR of the square matrix `a`, stored by columns, in
-    place, as numpy's QR runs it: R on and above the diagonal, the
+    """Householder QR of the m x n matrix `a` (m >= n), stored by columns,
+    in place, as numpy's QR runs it: R on and above the diagonal, the
     reflectors below it. Returns their scalar factors tau. `work` is
-    scratch of at least lwork(order) doubles."""
-    m, lda = _square(a, writeable=True)
-    tau = np.zeros(m)
-    _tau_and_work(m, tau, work)
-    _call("dgeqrf", m, m, a, lda, tau, work, work.size)
+    scratch of at least lwork(m) doubles."""
+    m, n, lda = _tall(a)
+    tau = np.zeros(n)
+    _tau_and_work(n, tau, work)
+    _call("dgeqrf", m, n, a, lda, tau, work, work.size)
     return tau
 
 
 def dorgqr(a: np.ndarray, tau: np.ndarray, work: np.ndarray) -> None:
-    """Overwrite dgeqrf's output `a` with the orthogonal factor Q its
-    reflectors form, as numpy's QR forms it."""
-    m, lda = _square(a, writeable=True)
-    _tau_and_work(m, tau, work)
-    _call("dorgqr", m, m, m, a, lda, tau, work, work.size)
+    """Overwrite dgeqrf's output `a`, m x n, with the n orthonormal columns
+    its reflectors form (all of Q when `a` is square), as numpy's QR forms
+    them."""
+    m, n, lda = _tall(a)
+    _tau_and_work(n, tau, work)
+    _call("dorgqr", m, n, n, a, lda, tau, work, work.size)
 
 
 def dormqr(side: str, trans: str, a: np.ndarray, tau: np.ndarray, c: np.ndarray,

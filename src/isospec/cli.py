@@ -650,6 +650,21 @@ def cmd_tune(args) -> int:
     return 0
 
 
+def _draw_diagnostics(sample, seed: int) -> dict:
+    """What explains one draw's spectrum: the top atom a_L of the low-rank
+    form and its multiplicity M - n (both None once H turned dense), the
+    dead units of each hidden layer's D (None where D was folded into W),
+    and the first layer whose H the dense step formed, or None."""
+    low_rank = sample.h is None
+    return {
+        "seed": seed,
+        "top_atom": sample.a if low_rank else None,
+        "top_atom_multiplicity": sample.v.shape[0] - sample.v.shape[1] if low_rank else None,
+        "dead_units": list(sample.dead),
+        "dense_layer": sample.dense_layer,
+    }
+
+
 def cmd_simulate(args) -> int:
     merged = _resolve(args)
     width, depth, draws, bins, seed = (
@@ -683,21 +698,20 @@ def cmd_simulate(args) -> int:
     if merged["theory_auto"]:
         theory = propagate_schedule(schedule)[-1]
 
-    values = []
-    matrix = None
+    values, explained = [], []
     for k in range(draws):
-        matrix = None  # release the last draw's H before this draw's recursion
+        sample = None  # release the last draw's H before this draw's recursion
         # an H that overflows is refused below, not warned about on the way
         with np.errstate(over="ignore", invalid="ignore"):
             if model == "network":
                 x = normalized_input(width, np.random.default_rng((seed + k) ^ 0xA5A5))
-                matrix = network_fim_sample(width, depth, spec, sigma, seed + k, x)
+                sample = network_fim_sample(width, depth, spec, sigma, seed + k, x)
             else:
-                matrix = model_fim_sample(width, schedule, np.random.default_rng(seed + k))
-        # min and max propagate NaN and inf without an M x M temporary
-        if not (math.isfinite(matrix.min()) and math.isfinite(matrix.max())):
+                sample = model_fim_sample(width, schedule, np.random.default_rng(seed + k))
+        if not sample.finite():
             raise NumericalError(f"draw {k}: H has non-finite entries")
-        values.append(np.linalg.eigvalsh(matrix))
+        values.append(sample.eigenvalues())
+        explained.append(_draw_diagnostics(sample, seed + k))
 
     # every draw pooled; the eigenvalues.csv loop below rebinds `vals`
     spectrum = np.sort(np.concatenate(values))
@@ -731,10 +745,11 @@ def cmd_simulate(args) -> int:
         }
         _write_json(outdir / "compare.json", compare)
 
+    _write_json(outdir / "diagnostics.json", {"draws": explained})
     if merged["dump_matrix"]:
         # a file object, so that np.save adds no .npy suffix to the name
         with open(outdir / merged["dump_matrix"], "wb") as fh:
-            np.save(fh, matrix)
+            np.save(fh, sample.matrix())
 
     _write_config(outdir, "simulate", merged)
     return 0

@@ -461,7 +461,8 @@ def solve_three_layer(schedule: LayerSchedule, grid_count: int = DEFAULT_GRID) -
     the angular variable x = mid - (width/2) cos(theta), where the
     integrand is smooth even at the inverse-square-root edges, so the
     sampled grid carries the exact continuous mass. When an alpha is 1
-    the atoms carry all the mass and there is no density.
+    the atoms carry all the mass and there is no density; when the band
+    rounds to zero width, its mass is one more atom at lambda_minus.
     """
     if schedule.depth != 3:
         raise ValueError(f"the closed form needs depth 3, got {schedule.depth}")
@@ -489,6 +490,10 @@ def solve_three_layer(schedule: LayerSchedule, grid_count: int = DEFAULT_GRID) -
     target = 1.0 - sum(w for _, w in atom_pairs)
 
     width = lam_plus - lam_minus
+    if width == 0.0:
+        # the band rounds onto one float (a tiny gamma2 puts every lambda
+        # at q2): its mass is an atom there
+        return SpectralMeasure.from_atoms(atom_pairs + [(lam_minus, target)])
     a0 = lam_minus - lam_mid  # >= 0, zero iff alpha1 == alpha2
     b0 = lam_max - lam_plus  # >= 0, zero iff alpha1 + alpha2 == 1
 

@@ -10,31 +10,43 @@ central object measured here is the dual conditional Fisher information
 built by the layer recursion H_{l+1} = q_hat_l I + W_{l+1} D_l H_l D_l
 W_{l+1}^T (starting from H_1 = q_hat_0 I). The one forward loop,
 _forward_layers, runs one input or a batch (trainlab's sweep steps
-through it too). The recursion consumes it one layer at a time,
-so a network draw can be streamed through it without ever holding more
-than two weights; one worker thread conjugates layer l in H's own
-buffer while the calling thread draws layer l + 1.
+through it too). The recursion consumes it one layer at a time, so a
+network draw can be streamed through it without ever holding more than
+two weights.
+
+Every activation here has |phi'| in {0, c}, so each step keeps H =
+a I + V T V^T: a is the top atom, and V, orthonormal, has one column per
+unit dead so far. The recursion updates (a, V, T) in O(M^2 n) per layer
+for n columns (_low_rank_step), and H's eigenvalues are M - n copies of
+a and a + eig(T), so no M x M eigensolve is needed. Once V would have
+more than LOW_RANK_SHARE M columns, or the live units' |d_i| differ, H is
+formed and every later step conjugates it densely (_fim_step). One worker
+thread overlaps the caller: it factors layer l + 1's Gaussian while the
+caller takes layer l's low-rank step, and once H is dense it conjugates
+layer l in H's own buffer while the caller draws layer l + 1. BLAS runs
+at one thread throughout, so the two threads share the cores.
 
 Each Haar draw is factored in its own M x M buffer by dgeqrf, the
 LAPACK routine numpy's QR calls, reached in numpy's bundled OpenBLAS
 (see _openblas). The draw is then Q diag(sign r_ii), Q the product of
 dgeqrf's Householder reflectors. sample_haar_orthogonal forms Q there
 with dorgqr and keeps np.linalg.qr's bits. Simulate's two models never
-form Q: each fresh layer stays as its reflectors and is conjugated into
-H by blocks of TILE of them (_reflect_both_sides); the network's layers
-are also checked on them in O(M^2) and meet the forward pass through
-dormqr. So a draw needs no dorgqr, no Gram check and no full M x M
-product. np.linalg.qr and the dense path are the fallback where that
-library is not found; weights passed in keep the dense path and its
-full Gram check, formed in bands.
+form Q: each fresh layer stays as its reflectors, applied to V by one
+dormqr, or to a dense H by blocks of TILE of them (_reflect_both_sides);
+the network's layers are also checked on them in O(M^2) and meet the
+forward pass through dormqr. So a draw needs no dorgqr, no Gram check
+and no full M x M product. np.linalg.qr and the dense path are the
+fallback where that library is not found; weights passed in keep the
+dense path and its full Gram check, formed in bands.
 Empirical spectral measures feed the comparison against the
 free-probability predictions.
 """
 
+import contextlib
 import contextvars
 import math
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +57,15 @@ from .meanfield import ActivationSpec, layer_sigmas
 from .specmeasure import GridDensity, NumericalError, SpectralMeasure, check_bin_width
 
 ORTHO_TOL = 1e-10
+# The recursion keeps H = a I + V T V^T while V has at most this share of
+# M columns. At M = 1000 and one BLAS thread a low-rank step takes 11, 25,
+# 44, 59 and 80 ms at 100, 250, 400, 500 and 600 columns, on the caller,
+# beside 14 ms of drawing, while the worker's dgeqrf takes 30 ms. A dense
+# step takes 50 ms on the worker while the caller draws for 47 ms, and
+# the dense form costs 25 ms to form H and an 80 ms eigvalsh at the end.
+# So the two cross between 300 and 500 columns a layer, and at M / 2 once
+# the dense form's fixed costs are counted.
+LOW_RANK_SHARE = 0.5
 # Tile of the in-place transposes and symmetrization, band of the
 # orthogonality check and panel width of the FIM conjugation.
 TILE = 128
@@ -85,21 +106,33 @@ def _full_rank(d: np.ndarray) -> bool:
     return np.abs(d).min() >= 1e-12 * math.sqrt(d.size)
 
 
-def _householder_draw(M: int, rng: np.random.Generator, work: np.ndarray) -> tuple:
+def _gaussian(M: int, rng: np.random.Generator) -> np.ndarray:
+    """An M x M Gaussian from rng, transposed in place so that LAPACK
+    reads it column-major, as numpy's QR copies it."""
+    a = rng.standard_normal((M, M))
+    _transpose_in_place(a)
+    return a
+
+
+def _factor(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """dgeqrf on _gaussian's `a` in place: its Fortran-ordered view a.T
+    then holds R on and above the diagonal and the reflectors H_i =
+    I - tau_i v_i v_i^T below it. Returns tau."""
+    return _openblas.dgeqrf(a.T, work)
+
+
+def _householder_draw(M: int, rng: np.random.Generator, work: np.ndarray, tries: int = 8) -> tuple:
     """(F, tau, signs): a Haar draw as numpy's QR of an M x M Gaussian
     from rng leaves it, before Q is formed.
 
-    The Gaussian is transposed in place so that LAPACK reads it
-    column-major, as numpy's QR copies it, and dgeqrf factors it there:
-    F, its Fortran-ordered view, holds R on and above the diagonal and the
-    reflectors H_i = I - tau_i v_i v_i^T below it. The Haar draw is
-    Q diag(signs) with Q = H_1 ... H_M and signs = sign(diag R) (Stewart
-    1980; Mezzadri 2007). `work` is the LAPACK workspace (_openblas.lwork).
+    F = a.T of _factor. The Haar draw is Q diag(signs) with Q = H_1 ...
+    H_M and signs = sign(diag R) (Stewart 1980; Mezzadri 2007). A
+    rank-deficient Gaussian is drawn again, `tries` Gaussians in all.
+    `work` is the LAPACK workspace (_openblas.lwork).
     """
-    for _ in range(8):
-        a = rng.standard_normal((M, M))
-        _transpose_in_place(a)
-        tau = _openblas.dgeqrf(a.T, work)
+    for _ in range(tries):
+        a = _gaussian(M, rng)
+        tau = _factor(a, work)
         if _full_rank(np.diagonal(a)):
             return a.T, tau, np.sign(np.diagonal(a))
     raise NumericalError("repeated rank-deficient Gaussian draws")
@@ -229,21 +262,110 @@ def _haar_layers(width: int, sigma: tuple, seed: int) -> Iterator:
         yield w
 
 
-def _network_layers(width: int, sigma: tuple, seed: int) -> Iterator:
+class _Worker:
+    """The one worker thread of a recursion, and the job it has. While H
+    is low-rank, `ahead` holds and the worker factors each next draw
+    (_householder_layers); once H is dense it conjugates H instead
+    (_fim_step) and each draw is factored by the caller. Jobs run in the
+    caller's context, so under its numpy error state."""
+
+    def __init__(self, pool: ThreadPoolExecutor):
+        self.pool = pool
+        self.ahead = True
+
+    def submit(self, fn, *args) -> Future:
+        return self.pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+@contextlib.contextmanager
+def _one_worker() -> Iterator:
+    """A _Worker for one recursion, with BLAS at one thread throughout, so
+    that the worker and the caller each run on their own core. The worker
+    is joined before the thread count is given back."""
+    with _openblas.blas_threads(1), ThreadPoolExecutor(1) as pool:
+        yield _Worker(pool)
+
+
+def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worker | None = None,
+                        before=None) -> Iterator:
+    """(layer, drawn) for each of `scales`, in order: layer i is the
+    _Householder of a Haar draw from rng, as _householder_draw makes it,
+    with scale scales[i] times its signs, and `drawn` is what before(i)
+    draws from rng just before its Gaussian (None without `before`).
+
+    While worker.ahead holds, each Gaussian is factored on the worker:
+    Gaussian i + 1 is drawn here while the worker factors Gaussian i, and
+    is factored while the caller uses layer i. So at most two draws are
+    alive, if the caller keeps no layer it was done with. The numbers
+    drawn are a serial loop's: a rank-deficient Gaussian is drawn again
+    from the rng state saved after it, before the draws ahead of it. A
+    failure reaches the caller in serial order: that of the draw being
+    factored wins over one while drawing ahead, and loses to the
+    caller's while the caller holds layer i.
+    """
+    work = np.empty(_openblas.lwork(M))  # this thread's, which layer.matvec reuses
+    side = np.empty(_openblas.lwork(M)) if worker is not None else None  # the worker's
+    extra = before or (lambda i: None)
+
+    def draw(i):
+        got = extra(i)
+        a = _gaussian(M, rng)
+        return got, a, rng.bit_generator.state
+
+    def factored(got, a, state):
+        return got, a, worker.submit(_factor, a, side), state
+
+    nxt = None  # (drawn, Gaussian, its factoring on the worker, rng state after it)
+    try:
+        for i, s in enumerate(scales):
+            if nxt is None and worker is not None and worker.ahead:
+                nxt = factored(*draw(i))
+            if nxt is None:
+                got = extra(i)
+                f, tau, signs = _householder_draw(M, rng, work)
+            else:
+                got, a, job, state = nxt
+                nxt = later = None
+                if worker.ahead and i + 1 < len(scales):
+                    try:
+                        later = draw(i + 1)
+                    except BaseException:
+                        job.result()  # Gaussian i comes first in a serial loop
+                        raise
+                tau = job.result()
+                if _full_rank(np.diagonal(a)):
+                    f, signs = a.T, np.sign(np.diagonal(a))
+                else:
+                    rng.bit_generator.state = state
+                    f, tau, signs = _householder_draw(M, rng, work, tries=7)
+                    if later is not None:
+                        later = draw(i + 1)
+                del a, job
+                if later is not None:
+                    nxt = factored(*later)
+                    del later
+            signs *= s
+            yield _Householder(f, tau, signs, work), got
+            del f, tau, signs, got  # before the next Gaussian is drawn
+    finally:
+        if nxt is not None:
+            nxt[2].exception()  # read; it comes after the caller's failure
+
+
+def _network_layers(width: int, sigma: tuple, seed: int, worker: _Worker | None = None) -> Iterator:
     """_haar_layers' draw as network_fim_sample consumes it. Where numpy's
-    OpenBLAS is found, each layer stays as its reflectors (_Householder),
-    checked on them, and all share one LAPACK workspace; Q is never
-    formed. Elsewhere this is _haar_layers."""
+    OpenBLAS is found, each layer stays as its reflectors, checked on
+    them (_householder_layers, which factors ahead on `worker`); Q is
+    never formed. Elsewhere this is _haar_layers."""
     if not _openblas.found():
         yield from _haar_layers(width, sigma, seed)
         return
-    rng = np.random.default_rng(seed)
-    work = np.empty(_openblas.lwork(width))
-    for ell, s in enumerate(sigma, start=1):
-        f, tau, signs = _householder_draw(width, rng, work)
-        _check_reflectors(f, tau, ell)
-        signs *= s
-        yield _Householder(f, tau, signs, work)
+    ell = 0
+    for layer, _ in _householder_layers(width, sigma, np.random.default_rng(seed), worker):
+        ell += 1
+        _check_reflectors(layer.f, layer.tau, ell)
+        yield layer
+        del layer
 
 
 @dataclass
@@ -295,6 +417,7 @@ def _forward_layers(weights: Iterable, activation: ActivationSpec, x: np.ndarray
             x = activation.apply(h)
         h = w.matvec(x) if isinstance(w, _Householder) else np.matmul(w, x[..., None])[..., 0]
         yield w, x, h
+        del w  # the next pull may draw: hold no layer through it
 
 
 def _finite(h: np.ndarray, ell: int) -> None:
@@ -393,67 +516,199 @@ def _fim_step(h: np.ndarray, work: np.ndarray, layer: list) -> None:
     h.reshape(-1)[:: M + 1] += q
 
 
-def _fim_recursion(M: int, q0: float, layers: Iterable) -> np.ndarray:
-    """H_L of the recursion from H_1 = q0 I over the (W, d, q) steps in
-    `layers`, symmetrized.
+def _low_rank_step(a: float, v: np.ndarray, t: np.ndarray, layer: _Householder, e: np.ndarray,
+                   q: float) -> tuple | None:
+    """One step of the recursion on H = a I + V T V^T, or None where the
+    result would not stay low-rank.
 
-    The steps run on one worker thread, in the caller's context (so under
-    its numpy error state), with one step in flight: while the worker
-    conjugates layer l the calling thread produces layer l + 1, so all
-    sampling, checks and forward propagation stay there, in order. A
-    failure on either thread stops the recursion; the step in flight is
-    always waited for, and its failure, which a serial loop would have
-    met first, wins. No thread outlives the call. H and the worker's
-    scratch, room for _fim_step's panel or _reflect_both_sides' T and X,
-    are allocated once; H is updated and symmetrized in place.
+    `layer` is W = Q diag(scale) and e = d * scale, so the step is
+    H <- q I + Q E H E Q^T with E = diag(e). The live units are those with
+    e_i != 0; they must share one kappa^2 = e_i^2. With S = sign(E), whose
+    zero rows are the k dead units, E H E = kappa^2 (a (I - P) + S V T
+    V^T S), P the projection on the dead units. The thin QR of the live
+    rows of S V, X R, is orthonormal and zero on the dead rows, so
+    B = [dead unit vectors, X] has orthonormal columns, and the new state
+    is a <- q + kappa^2 a, V <- Q B (one dormqr), T <- kappa^2
+    blockdiag(-a I_k, R T R^T). None is returned where the live units do
+    not share one |e_i|, or where V would have more than LOW_RANK_SHARE M
+    columns.
     """
-    h = np.zeros((M, M))
-    h.flat[:: M + 1] = q0
-    k = min(M, TILE)
-    work = np.empty(k * (M + 2 * k))
-    with ThreadPoolExecutor(1) as pool:
-        pending = None
-        try:
-            for w, d, q in layers:
-                if pending is not None:
-                    pending.result()
-                pending = pool.submit(
-                    contextvars.copy_context().run, _fim_step, h, work, [w, d, q]
-                )
-        finally:
-            if pending is not None:
-                pending.result()
+    M, r = v.shape
+    live = e != 0.0
+    e2 = np.square(e[live])
+    dead = np.flatnonzero(~live)
+    k = dead.size
+    # with k + r <= M / 2 the M - k live rows are at least r, as the QR needs
+    if e2.size == 0 or k + r > LOW_RANK_SHARE * M or np.any(e2 != e2[0]):
+        return None
+    kappa2 = float(e2[0])
+    b = np.zeros((M, k + r), order="F")
+    b[dead, np.arange(k)] = 1.0
+    rows = np.flatnonzero(live)
+    if r:
+        x = np.empty((rows.size, r), order="F")
+        np.take(v, rows, axis=0, out=x, mode="clip")
+        x *= np.sign(e[rows])[:, None]
+        tau = _openblas.dgeqrf(x, layer.work)
+        rt = np.triu(x[:r])
+        _openblas.dorgqr(x, tau, layer.work)
+        b[rows, k:] = x
+        del x
+        t = rt @ t @ rt.T
+    if k + r:
+        _openblas.dormqr("L", "N", layer.f, layer.tau, b, layer.work)
+    t_next = np.zeros((k + r, k + r))
+    np.fill_diagonal(t_next[:k, :k], -kappa2 * a)
+    t_next[k:, k:] = (t + t.T) * (0.5 * kappa2)
+    return q + kappa2 * a, b, t_next
+
+
+def _formed(a: float, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """H = a I + V T V^T as an M x M array, exactly symmetric, formed one
+    band of TILE rows at a time, so the temporaries are one band."""
+    M = v.shape[0]
+    h = np.empty((M, M))
+    for i in range(0, M, TILE):
+        np.matmul(v[i : i + TILE] @ t, v.T, out=h[i : i + TILE])
+    h.flat[:: M + 1] += a
     _symmetrize_in_place(h)
     return h
 
 
-def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> np.ndarray:
-    """H_L by the layer recursion, in O(L M^3) time.
+@dataclass
+class FimDraw:
+    """H_L of one draw, in the form the recursion left it.
+
+    While every step stayed low-rank, H = a I + V T V^T, the n columns of
+    V orthonormal and h None: its eigenvalues are M - n copies of a, the
+    top atom, and a + eig(T), and H is formed only when asked for. Once a
+    step turned dense, h is H and a, v and t are None. `dead` holds the
+    dead units (zeros of d) of each step's D in order, None where D came
+    folded into W, and `dense_layer` the l of the first H_l the dense step
+    formed, or None.
+    """
+
+    dead: tuple
+    dense_layer: int | None
+    h: np.ndarray | None = None
+    a: float | None = None
+    v: np.ndarray | None = None
+    t: np.ndarray | None = None
+
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum of H, ascending."""
+        if self.h is not None:
+            return np.linalg.eigvalsh(self.h)
+        M, n = self.v.shape
+        top = np.full(M - n, self.a)
+        return np.sort(np.concatenate([top, self.a + np.linalg.eigvalsh(self.t)]))
+
+    def matrix(self) -> np.ndarray:
+        """H itself."""
+        return self.h if self.h is not None else _formed(self.a, self.v, self.t)
+
+    def finite(self) -> bool:
+        """Whether every entry of H is finite, without forming H (min and
+        max propagate NaN and inf without an M x M temporary)."""
+        parts = (self.h,) if self.h is not None else (np.asarray(self.a), self.t)
+        return all(p.size == 0 or (math.isfinite(p.min()) and math.isfinite(p.max()))
+                   for p in parts)
+
+
+def _fim_recursion(M: int, q0: float, layers: Iterator, worker: _Worker) -> FimDraw:
+    """H_L of the recursion from H_1 = q0 I over the (W, d, q) steps in
+    `layers`.
+
+    Steps on layers kept as reflectors (_Householder) run on the calling
+    thread on the low-rank form H = a I + V T V^T (_low_rank_step), while
+    the worker factors the next draw (worker.ahead). The first step that
+    cannot stay low-rank, or one on an explicit W, forms H (_formed) and
+    turns the recursion dense for good: from then on each step runs on
+    the worker in H's own buffer (_fim_step), with one step in flight,
+    while the calling thread produces layer l + 1, so all sampling, checks
+    and forward propagation stay there, in order. A failure on either
+    thread stops the recursion; the step in flight is always waited for,
+    and its failure, which a serial loop would have met first, wins.
+    `layers` is closed on the way out. H and the worker's scratch, room
+    for _fim_step's panel or _reflect_both_sides' T and X, are allocated
+    once; H is updated and symmetrized in place.
+    """
+    a, v, t = q0, np.zeros((M, 0), order="F"), np.zeros((0, 0))
+    h = work = pending = dense_layer = None
+    dead, ell = [], 1
+    try:
+        try:
+            for w, d, q in layers:
+                ell += 1
+                e = d
+                if isinstance(w, _Householder):
+                    e = w.scale if d is None else d * w.scale
+                dead.append(None if e is None else int(e.size - np.count_nonzero(e)))
+                if h is None and isinstance(w, _Householder):
+                    stepped = _low_rank_step(a, v, t, w, e, q)
+                    if stepped is not None:
+                        a, v, t = stepped
+                        del w
+                        continue
+                if h is None:
+                    h, a, v, t, dense_layer = _formed(a, v, t), None, None, None, ell
+                    worker.ahead = False
+                    k = min(M, TILE)
+                    work = np.empty(k * (M + 2 * k))
+                if pending is not None:
+                    pending.result()
+                pending = worker.submit(_fim_step, h, work, [w, d, q])
+                del w
+        finally:
+            if pending is not None:
+                pending.result()
+    finally:
+        layers.close()
+    if h is None:
+        return FimDraw(tuple(dead), None, a=a, v=v, t=t)
+    _symmetrize_in_place(h)
+    return FimDraw(tuple(dead), dense_layer, h=h)
+
+
+def _network_steps(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> Iterator:
+    """(W_l, d_{l-1}, q_hat_{l-1}) for l = 2..L of the forward pass of x
+    through `weights`; d_{l-1} = phi'(h^{l-1}) is formed when W_l
+    arrives."""
+    prev, ell = None, 0
+    for w, cur, h in _forward_layers(weights, activation, x):
+        ell += 1
+        _finite(h, ell)
+        if prev is not None:
+            yield w, activation.deriv(prev), float(cur @ cur) / cur.size
+        prev = h
+        del w
+    if prev is None:
+        raise ValueError("need at least one layer")
+
+
+def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray,
+             worker: _Worker | None = None) -> FimDraw:
+    """H_L by the layer recursion, in O(L M^3) time at most.
 
     Consumes `weights` (a list, or a generator such as a streamed draw)
-    through _forward_layers on the calling thread while _fim_recursion
-    conjugates the previous layer on its worker. Each step needs only the
-    current W_l and D_{l-1}, so beyond what the caller keeps the working
-    memory is three M x M arrays, H and the weights of the two layers in
-    hand, plus one scratch of about M x TILE, whatever the depth.
+    through _forward_layers on the calling thread, step by step, while
+    _fim_recursion's worker either factors the next draw or conjugates
+    the previous layer. `worker` is the one the caller draws `weights`
+    through (_network_layers); without it the recursion gets its own.
+    Explicit weights take the dense path from the first step and keep its
+    bits. Each step needs only the current W_l and D_{l-1}, so beyond
+    what the caller keeps the working memory is at most three M x M
+    arrays, H and the weights of the two layers in hand, plus one scratch
+    of about M x TILE, whatever the depth.
     """
+    if worker is None:
+        with _one_worker() as worker:
+            return dual_fim(weights, activation, x, worker)
     x = np.asarray(x, dtype=float)
     if not np.linalg.norm(x) > 0:
         raise ValueError("input must be nonzero")
-
-    def steps():
-        """(W_l, d_{l-1}, q_hat_{l-1}) for l = 2..L; d_{l-1} =
-        phi'(h^{l-1}) is formed when W_l arrives."""
-        prev = None
-        for ell, (w, cur, h) in enumerate(_forward_layers(weights, activation, x), start=1):
-            _finite(h, ell)
-            if prev is not None:
-                yield w, activation.deriv(prev), float(cur @ cur) / cur.size
-            prev = h
-        if prev is None:
-            raise ValueError("need at least one layer")
-
-    return _fim_recursion(x.size, float(x @ x) / x.size, steps())
+    return _fim_recursion(x.size, float(x @ x) / x.size, _network_steps(weights, activation, x),
+                          worker)
 
 
 def network_fim_sample(
@@ -463,23 +718,25 @@ def network_fim_sample(
     sigma,
     seed: int,
     x: np.ndarray,
-) -> np.ndarray:
+) -> FimDraw:
     """H_L of the network OrthogonalNet.sample(width, depth, activation,
     sigma, seed) at input x, without building the network.
 
     Each layer is drawn, checked and forward-propagated on the calling
-    thread while dual_fim's worker conjugates the layer before it, so at
-    most two weights are alive and the peak memory does not grow with
-    depth. A bad layer stops the draw there. Where numpy's OpenBLAS is
-    found the layers stay as their reflectors (_network_layers), so the
-    result agrees with dual_fim(net.weights, activation, x) to rounding,
-    within 1e-13 of max |H| at the tested shapes; elsewhere it is
-    bit-identical.
+    thread, so the peak memory does not grow with depth, and a bad layer
+    stops the draw there. Where numpy's OpenBLAS is found the layers stay
+    as their reflectors (_network_layers): while H stays low-rank the
+    worker factors layer l + 1's Gaussian as the caller takes layer l's
+    step, and at most two draws are alive; once H turns dense, the worker
+    conjugates it while the caller draws, as in dual_fim. The eigenvalues
+    agree with those of dual_fim(net.weights, activation, x) to rounding,
+    within 1e-12 of the largest; elsewhere H is bit-identical.
     """
     if np.shape(x) != (width,):
         raise ValueError(f"input must have shape ({width},)")
     sig = layer_sigmas(sigma, depth)
-    return dual_fim(_network_layers(width, sig, seed), activation, x)
+    with _one_worker() as worker:
+        return dual_fim(_network_layers(width, sig, seed, worker), activation, x, worker)
 
 
 def near_top_mask(vals: np.ndarray, window: float) -> np.ndarray:
@@ -541,7 +798,7 @@ def empirical_measure(
     return SpectralMeasure.from_atoms(atoms, density=density)
 
 
-def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) -> np.ndarray:
+def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) -> FimDraw:
     """Sample the matrix model behind the spectrum recursion directly.
 
     Runs H <- q_l I + W D H D W^T along the LayerSchedule `schedule`, with
@@ -552,26 +809,34 @@ def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) 
     exactly; finite-M agreement with network draws is itself a freeness
     check.
 
-    Each layer's D and W are drawn from `rng` on the calling thread, in
-    order, while _fim_recursion's worker conjugates the layer before, so
+    Each layer's D is drawn from `rng` just before its W, in order, so
     the rng ends in the same state as a serial loop would leave it. Where
-    numpy's OpenBLAS is found W stays as its reflectors, with sigma_l D
-    folded into its scale, and Q is never formed; elsewhere W D is formed
-    from sample_haar_orthogonal.
+    numpy's OpenBLAS is found W stays as its reflectors, with sigma_l
+    folded into its scale, and Q is never formed: while H stays low-rank
+    (at most LOW_RANK_SHARE M dead units in all) the worker factors the
+    next W as the caller takes this layer's step, and once it is dense
+    the worker conjugates it while the caller draws. Elsewhere W D is
+    formed from sample_haar_orthogonal and every step is dense.
     """
 
-    def layers():
-        work = np.empty(_openblas.lwork(M)) if _openblas.found() else None
-        for ell, nu in enumerate(schedule.jacobians, start=1):
-            d = math.sqrt(nu.gamma) * (rng.random(M) < nu.alpha).astype(float)
-            if work is None:
-                wd = sample_haar_orthogonal(M, rng)
-                wd *= schedule.sigma[ell]
-                wd *= d[None, :]
-                yield wd, None, schedule.q[ell]
-            else:
-                f, tau, signs = _householder_draw(M, rng, work)
-                signs *= schedule.sigma[ell]
-                yield _Householder(f, tau, signs, work), d, schedule.q[ell]
+    def jacobian(i):
+        nu = schedule.jacobians[i]
+        return math.sqrt(nu.gamma) * (rng.random(M) < nu.alpha).astype(float)
 
-    return _fim_recursion(M, schedule.q[0], layers())
+    def layers(worker):
+        if not _openblas.found():
+            for i, s in enumerate(schedule.sigma[1:]):
+                d = jacobian(i)
+                wd = sample_haar_orthogonal(M, rng)
+                wd *= s
+                wd *= d[None, :]
+                yield wd, None, schedule.q[i + 1]
+            return
+        i = 0
+        for layer, d in _householder_layers(M, schedule.sigma[1:], rng, worker, jacobian):
+            i += 1
+            yield layer, d, schedule.q[i]
+            del layer, d
+
+    with _one_worker() as worker:
+        return _fim_recursion(M, schedule.q[0], layers(worker), worker)

@@ -101,13 +101,13 @@ def test_criterion_2_depth_three_panels(report):
         t0 = time.monotonic()
         theory = propagate_schedule(mean_field_schedule(spec, 1.0, 3))[-1]
         h = _dual_fim(M, 3, spec, 1.0, seed=seed)
-        emp = empirical_measure(np.linalg.eigvalsh(h), bins)
+        emp = empirical_measure(h.eigenvalues(), bins)
         results.append((name, distance_L1(emp, theory, bins), time.monotonic() - t0))
     t0 = time.monotonic()
     half_half = constant_schedule(3, 1.0, 1.0, 0.5, 1.0)
     theory = propagate_schedule(half_half)[-1]
     h = model_fim_sample(M, half_half, np.random.default_rng(5))
-    emp = empirical_measure(np.linalg.eigvalsh(h), bins)
+    emp = empirical_measure(h.eigenvalues(), bins)
     results.append(("half-half atoms", distance_L1(emp, theory, bins),
                     time.monotonic() - t0))
     ok = all(l1 < 0.1 and dt < 300 for _, l1, dt in results)
@@ -131,7 +131,7 @@ def test_criterion_3_depth_linear_maximum(report):
             for si in range(3):
                 seed = 7000 + 101 * depth + 13 * si + int(10 * eps2)
                 h = _dual_fim(400, depth, tuned.spec, tuned.params.sigma, seed)
-                ratios.append(float(np.linalg.eigvalsh(h)[-1]) / depth)
+                ratios.append(float(h.eigenvalues()[-1]) / depth)
             errs[depth] = abs(np.mean(ratios) - target) / target
         ok = ok and errs[32] < 0.10 and errs[32] <= errs[2] + 0.02
         details.append(f"eps2={eps2}: err(L=32) {errs[32]:.3f}, err(L=2) {errs[2]:.3f}")
@@ -146,7 +146,7 @@ def test_criterion_4_concentration_at_maximum(report):
     alpha = 1.0 - 0.1 / (depth - 1)
     h = model_fim_sample(M, constant_schedule(depth, 1.0, 1.0, alpha, 1.0),
                          np.random.default_rng(42))
-    vals = np.linalg.eigvalsh(h)
+    vals = h.eigenvalues()
     lam_max = vals[-1]
     frac = float(np.mean(vals >= 0.99 * lam_max))
     ok = 0.85 <= frac <= 0.95
@@ -159,7 +159,7 @@ def test_criterion_5_mean_identities(report):
     spec = HardTanh(s=1.0, g=1.0)
     h = _dual_fim(1000, 3, spec, 1.0, seed=31)
     predicted = mean_track(mean_field_schedule(spec, 1.0, 3))[-1]
-    rel_mean = abs(float(np.trace(h)) / 1000 / predicted - 1.0)
+    rel_mean = abs(float(np.trace(h.matrix())) / 1000 / predicted - 1.0)
 
     net = OrthogonalNet.sample(16, 3, spec, sigma=1.0, seed=13)
     rng = np.random.default_rng(14)
@@ -167,7 +167,7 @@ def test_criterion_5_mean_identities(report):
     theta = ntk_block_matrix(net, inputs)
     lhs = float(np.trace(theta)) / 16 / (3 * 16)
     rhs = sum(
-        float(np.trace(dual_fim(net.weights, net.activation, x))) / 16
+        float(np.trace(dual_fim(net.weights, net.activation, x).matrix())) / 16
         for x in inputs
     ) / 3**2
     trace_gap = abs(lhs - rhs)
@@ -205,7 +205,7 @@ def test_criterion_7_linear_degeneracy(report):
     gaps = {}
     for depth in (1, 2, 8):
         h = _dual_fim(64, depth, Linear(1.0), 1.0, seed=depth)
-        gaps[depth] = float(np.abs(np.linalg.eigvalsh(h) - depth).max())
+        gaps[depth] = float(np.abs(h.eigenvalues() - depth).max())
     ok = all(g < 1e-9 for g in gaps.values())
     report("7 linear-network degeneracy", ok,
            ", ".join(f"L={d}: {g:.1e}" for d, g in gaps.items()))

@@ -6,11 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import reference_model_fim
 
 import isospec.cli as cli
 from isospec import trainlab
 from isospec.cli import main
 from isospec.meanfield import moment_map
+from isospec.rmtsim import FimDraw
 from isospec.specmeasure import NumericalError, SpectralMeasure, distance_L1
 
 
@@ -152,12 +154,15 @@ class TestTune:
 
 class TestSimulate:
     def test_overflowing_h_exits_3(self, tmp_path, capsys):
-        # sigma^2 = 1e300 is finite, but H overflows after two layers
-        assert _run("simulate", "--out", tmp_path / "x", "--model", "atoms", "--width", 8,
-                    "--depth", 3, "--sigma", "1e150") == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: draw 0: H has non-finite entries\n")
-        assert not (tmp_path / "x").exists()
+        # sigma^2 = 1e300 is finite, but H overflows after two layers: in
+        # its low-rank form (alpha 1: no dead unit), turning dense partway
+        # (the default alpha), and dense from the first step (alpha 0.5)
+        for alpha in ([], ["--alpha", "1"], ["--alpha", "0.5"]):
+            assert _run("simulate", "--out", tmp_path / "x", "--model", "atoms", "--width", 8,
+                        "--depth", 3, "--sigma", "1e150", *alpha) == 3
+            assert capsys.readouterr().err == (
+                "numerical failure: draw 0: H has non-finite entries\n")
+            assert not (tmp_path / "x").exists()
 
     def test_atoms_model_with_auto_theory(self, tmp_path):
         out = tmp_path / "sa"
@@ -312,10 +317,10 @@ class TestSimulate:
         real = cli.model_fim_sample
         for sign in (1.0, -1.0):
             def nudged(M, schedule, rng, sign=sign):
-                h = real(M, schedule, rng)
+                h = real(M, schedule, rng).matrix()
                 noise = np.random.default_rng(0).standard_normal(h.shape)
                 h += sign * 1e-15 * np.abs(h).max() * (noise + noise.T)
-                return h
+                return FimDraw((), None, h=h)
 
             monkeypatch.setattr(cli, "model_fim_sample", nudged)
             out = tmp_path / f"nudged{sign:+.0f}"
@@ -330,8 +335,47 @@ class TestSimulate:
             out = tmp_path / name
             assert _run(*args, "--out", out) == 0
             outs.append(out)
-        for fname in ("eigenvalues.csv", "empirical.json", "histogram.svg", "theory.json"):
+        for fname in ("eigenvalues.csv", "empirical.json", "histogram.svg", "theory.json",
+                      "diagnostics.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_diagnostics_explain_each_draw(self, tmp_path):
+        # alpha 0.95 keeps H low-rank; at alpha 0.3 most units are dead and
+        # the first step turns dense
+        for alpha, low_rank in ((0.95, True), (0.3, False)):
+            out = tmp_path / str(alpha)
+            assert _run("simulate", "--model", "atoms", "--width", 100, "--depth", 5,
+                        "--alpha", alpha, "--seed", 2, "--draws", 2, "--out", out) == 0
+            draws = json.loads((out / "diagnostics.json").read_text())["draws"]
+            rows = (out / "eigenvalues.csv").read_text().splitlines()[1:]
+            assert [d["seed"] for d in draws] == [2, 3]
+            for k, d in enumerate(draws):
+                vals = np.array([float(r.split(",")[2]) for r in rows if r.startswith(f"{k},")])
+                assert len(d["dead_units"]) == 4
+                if low_rank:
+                    assert d["dense_layer"] is None
+                    assert d["top_atom_multiplicity"] == 100 - sum(d["dead_units"])
+                    assert d["top_atom"] == pytest.approx(vals.max(), rel=1e-11)
+                    near = np.abs(vals - d["top_atom"]) <= 1e-11 * d["top_atom"]
+                    assert np.count_nonzero(near) >= d["top_atom_multiplicity"]
+                else:
+                    assert d["dense_layer"] == 2
+                    assert d["top_atom"] is None and d["top_atom_multiplicity"] is None
+                    assert d["dead_units"][0] > 50
+
+    def test_dump_matches_the_dense_recursion(self, tmp_path):
+        # the low-rank form, formed only for the dump, against the dense
+        # recursion with each Q formed
+        out = tmp_path / "lr"
+        assert _run("simulate", "--model", "atoms", "--width", 200, "--depth", 8,
+                    "--alpha", 0.99, "--gamma", 1.2, "--seed", 4, "--dump-matrix", "h.npy",
+                    "--out", out) == 0
+        assert json.loads((out / "diagnostics.json").read_text())["draws"][0]["dense_layer"] is None
+        want = reference_model_fim(200, [1.0] * 8, [1.0] * 8, [0.99] * 7, [1.2] * 7,
+                                   np.random.default_rng(4))
+        h = np.load(out / "h.npy")
+        assert np.array_equal(h, h.T)
+        assert np.abs(h - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_external_theory_comparison(self, tmp_path):
         theory_dir = tmp_path / "th"
@@ -646,6 +690,8 @@ def test_non_finite_number_exits_2(argv, tmp_path, capsys):
     ["theory", "--depth", "2", "--alpha", "0.5", "--gamma", "1e-17"],
     ["theory", "--depth", "4", "--sigma", "1,1,1e-9,1"],
     ["theory", "--depth", "4", "--q", "1,1,1e20,1"],
+    # the closed form's band too, with every lambda at q2
+    ["theory", "--depth", "3", "--gamma", "1e-300"],
     ["simulate", "--model", "atoms", "--width", "8", "--depth", "4", "--sigma", "1,1,1e-9,1",
      "--theory-auto"],
 ], ids=" ".join)

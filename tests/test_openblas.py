@@ -135,3 +135,33 @@ def test_level3_routines_reject_rows_that_are_not_contiguous():
         frozen = np.zeros((4, 4), order="F")
         frozen.flags.writeable = False
         _openblas.dsyr2k("U", 1.0, fortran, fortran, 1.0, frozen)
+
+
+def test_blas_threads_restores_the_count_on_every_way_out():
+    lib = _openblas._library()
+    original = lib.get()
+    lib.put(2)
+    try:
+        with _openblas.blas_threads(1):
+            assert lib.get() == 1
+        assert lib.get() == 2
+        with pytest.raises(RuntimeError, match="inside"):
+            with _openblas.blas_threads(1):
+                assert lib.get() == 1
+                raise RuntimeError("inside")
+        assert lib.get() == 2
+    finally:
+        lib.put(original)
+
+
+def test_qr_of_a_tall_matrix_matches_numpys():
+    rng = np.random.default_rng(6)
+    a = np.asfortranarray(rng.standard_normal((40, 7)))
+    q, r = np.linalg.qr(a)
+    work = np.empty(_openblas.lwork(40))
+    tau = _openblas.dgeqrf(a, work)
+    assert np.abs(np.triu(a[:7]) - r).max() <= 1e-13 * np.abs(r).max()
+    _openblas.dorgqr(a, tau, work)
+    assert np.abs(a - q).max() <= 1e-13
+    with pytest.raises(ValueError, match="no more columns than rows"):
+        _openblas.dgeqrf(np.zeros((3, 5), order="F"), work)

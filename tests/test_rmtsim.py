@@ -25,7 +25,7 @@ from oracles import (
 
 from isospec import _openblas, rmtsim
 from isospec.freeconv import LayerSchedule, TwoAtomJacobianLaw
-from isospec.meanfield import HardTanh, Linear
+from isospec.meanfield import HardTanh, Linear, tune_constant_q
 from isospec.rmtsim import (
     OrthogonalNet,
     dual_fim,
@@ -50,16 +50,30 @@ def _numpy_haar(M, rng):
 
 
 class _SingularDraws:
-    """A generator whose first `singular` Gaussians have a zero column."""
+    """A generator whose first `singular` Gaussians, or those at the
+    positions in `singular`, have a zero column. Its state counts the
+    Gaussians drawn, so that a rewound state draws the same ones again."""
 
     def __init__(self, singular, seed):
-        self.rng = np.random.default_rng(seed)
-        self.singular = singular
+        self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed)'s stream
+        self.singular = range(singular) if isinstance(singular, int) else set(singular)
         self.draws = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state, self.draws
+
+    @state.setter
+    def state(self, value):
+        self.rng.bit_generator.state, self.draws = value
+
+    def random(self, size):
+        return self.rng.random(size)
 
     def standard_normal(self, size):
         a = self.rng.standard_normal(size)
-        if self.draws < self.singular:
+        if self.draws in self.singular:
             a[:, 1] = 0.0
         self.draws += 1
         return a
@@ -367,7 +381,7 @@ class TestDualFim:
         net = OrthogonalNet.sample(8, 3, HardTanh(s=1.0, g=1.0), seed=6)
         x = normalized_input(8, np.random.default_rng(6))
         h_dense, _ = dual_fim_dense(net, x)
-        h_rec = dual_fim(net.weights, net.activation, x)
+        h_rec = dual_fim(net.weights, net.activation, x).matrix()
         assert np.abs(h_dense - h_rec).max() < 1e-8
 
     def test_conditional_fim_duality(self):
@@ -386,13 +400,13 @@ class TestDualFim:
     def test_linear_unit_scales_give_depth_identity(self, depth):
         net = OrthogonalNet.sample(16, depth, Linear(1.0), seed=8)
         x = normalized_input(16, np.random.default_rng(8))
-        h = dual_fim(net.weights, net.activation, x)
+        h = dual_fim(net.weights, net.activation, x).matrix()
         assert np.abs(np.linalg.eigvalsh(h) - depth).max() < 1e-9
 
     def test_fim_is_positive_semidefinite(self):
         net = OrthogonalNet.sample(24, 4, HardTanh(s=0.5, g=1.3), seed=9)
         x = normalized_input(24, np.random.default_rng(9))
-        h = dual_fim(net.weights, net.activation, x)
+        h = dual_fim(net.weights, net.activation, x).matrix()
         assert np.linalg.eigvalsh(h)[0] > -1e-10
 
     def test_rejects_mismatched_trace(self):
@@ -433,17 +447,17 @@ class TestNetworkFimSample:
         x = normalized_input(M, np.random.default_rng(40 + depth))
         net = OrthogonalNet.sample(M, depth, activation, sigma, seed=depth)
         want = reference_dual_fim(net, x)
-        assert _near(network_fim_sample(M, depth, activation, sigma, depth, x), want)
-        assert np.array_equal(dual_fim(net.weights, activation, x), want)
+        assert _near(network_fim_sample(M, depth, activation, sigma, depth, x).matrix(), want)
+        assert np.array_equal(dual_fim(net.weights, activation, x).matrix(), want)
 
     def test_streamed_weights_are_the_sampled_network(self, monkeypatch):
         seen = []
         real = rmtsim.dual_fim
 
-        def recording(weights, activation, x):
+        def recording(weights, activation, x, worker=None):
             layers = list(weights)
             seen.extend(layers)
-            return real(layers, activation, x)
+            return real(layers, activation, x, worker)
 
         monkeypatch.setattr(rmtsim, "dual_fim", recording)
         sigma = list(STREAM_SIGMAS)
@@ -455,21 +469,27 @@ class TestNetworkFimSample:
 
     @needs_openblas
     def test_non_orthogonal_layer_is_named(self, monkeypatch):
-        draws = []
-        real = rmtsim._householder_draw
+        factored, drawn = [], []
+        real_factor, real_gaussian = rmtsim._factor, rmtsim._gaussian
 
-        def bent_third(M, rng, work):
-            f, tau, signs = real(M, rng, work)
-            draws.append(M)
-            if len(draws) == 3:
-                f[5, 0] += 1e-6
-            return f, tau, signs
+        def bent_third(a, work):
+            tau = real_factor(a, work)
+            factored.append(1)
+            if len(factored) == 3:
+                a.T[5, 0] += 1e-6  # F[5, 0], a reflector entry
+            return tau
 
-        monkeypatch.setattr(rmtsim, "_householder_draw", bent_third)
+        def counted(M, rng):
+            drawn.append(M)
+            return real_gaussian(M, rng)
+
+        monkeypatch.setattr(rmtsim, "_factor", bent_third)
+        monkeypatch.setattr(rmtsim, "_gaussian", counted)
         x = normalized_input(16, np.random.default_rng(0))
         with pytest.raises(ValueError, match="layer 3: W/sigma off orthogonal"):
             network_fim_sample(16, 5, Linear(1.0), 1.0, 0, x)
-        assert len(draws) == 3  # the draw stops at the bad layer
+        # the draw stops at the bad layer, and the one drawn ahead of it
+        assert len(drawn) == 4
 
     def test_non_finite_preactivation(self):
         x = normalized_input(16, np.random.default_rng(0))
@@ -539,114 +559,148 @@ class TestFimStep:
         assert np.array_equal(h, h.T)
 
 
-def _draw(model: str, M: int = 24, depth: int = 6) -> np.ndarray:
-    """One draw of either simulate model, by default small and six layers deep."""
+# (activation, alpha) of draws whose H stays low-rank at every step, and of
+# draws that turn dense at their first step
+REGIMES = {"low_rank": (HardTanh(s=0.5, g=1.0), 0.95), "dense": (HardTanh(s=3.0, g=1.3), 0.25)}
+
+
+def _draw(model: str, regime: str, M: int = 24, depth: int = 6):
+    """One draw of either simulate model, by default small and six layers
+    deep, checked to be in `regime`."""
+    activation, alpha = REGIMES[regime]
     if model == "network":
         x = normalized_input(M, np.random.default_rng(0))
-        return network_fim_sample(M, depth, HardTanh(s=0.5, g=1.3), 1.0, 0, x)
-    return model_fim_sample(M, constant_schedule(depth, 1.0, 1.1, 0.75, 1.3),
-                            np.random.default_rng(0))
+        sample = network_fim_sample(M, depth, activation, 1.0, 0, x)
+    else:
+        sample = model_fim_sample(M, constant_schedule(depth, 1.0, 1.1, alpha, 1.3),
+                                  np.random.default_rng(0))
+    assert sample.dense_layer == (None if regime == "low_rank" else 2)
+    return sample
 
 
 @pytest.mark.parametrize("model", ["network", "atoms"])
 class TestFimRecursionWorker:
-    """The conjugations run on one worker thread while the caller draws."""
+    """One worker thread: while H is low-rank it factors the next draw as
+    the caller takes the step; once H is dense it conjugates H while the
+    caller draws. Each property holds in both regimes."""
 
     @needs_openblas
     def test_at_most_one_earlier_draw_alive(self, model, monkeypatch):
-        draws, alive = [], []
-        real = rmtsim._householder_draw
+        real = rmtsim._gaussian
+        for regime in REGIMES:
+            draws, alive = [], []
 
-        def tracked(M, rng, work):
-            alive.append(sum(ref() is not None for ref in draws))
-            f, tau, signs = real(M, rng, work)
-            draws.append(weakref.ref(f))
-            return f, tau, signs
+            def tracked(M, rng):
+                alive.append(sum(ref() is not None for ref in draws))
+                a = real(M, rng)
+                draws.append(weakref.ref(a))
+                return a
 
-        monkeypatch.setattr(rmtsim, "_householder_draw", tracked)
-        _draw(model)
-        assert len(draws) == (6 if model == "network" else 5)
-        assert max(alive) == 1
+            monkeypatch.setattr(rmtsim, "_gaussian", tracked)
+            _draw(model, regime)
+            assert len(draws) == (6 if model == "network" else 5)
+            assert max(alive) == 1
 
     def test_peak_memory_below_four_matrices(self, model):
-        # H, the layer in conjugation, the layer being drawn, one M x TILE panel
+        # low-rank: two draws and V; dense: H, the layer in conjugation,
+        # the layer being drawn, one M x TILE panel
         M = 768
-        tracemalloc.start()
-        try:
-            _draw(model, M, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.9 * 8 * M * M
+        for regime in REGIMES:
+            tracemalloc.start()
+            try:
+                _draw(model, regime, M, 8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.9 * 8 * M * M
 
     def test_repeatable_under_fast_thread_switching(self, model):
-        want = _draw(model)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert np.array_equal(_draw(model), want)
-        finally:
-            sys.setswitchinterval(interval)
+        for regime in REGIMES:
+            want = _draw(model, regime).eigenvalues()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(5):
+                    assert np.array_equal(_draw(model, regime).eigenvalues(), want)
+            finally:
+                sys.setswitchinterval(interval)
 
     def test_no_thread_outlives_a_call(self, model):
-        before = threading.active_count()
-        _draw(model)
-        assert threading.active_count() == before
+        for regime in REGIMES:
+            before = threading.active_count()
+            _draw(model, regime)
+            assert threading.active_count() == before
 
+    @needs_openblas
     def test_worker_failure_reaches_caller(self, model, monkeypatch):
-        threads = []
-        real = rmtsim._fim_step
+        # the worker's job: the next draw's factoring (low-rank) or the
+        # conjugation (dense)
+        for regime, name in (("low_rank", "_factor"), ("dense", "_fim_step")):
+            threads = []
+            real = getattr(rmtsim, name)
 
-        def failing_third(h, work, layer):
-            threads.append(threading.current_thread())
-            if len(threads) == 3:
-                raise RuntimeError("step 3 failed")
-            real(h, work, layer)
+            def failing_third(*args, real=real):
+                threads.append(threading.current_thread())
+                if len(threads) == 3:
+                    raise RuntimeError("job 3 failed")
+                return real(*args)
 
-        monkeypatch.setattr(rmtsim, "_fim_step", failing_third)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="step 3 failed"):
-            _draw(model)
-        assert threading.active_count() == before
-        assert len(threads) == 3
-        assert threading.main_thread() not in threads
+            monkeypatch.setattr(rmtsim, name, failing_third)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="job 3 failed"):
+                _draw(model, regime)
+            monkeypatch.undo()
+            assert threading.active_count() == before
+            assert len(threads) == 3
+            assert threading.main_thread() not in threads
 
     @needs_openblas
     def test_step_failure_wins_over_the_next_draws(self, model, monkeypatch):
-        # step 2 conjugates the layer drawn by draw 3 (network) or 2 (atoms);
-        # the draw after it fails too, but a serial loop never reaches it
-        steps, draws = [], []
-        real_step, real_draw = rmtsim._fim_step, rmtsim._householder_draw
+        # step 2 takes the layer of draw 3 (network) or 2 (atoms); the draw
+        # after it fails too, but a serial loop never reaches it. Low-rank,
+        # the step runs here while the worker factors that draw; dense, the
+        # step runs on the worker while this thread draws it.
+        for regime, step, draw in (("low_rank", "_low_rank_step", "_factor"),
+                                   ("dense", "_fim_step", "_gaussian")):
+            steps, draws = [], []
+            real_step, real_draw = getattr(rmtsim, step), getattr(rmtsim, draw)
 
-        def failing_second(h, work, layer):
-            steps.append(1)
-            if len(steps) == 2:
-                raise RuntimeError("step 2 failed")
-            real_step(h, work, layer)
+            def failing_second(*args, real=real_step):
+                steps.append(1)
+                if len(steps) == 2:
+                    raise RuntimeError("step 2 failed")
+                return real(*args)
 
-        def failing_draw(M, rng, work):
-            draws.append(1)
-            if len(draws) == (4 if model == "network" else 3):
-                raise NumericalError("draw failed")
-            return real_draw(M, rng, work)
+            def failing_draw(*args, real=real_draw):
+                draws.append(1)
+                if len(draws) == (4 if model == "network" else 3):
+                    raise NumericalError("draw failed")
+                return real(*args)
 
-        monkeypatch.setattr(rmtsim, "_fim_step", failing_second)
-        monkeypatch.setattr(rmtsim, "_householder_draw", failing_draw)
-        with pytest.raises(RuntimeError, match="step 2 failed") as err:
-            _draw(model)
-        assert isinstance(err.value.__context__, NumericalError)
+            monkeypatch.setattr(rmtsim, step, failing_second)
+            monkeypatch.setattr(rmtsim, draw, failing_draw)
+            with pytest.raises(RuntimeError, match="step 2 failed") as err:
+                _draw(model, regime)
+            monkeypatch.undo()
+            assert len(draws) == (4 if model == "network" else 3)
+            if regime == "dense":
+                assert isinstance(err.value.__context__, NumericalError)
+            else:
+                assert err.value.__context__ is None
 
+    @needs_openblas
     def test_steps_run_under_the_callers_error_state(self, model, monkeypatch):
-        real = rmtsim._fim_step
+        for regime, name in (("low_rank", "_factor"), ("dense", "_fim_step")):
+            real = getattr(rmtsim, name)
 
-        def dividing(h, work, layer):
-            np.divide(1.0, np.zeros(1))
-            real(h, work, layer)
+            def dividing(*args, real=real):
+                np.divide(1.0, np.zeros(1))
+                return real(*args)
 
-        monkeypatch.setattr(rmtsim, "_fim_step", dividing)
-        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            _draw(model)
+            monkeypatch.setattr(rmtsim, name, dividing)
+            with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+                _draw(model, regime)
+            monkeypatch.undo()
 
 
 class TestNtkBlockMatrix:
@@ -654,7 +708,7 @@ class TestNtkBlockMatrix:
         net = OrthogonalNet.sample(12, 3, HardTanh(s=1.0, g=1.0), seed=10)
         x = normalized_input(12, np.random.default_rng(10))
         theta = ntk_block_matrix(net, [x])
-        h = dual_fim(net.weights, net.activation, x)
+        h = dual_fim(net.weights, net.activation, x).matrix()
         assert np.abs(theta - 12 * h).max() < 1e-8
 
     def test_trace_identity(self):
@@ -665,7 +719,7 @@ class TestNtkBlockMatrix:
         # both sides in normalized trace: tr(A) / dim(A)
         lhs = np.trace(theta / 16) / (3 * 16)
         rhs = sum(
-            np.trace(dual_fim(net.weights, net.activation, x)) / 16
+            np.trace(dual_fim(net.weights, net.activation, x).matrix()) / 16
             for x in inputs
         ) / 9.0
         assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -760,20 +814,20 @@ class TestModelFimSample:
         schedule = LayerSchedule(q, sigma, tuple(map(TwoAtomJacobianLaw, alphas, gammas)))
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         got = model_fim_sample(M, schedule, rng)
-        assert _near(got, reference_model_fim(M, *laws, ref_rng))
+        assert _near(got.matrix(), reference_model_fim(M, *laws, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_linear_model_is_depth_identity(self):
         rng = np.random.default_rng(4)
         h = model_fim_sample(64, constant_schedule(3, 1.0, 1.0, 1.0, 1.0), rng)
-        assert np.abs(np.linalg.eigvalsh(h) - 3.0).max() < 1e-10
+        assert np.abs(h.eigenvalues() - 3.0).max() < 1e-10
 
     def test_trace_tracks_mean_recursion(self):
         # E[tr H / M] = 1 + a + a^2 for constant alpha = a, unit scales
         rng = np.random.default_rng(3)
         h = model_fim_sample(400, constant_schedule(3, 1.0, 1.0, 0.75, 1.0), rng)
-        assert np.trace(h) / 400 == pytest.approx(2.3125, abs=0.05)
-        assert np.linalg.eigvalsh(h)[0] > -1e-10
+        assert np.trace(h.matrix()) / 400 == pytest.approx(2.3125, abs=0.05)
+        assert h.eigenvalues()[0] > -1e-10
 
 
 @pytest.mark.parametrize("model", ["network", "atoms"])
@@ -784,20 +838,158 @@ def test_both_paths_of_both_models_agree(haar_path, model):
     if model == "network":
         x = normalized_input(M, np.random.default_rng(1))
         sigma = list(STREAM_SIGMAS[:depth])
-        got = network_fim_sample(M, depth, HardTanh(s=0.5, g=1.3), sigma, 2, x)
+        got = network_fim_sample(M, depth, HardTanh(s=0.5, g=1.3), sigma, 2, x).matrix()
         want = reference_dual_fim(
             OrthogonalNet.sample(M, depth, HardTanh(s=0.5, g=1.3), sigma, seed=2), x)
     else:
         laws = ([1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [0.6] * 3, [1.7, 1.3, 0.9])
         schedule = LayerSchedule(laws[0], laws[1], tuple(map(TwoAtomJacobianLaw, *laws[2:])))
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = model_fim_sample(M, schedule, rng)
+        got = model_fim_sample(M, schedule, rng).matrix()
         want = reference_model_fim(M, *laws, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     if haar_path == "fallback":
         assert np.array_equal(got, want)
     else:
         assert _near(got, want)
+
+
+# max |eigenvalue - the oracle's| over max |eigenvalue| of the low-rank form
+# against the oracles' dense recursion
+EIG_TOL = 1e-12
+# the benchmark's tuning: H stays low-rank at every step
+TUNED = tune_constant_q(16, 0.1)
+
+
+def _within_gate(sample, want_h):
+    want = np.linalg.eigvalsh(want_h)
+    return np.abs(sample.eigenvalues() - want).max() <= EIG_TOL * np.abs(want).max()
+
+
+def _network_case(M, depth, activation, sigma, seed):
+    """(sample, oracle's H) of one network draw at the simulate input."""
+    x = normalized_input(M, np.random.default_rng(seed ^ 0xA5A5))
+    sample = network_fim_sample(M, depth, activation, sigma, seed, x)
+    net = OrthogonalNet.sample(M, depth, activation, sigma, seed=seed)
+    return sample, reference_dual_fim(net, x)
+
+
+def _atoms_case(M, laws, rng, ref_rng):
+    """(sample, oracle's H) of one atoms-model draw along (q, sigma,
+    alpha, gamma) lists."""
+    schedule = LayerSchedule(laws[0], laws[1], tuple(map(TwoAtomJacobianLaw, *laws[2:])))
+    sample = model_fim_sample(M, schedule, rng)
+    return sample, reference_model_fim(M, *laws, ref_rng)
+
+
+def _constant_laws(depth, q, sigma, alpha, gamma):
+    return [q] * depth, [sigma] * depth, [alpha] * (depth - 1), [gamma] * (depth - 1)
+
+
+SHAPES = [(M, depth, seed) for M in (24, 257) for depth in (2, 8, 16) for seed in range(3)]
+SHAPES += [(1000, 16, 1)]
+
+
+@needs_openblas
+class TestLowRankForm:
+    """H kept as a I + V T V^T, its eigenvalues against the oracles'."""
+
+    @pytest.mark.parametrize("M, depth, seed", SHAPES)
+    def test_network_matches_the_oracle(self, M, depth, seed):
+        sample, want = _network_case(M, depth, TUNED.spec, TUNED.params.sigma, seed)
+        assert sample.dense_layer is None
+        assert _within_gate(sample, want)
+
+    @pytest.mark.parametrize("M, depth, seed", SHAPES)
+    def test_atoms_model_matches_the_oracle(self, M, depth, seed):
+        p = TUNED.params
+        laws = _constant_laws(depth, p.q, p.sigma, p.alpha, p.gamma)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        sample, want = _atoms_case(M, laws, rng, ref_rng)
+        assert sample.dense_layer is None
+        assert _within_gate(sample, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("M", [24, 257])
+    def test_half_alive_turns_dense_partway(self, M):
+        # about M / 2 dead units a layer: some draws turn dense at the first
+        # step, some at the second
+        dense_at = set()
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            sample, want = _atoms_case(M, _constant_laws(8, 1.0, 1.0, 0.5, 1.0), rng, ref_rng)
+            dense_at.add(sample.dense_layer)
+            assert _within_gate(sample, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert dense_at == {2, 3}
+
+    def test_unequal_live_magnitudes_turn_dense(self):
+        # the live units of the second step's D differ in |d_i|
+        M = 64
+        rng, work = np.random.default_rng(3), np.empty(_openblas.lwork(M))
+        want = np.eye(M)
+
+        def layers():
+            nonlocal want
+            for ell in range(3):
+                f, tau, signs = rmtsim._householder_draw(M, rng, work)
+                layer = rmtsim._Householder(f, tau, signs, work)
+                d = rng.uniform(0.5, 1.5, M) if ell == 1 else np.ones(M)
+                d[:5] = 0.0
+                w = _dense(layer)
+                want = np.eye(M) + w @ (d[:, None] * want * d[None, :]) @ w.T
+                yield layer, d, 1.0
+
+        with rmtsim._one_worker() as worker:
+            sample = rmtsim._fim_recursion(M, 1.0, layers(), worker)
+        assert sample.dense_layer == 3
+        assert sample.dead == (5, 5, 5)
+        assert _within_gate(sample, (want + want.T) / 2.0)
+
+    def test_linear_network_is_one_atom(self):
+        sample, want = _network_case(64, 8, Linear(1.0), 1.0, 0)
+        assert sample.v.shape == (64, 0) and sample.dead == (0,) * 7
+        assert np.all(sample.eigenvalues() == sample.a)
+        assert _within_gate(sample, want)
+
+    def test_top_atom_is_the_largest_eigenvalue(self):
+        sample, _ = _network_case(257, 8, TUNED.spec, TUNED.params.sigma, 1)
+        vals = sample.eigenvalues()
+        M, n = sample.v.shape
+        assert n == sum(sample.dead) and 0 < n < M / 2
+        assert np.count_nonzero(vals == sample.a) >= M - n
+        assert vals[-1] == pytest.approx(sample.a, rel=1e-12)
+
+    def test_formed_matrix_is_symmetric_and_matches(self):
+        sample, want = _network_case(257, 8, TUNED.spec, TUNED.params.sigma, 2)
+        h = sample.matrix()
+        assert np.array_equal(h, h.T)
+        assert _near(h, want)
+
+    @pytest.mark.parametrize("model", ["network", "atoms"])
+    def test_rank_deficient_draws_leave_a_serial_loops_numbers(self, model, monkeypatch):
+        # the first Gaussian, drawn ahead, and the fourth in a serial loop
+        # are singular and drawn again
+        M, depth, singular = 64, 6, (0, 3)
+        if model == "network":
+            x = normalized_input(M, np.random.default_rng(5))
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed: _SingularDraws(singular, seed))
+            args = (M, depth, TUNED.spec, TUNED.params.sigma)
+            sample = network_fim_sample(*args, 5, x)
+            want = reference_dual_fim(OrthogonalNet.sample(*args, seed=5), x)
+        else:
+            p = TUNED.params
+            laws = _constant_laws(depth, p.q, p.sigma, p.alpha, p.gamma)
+            rng, ref_rng = _SingularDraws(singular, 5), _SingularDraws(singular, 5)
+            sample, want = _atoms_case(M, laws, rng, ref_rng)
+            assert rng.state == ref_rng.state
+            assert rng.draws == depth - 1 + len(singular)
+        assert sample.dense_layer is None
+        assert _within_gate(sample, want)
+        with pytest.raises(NumericalError, match="rank-deficient"):
+            model_fim_sample(M, constant_schedule(depth, 1.0, 1.0, 1.0, 1.0),
+                             _SingularDraws(range(1, 9), 5))
 
 
 class TestFreenessProbe:
