@@ -655,11 +655,11 @@ def _draw_diagnostics(sample, seed: int) -> dict:
     form and its multiplicity M - n (both None once H turned dense), the
     dead units of each hidden layer's D (None where D was folded into W),
     and the first layer whose H the dense step formed, or None."""
-    low_rank = sample.h is None
+    atom, multiplicity = sample.top_atom() or (None, None)
     return {
         "seed": seed,
-        "top_atom": sample.a if low_rank else None,
-        "top_atom_multiplicity": sample.v.shape[0] - sample.v.shape[1] if low_rank else None,
+        "top_atom": atom,
+        "top_atom_multiplicity": multiplicity,
         "dead_units": list(sample.dead),
         "dense_layer": sample.dense_layer,
     }

@@ -64,7 +64,8 @@ ORTHO_TOL = 1e-10
 # step takes 50 ms on the worker while the caller draws for 47 ms, and
 # the dense form costs 25 ms to form H and an 80 ms eigvalsh at the end.
 # So the two cross between 300 and 500 columns a layer, and at M / 2 once
-# the dense form's fixed costs are counted.
+# the dense form's fixed costs are counted. These are in-process timings:
+# the benchmark's simulate commands stay low-rank and never reach it.
 LOW_RANK_SHARE = 0.5
 # Tile of the in-place transposes and symmetrization, band of the
 # orthogonality check and panel width of the FIM conjugation.
@@ -121,16 +122,16 @@ def _factor(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     return _openblas.dgeqrf(a.T, work)
 
 
-def _householder_draw(M: int, rng: np.random.Generator, work: np.ndarray, tries: int = 8) -> tuple:
+def _householder_draw(M: int, rng: np.random.Generator, work: np.ndarray) -> tuple:
     """(F, tau, signs): a Haar draw as numpy's QR of an M x M Gaussian
     from rng leaves it, before Q is formed.
 
     F = a.T of _factor. The Haar draw is Q diag(signs) with Q = H_1 ...
     H_M and signs = sign(diag R) (Stewart 1980; Mezzadri 2007). A
-    rank-deficient Gaussian is drawn again, `tries` Gaussians in all.
-    `work` is the LAPACK workspace (_openblas.lwork).
+    rank-deficient Gaussian is drawn again, 8 Gaussians at most. `work`
+    is the LAPACK workspace (_openblas.lwork).
     """
-    for _ in range(tries):
+    for _ in range(8):
         a = _gaussian(M, rng)
         tau = _factor(a, work)
         if _full_rank(np.diagonal(a)):
@@ -266,8 +267,11 @@ class _Worker:
     """The one worker thread of a recursion, and the job it has. While H
     is low-rank, `ahead` holds and the worker factors each next draw
     (_householder_layers); once H is dense it conjugates H instead
-    (_fim_step) and each draw is factored by the caller. Jobs run in the
-    caller's context, so under its numpy error state."""
+    (_fim_step) and each draw is factored by the caller. `ahead` is the
+    one channel between the recursion and the draw that feeds it:
+    _fim_recursion clears it when H turns dense, and _householder_layers
+    reads it before it draws ahead. Jobs run in the caller's context, so
+    under its numpy error state."""
 
     def __init__(self, pool: ThreadPoolExecutor):
         self.pool = pool
@@ -293,7 +297,8 @@ def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worke
     with scale scales[i] times its signs, and `drawn` is what before(i)
     draws from rng just before its Gaussian (None without `before`).
 
-    While worker.ahead holds, each Gaussian is factored on the worker:
+    While worker.ahead holds (until _fim_recursion turns H dense and
+    clears it), each Gaussian is factored on the worker:
     Gaussian i + 1 is drawn here while the worker factors Gaussian i, and
     is factored while the caller uses layer i. So at most two draws are
     alive, if the caller keeps no layer it was done with. The numbers
@@ -333,13 +338,19 @@ def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worke
                         job.result()  # Gaussian i comes first in a serial loop
                         raise
                 tau = job.result()
-                if _full_rank(np.diagonal(a)):
-                    f, signs = a.T, np.sign(np.diagonal(a))
-                else:
+                if not _full_rank(np.diagonal(a)):
+                    # a serial loop's other 7 tries, from the state after it
                     rng.bit_generator.state = state
-                    f, tau, signs = _householder_draw(M, rng, work, tries=7)
+                    for _ in range(7):
+                        a = _gaussian(M, rng)
+                        tau = _factor(a, work)
+                        if _full_rank(np.diagonal(a)):
+                            break
+                    else:
+                        raise NumericalError("repeated rank-deficient Gaussian draws")
                     if later is not None:
                         later = draw(i + 1)
+                f, signs = a.T, np.sign(np.diagonal(a))
                 del a, job
                 if later is not None:
                     nxt = factored(*later)
@@ -353,13 +364,9 @@ def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worke
 
 
 def _network_layers(width: int, sigma: tuple, seed: int, worker: _Worker | None = None) -> Iterator:
-    """_haar_layers' draw as network_fim_sample consumes it. Where numpy's
-    OpenBLAS is found, each layer stays as its reflectors, checked on
-    them (_householder_layers, which factors ahead on `worker`); Q is
-    never formed. Elsewhere this is _haar_layers."""
-    if not _openblas.found():
-        yield from _haar_layers(width, sigma, seed)
-        return
+    """_haar_layers' draw with each layer kept as its reflectors and
+    checked on them (_householder_layers, which factors ahead on
+    `worker`); Q is never formed. Needs numpy's OpenBLAS."""
     ell = 0
     for layer, _ in _householder_layers(width, sigma, np.random.default_rng(seed), worker):
         ell += 1
@@ -603,6 +610,14 @@ class FimDraw:
         top = np.full(M - n, self.a)
         return np.sort(np.concatenate([top, self.a + np.linalg.eigvalsh(self.t)]))
 
+    def top_atom(self) -> tuple | None:
+        """(a, M - n): the top atom of the low-rank form and its
+        multiplicity, or None once H is dense."""
+        if self.h is not None:
+            return None
+        M, n = self.v.shape
+        return self.a, M - n
+
     def matrix(self) -> np.ndarray:
         """H itself."""
         return self.h if self.h is not None else _formed(self.a, self.v, self.t)
@@ -652,7 +667,7 @@ def _fim_recursion(M: int, q0: float, layers: Iterator, worker: _Worker) -> FimD
                         continue
                 if h is None:
                     h, a, v, t, dense_layer = _formed(a, v, t), None, None, None, ell
-                    worker.ahead = False
+                    worker.ahead = False  # the draw factors its own layers from now on
                     k = min(M, TILE)
                     work = np.empty(k * (M + 2 * k))
                 if pending is not None:
@@ -686,24 +701,26 @@ def _network_steps(weights: Iterable, activation: ActivationSpec, x: np.ndarray)
         raise ValueError("need at least one layer")
 
 
-def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray,
-             worker: _Worker | None = None) -> FimDraw:
+def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> FimDraw:
     """H_L by the layer recursion, in O(L M^3) time at most.
 
     Consumes `weights` (a list, or a generator such as a streamed draw)
     through _forward_layers on the calling thread, step by step, while
     _fim_recursion's worker either factors the next draw or conjugates
-    the previous layer. `worker` is the one the caller draws `weights`
-    through (_network_layers); without it the recursion gets its own.
-    Explicit weights take the dense path from the first step and keep its
-    bits. Each step needs only the current W_l and D_{l-1}, so beyond
-    what the caller keeps the working memory is at most three M x M
-    arrays, H and the weights of the two layers in hand, plus one scratch
-    of about M x TILE, whatever the depth.
+    the previous layer. Explicit weights take the dense path from the
+    first step and keep its bits. Each step needs only the current W_l
+    and D_{l-1}, so beyond what the caller keeps the working memory is at
+    most three M x M arrays, H and the weights of the two layers in hand,
+    plus one scratch of about M x TILE, whatever the depth.
     """
-    if worker is None:
-        with _one_worker() as worker:
-            return dual_fim(weights, activation, x, worker)
+    with _one_worker() as worker:
+        return _dual_fim(weights, activation, x, worker)
+
+
+def _dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray,
+              worker: _Worker) -> FimDraw:
+    """dual_fim on `worker`, the one the caller draws `weights` through
+    (_network_layers)."""
     x = np.asarray(x, dtype=float)
     if not np.linalg.norm(x) > 0:
         raise ValueError("input must be nonzero")
@@ -725,18 +742,22 @@ def network_fim_sample(
     Each layer is drawn, checked and forward-propagated on the calling
     thread, so the peak memory does not grow with depth, and a bad layer
     stops the draw there. Where numpy's OpenBLAS is found the layers stay
-    as their reflectors (_network_layers): while H stays low-rank the
-    worker factors layer l + 1's Gaussian as the caller takes layer l's
-    step, and at most two draws are alive; once H turns dense, the worker
-    conjugates it while the caller draws, as in dual_fim. The eigenvalues
-    agree with those of dual_fim(net.weights, activation, x) to rounding,
-    within 1e-12 of the largest; elsewhere H is bit-identical.
+    as their reflectors (_network_layers), and the draw shares the
+    recursion's worker: while H stays low-rank the worker factors layer
+    l + 1's Gaussian as the caller takes layer l's step, and at most two
+    draws are alive; once H turns dense, the worker conjugates it while
+    the caller draws, as in dual_fim. The eigenvalues agree with those of
+    dual_fim(net.weights, activation, x) to rounding, within 1e-12 of the
+    largest. Elsewhere the explicit draw (_haar_layers) goes through
+    dual_fim, and H is bit-identical.
     """
     if np.shape(x) != (width,):
         raise ValueError(f"input must have shape ({width},)")
     sig = layer_sigmas(sigma, depth)
+    if not _openblas.found():
+        return dual_fim(_haar_layers(width, sig, seed), activation, x)
     with _one_worker() as worker:
-        return dual_fim(_network_layers(width, sig, seed, worker), activation, x, worker)
+        return _dual_fim(_network_layers(width, sig, seed, worker), activation, x, worker)
 
 
 def near_top_mask(vals: np.ndarray, window: float) -> np.ndarray:
