@@ -125,18 +125,18 @@ def _call(name: str, *args) -> None:
 def lwork(m: int) -> int:
     """A work-array size that serves each routine below that takes one, at
     order m: the largest that an LWORK = -1 query asks for, of dgeqrf and
-    dorgqr on an m x m matrix and of dormqr on an m x m matrix from either
-    side and on a vector. Their queries grow with the columns, so it also
-    serves fewer than m of them. More work than a routine asks for changes
-    neither its blocking nor its bits, so one array can serve them all."""
+    dorgqr on an m x m matrix and of dormqr on an m x m matrix and on a
+    vector. Their queries grow with the columns, so it also serves fewer
+    than m of them. More work than a routine asks for changes neither its
+    blocking nor its bits, so one array can serve them all."""
     query, dummy = np.zeros(1), np.zeros(1)
     sizes = [m]
     _call("dgeqrf", m, m, dummy, m, dummy, query, -1)
     sizes.append(int(query[0]))
     _call("dorgqr", m, m, m, dummy, m, dummy, query, -1)
     sizes.append(int(query[0]))
-    for side, rows, cols in ((b"L", m, m), (b"R", m, m), (b"L", m, 1)):
-        _call("dormqr", side, b"N", rows, cols, m, dummy, m, dummy, dummy, rows, query, -1)
+    for cols in (m, 1):
+        _call("dormqr", b"L", b"N", m, cols, m, dummy, m, dummy, dummy, m, query, -1)
         sizes.append(int(query[0]))
     return max(sizes)
 
@@ -197,26 +197,19 @@ def dorgqr(a: np.ndarray, tau: np.ndarray, work: np.ndarray) -> None:
     _call("dorgqr", m, n, n, a, lda, tau, work, work.size)
 
 
-def dormqr(side: str, trans: str, a: np.ndarray, tau: np.ndarray, c: np.ndarray,
-           work: np.ndarray) -> None:
-    """c <- Q c ("L", "N"), Q^T c ("L", "T"), c Q ("R", "N") or c Q^T
-    ("R", "T") in place, where Q = H_1 ... H_m is the product of the
+def dormqr(a: np.ndarray, tau: np.ndarray, c: np.ndarray, work: np.ndarray) -> None:
+    """c <- Q c in place, where Q = H_1 ... H_m is the product of the
     reflectors that dgeqrf left below the diagonal of `a` and in `tau`,
-    without forming Q. `c` is a matrix stored by columns, or for "L" a
-    vector of length m."""
+    without forming Q. `c` is a matrix stored by columns or a vector, with
+    m rows."""
     m, lda = _square(a)
     _tau_and_work(m, tau, work)
-    if side not in ("L", "R") or trans not in ("N", "T"):
-        raise ValueError("side is L or R, trans N or T")
-    if c.ndim == 1 and side != "L":
-        raise ValueError("a vector meets Q from the left only")
     view = c[:, None] if c.ndim == 1 else c
     ldc = _columns(view, writeable=True)
     rows, cols = view.shape
-    if (rows if side == "L" else cols) != m:
-        raise ValueError(f"c of shape {c.shape} does not meet Q of order {m} from {side}")
-    _call("dormqr", side.encode(), trans.encode(), rows, cols, m, a, lda, tau, view, ldc,
-          work, work.size)
+    if rows != m:
+        raise ValueError(f"c of shape {c.shape} does not meet Q of order {m}")
+    _call("dormqr", b"L", b"N", rows, cols, m, a, lda, tau, view, ldc, work, work.size)
 
 
 def _op(trans: str, a: np.ndarray) -> tuple:
@@ -247,36 +240,33 @@ def dgemm(transa: str, transb: str, alpha: float, a: np.ndarray, b: np.ndarray,
           b, _columns(b), float(beta), c, _columns(c, writeable=True))
 
 
-def dsymm(uplo: str, alpha: float, a: np.ndarray, b: np.ndarray, beta: float,
-          c: np.ndarray) -> None:
+def dsymm(alpha: float, a: np.ndarray, b: np.ndarray, beta: float, c: np.ndarray) -> None:
     """c <- alpha a b + beta c in place for a symmetric a, of which only
-    the `uplo` ("U" or "L") triangle is read."""
+    the upper triangle is read."""
     m, n = b.shape
-    if uplo not in ("U", "L") or a.shape != (m, m) or c.shape != (m, n):
+    if a.shape != (m, m) or c.shape != (m, n):
         raise ValueError(f"shapes {a.shape}, {b.shape} and {c.shape} do not meet")
-    _call("dsymm", b"L", uplo.encode(), m, n, float(alpha), a, _columns(a), b, _columns(b),
+    _call("dsymm", b"L", b"U", m, n, float(alpha), a, _columns(a), b, _columns(b),
           float(beta), c, _columns(c, writeable=True))
 
 
-def dsyr2k(uplo: str, alpha: float, a: np.ndarray, b: np.ndarray, beta: float,
-           c: np.ndarray) -> None:
-    """The `uplo` ("U" or "L") triangle of c <- alpha (a b^T + b a^T) +
-    beta c, in place; the other triangle is neither read nor written."""
+def dsyr2k(alpha: float, a: np.ndarray, b: np.ndarray, beta: float, c: np.ndarray) -> None:
+    """The upper triangle of c <- alpha (a b^T + b a^T) + beta c, in
+    place; the lower triangle is neither read nor written."""
     n, k = a.shape
-    if uplo not in ("U", "L") or b.shape != (n, k) or c.shape != (n, n):
+    if b.shape != (n, k) or c.shape != (n, n):
         raise ValueError(f"shapes {a.shape}, {b.shape} and {c.shape} do not meet")
-    _call("dsyr2k", uplo.encode(), b"N", n, k, float(alpha), a, _columns(a), b, _columns(b),
+    _call("dsyr2k", b"U", b"N", n, k, float(alpha), a, _columns(a), b, _columns(b),
           float(beta), c, _columns(c, writeable=True))
 
 
-def dtrmm(side: str, uplo: str, transa: str, alpha: float, a: np.ndarray,
-          b: np.ndarray) -> None:
+def dtrmm(side: str, transa: str, alpha: float, a: np.ndarray, b: np.ndarray) -> None:
     """b <- alpha op(a) b ("L") or alpha b op(a) ("R") in place, for a
-    triangular a of which only the `uplo` triangle is read."""
+    triangular a of which only the upper triangle is read."""
     m, n = b.shape
     order = m if side == "L" else n
     _op(transa, a)
-    if side not in ("L", "R") or uplo not in ("U", "L") or a.shape != (order, order):
+    if side not in ("L", "R") or a.shape != (order, order):
         raise ValueError(f"shapes {a.shape} and {b.shape} do not meet from {side}")
-    _call("dtrmm", side.encode(), uplo.encode(), transa.encode(), b"N", m, n, float(alpha),
+    _call("dtrmm", side.encode(), b"U", transa.encode(), b"N", m, n, float(alpha),
           a, _columns(a), b, _columns(b, writeable=True))

@@ -137,7 +137,8 @@ class ConvolutionStats:
 
     `iterations_*` count Newton steps per grid point, and `continued`
     counts the points accepted only after the walk down Im z. `flagged`
-    is always empty: a point with no accepted root fails the solve.
+    is always empty: a point with no accepted root fails the solve. It is
+    kept only for bench/run.py, which sums it under --trace 1.
     """
 
     grid_count: int
@@ -431,12 +432,17 @@ def propagate_schedule(
     With `return_stats`, also returns one ConvolutionStats per layer, the
     all-zero record for mu_1 and for layers that need no numeric solve.
     A NumericalError from a layer is raised as a LayerError, which names
-    that layer and carries the measures and stats of the layers before it.
+    that layer and carries the measures and stats of the layers before it;
+    a layer whose support maximum (max_support_track) overflows fails so
+    before its solve.
     """
     out = [SpectralMeasure.dirac(schedule.q[0])]
     stats = [_TRIVIAL_STATS]
+    lams = max_support_track(schedule)[0]
     for ell in range(1, schedule.depth):
         try:
+            if not math.isfinite(lams[ell]):
+                raise NumericalError("the support maximum overflows")
             conv, st = free_mult_conv_two_atom(
                 out[-1], schedule.jacobians[ell - 1], grid_count=grid_count, return_stats=True
             )

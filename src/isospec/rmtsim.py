@@ -28,8 +28,9 @@ at one thread throughout, so the two threads share the cores.
 
 Each Haar draw is factored in its own M x M buffer by dgeqrf, the
 LAPACK routine numpy's QR calls, reached in numpy's bundled OpenBLAS
-(see _openblas). The draw is then Q diag(sign r_ii), Q the product of
-dgeqrf's Householder reflectors. sample_haar_orthogonal forms Q there
+(see _openblas). The draw is then Q diag(s), Q the product of dgeqrf's
+Householder reflectors and s_i the sign bit of r_ii, +-1 even where r_ii
+is 0, so each draw reads exactly one Gaussian. sample_haar_orthogonal forms Q there
 with dorgqr and keeps np.linalg.qr's bits. Simulate's two models never
 form Q: each fresh layer stays as its reflectors, applied to V by one
 dormqr, or to a dense H by blocks of TILE of them (_reflect_both_sides);
@@ -101,12 +102,6 @@ def _symmetrize_in_place(a: np.ndarray) -> None:
             a[cols, rows] = tile.T
 
 
-def _full_rank(d: np.ndarray) -> bool:
-    """Whether the triangular diagonal d of a Gaussian's QR is bounded
-    away from 0; a (probability-zero) near-singular draw is resampled."""
-    return np.abs(d).min() >= 1e-12 * math.sqrt(d.size)
-
-
 def _gaussian(M: int, rng: np.random.Generator) -> np.ndarray:
     """An M x M Gaussian from rng, transposed in place so that LAPACK
     reads it column-major, as numpy's QR copies it."""
@@ -122,32 +117,36 @@ def _factor(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     return _openblas.dgeqrf(a.T, work)
 
 
+def _signs(r: np.ndarray) -> np.ndarray:
+    """The signs of the Haar draw Q diag(signs) from the QR of a Gaussian,
+    Q R: the sign bits of R's diagonal, +-1 even where an r_ii is 0, so
+    that W stays orthogonal for every Gaussian (Stewart 1980; Mezzadri
+    2007). A Householder Q is orthogonal whatever the Gaussian's rank."""
+    return np.copysign(1.0, np.diagonal(r))
+
+
 def _householder_draw(M: int, rng: np.random.Generator, work: np.ndarray) -> tuple:
-    """(F, tau, signs): a Haar draw as numpy's QR of an M x M Gaussian
+    """(F, tau, signs): a Haar draw as numpy's QR of one M x M Gaussian
     from rng leaves it, before Q is formed.
 
     F = a.T of _factor. The Haar draw is Q diag(signs) with Q = H_1 ...
-    H_M and signs = sign(diag R) (Stewart 1980; Mezzadri 2007). A
-    rank-deficient Gaussian is drawn again, 8 Gaussians at most. `work`
-    is the LAPACK workspace (_openblas.lwork).
+    H_M and signs from _signs. `work` is the LAPACK workspace
+    (_openblas.lwork).
     """
-    for _ in range(8):
-        a = _gaussian(M, rng)
-        tau = _factor(a, work)
-        if _full_rank(np.diagonal(a)):
-            return a.T, tau, np.sign(np.diagonal(a))
-    raise NumericalError("repeated rank-deficient Gaussian draws")
+    a = _gaussian(M, rng)
+    tau = _factor(a, work)
+    return a.T, tau, _signs(a)
 
 
 def sample_haar_orthogonal(M: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed M x M orthogonal matrix, with np.linalg.qr's bits.
 
-    QR of a Gaussian matrix with the sign ambiguity fixed by forcing a
-    positive triangular diagonal; without the fix numpy's QR biases the
-    draw away from uniform. Where numpy's OpenBLAS is found, Q is formed
-    by dorgqr in the one M x M buffer of _householder_draw and transposed
-    back in place; np.linalg.qr is the fallback, with about four M x M
-    arrays alive at once.
+    QR of one Gaussian matrix with the sign ambiguity fixed by forcing
+    a positive triangular diagonal (_signs); without the fix numpy's QR
+    biases the draw away from uniform. Where numpy's OpenBLAS is found,
+    Q is formed by dorgqr in the one M x M buffer of _householder_draw
+    and transposed back in place; np.linalg.qr is the fallback, with about
+    four M x M arrays alive during the draw.
     """
     if M < 2:
         raise ValueError("M must be at least 2")
@@ -158,13 +157,8 @@ def sample_haar_orthogonal(M: int, rng: np.random.Generator) -> np.ndarray:
         q = f.T
         _transpose_in_place(q)
     else:
-        for _ in range(8):
-            q, r = np.linalg.qr(rng.standard_normal((M, M)))
-            if _full_rank(np.diagonal(r)):
-                break
-        else:
-            raise NumericalError("repeated rank-deficient Gaussian draws")
-        signs = np.sign(np.diagonal(r))
+        q, r = np.linalg.qr(rng.standard_normal((M, M)))
+        signs = _signs(r)
     q *= signs
     return q
 
@@ -244,7 +238,7 @@ class _Householder:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """W x for one input x of shape (M,)."""
         y = self.scale * x
-        _openblas.dormqr("L", "N", self.f, self.tau, y, self.work)
+        _openblas.dormqr(self.f, self.tau, y, self.work)
         return y
 
 
@@ -290,7 +284,7 @@ def _one_worker() -> Iterator:
         yield _Worker(pool)
 
 
-def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worker | None = None,
+def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worker,
                         before=None) -> Iterator:
     """(layer, drawn) for each of `scales`, in order: layer i is the
     _Householder of a Haar draw from rng, as _householder_draw makes it,
@@ -298,38 +292,35 @@ def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worke
     draws from rng just before its Gaussian (None without `before`).
 
     While worker.ahead holds (until _fim_recursion turns H dense and
-    clears it), each Gaussian is factored on the worker:
-    Gaussian i + 1 is drawn here while the worker factors Gaussian i, and
-    is factored while the caller uses layer i. So at most two draws are
-    alive, if the caller keeps no layer it was done with. The numbers
-    drawn are a serial loop's: a rank-deficient Gaussian is drawn again
-    from the rng state saved after it, before the draws ahead of it. A
-    failure reaches the caller in serial order: that of the draw being
-    factored wins over one while drawing ahead, and loses to the
-    caller's while the caller holds layer i.
+    clears it), each Gaussian is factored on the worker: Gaussian i + 1
+    is drawn here while the worker factors Gaussian i, and its factoring
+    is submitted once that of Gaussian i is done, to run while the
+    caller uses layer i. So at most two draws are alive, if the caller
+    keeps no layer it was done with, and rng is read in a serial loop's
+    order, one Gaussian a layer. A failure reaches the caller in serial
+    order: that of the draw being factored wins over one while drawing
+    ahead, and loses to the caller's while the caller holds layer i.
     """
     work = np.empty(_openblas.lwork(M))  # this thread's, which layer.matvec reuses
-    side = np.empty(_openblas.lwork(M)) if worker is not None else None  # the worker's
+    side = np.empty(_openblas.lwork(M))  # the worker's
     extra = before or (lambda i: None)
 
     def draw(i):
-        got = extra(i)
-        a = _gaussian(M, rng)
-        return got, a, rng.bit_generator.state
+        return extra(i), _gaussian(M, rng)
 
-    def factored(got, a, state):
-        return got, a, worker.submit(_factor, a, side), state
+    def factored(got, a):
+        return got, a, worker.submit(_factor, a, side)
 
-    nxt = None  # (drawn, Gaussian, its factoring on the worker, rng state after it)
+    nxt = None  # (drawn, Gaussian, its factoring on the worker)
     try:
         for i, s in enumerate(scales):
-            if nxt is None and worker is not None and worker.ahead:
+            if nxt is None and worker.ahead:
                 nxt = factored(*draw(i))
             if nxt is None:
                 got = extra(i)
                 f, tau, signs = _householder_draw(M, rng, work)
             else:
-                got, a, job, state = nxt
+                got, a, job = nxt
                 nxt = later = None
                 if worker.ahead and i + 1 < len(scales):
                     try:
@@ -338,19 +329,7 @@ def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worke
                         job.result()  # Gaussian i comes first in a serial loop
                         raise
                 tau = job.result()
-                if not _full_rank(np.diagonal(a)):
-                    # a serial loop's other 7 tries, from the state after it
-                    rng.bit_generator.state = state
-                    for _ in range(7):
-                        a = _gaussian(M, rng)
-                        tau = _factor(a, work)
-                        if _full_rank(np.diagonal(a)):
-                            break
-                    else:
-                        raise NumericalError("repeated rank-deficient Gaussian draws")
-                    if later is not None:
-                        later = draw(i + 1)
-                f, signs = a.T, np.sign(np.diagonal(a))
+                f, signs = a.T, _signs(a)
                 del a, job
                 if later is not None:
                     nxt = factored(*later)
@@ -363,7 +342,7 @@ def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worke
             nxt[2].exception()  # read; it comes after the caller's failure
 
 
-def _network_layers(width: int, sigma: tuple, seed: int, worker: _Worker | None = None) -> Iterator:
+def _network_layers(width: int, sigma: tuple, seed: int, worker: _Worker) -> Iterator:
     """_haar_layers' draw with each layer kept as its reflectors and
     checked on them (_householder_layers, which factors ahead on
     `worker`); Q is never formed. Needs numpy's OpenBLAS."""
@@ -472,14 +451,14 @@ def _reflect_both_sides(h: np.ndarray, layer: _Householder, work: np.ndarray) ->
         _openblas.dlarft(v, layer.tau[j : j + k], t)
         if j:
             _openblas.dgemm("N", "N", 1.0, g[:j, j:], v, 0.0, x[:j])
-        _openblas.dsymm("U", 1.0, g[j:, j:], v, 0.0, x[j:])
-        _openblas.dtrmm("R", "U", "T", 1.0, t, x)
+        _openblas.dsymm(1.0, g[j:, j:], v, 0.0, x[j:])
+        _openblas.dtrmm("R", "T", 1.0, t, x)
         _openblas.dgemm("T", "N", 1.0, v, x[j:], 0.0, s)
-        _openblas.dtrmm("L", "U", "N", 1.0, t, s)
+        _openblas.dtrmm("L", "N", 1.0, t, s)
         _openblas.dgemm("N", "N", -0.5, v, s, 1.0, x[j:])
         if j:
             _openblas.dgemm("N", "T", -1.0, x[:j], v, 1.0, g[:j, j:])
-        _openblas.dsyr2k("U", -1.0, x[j:], v, 1.0, g[j:, j:])
+        _openblas.dsyr2k(-1.0, x[j:], v, 1.0, g[j:, j:])
     _mirror_lower_in_place(h)
 
 
@@ -563,7 +542,7 @@ def _low_rank_step(a: float, v: np.ndarray, t: np.ndarray, layer: _Householder, 
         del x
         t = rt @ t @ rt.T
     if k + r:
-        _openblas.dormqr("L", "N", layer.f, layer.tau, b, layer.work)
+        _openblas.dormqr(layer.f, layer.tau, b, layer.work)
     t_next = np.zeros((k + r, k + r))
     np.fill_diagonal(t_next[:k, :k], -kappa2 * a)
     t_next[k:, k:] = (t + t.T) * (0.5 * kappa2)

@@ -60,7 +60,7 @@ class TestTheory:
         for rec in layers[2:]:
             assert rec["grid_count"] == 512
             assert rec["newton_steps_max"] >= rec["newton_steps_mean"] > 0
-            assert rec["flagged"] == 0 and rec["clamped"] == 0.0
+            assert rec["clamped"] == 0.0
             assert 0 < rec["mass_defect"] < 1e-2
             assert 0 <= rec["mean_resid"] < 1e-2
         # layer 3 solves every point at the strip; layer 4 walks some
@@ -705,6 +705,25 @@ def test_non_finite_number_exits_2(argv, tmp_path, capsys):
 def test_layer_collapsing_onto_one_float_exits_0(argv, tmp_path):
     # q + sigma^2 x sends distinct atoms, or a density's whole support, to one float
     assert _run(*argv, "--out", tmp_path / "x") == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["theory", "--depth", "2", "--gamma", "1e300", "--sigma", "1e10"],
+    ["theory", "--depth", "3", "--alpha", "1", "--gamma", "1e200"],
+    ["theory", "--depth", "3", "--gamma", "1e300"],
+    ["simulate", "--model", "atoms", "--theory-auto", "--depth", "3", "--gamma", "1e300"],
+], ids=" ".join)
+def test_overflowing_support_exits_3(argv, tmp_path, capsys):
+    # q + sigma^2 gamma lambda overflows at the last layer, which fails
+    # before its solve; theory keeps the layers before it
+    out, depth = tmp_path / "x", int(argv[argv.index("--depth") + 1])
+    assert _run(*argv, "--out", out) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: layer {depth}: the support maximum overflows\n")
+    if argv[0] == "theory":
+        assert sorted(p.name for p in out.iterdir()) == (
+            ["diagnostics.json"] + [f"mu_{i:03d}.json" for i in range(1, depth)])
 
 
 def test_non_finite_activation_file_value_exits_2(tmp_path, capsys):

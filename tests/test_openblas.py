@@ -25,25 +25,19 @@ def test_dormqr_matches_the_formed_q(M):
     rng = np.random.default_rng(M + 1)
     c, v = np.asfortranarray(rng.standard_normal((M, M))), rng.standard_normal(M)
     work = np.empty(_openblas.lwork(M))
-    cases = [("L", "N", c, q @ c), ("R", "T", c, c @ q.T), ("L", "T", c, q.T @ c),
-             ("R", "N", c, c @ q), ("L", "N", v, q @ v), ("L", "T", v, q.T @ v)]
-    for side, trans, arg, want in cases:
+    for arg in (c, v):
         got = arg.copy(order="F")
-        _openblas.dormqr(side, trans, f, tau, got, work)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (side, trans, arg.ndim)
+        _openblas.dormqr(f, tau, got, work)
+        want = q @ arg
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), arg.ndim
 
 
-def test_dormqr_applies_a_nonsquare_c_from_either_side():
+def test_dormqr_applies_a_tall_c():
     f, tau, q = _factored(20, 0)
-    rng = np.random.default_rng(1)
-    tall, wide = np.asfortranarray(rng.standard_normal((20, 3))), rng.standard_normal((3, 20))
-    work = np.empty(_openblas.lwork(20))
+    tall = np.asfortranarray(np.random.default_rng(1).standard_normal((20, 3)))
     got = tall.copy(order="F")
-    _openblas.dormqr("L", "N", f, tau, got, work)
+    _openblas.dormqr(f, tau, got, np.empty(_openblas.lwork(20)))
     assert np.abs(got - q @ tall).max() <= 1e-13 * np.abs(q @ tall).max()
-    got = np.asfortranarray(wide)
-    _openblas.dormqr("R", "T", f, tau, got, work)
-    assert np.abs(got - wide @ q.T).max() <= 1e-13 * np.abs(wide @ q.T).max()
 
 
 def test_dormqr_rejects_what_lapack_cannot_read():
@@ -51,17 +45,15 @@ def test_dormqr_rejects_what_lapack_cannot_read():
     work = np.empty(_openblas.lwork(8))
     c = np.random.default_rng(0).standard_normal((8, 8))
     with pytest.raises(ValueError, match="Fortran-ordered"):
-        _openblas.dormqr("L", "N", f, tau, c, work)  # C-ordered
+        _openblas.dormqr(f, tau, c, work)  # C-ordered
     with pytest.raises(ValueError, match="Fortran-ordered"):
-        _openblas.dormqr("L", "N", np.ascontiguousarray(f), tau, c.T, work)
+        _openblas.dormqr(np.ascontiguousarray(f), tau, c.T, work)
     with pytest.raises(ValueError, match="does not meet"):
-        _openblas.dormqr("L", "N", f, tau, np.zeros((7, 8), order="F"), work)
-    with pytest.raises(ValueError, match="vector"):
-        _openblas.dormqr("R", "N", f, tau, np.zeros(8), work)
-    with pytest.raises(ValueError, match="side"):
-        _openblas.dormqr("X", "N", f, tau, c.T, work)
+        _openblas.dormqr(f, tau, np.zeros((7, 8), order="F"), work)
+    with pytest.raises(ValueError, match="does not meet"):
+        _openblas.dormqr(f, tau, np.zeros(7), work)
     with pytest.raises(ValueError, match="tau"):
-        _openblas.dormqr("L", "N", f, tau[:4], c.T, work)
+        _openblas.dormqr(f, tau[:4], c.T, work)
 
 
 def test_more_work_than_asked_keeps_the_bits():
@@ -74,7 +66,7 @@ def test_more_work_than_asked_keeps_the_bits():
         work = np.empty(size)
         tau = _openblas.dgeqrf(f, work)
         c = np.asfortranarray(g)
-        _openblas.dormqr("L", "N", f, tau, c, work)
+        _openblas.dormqr(f, tau, c, work)
         _openblas.dorgqr(f, tau, work)
         out.append((f, tau, c))
     assert all(np.array_equal(a, b) for a, b in zip(*out))
@@ -99,17 +91,17 @@ def test_level3_routines_match_numpy_on_blocks():
     s = block(7, 7)
     full = np.triu(s) + np.triu(s, 1).T
     got = block(7, 6)
-    _openblas.dsymm("U", 1.5, s, c, 0.0, got)  # s's lower part is noise
+    _openblas.dsymm(1.5, s, c, 0.0, got)  # s's lower part is noise
     close(got, 1.5 * full @ c)
     y, z = block(7, 3), block(7, 3)
     got = s.copy(order="F")
-    _openblas.dsyr2k("U", -1.0, y, z, 1.0, got)
+    _openblas.dsyr2k(-1.0, y, z, 1.0, got)
     close(np.triu(got), np.triu(s - y @ z.T - z @ y.T))
     assert np.array_equal(np.tril(got, -1), np.tril(s, -1))
     t = block(3, 3)
     for side, want in (("R", y @ np.triu(t).T), ("L", np.triu(t).T @ c[:3])):
         got = (y if side == "R" else c[:3]).copy(order="F")
-        _openblas.dtrmm(side, "U", "T", 1.0, t, got)
+        _openblas.dtrmm(side, "T", 1.0, t, got)
         close(got, want)
 
 
@@ -134,7 +126,7 @@ def test_level3_routines_reject_rows_that_are_not_contiguous():
     with pytest.raises(ValueError, match="writeable"):
         frozen = np.zeros((4, 4), order="F")
         frozen.flags.writeable = False
-        _openblas.dsyr2k("U", 1.0, fortran, fortran, 1.0, frozen)
+        _openblas.dsyr2k(1.0, fortran, fortran, 1.0, frozen)
 
 
 def test_blas_threads_restores_the_count_on_every_way_out():

@@ -40,41 +40,27 @@ from isospec.specmeasure import NumericalError
 
 
 def _numpy_haar(M, rng):
-    """The Haar draw through np.linalg.qr: the reference of both paths."""
-    for _ in range(8):
-        q, r = np.linalg.qr(rng.standard_normal((M, M)))
-        d = np.diagonal(r)
-        if np.abs(d).min() >= 1e-12 * math.sqrt(M):
-            return q * np.sign(d)
-    raise AssertionError("no full-rank draw")
+    """The Haar draw through np.linalg.qr, with the sign bits of R's
+    diagonal: the reference of both paths."""
+    q, r = np.linalg.qr(rng.standard_normal((M, M)))
+    return q * np.copysign(1.0, np.diagonal(r))
 
 
 class _SingularDraws:
-    """A generator whose first `singular` Gaussians, or those at the
-    positions in `singular`, have a zero column. Its state counts the
-    Gaussians drawn, so that a rewound state draws the same ones again."""
+    """default_rng(seed)'s stream, except that every M x M Gaussian has a
+    zero column, so the diagonal of its R has a 0. `draws` counts the
+    Gaussians drawn."""
 
-    def __init__(self, singular, seed):
+    def __init__(self, seed):
         self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed)'s stream
-        self.singular = range(singular) if isinstance(singular, int) else set(singular)
         self.draws = 0
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self.rng.bit_generator.state, self.draws
-
-    @state.setter
-    def state(self, value):
-        self.rng.bit_generator.state, self.draws = value
 
     def random(self, size):
         return self.rng.random(size)
 
     def standard_normal(self, size):
         a = self.rng.standard_normal(size)
-        if self.draws in self.singular:
-            a[:, 1] = 0.0
+        a[:, 1] = 0.0
         self.draws += 1
         return a
 
@@ -145,14 +131,19 @@ class TestSampleHaarOrthogonal:
         assert q.tobytes() == _numpy_haar(M, ref).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_singular_draw_is_resampled(self, haar_path):
-        rng, ref = _SingularDraws(1, seed=3), np.random.default_rng(3)
-        ref.standard_normal((16, 16))
+    def test_singular_draw_is_kept_with_unit_signs(self, haar_path):
+        # R[1, 1] = 0: its sign bit still gives a sign of +-1, and the
+        # Householder Q is orthogonal, so the one Gaussian drawn is used
+        rng, ref = _SingularDraws(3), _SingularDraws(3)
         q = sample_haar_orthogonal(16, rng)
-        assert rng.draws == 2
+        q0, r = np.linalg.qr(_SingularDraws(3).standard_normal((16, 16)))
+        assert r[1, 1] == 0.0
+        assert rng.draws == 1
         assert q.tobytes() == _numpy_haar(16, ref).tobytes()
-        with pytest.raises(NumericalError, match="rank-deficient"):
-            sample_haar_orthogonal(16, _SingularDraws(8, seed=3))
+        assert np.abs(q.T @ q - np.eye(16)).max() < 1e-12
+        signs = q[0] / q0[0]
+        assert np.array_equal(np.abs(signs), np.ones(16))
+        assert np.array_equal(q, q0 * signs)
 
     def test_importing_the_cli_looks_up_no_library(self):
         code = "import isospec.cli, isospec._openblas as o; print(o._library.cache_info().currsize)"
@@ -260,7 +251,8 @@ class TestCheckReflectors:
 
     @pytest.mark.parametrize("s", [1e-7, 1.0, 1e160, 1e300])
     def test_any_scale_passes_and_keeps_the_sampled_weight(self, s):
-        layer = next(rmtsim._network_layers(200, (s,), 5))
+        with rmtsim._one_worker() as worker:
+            layer = next(rmtsim._network_layers(200, (s,), 5, worker))
         net = OrthogonalNet.sample(200, 1, Linear(1.0), s, seed=5)
         assert np.array_equal(_dense(layer), net.weights[0])
 
@@ -560,11 +552,8 @@ class TestFimStep:
 
 
 # (activation, alpha) of draws that turn dense at their first step, and of
-# draws whose H stays low-rank at every step; without numpy's OpenBLAS
-# every step is dense, so only the dense regime runs there
-REGIMES = {"dense": (HardTanh(s=3.0, g=1.3), 0.25)}
-if _openblas.found():
-    REGIMES["low_rank"] = (HardTanh(s=0.5, g=1.0), 0.95)
+# draws whose H stays low-rank at every step
+REGIMES = {"dense": (HardTanh(s=3.0, g=1.3), 0.25), "low_rank": (HardTanh(s=0.5, g=1.0), 0.95)}
 # the worker's job in each regime: the next draw's factoring, or the
 # conjugation of H
 WORKER_JOB = {"low_rank": "_factor", "dense": "_fim_step"}
@@ -584,16 +573,77 @@ def _draw(model: str, regime: str, M: int = 24, depth: int = 6):
     return sample
 
 
-@pytest.mark.parametrize("model", ["network", "atoms"])
-class TestFimRecursionWorker:
+def _regimes():
+    """The regimes of the draw path in use: without numpy's OpenBLAS
+    every step is dense, so only the dense regime runs there."""
+    return list(REGIMES) if _openblas.found() else ["dense"]
+
+
+class _WorkerChecks:
     """One worker thread: while H is low-rank it factors the next draw as
     the caller takes the step; once H is dense it conjugates H while the
-    caller draws. Each property holds in both regimes."""
+    caller draws. Each property holds in every regime of the path in use.
+    The classes below run these on each path."""
+
+    def test_repeatable_under_fast_thread_switching(self, model):
+        for regime in _regimes():
+            want = _draw(model, regime).eigenvalues()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(5):
+                    assert np.array_equal(_draw(model, regime).eigenvalues(), want)
+            finally:
+                sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_a_call(self, model):
+        for regime in _regimes():
+            before = threading.active_count()
+            _draw(model, regime)
+            assert threading.active_count() == before
+
+    def test_worker_failure_reaches_caller(self, model, monkeypatch):
+        for regime in _regimes():
+            threads = []
+            real = getattr(rmtsim, WORKER_JOB[regime])
+
+            def failing_third(*args, real=real):
+                threads.append(threading.current_thread())
+                if len(threads) == 3:
+                    raise RuntimeError("job 3 failed")
+                return real(*args)
+
+            before = threading.active_count()
+            with monkeypatch.context() as patch, pytest.raises(RuntimeError, match="job 3 failed"):
+                patch.setattr(rmtsim, WORKER_JOB[regime], failing_third)
+                _draw(model, regime)
+            assert threading.active_count() == before
+            assert len(threads) == 3
+            assert threading.main_thread() not in threads
+
+    def test_steps_run_under_the_callers_error_state(self, model, monkeypatch):
+        for regime in _regimes():
+            real = getattr(rmtsim, WORKER_JOB[regime])
+
+            def dividing(*args, real=real):
+                np.divide(1.0, np.zeros(1))
+                return real(*args)
+
+            with monkeypatch.context() as patch, np.errstate(divide="raise"), \
+                    pytest.raises(FloatingPointError):
+                patch.setattr(rmtsim, WORKER_JOB[regime], dividing)
+                _draw(model, regime)
+
+
+@pytest.mark.parametrize("model", ["network", "atoms"])
+class TestFimRecursionWorker(_WorkerChecks):
+    """The worker's checks on the path numpy's build takes, and those that
+    hold on numpy's OpenBLAS alone."""
 
     @needs_openblas
     def test_at_most_one_earlier_draw_alive(self, model, monkeypatch):
         real = rmtsim._gaussian
-        for regime in REGIMES:
+        for regime in _regimes():
             draws, alive = [], []
 
             def tracked(M, rng):
@@ -611,7 +661,7 @@ class TestFimRecursionWorker:
         # low-rank: two draws and V; dense: H, the layer in conjugation,
         # the layer being drawn, one M x TILE panel
         M = 768
-        for regime in REGIMES:
+        for regime in _regimes():
             tracemalloc.start()
             try:
                 _draw(model, regime, M, 8)
@@ -619,43 +669,6 @@ class TestFimRecursionWorker:
             finally:
                 tracemalloc.stop()
             assert peak < 3.9 * 8 * M * M
-
-    def test_repeatable_under_fast_thread_switching(self, model):
-        for regime in REGIMES:
-            want = _draw(model, regime).eigenvalues()
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for _ in range(5):
-                    assert np.array_equal(_draw(model, regime).eigenvalues(), want)
-            finally:
-                sys.setswitchinterval(interval)
-
-    def test_no_thread_outlives_a_call(self, model):
-        for regime in REGIMES:
-            before = threading.active_count()
-            _draw(model, regime)
-            assert threading.active_count() == before
-
-    def test_worker_failure_reaches_caller(self, model, monkeypatch):
-        for regime in REGIMES:
-            threads = []
-            real = getattr(rmtsim, WORKER_JOB[regime])
-
-            def failing_third(*args, real=real):
-                threads.append(threading.current_thread())
-                if len(threads) == 3:
-                    raise RuntimeError("job 3 failed")
-                return real(*args)
-
-            monkeypatch.setattr(rmtsim, WORKER_JOB[regime], failing_third)
-            before = threading.active_count()
-            with pytest.raises(RuntimeError, match="job 3 failed"):
-                _draw(model, regime)
-            monkeypatch.undo()
-            assert threading.active_count() == before
-            assert len(threads) == 3
-            assert threading.main_thread() not in threads
 
     @needs_openblas
     def test_step_failure_wins_over_the_next_draws(self, model, monkeypatch):
@@ -691,18 +704,13 @@ class TestFimRecursionWorker:
             else:
                 assert err.value.__context__ is None
 
-    def test_steps_run_under_the_callers_error_state(self, model, monkeypatch):
-        for regime in REGIMES:
-            real = getattr(rmtsim, WORKER_JOB[regime])
 
-            def dividing(*args, real=real):
-                np.divide(1.0, np.zeros(1))
-                return real(*args)
-
-            monkeypatch.setattr(rmtsim, WORKER_JOB[regime], dividing)
-            with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-                _draw(model, regime)
-            monkeypatch.undo()
+@pytest.mark.usefixtures("haar_path")
+@pytest.mark.parametrize("haar_path", ["fallback"], indirect=True)
+@pytest.mark.parametrize("model", ["network", "atoms"])
+class TestFimRecursionWorkerFallback(_WorkerChecks):
+    """The worker's checks on the np.linalg.qr fallback, which is the only
+    path where numpy bundles no OpenBLAS and is dense from step 2."""
 
 
 class TestNtkBlockMatrix:
@@ -971,28 +979,32 @@ class TestLowRankForm:
 
     @pytest.mark.parametrize("model", ["network", "atoms"])
     def test_rank_deficient_draws_leave_a_serial_loops_numbers(self, model, monkeypatch):
-        # the first Gaussian, drawn ahead, and the fourth in a serial loop
-        # are singular and drawn again
-        M, depth, singular = 64, 6, (0, 3)
+        # every Gaussian, the ones drawn ahead too, has R[1, 1] = 0: each is
+        # kept, so each layer reads one, as a serial loop does, and the
+        # draw matches the oracle's
+        M, depth = 64, 6
         if model == "network":
             x = normalized_input(M, np.random.default_rng(5))
-            monkeypatch.setattr(np.random, "default_rng",
-                                lambda seed: _SingularDraws(singular, seed))
+            rngs = []
+
+            def singular(seed):
+                rngs.append(_SingularDraws(seed))
+                return rngs[-1]
+
+            monkeypatch.setattr(np.random, "default_rng", singular)
             args = (M, depth, TUNED.spec, TUNED.params.sigma)
             sample = network_fim_sample(*args, 5, x)
             want = reference_dual_fim(OrthogonalNet.sample(*args, seed=5), x)
+            assert [rng.draws for rng in rngs] == [depth, depth]
         else:
             p = TUNED.params
             laws = _constant_laws(depth, p.q, p.sigma, p.alpha, p.gamma)
-            rng, ref_rng = _SingularDraws(singular, 5), _SingularDraws(singular, 5)
+            rng, ref_rng = _SingularDraws(5), _SingularDraws(5)
             sample, want = _atoms_case(M, laws, rng, ref_rng)
-            assert rng.state == ref_rng.state
-            assert rng.draws == depth - 1 + len(singular)
+            assert rng.draws == ref_rng.draws == depth - 1
+            assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
         assert sample.dense_layer is None
         assert _within_gate(sample, want)
-        with pytest.raises(NumericalError, match="rank-deficient"):
-            model_fim_sample(M, constant_schedule(depth, 1.0, 1.0, 1.0, 1.0),
-                             _SingularDraws(range(1, 9), 5))
 
 
 class TestFreenessProbe:
