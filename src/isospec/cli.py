@@ -560,6 +560,7 @@ def _write_layers(outdir: Path, schedule: LayerSchedule, measures, stats, failur
             "newton_steps_max": st.iterations_max,
             "newton_steps_mean": st.iterations_mean,
             "continued": st.continued,
+            "refused": st.refused,
             "mass_defect": st.mass_defect,
             "clamped": st.clamped,
             "mean_resid": abs(moment(mu, 1) - m1) / m1,

@@ -13,8 +13,10 @@ subordination fixed point w = h_mu(z * S_nu(w)), after which
 G(z) = (w + 1) / z and the density follows by Stieltjes inversion. The
 fixed point is found as the root u = z S_nu(w) of the explicit inverse
 map z(u) = gamma u (h_mu(u) + alpha) / (h_mu(u) + 1), by Newton's method
-on the whole grid at once; points whose first root is not the
-subordination point are continued down from high above the real axis.
+on many grid points at once: coarse to fine, every 16th node first, then
+each new node from its two solved neighbours; points whose first root is
+not the subordination point are continued down from high above the real
+axis.
 Atoms never come from the numerics: they obey the exact rule
 (mu box nu)({ab}) = max(mu({a}) + nu({b}) - 1, 0) for ab != 0, while the
 weight at zero is max(mu({0}), nu({0})) by the rank bound on products.
@@ -39,11 +41,13 @@ from .specmeasure import (
 # Subordination solve: relative Newton step at which a point has
 # converged, Newton steps allowed per point at each Im z level (the start
 # at the strip and every level of the walk), the number of levels of the walk,
+# the spacing of the nodes solved before any warm start (a power of 2),
 # and the size of the pole-term blocks of the Cauchy evaluator, small
 # enough to stay in cache.
 SOLVER_TOL = 1e-12
 MAX_ITER = 50
 _WALK_LEVELS = 8
+_COARSE_STRIDE = 16
 _BLOCK_BYTES = 1 << 20
 WINDOW_MARGIN = 0.05
 DEFAULT_GRID = 2048
@@ -135,10 +139,12 @@ class AsymptoticRegime:
 class ConvolutionStats:
     """Diagnostics from one numeric free multiplicative convolution.
 
-    `iterations_*` count Newton steps per grid point, and `continued`
-    counts the points accepted only after the walk down Im z. `flagged`
-    is always empty: a point with no accepted root fails the solve. It is
-    kept only for bench/run.py, which sums it under --trace 1.
+    `iterations_*` count Newton steps per grid point, `continued`
+    counts the points accepted only after the walk down Im z, and
+    `refused` the nodes whose warm start from their neighbours gave no
+    accepted root and which were solved again cold. `flagged` is always
+    empty: a point with no accepted root fails the solve. It is kept only
+    for bench/run.py, which sums it under --trace 1.
     """
 
     grid_count: int
@@ -148,10 +154,11 @@ class ConvolutionStats:
     mass_defect: float
     clamped: float
     continued: int
+    refused: int
 
 
 # the record of a layer that needs no numeric solve
-_TRIVIAL_STATS = ConvolutionStats(0, 0, 0.0, (), 0.0, 0.0, 0)
+_TRIVIAL_STATS = ConvolutionStats(0, 0, 0.0, (), 0.0, 0.0, 0, 0)
 
 
 class LayerError(NumericalError):
@@ -261,11 +268,18 @@ def free_mult_conv_two_atom(
 
     The solve is Newton's method on z(u) = z at every grid point, in
     u = z S_nu(w), where z(u) = gamma u (h_mu(u) + alpha) / (h_mu(u) + 1)
-    is explicit and G = (h_mu(u) + 1) / z. It starts from
+    is explicit and G = (h_mu(u) + 1) / z. The cold step starts from
     u = z S_nu(h_mu(z)). A root is accepted only if it converged, has
     Im u > 0 and gives Im G <= 1e-8. Points without such a root are solved
     again along Im z, from 8 (|x| + 1) down to eps, and accepted by the
     same rules at the end.
+
+    The grid is solved coarse to fine. Every 16th node and the last take
+    the cold step. Then the spacing halves down to 1, and each new node
+    between two accepted ones starts Newton from the linear interpolation
+    of their u; a node whose warm start gives no accepted root, or that
+    lacks two accepted neighbours, takes the cold step. The same three
+    rules accept every root, whatever its start.
 
     Purely atomic cases (nu = delta_gamma, or mu a single atom) bypass
     the solver.
@@ -316,7 +330,7 @@ def free_mult_conv_two_atom(
     z = x + 1j * eps
 
     locs, masses = _atomize(mu)
-    g, iters, continued = _subordination_solve(locs, masses, nu, z)
+    g, iters, continued, refused = _subordination_solve(locs, masses, nu, z)
     # the margin past `bound` only catches strip smearing, folded back by rescaling
     density, defect, clamped = stieltjes_invert(z, g, atoms, bound)
     result = SpectralMeasure.from_atoms(atoms, density=density)
@@ -328,59 +342,80 @@ def free_mult_conv_two_atom(
         mass_defect=defect,
         clamped=clamped,
         continued=continued,
+        refused=refused,
     )
     return (result, stats) if return_stats else result
 
 
 def _subordination_solve(locs, masses, nu, z):
-    """Newton on z(u) = z at every z at once, with the start, acceptance
-    rules and walk that free_mult_conv_two_atom describes.
+    """Newton on z(u) = z at the points z, many at once, with the starts,
+    acceptance rules and walk that free_mult_conv_two_atom describes.
 
     The spurious root w = -1 of the fixed point in w is a pole of z(u),
     not a root, and Im u > 0 holds at the subordination point because the
     subordination function maps the upper half-plane into itself. Where
     z S_nu(h_mu(z)) is not finite, and at the top of the walk, Newton
-    starts at z / (gamma alpha), the root for large |z|. Returns G, the
-    Newton steps of each point and the number of points the walk
-    accepted; NumericalError if a point is still not accepted.
+    starts at z / (gamma alpha), the root for large |z|. A warm start is
+    the mean of its two neighbours' u, weighted by distance beside the
+    last node, which may lie off the coarse lattice. With _COARSE_STRIDE
+    = 1 every node takes the cold step. Returns G, the Newton steps of
+    each point, the number of points the walk accepted and the number of
+    warm starts refused; NumericalError if a point is still not accepted.
     """
     z = np.asarray(z, dtype=complex)
     rows = max(1, min(z.size, _BLOCK_BYTES // (16 * locs.size)))
     work = np.empty((rows, locs.size), dtype=complex)
     masses = masses.astype(complex)
     far = 1.0 / (nu.gamma * nu.alpha)
-    h = _h_of(locs, masses, z, work)[0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = z * (h + 1.0) / (nu.gamma * (h + nu.alpha))
-    u = np.where(np.isfinite(u), u, far * z)
+    u = np.empty(z.size, dtype=complex)
     g = np.empty(z.size, dtype=complex)
     iters = np.zeros(z.size, dtype=int)
-
-    def accepted(idx):  # of the converged points idx
-        return idx[(u[idx].imag > 0) & (g[idx].imag <= 1e-8)]
-
-    done = _newton(locs, masses, nu, z, u, g, iters, np.arange(z.size), work, SOLVER_TOL)
     ok = np.zeros(z.size, dtype=bool)
-    ok[accepted(done)] = True
-    walk = np.flatnonzero(~ok)
-
     top = 8.0 * (np.abs(z.real) + 1.0)
     zz = z.real + 1j * top
-    u[walk] = far * zz[walk]
-    for frac in np.linspace(0.0, 1.0, _WALK_LEVELS):
-        zz.imag[walk] = top[walk] * (z.imag[walk] / top[walk]) ** frac
-        # above the strip a step of sqrt(tol) suffices: it leaves an error
-        # of order tol, which the next level's first step absorbs
-        level_tol = SOLVER_TOL if frac == 1.0 else math.sqrt(SOLVER_TOL)
-        walk = _newton(locs, masses, nu, zz, u, g, iters, walk, work, level_tol)
-    walk = accepted(walk)
-    ok[walk] = True
+
+    def accept(idx):  # of the converged points idx
+        idx = idx[(u[idx].imag > 0) & (g[idx].imag <= 1e-8)]
+        ok[idx] = True
+        return idx
+
+    def cold(idx):  # the number of points idx that the walk accepted
+        h = _h_of(locs, masses, z[idx], work)[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            start = z[idx] * (h + 1.0) / (nu.gamma * (h + nu.alpha))
+        u[idx] = np.where(np.isfinite(start), start, far * z[idx])
+        accept(_newton(locs, masses, nu, z, u, g, iters, idx, work, SOLVER_TOL))
+        walk = idx[~ok[idx]]
+        u[walk] = far * zz[walk]
+        for frac in np.linspace(0.0, 1.0, _WALK_LEVELS):
+            zz.imag[walk] = top[walk] * (z.imag[walk] / top[walk]) ** frac
+            # above the strip a step of sqrt(tol) suffices: it leaves an error
+            # of order tol, which the next level's first step absorbs
+            level_tol = SOLVER_TOL if frac == 1.0 else math.sqrt(SOLVER_TOL)
+            walk = _newton(locs, masses, nu, zz, u, g, iters, walk, work, level_tol)
+        return accept(walk).size
+
+    last = z.size - 1
+    continued = cold(np.append(np.arange(0, last, _COARSE_STRIDE), last))
+    refused = 0
+    stride = _COARSE_STRIDE
+    while stride > 1:
+        half = stride // 2
+        new = np.arange(half, last, stride)
+        lo, hi = new - half, np.minimum(new + half, last)
+        warm = ok[lo] & ok[hi]
+        idx, lo, hi = new[warm], lo[warm], hi[warm]
+        u[idx] = u[lo] + (idx - lo) / (hi - lo) * (u[hi] - u[lo])
+        accept(_newton(locs, masses, nu, z, u, g, iters, idx, work, SOLVER_TOL))
+        refused += int(np.count_nonzero(warm & ~ok[new]))
+        continued += cold(new[~ok[new]])
+        stride = half
     if not ok.all():
         raise NumericalError(
             f"subordination failed at {(~ok).sum()}/{z.size} points, "
             f"first offenders near x = {z.real[~ok][:4].tolist()}"
         )
-    return g, iters, walk.size
+    return g, iters, continued, refused
 
 
 def _newton(locs, masses, nu, z, u, g, iters, idx, work, tol):

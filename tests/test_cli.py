@@ -65,6 +65,7 @@ class TestTheory:
             assert 0 <= rec["mean_resid"] < 1e-2
         # layer 3 solves every point at the strip; layer 4 walks some
         assert layers[3]["continued"] > 0
+        assert all(rec["refused"] >= 0 for rec in layers)
 
     def test_schedule_at_a_large_scale(self, tmp_path):
         # layer 3 has G = 0 in its gap near x = 4e4, where u passes near 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from isospec import freeconv
 from isospec.freeconv import (
     MAX_ITER,
     SOLVER_TOL,
+    MIN_GRID,
     WINDOW_MARGIN,
     AsymptoticRegime,
     LayerSchedule,
@@ -174,9 +176,27 @@ class TestFreeMultConv:
         window = mu.support_max * nu.gamma * (1.0 + WINDOW_MARGIN)
         z = np.linspace(0.0, window, stats.grid_count) + 1j * (1e-4 * window)
         locs, masses = _atomize(mu)
-        g, _, continued = _subordination_solve(locs, masses, nu, z)
-        assert continued == stats.continued > 0
+        g, _, continued, refused = _subordination_solve(locs, masses, nu, z)
+        assert (continued, refused) == (stats.continued, stats.refused)
+        assert continued > 0
         assert np.all(g.imag <= 1e-8)
+
+    @pytest.mark.parametrize("grid", [MIN_GRID, 129, 2047])
+    def test_coarse_to_fine_edges(self, grid, monkeypatch):
+        # test_mass_conserved's gapped measure: the last node of 128 and of
+        # 2047 points lies off the coarse lattice, so the new nodes beside
+        # it sit off-centre between their two solved ones; that of 129 lies on it
+        mu = SpectralMeasure.from_atoms([(0.4, 0.25), (1.1, 0.5), (2.0, 0.25)])
+        nu = TwoAtomJacobianLaw(0.6, 0.9)
+        window = mu.support_max * nu.gamma * (1.0 + WINDOW_MARGIN)
+        z = np.linspace(0.0, window, grid) + 1j * (1e-4 * window)
+        locs, masses = _atomize(mu)
+        # the solve raises unless every node is accepted
+        g, iters, _, _ = _subordination_solve(locs, masses, nu, z)
+        assert np.all(iters > 0)
+        monkeypatch.setattr(freeconv, "_COARSE_STRIDE", 1)
+        g_cold, _, _, _ = _subordination_solve(locs, masses, nu, z)
+        assert np.all(np.abs(g - g_cold) <= 1e-10 * (1.0 + np.abs(g_cold)))
 
     def test_spurious_root_is_not_accepted(self):
         # layer 5 of `theory --depth 5 --grid 512` at the default schedule:
@@ -195,7 +215,7 @@ class TestFreeMultConv:
         window = mu.support_max * nu.gamma * (1.0 + WINDOW_MARGIN)
         z = np.linspace(0.0, window, 512) + 1j * (1e-4 * window)
         locs, masses = _atomize(mu)
-        g, _, _ = _subordination_solve(locs, masses, nu, z)
+        g, _, _, _ = _subordination_solve(locs, masses, nu, z)
         assert np.all(np.abs(g * z) > 1e-6)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
@@ -206,9 +226,12 @@ class TestFreeMultConv:
         nu = TwoAtomJacobianLaw(0.75, 1.0)
         z = np.linspace(0.0, 2.1, 2048) + 2.1e-4j
         locs, masses = _atomize(SpectralMeasure.from_atoms([(1.0, 0.25), (2.0, 0.75)]))
-        g, _, _ = _subordination_solve(locs, masses, nu, z)
-        g_scaled, _, _ = _subordination_solve(scale * locs, masses, nu, scale * z)
+        g, iters, _, _ = _subordination_solve(locs, masses, nu, z)
+        g_scaled, iters_scaled, _, _ = _subordination_solve(scale * locs, masses, nu, scale * z)
         assert np.all(np.abs(scale * g_scaled - g) <= 1e-10 * (1.0 + np.abs(g)))
+        # the step cap 0.5 (1 + |u|) and the walk's top are not scale-free;
+        # the warm starts keep the extra cost small (1.13x at scale 1e6)
+        assert iters_scaled.sum() <= 1.25 * iters.sum()
 
     def test_m1_multiplicativity(self):
         rng = np.random.default_rng(5)
@@ -401,13 +424,13 @@ def solver_and_oracle():
         solves = []
 
         def both(locs, masses, nu, z):
-            g, iters, continued = solve(locs, masses, nu, z)
+            g, iters, continued, refused = solve(locs, masses, nu, z)
             w, ref_iters, accepted, _ = reference_subordination_solve(
                 locs, masses, nu, z, tol=SOLVER_TOL, max_iter=MAX_ITER
             )
             g_ref = np.where(accepted, (w + 1.0) / z, g)
             solves.append((g, iters, g_ref, ref_iters, accepted))
-            return g_ref, iters, continued
+            return g_ref, iters, continued, refused
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(freeconv, "_subordination_solve", both)
@@ -416,7 +439,77 @@ def solver_and_oracle():
     return out
 
 
+@pytest.fixture(scope="module")
+def warm_and_cold():
+    """name -> one (G, steps, stride-1 G, stride-1 steps, refused) per
+    numeric solve: the coarse-to-fine solve, and on the same input the solve with
+    _COARSE_STRIDE = 1, which starts every node cold."""
+    solve = freeconv._subordination_solve
+    out = {}
+    for name, run in _gate_cases().items():
+        solves = []
+
+        def both(locs, masses, nu, z):
+            g, iters, continued, refused = solve(locs, masses, nu, z)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(freeconv, "_COARSE_STRIDE", 1)
+                g_cold, cold_iters, _, _ = solve(locs, masses, nu, z)
+            solves.append((g, iters, g_cold, cold_iters, refused))
+            return g, iters, continued, refused
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(freeconv, "_subordination_solve", both)
+            run()
+        out[name] = solves
+    return out
+
+
+def _run_to_failure(schedule, grid_count):
+    """(measures, (failing layer, its reason up to the first digit) or
+    None) of a schedule."""
+    try:
+        return propagate_schedule(schedule, grid_count=grid_count), None
+    except freeconv.LayerError as exc:
+        return exc.measures, (exc.layer, re.split(r"\d", exc.reason)[0])
+
+
 class TestSolverGate:
+    @pytest.mark.parametrize("name", list(_gate_cases()))
+    def test_warm_starts_match_the_stride_one_solve(self, warm_and_cold, name):
+        solves = warm_and_cold[name]
+        assert solves
+        for g, _, g_cold, _, _ in solves:
+            err = np.abs(g - g_cold)
+            assert np.all(err <= 1e-10 * (1.0 + np.abs(g_cold))), err.max()
+        # measured 0.21-0.50 of the stride-1 steps, 0.50 on tuned16
+        steps = sum(int(iters.sum()) for _, iters, _, _, _ in solves)
+        cold_steps = sum(int(iters.sum()) for _, _, _, iters, _ in solves)
+        assert steps <= 0.6 * cold_steps
+
+    def test_refused_warm_starts_are_counted(self, warm_and_cold):
+        # tuned16 refuses a few warm starts (13 measured), which the cold
+        # step then solves; the G check above covers those nodes too
+        assert sum(refused for *_, refused in warm_and_cold["tuned16"]) > 0
+
+    @pytest.mark.parametrize("k", range(40))
+    def test_random_schedule_matches_stride_one(self, k, monkeypatch):
+        # ROADMAP item 1's sample: 19 of the 40 fail the mass gate at grid
+        # 512, and must fail at the same layer for the same reason
+        schedule = _random_schedule(k)
+        mus, failure = _run_to_failure(schedule, 512)
+        monkeypatch.setattr(freeconv, "_COARSE_STRIDE", 1)
+        ref_mus, ref_failure = _run_to_failure(schedule, 512)
+        assert failure == ref_failure
+        assert len(mus) == len(ref_mus)
+        for ell, (mu, ref) in enumerate(zip(mus, ref_mus), start=1):
+            assert mu.atoms == ref.atoms, ell
+            if ref.density is None:
+                assert mu.density is None, ell
+                continue
+            d, r = mu.density, ref.density
+            assert (d.left, d.right, d.grid_count) == (r.left, r.right, r.grid_count), ell
+            assert np.trapezoid(np.abs(d.values - r.values), dx=r.step) <= 1e-10, ell
+
     @pytest.mark.parametrize("name", list(_gate_cases()))
     def test_matches_the_w_newton_oracle(self, solver_and_oracle, name):
         _, _, solves = solver_and_oracle[name]
