@@ -654,7 +654,9 @@ def _draw_diagnostics(sample, seed: int) -> dict:
     """What explains one draw's spectrum: the top atom a_L of the low-rank
     form and its multiplicity M - n (both None once H turned dense), the
     dead units of each hidden layer's D (None where D was folded into W),
-    and the first layer whose H the dense step formed, or None."""
+    the first layer whose H the dense step formed, or None, and the
+    largest orthogonality defect of its layers (None where they were drawn
+    explicit)."""
     atom, multiplicity = sample.top_atom() or (None, None)
     return {
         "seed": seed,
@@ -662,6 +664,7 @@ def _draw_diagnostics(sample, seed: int) -> dict:
         "top_atom_multiplicity": multiplicity,
         "dead_units": list(sample.dead),
         "dense_layer": sample.dense_layer,
+        "ortho_defect_max": sample.ortho_defect_max,
     }
 
 

@@ -26,19 +26,21 @@ caller takes layer l's low-rank step, and once H is dense it conjugates
 layer l in H's own buffer while the caller draws layer l + 1. BLAS runs
 at one thread throughout, so the two threads share the cores.
 
-Each Haar draw is factored in its own M x M buffer by dgeqrf, the
-LAPACK routine numpy's QR calls, reached in numpy's bundled OpenBLAS
-(see _openblas). The draw is then Q diag(s), Q the product of dgeqrf's
-Householder reflectors and s_i the sign bit of r_ii, +-1 even where r_ii
-is 0, so each draw reads exactly one Gaussian. sample_haar_orthogonal forms Q there
-with dorgqr and keeps np.linalg.qr's bits. Simulate's two models never
-form Q: each fresh layer stays as its reflectors, applied to V by one
-dormqr, or to a dense H by blocks of TILE of them (_reflect_both_sides);
-the network's layers are also checked on them in O(M^2) and meet the
-forward pass through dormqr. So a draw needs no dorgqr, no Gram check
-and no full M x M product. np.linalg.qr and the dense path are the
-fallback where that library is not found; weights passed in keep the
-dense path and its full Gram check, formed in bands.
+A Haar draw is Q diag(s) from the QR of one Gaussian, Q R: Q is the
+product of the Householder reflectors and s_i the sign bit of r_ii, +-1
+even where r_ii is 0, so each draw reads exactly one Gaussian. Every
+explicit Q (sample_haar_orthogonal) is numpy's QR. Simulate's two models
+never form Q: each of their draws is factored in its own M x M buffer by
+dgeqrf, the LAPACK routine numpy's QR calls, reached in numpy's bundled
+OpenBLAS (see _openblas), and stays as its reflectors, checked on them
+in O(M^2) as it is drawn (_householder_layers). They are applied to V
+by one dormqr, to a dense H by blocks of TILE of them
+(_reflect_both_sides), and to the network's forward pass by dormqr. So
+a draw needs no dorgqr, no Gram check and no full M x M product.
+np.linalg.qr and the dense path are the fallback where that library is
+not found; there the atoms model's draws go unchecked, since a Gram
+check costs O(M^3) a layer. Weights passed in keep the dense path and
+its full Gram check, formed in bands.
 Empirical spectral measures feed the comparison against the
 free-probability predictions.
 """
@@ -139,27 +141,16 @@ def _householder_draw(M: int, rng: np.random.Generator, work: np.ndarray) -> tup
 
 
 def sample_haar_orthogonal(M: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed M x M orthogonal matrix, with np.linalg.qr's bits.
-
-    QR of one Gaussian matrix with the sign ambiguity fixed by forcing
-    a positive triangular diagonal (_signs); without the fix numpy's QR
-    biases the draw away from uniform. Where numpy's OpenBLAS is found,
-    Q is formed by dorgqr in the one M x M buffer of _householder_draw
-    and transposed back in place; np.linalg.qr is the fallback, with about
-    four M x M arrays alive during the draw.
+    """Haar-distributed M x M orthogonal matrix: np.linalg.qr of one
+    Gaussian matrix, with the sign ambiguity fixed by forcing a positive
+    triangular diagonal (_signs); without the fix numpy's QR biases the
+    draw away from uniform. About four M x M arrays are alive during the
+    draw.
     """
     if M < 2:
         raise ValueError("M must be at least 2")
-    if _openblas.found():
-        work = np.empty(_openblas.lwork(M))
-        f, tau, signs = _householder_draw(M, rng, work)
-        _openblas.dorgqr(f, tau, work)
-        q = f.T
-        _transpose_in_place(q)
-    else:
-        q, r = np.linalg.qr(rng.standard_normal((M, M)))
-        signs = _signs(r)
-    q *= signs
+    q, r = np.linalg.qr(rng.standard_normal((M, M)))
+    q *= _signs(r)
     return q
 
 
@@ -169,9 +160,10 @@ def normalized_input(M: int, rng: np.random.Generator) -> np.ndarray:
     return x * math.sqrt(M) / np.linalg.norm(x)
 
 
-def _check_layer(w: np.ndarray, s: float, width: int, ell: int) -> None:
-    """Raise ValueError unless layer `ell`'s W is width x width and W/s
-    is orthogonal: max |(W/s)^T (W/s) - I| < ORTHO_TOL, which NaN fails.
+def _check_layer(w: np.ndarray, s: float, width: int, ell: int, error=ValueError) -> None:
+    """Raise ValueError unless layer `ell`'s W is width x width, and
+    `error` unless W/s is orthogonal: max |(W/s)^T (W/s) - I| < ORTHO_TOL,
+    which NaN fails.
 
     The Gram matrix is symmetric, so only its part on and above the
     diagonal is formed, one band of TILE rows at a time: the temporaries
@@ -187,20 +179,19 @@ def _check_layer(w: np.ndarray, s: float, width: int, ell: int) -> None:
         gram.flat[:: gram.shape[1] + 1] -= 1.0
         defect = np.maximum(defect, np.abs(gram, out=gram).max())
     if not defect < ORTHO_TOL:
-        raise ValueError(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
+        raise error(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
 
 
-def _check_reflectors(f: np.ndarray, tau: np.ndarray, ell: int) -> None:
-    """Raise ValueError unless the reflectors of _householder_draw's
-    (F, tau) form an orthogonal Q, in O(M^2) and without forming Q.
+def _reflector_defect(f: np.ndarray, tau: np.ndarray) -> float:
+    """A bound on ||Q^T Q - I||_2 for the Q that the reflectors of
+    _householder_draw's (F, tau) form, in O(M^2) and without forming Q.
 
     With c_i = tau_i v_i^T v_i, e_i = |c_i (c_i - 2)| is
-    ||H_i^T H_i - I||_2, and ||Q^T Q - I||_2 <= prod(1 + e_i) - 1, which
-    must be below ORTHO_TOL (NaN fails). That bounds every entry of the
-    Gram defect _check_layer measures, so this check is no weaker. v_i is
-    1 at i and F[i+1:, i] below; the tails are the rows of F^T above its
-    diagonal, which are summed one band of TILE rows at a time, so the
-    only temporary is one band.
+    ||H_i^T H_i - I||_2, and ||Q^T Q - I||_2 <= prod(1 + e_i) - 1. That
+    bounds every entry of the Gram defect _check_layer measures, so a
+    check on it is no weaker. v_i is 1 at i and F[i+1:, i] below; the
+    tails are the rows of F^T above its diagonal, which are summed one
+    band of TILE rows at a time, so the only temporary is one band.
     """
     a = f.T
     M = a.shape[0]
@@ -210,9 +201,16 @@ def _check_reflectors(f: np.ndarray, tau: np.ndarray, ell: int) -> None:
         vtv[i : i + TILE] += np.einsum("ij,ij->i", band, band)
         del band  # before the next band is formed
     c = tau * vtv
-    defect = np.prod(1.0 + np.abs(c * (c - 2.0))) - 1.0
+    return float(np.prod(1.0 + np.abs(c * (c - 2.0))) - 1.0)
+
+
+def _check_reflectors(f: np.ndarray, tau: np.ndarray, ell: int) -> float:
+    """_reflector_defect of layer `ell`'s drawn (F, tau), which is
+    returned; NumericalError unless it is below ORTHO_TOL (NaN fails)."""
+    defect = _reflector_defect(f, tau)
     if not defect < ORTHO_TOL:
-        raise ValueError(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
+        raise NumericalError(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
+    return defect
 
 
 @dataclass
@@ -245,15 +243,15 @@ class _Householder:
 def _haar_layers(width: int, sigma: tuple, seed: int) -> Iterator:
     """OrthogonalNet.sample's draw: W_l = sigma_l Q_l with Q_l Haar from
     default_rng(seed), one layer at a time, each checked as OrthogonalNet
-    checks it as soon as it is drawn; a bad layer stops the draw there.
-    The caller decides how many layers stay alive. Inside, no zip or
-    enumerate runs over the draws: their cached result tuples would keep
-    the layer before last alive during a draw."""
+    checks it as soon as it is drawn; a bad layer stops the draw there
+    with NumericalError. The caller decides how many layers stay alive.
+    Inside, no zip or enumerate runs over the draws: their cached result
+    tuples would keep the layer before last alive during a draw."""
     rng = np.random.default_rng(seed)
     for ell, s in enumerate(sigma, start=1):
         w = sample_haar_orthogonal(width, rng)
         w *= s
-        _check_layer(w, s, width, ell)
+        _check_layer(w, s, width, ell, NumericalError)
         yield w
 
 
@@ -261,15 +259,18 @@ class _Worker:
     """The one worker thread of a recursion, and the job it has. While H
     is low-rank, `ahead` holds and the worker factors each next draw
     (_householder_layers); once H is dense it conjugates H instead
-    (_fim_step) and each draw is factored by the caller. `ahead` is the
-    one channel between the recursion and the draw that feeds it:
-    _fim_recursion clears it when H turns dense, and _householder_layers
-    reads it before it draws ahead. Jobs run in the caller's context, so
-    under its numpy error state."""
+    (_fim_step) and each draw is factored by the caller. `ahead` and
+    `defect` are the one channel between the recursion and the draw that
+    feeds it: _fim_recursion clears `ahead` when H turns dense, and
+    _householder_layers reads it before it draws ahead; `defect` is the
+    largest orthogonality defect of _householder_layers' draws so far,
+    None where none was drawn. Jobs run in the caller's context, so under
+    its numpy error state."""
 
     def __init__(self, pool: ThreadPoolExecutor):
         self.pool = pool
         self.ahead = True
+        self.defect = None
 
     def submit(self, fn, *args) -> Future:
         return self.pool.submit(contextvars.copy_context().run, fn, *args)
@@ -285,11 +286,14 @@ def _one_worker() -> Iterator:
 
 
 def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worker,
-                        before=None) -> Iterator:
+                        before=None, first: int = 1) -> Iterator:
     """(layer, drawn) for each of `scales`, in order: layer i is the
     _Householder of a Haar draw from rng, as _householder_draw makes it,
     with scale scales[i] times its signs, and `drawn` is what before(i)
     draws from rng just before its Gaussian (None without `before`).
+    Each draw is checked as soon as it is factored (_check_reflectors,
+    which names it layer first + i), and worker.defect keeps the largest
+    defect.
 
     While worker.ahead holds (until _fim_recursion turns H dense and
     clears it), each Gaussian is factored on the worker: Gaussian i + 1
@@ -312,6 +316,7 @@ def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worke
         return got, a, worker.submit(_factor, a, side)
 
     nxt = None  # (drawn, Gaussian, its factoring on the worker)
+    worker.defect = 0.0
     try:
         for i, s in enumerate(scales):
             if nxt is None and worker.ahead:
@@ -334,6 +339,7 @@ def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worke
                 if later is not None:
                     nxt = factored(*later)
                     del later
+            worker.defect = max(worker.defect, _check_reflectors(f, tau, first + i))
             signs *= s
             yield _Householder(f, tau, signs, work), got
             del f, tau, signs, got  # before the next Gaussian is drawn
@@ -346,12 +352,9 @@ def _network_layers(width: int, sigma: tuple, seed: int, worker: _Worker) -> Ite
     """_haar_layers' draw with each layer kept as its reflectors and
     checked on them (_householder_layers, which factors ahead on
     `worker`); Q is never formed. Needs numpy's OpenBLAS."""
-    ell = 0
     for layer, _ in _householder_layers(width, sigma, np.random.default_rng(seed), worker):
-        ell += 1
-        _check_reflectors(layer.f, layer.tau, ell)
         yield layer
-        del layer
+        del layer  # before the next layer is drawn
 
 
 @dataclass
@@ -570,8 +573,10 @@ class FimDraw:
     top atom, and a + eig(T), and H is formed only when asked for. Once a
     step turned dense, h is H and a, v and t are None. `dead` holds the
     dead units (zeros of d) of each step's D in order, None where D came
-    folded into W, and `dense_layer` the l of the first H_l the dense step
-    formed, or None.
+    folded into W, `dense_layer` the l of the first H_l the dense step
+    formed, or None, and `ortho_defect_max` the largest orthogonality
+    defect of the draw's layers (_check_reflectors), None where the layers
+    came explicit.
     """
 
     dead: tuple
@@ -580,6 +585,7 @@ class FimDraw:
     a: float | None = None
     v: np.ndarray | None = None
     t: np.ndarray | None = None
+    ortho_defect_max: float | None = None
 
     def eigenvalues(self) -> np.ndarray:
         """The spectrum of H, ascending."""
@@ -659,9 +665,9 @@ def _fim_recursion(M: int, q0: float, layers: Iterator, worker: _Worker) -> FimD
     finally:
         layers.close()
     if h is None:
-        return FimDraw(tuple(dead), None, a=a, v=v, t=t)
+        return FimDraw(tuple(dead), None, a=a, v=v, t=t, ortho_defect_max=worker.defect)
     _symmetrize_in_place(h)
-    return FimDraw(tuple(dead), dense_layer, h=h)
+    return FimDraw(tuple(dead), dense_layer, h=h, ortho_defect_max=worker.defect)
 
 
 def _network_steps(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> Iterator:
@@ -812,11 +818,13 @@ def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) 
     Each layer's D is drawn from `rng` just before its W, in order, so
     the rng ends in the same state as a serial loop would leave it. Where
     numpy's OpenBLAS is found W stays as its reflectors, with sigma_l
-    folded into its scale, and Q is never formed: while H stays low-rank
+    folded into its scale, checked on them as it is drawn, and Q is
+    never formed: while H stays low-rank
     (at most LOW_RANK_SHARE M dead units in all) the worker factors the
     next W as the caller takes this layer's step, and once it is dense
     the worker conjugates it while the caller draws. Elsewhere W D is
-    formed from sample_haar_orthogonal and every step is dense.
+    formed from sample_haar_orthogonal, unchecked, since a Gram check
+    costs O(M^3) a layer, and every step is dense.
     """
 
     def jacobian(i):
@@ -833,7 +841,8 @@ def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) 
                 yield wd, None, schedule.q[i + 1]
             return
         i = 0
-        for layer, d in _householder_layers(M, schedule.sigma[1:], rng, worker, jacobian):
+        # the first W drawn is W_2: H_1 = q_0 I needs none
+        for layer, d in _householder_layers(M, schedule.sigma[1:], rng, worker, jacobian, 2):
             i += 1
             yield layer, d, schedule.q[i]
             del layer, d

@@ -9,7 +9,7 @@ import pytest
 from oracles import reference_model_fim
 
 import isospec.cli as cli
-from isospec import _openblas, trainlab
+from isospec import _openblas, rmtsim, trainlab
 from isospec.cli import main
 from isospec.meanfield import moment_map
 from isospec.rmtsim import FimDraw
@@ -355,6 +355,10 @@ class TestSimulate:
             for k, d in enumerate(draws):
                 vals = np.array([float(r.split(",")[2]) for r in rows if r.startswith(f"{k},")])
                 assert len(d["dead_units"]) == 4
+                if _openblas.found():
+                    assert 0.0 <= d["ortho_defect_max"] < 1e-10
+                else:
+                    assert d["ortho_defect_max"] is None
                 if low_rank:
                     assert d["dense_layer"] is None
                     assert d["top_atom_multiplicity"] == 100 - sum(d["dead_units"])
@@ -414,6 +418,23 @@ class TestSimulate:
         assert code == 2
         assert "config error: bins: bin width" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.skipif(not _openblas.found(), reason="numpy bundles no OpenBLAS here")
+    def test_bent_draw_exits_3_and_names_its_layer(self, tmp_path, monkeypatch, capsys):
+        real, factored = rmtsim._factor, []
+
+        def bent_third(a, work):
+            tau = real(a, work)
+            factored.append(1)
+            if len(factored) == 3:
+                a.T[5, 0] += 1e-6  # F[5, 0], a reflector entry
+            return tau
+
+        monkeypatch.setattr(rmtsim, "_factor", bent_third)
+        code = _run("simulate", "--out", tmp_path / "x", "--model", "network", "--width", 16,
+                    "--depth", 5, "--family", "linear", "--g", 1.0)
+        assert code == 3
+        assert "numerical failure: layer 3: W/sigma off orthogonal" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
@@ -535,6 +556,21 @@ class TestSweep:
         assert _run("sweep", "--out", x, "--idx-images", "only.idx", *self.SMALL) == 2
         assert _run("sweep", "--out", x, "--eta-min", 2.0, "--eta-max", 1.0,
                     *self.SMALL) == 2
+
+    def test_bent_draw_exits_3_and_names_its_layer(self, tmp_path, monkeypatch, capsys):
+        real, drawn = rmtsim.sample_haar_orthogonal, []
+
+        def bent_third(M, rng):
+            q = real(M, rng)
+            drawn.append(M)
+            if len(drawn) == 3:
+                q[5, 0] += 1e-6
+            return q
+
+        monkeypatch.setattr(rmtsim, "sample_haar_orthogonal", bent_third)
+        assert _run("sweep", "--out", tmp_path / "x", "--depths", "3", "--etas", "0.01,0.1",
+                    *self.SMALL) == 3
+        assert "numerical failure: layer 3: W/sigma off orthogonal" in capsys.readouterr().err
 
     @pytest.mark.parametrize("classes", [0, -1])
     def test_class_count_below_one_is_config_error(self, classes, tmp_path, capsys):

@@ -68,7 +68,8 @@ class _SingularDraws:
 @pytest.fixture(params=["lapack", "fallback"])
 def haar_path(request, monkeypatch):
     """The draw through numpy's OpenBLAS, or with the lookup forced to
-    find nothing, through np.linalg.qr."""
+    find nothing, through np.linalg.qr. An explicit Q is numpy's QR on
+    both."""
     if request.param == "fallback":
         monkeypatch.setattr(_openblas, "_library", lambda: None)
     elif not _openblas.found():
@@ -125,6 +126,7 @@ class TestSampleHaarOrthogonal:
 
     @pytest.mark.parametrize("M", [2, 3, 64, 129, 1000])
     def test_both_paths_give_numpys_bits(self, haar_path, M):
+        # the draw makes no call into the library, found or not
         rng, ref = np.random.default_rng(M), np.random.default_rng(M)
         q = sample_haar_orthogonal(M, rng)
         assert q.flags.c_contiguous
@@ -151,19 +153,6 @@ class TestSampleHaarOrthogonal:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "0"
-
-    def test_one_draw_holds_about_one_matrix(self):
-        if not _openblas.found():
-            pytest.skip("numpy bundles no OpenBLAS here")
-        M = 512
-        rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            sample_haar_orthogonal(M, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 8 * M * M
 
 
 class TestCheckLayer:
@@ -230,13 +219,13 @@ class TestCheckReflectors:
         f, tau = _reflectors(M, M)
         rmtsim._check_reflectors(f, tau, 1)
         f[at] += 1e-6
-        with pytest.raises(ValueError, match="layer 1: W/sigma off orthogonal"):
+        with pytest.raises(NumericalError, match="layer 1: W/sigma off orthogonal"):
             rmtsim._check_reflectors(f, tau, 1)
 
     def test_catches_a_changed_tau(self):
         f, tau = _reflectors(200)
         tau[77] *= 1.0 + 1e-6
-        with pytest.raises(ValueError, match="layer 4: W/sigma off orthogonal"):
+        with pytest.raises(NumericalError, match="layer 4: W/sigma off orthogonal"):
             rmtsim._check_reflectors(f, tau, 4)
 
     @pytest.mark.parametrize("where", ["reflector", "tau"])
@@ -246,8 +235,27 @@ class TestCheckReflectors:
             tau[3] = math.nan
         else:
             f[10, 3] = math.nan
-        with pytest.raises(ValueError, match="off orthogonal by nan"):
+        with pytest.raises(NumericalError, match="off orthogonal by nan"):
             rmtsim._check_reflectors(f, tau, 1)
+
+    # one reflector entry or one tau moved by `size`: the bound stays at or
+    # above the Gram defect that _check_layer measures on the formed Q
+    @pytest.mark.parametrize("M", [129, 300])
+    @pytest.mark.parametrize("size", [1e-12, 1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("where", ["reflector", "tau"])
+    def test_bound_is_at_least_the_gram_defect(self, M, size, where):
+        f, tau = _reflectors(M, M)
+        spots = np.random.default_rng(M).integers(0, M - 1, size=(5, 2))
+        for i, j in spots:
+            g, t = f.copy(order="F"), tau.copy()
+            if where == "tau":
+                t[j] *= 1.0 + size
+            else:
+                g[max(i, j + 1), j] += size
+            bound = rmtsim._reflector_defect(g, t)
+            _openblas.dorgqr(g, t, np.empty(_openblas.lwork(M)))
+            gram = np.abs(g.T @ g - np.eye(M)).max()
+            assert bound >= gram
 
     @pytest.mark.parametrize("s", [1e-7, 1.0, 1e160, 1e300])
     def test_any_scale_passes_and_keeps_the_sampled_weight(self, s):
@@ -425,6 +433,21 @@ STREAM_ACTIVATIONS = [Linear(1.0), HardTanh(s=0.5, g=1.3)]
 STREAM_SIGMAS = (0.8, 1.1, 0.9, 1.2, 1.0)
 
 
+def _bent_third_factor():
+    """rmtsim._factor, except that the third draw it factors has one
+    reflector entry, F[5, 0], moved by 1e-6."""
+    real, factored = rmtsim._factor, []
+
+    def bent_third(a, work):
+        tau = real(a, work)
+        factored.append(1)
+        if len(factored) == 3:
+            a.T[5, 0] += 1e-6
+        return tau
+
+    return bent_third
+
+
 class TestNetworkFimSample:
     """The streamed draw: each layer drawn, checked and consumed in turn."""
 
@@ -460,28 +483,47 @@ class TestNetworkFimSample:
         assert all(np.array_equal(_dense(a), b) for a, b in zip(seen, net.weights))
 
     @needs_openblas
-    def test_non_orthogonal_layer_is_named(self, monkeypatch):
-        factored, drawn = [], []
-        real_factor, real_gaussian = rmtsim._factor, rmtsim._gaussian
-
-        def bent_third(a, work):
-            tau = real_factor(a, work)
-            factored.append(1)
-            if len(factored) == 3:
-                a.T[5, 0] += 1e-6  # F[5, 0], a reflector entry
-            return tau
+    @pytest.mark.parametrize("model", ["network", "atoms"])
+    def test_non_orthogonal_layer_is_named(self, model, monkeypatch):
+        # the third draw is W_3 of the network and W_4 of the atoms model,
+        # whose first W is W_2
+        drawn = []
+        real_gaussian = rmtsim._gaussian
 
         def counted(M, rng):
             drawn.append(M)
             return real_gaussian(M, rng)
 
-        monkeypatch.setattr(rmtsim, "_factor", bent_third)
+        monkeypatch.setattr(rmtsim, "_factor", _bent_third_factor())
         monkeypatch.setattr(rmtsim, "_gaussian", counted)
-        x = normalized_input(16, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="layer 3: W/sigma off orthogonal"):
-            network_fim_sample(16, 5, Linear(1.0), 1.0, 0, x)
+        layer = 3 if model == "network" else 4
+        with pytest.raises(NumericalError, match=f"layer {layer}: W/sigma off orthogonal"):
+            _draw(model, "low_rank")
         # the draw stops at the bad layer, and the one drawn ahead of it
         assert len(drawn) == 4
+
+    @needs_openblas
+    @pytest.mark.parametrize("model", ["network", "atoms"])
+    def test_every_draw_is_checked_once(self, model, monkeypatch):
+        for regime in REGIMES:
+            drawn, checked = [], []
+            real_gaussian, real_check = rmtsim._gaussian, rmtsim._check_reflectors
+
+            def counted(M, rng):
+                drawn.append(M)
+                return real_gaussian(M, rng)
+
+            def check(f, tau, ell):
+                checked.append(ell)
+                return real_check(f, tau, ell)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(rmtsim, "_gaussian", counted)
+                patch.setattr(rmtsim, "_check_reflectors", check)
+                sample = _draw(model, regime)
+            first = 1 if model == "network" else 2
+            assert checked == list(range(first, first + len(drawn)))
+            assert 0.0 <= sample.ortho_defect_max < rmtsim.ORTHO_TOL
 
     def test_non_finite_preactivation(self):
         x = normalized_input(16, np.random.default_rng(0))
