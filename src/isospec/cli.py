@@ -653,10 +653,9 @@ def cmd_tune(args) -> int:
 def _draw_diagnostics(sample, seed: int) -> dict:
     """What explains one draw's spectrum: the top atom a_L of the low-rank
     form and its multiplicity M - n (both None once H turned dense), the
-    dead units of each hidden layer's D (None where D was folded into W),
-    the first layer whose H the dense step formed, or None, and the
-    largest orthogonality defect of its layers (None where they were drawn
-    explicit)."""
+    count of dead units of each hidden layer's D, the first layer whose H
+    the dense step formed, or None, and the largest orthogonality defect
+    of its layers (None where they were drawn explicit)."""
     atom, multiplicity = sample.top_atom() or (None, None)
     return {
         "seed": seed,

@@ -38,9 +38,10 @@ by one dormqr, to a dense H by blocks of TILE of them
 (_reflect_both_sides), and to the network's forward pass by dormqr. So
 a draw needs no dorgqr, no Gram check and no full M x M product.
 np.linalg.qr and the dense path are the fallback where that library is
-not found; there the atoms model's draws go unchecked, since a Gram
-check costs O(M^3) a layer. Weights passed in keep the dense path and
-its full Gram check, formed in bands.
+not found; there every step conjugates D H D by an explicit W, and
+the atoms model's draws go unchecked, since a Gram check costs O(M^3)
+a layer. Weights passed in keep the dense path and its full Gram
+check, formed in bands.
 Empirical spectral measures feed the comparison against the
 free-probability predictions.
 """
@@ -466,30 +467,26 @@ def _reflect_both_sides(h: np.ndarray, layer: _Householder, work: np.ndarray) ->
 
 
 def _fim_step(h: np.ndarray, work: np.ndarray, layer: list) -> None:
-    """One step of the recursion in place: h <- q I + W D h D W^T.
+    """One step of the recursion in place: h <- q I + W E h E W^T.
 
-    `layer` is [W, d, q]; d None skips the D scaling, for callers that
-    pass W D as W. A W kept as reflectors, Q diag(scale), folds scale
-    into d in place and is applied by _reflect_both_sides, which needs h
-    symmetric and leaves it so. An explicit W is applied in h's own
-    buffer by two sweeps through a panel of M x TILE doubles at the head
-    of `work`: each column panel h[:, c] <- W h[:, c], which reads only
-    that panel of h, then each row panel h[r] <- h[r] W^T. BLAS need not
-    sum a panel's entries in the order of the full products W h and
-    (W h) W^T, so above TILE the result can differ from theirs in the
-    last bits at some widths. The step empties `layer`, so the thread
-    that runs it keeps no weight once it returns.
+    `layer` is [W, e, q] with E = diag(e). For an explicit W, e is d; for
+    a W kept as reflectors, Q diag(scale), e is d * scale, and Q is
+    applied by _reflect_both_sides, which needs h symmetric and leaves it
+    so. An explicit W is applied in h's own buffer by two sweeps through
+    a panel of M x TILE doubles at the head of `work`: each column panel
+    h[:, c] <- W h[:, c], which reads only that panel of h, then each row
+    panel h[r] <- h[r] W^T. BLAS need not sum a panel's entries in the
+    order of the full products W h and (W h) W^T, so above TILE the
+    result can differ from theirs in the last bits at some widths. The
+    step empties `layer`, so the thread that runs it keeps no weight once
+    it returns.
     """
-    w, d, q = layer
+    w, e, q = layer
     layer.clear()
-    reflectors = isinstance(w, _Householder)
-    if reflectors:  # fold scale into d, which is this step's own
-        d = w.scale if d is None else np.multiply(d, w.scale, out=d)
-    if d is not None:
-        h *= d[:, None]
-        h *= d[None, :]
+    h *= e[:, None]
+    h *= e[None, :]
     M = h.shape[0]
-    if reflectors:
+    if isinstance(w, _Householder):
         _reflect_both_sides(h, w, work)
     else:
         for i in range(0, M, TILE):
@@ -571,12 +568,11 @@ class FimDraw:
     While every step stayed low-rank, H = a I + V T V^T, the n columns of
     V orthonormal and h None: its eigenvalues are M - n copies of a, the
     top atom, and a + eig(T), and H is formed only when asked for. Once a
-    step turned dense, h is H and a, v and t are None. `dead` holds the
-    dead units (zeros of d) of each step's D in order, None where D came
-    folded into W, `dense_layer` the l of the first H_l the dense step
-    formed, or None, and `ortho_defect_max` the largest orthogonality
-    defect of the draw's layers (_check_reflectors), None where the layers
-    came explicit.
+    step turned dense, h is H and a, v and t are None. `dead` counts the
+    dead units (zeros of d) of each step's D in order, `dense_layer` is
+    the l of the first H_l the dense step formed, or None, and
+    `ortho_defect_max` the largest orthogonality defect of the draw's
+    layers (_check_reflectors), None where the layers came explicit.
     """
 
     dead: tuple
@@ -617,7 +613,8 @@ class FimDraw:
 
 def _fim_recursion(M: int, q0: float, layers: Iterator, worker: _Worker) -> FimDraw:
     """H_L of the recursion from H_1 = q0 I over the (W, d, q) steps in
-    `layers`.
+    `layers`. Each step's E = D diag(scale) for a W kept as reflectors,
+    Q diag(scale), and D for an explicit W, is formed once, here.
 
     Steps on layers kept as reflectors (_Householder) run on the calling
     thread on the low-rank form H = a I + V T V^T (_low_rank_step), while
@@ -640,10 +637,8 @@ def _fim_recursion(M: int, q0: float, layers: Iterator, worker: _Worker) -> FimD
         try:
             for w, d, q in layers:
                 ell += 1
-                e = d
-                if isinstance(w, _Householder):
-                    e = w.scale if d is None else d * w.scale
-                dead.append(None if e is None else int(e.size - np.count_nonzero(e)))
+                e = d * w.scale if isinstance(w, _Householder) else d
+                dead.append(int(e.size - np.count_nonzero(e)))
                 if h is None and isinstance(w, _Householder):
                     stepped = _low_rank_step(a, v, t, w, e, q)
                     if stepped is not None:
@@ -657,7 +652,7 @@ def _fim_recursion(M: int, q0: float, layers: Iterator, worker: _Worker) -> FimD
                     work = np.empty(k * (M + 2 * k))
                 if pending is not None:
                     pending.result()
-                pending = worker.submit(_fim_step, h, work, [w, d, q])
+                pending = worker.submit(_fim_step, h, work, [w, e, q])
                 del w
         finally:
             if pending is not None:
@@ -822,9 +817,10 @@ def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) 
     never formed: while H stays low-rank
     (at most LOW_RANK_SHARE M dead units in all) the worker factors the
     next W as the caller takes this layer's step, and once it is dense
-    the worker conjugates it while the caller draws. Elsewhere W D is
+    the worker conjugates it while the caller draws. Elsewhere W is
     formed from sample_haar_orthogonal, unchecked, since a Gram check
-    costs O(M^3) a layer, and every step is dense.
+    costs O(M^3) a layer, and every step is dense: W (D H D) W^T, as in
+    the network model.
     """
 
     def jacobian(i):
@@ -835,10 +831,9 @@ def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) 
         if not _openblas.found():
             for i, s in enumerate(schedule.sigma[1:]):
                 d = jacobian(i)
-                wd = sample_haar_orthogonal(M, rng)
-                wd *= s
-                wd *= d[None, :]
-                yield wd, None, schedule.q[i + 1]
+                w = sample_haar_orthogonal(M, rng)
+                w *= s
+                yield w, d, schedule.q[i + 1]
             return
         i = 0
         # the first W drawn is W_2: H_1 = q_0 I needs none

@@ -343,7 +343,7 @@ class TestSimulate:
     def test_diagnostics_explain_each_draw(self, tmp_path):
         # alpha 0.95 keeps H low-rank; at alpha 0.3 most units are dead and
         # the first step turns dense. Without numpy's OpenBLAS every step
-        # is dense and each D comes folded into W.
+        # is dense.
         cases = ((0.95, True), (0.3, False)) if _openblas.found() else ((0.3, False),)
         for alpha, low_rank in cases:
             out = tmp_path / str(alpha)
@@ -368,10 +368,7 @@ class TestSimulate:
                 else:
                     assert d["dense_layer"] == 2
                     assert d["top_atom"] is None and d["top_atom_multiplicity"] is None
-                    if _openblas.found():
-                        assert d["dead_units"][0] > 50
-                    else:
-                        assert d["dead_units"] == [None] * 4
+                    assert d["dead_units"][0] > 50
 
     def test_dump_matches_the_dense_recursion(self, tmp_path):
         # the low-rank form, formed only for the dump, against the dense
