@@ -48,7 +48,6 @@ from .meanfield import (
 from .rmtsim import (
     FimDraw,
     OrthogonalNet,
-    dual_fim,
     empirical_measure,
     network_fim_sample,
     sample_haar_orthogonal,

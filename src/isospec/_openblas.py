@@ -31,7 +31,6 @@ _BUILDS = (
 # report an error add INFO (i). The hidden lengths of the options follow.
 _SIGNATURES = {
     "dgeqrf": "iiaiaai",  # M, N, A, LDA, TAU, WORK, LWORK
-    "dorgqr": "iiiaiaai",  # M, N, K, A, LDA, TAU, WORK, LWORK
     "dormqr": "cciiiaiaaiai",  # SIDE, TRANS, M, N, K, A, LDA, TAU, C, LDC, WORK, LWORK
     "dlarft": "cciiaiaai",  # DIRECT, STOREV, N, K, V, LDV, TAU, T, LDT
     "dgemm": "cciiidaiaidai",  # TRANSA, TRANSB, M, N, K, ALPHA, A, LDA, B, LDB, BETA, C, LDC
@@ -39,7 +38,7 @@ _SIGNATURES = {
     "dsyr2k": "cciidaiaidai",  # UPLO, TRANS, N, K, ALPHA, A, LDA, B, LDB, BETA, C, LDC
     "dtrmm": "cccciidaiai",  # SIDE, UPLO, TRANSA, DIAG, M, N, ALPHA, A, LDA, B, LDB
 }
-_WITH_INFO = ("dgeqrf", "dorgqr", "dormqr")
+_WITH_INFO = ("dgeqrf", "dormqr")
 
 
 @functools.cache
@@ -124,16 +123,14 @@ def _call(name: str, *args) -> None:
 
 def lwork(m: int) -> int:
     """A work-array size that serves each routine below that takes one, at
-    order m: the largest that an LWORK = -1 query asks for, of dgeqrf and
-    dorgqr on an m x m matrix and of dormqr on an m x m matrix and on a
-    vector. Their queries grow with the columns, so it also serves fewer
-    than m of them. More work than a routine asks for changes neither its
+    order m: the largest that an LWORK = -1 query asks for, of dgeqrf on
+    an m x m matrix and of dormqr on an m x m matrix and on a vector.
+    Their queries grow with the columns, so it also serves fewer than m
+    of them. More work than a routine asks for changes neither its
     blocking nor its bits, so one array can serve them all."""
     query, dummy = np.zeros(1), np.zeros(1)
     sizes = [m]
     _call("dgeqrf", m, m, dummy, m, dummy, query, -1)
-    sizes.append(int(query[0]))
-    _call("dorgqr", m, m, m, dummy, m, dummy, query, -1)
     sizes.append(int(query[0]))
     for cols in (m, 1):
         _call("dormqr", b"L", b"N", m, cols, m, dummy, m, dummy, dummy, m, query, -1)
@@ -186,15 +183,6 @@ def dgeqrf(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     _tau_and_work(n, tau, work)
     _call("dgeqrf", m, n, a, lda, tau, work, work.size)
     return tau
-
-
-def dorgqr(a: np.ndarray, tau: np.ndarray, work: np.ndarray) -> None:
-    """Overwrite dgeqrf's output `a`, m x n, with the n orthonormal columns
-    its reflectors form (all of Q when `a` is square), as numpy's QR forms
-    them."""
-    m, n, lda = _tall(a)
-    _tau_and_work(n, tau, work)
-    _call("dorgqr", m, n, n, a, lda, tau, work, work.size)
 
 
 def dormqr(a: np.ndarray, tau: np.ndarray, c: np.ndarray, work: np.ndarray) -> None:

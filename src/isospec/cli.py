@@ -655,7 +655,7 @@ def _draw_diagnostics(sample, seed: int) -> dict:
     form and its multiplicity M - n (both None once H turned dense), the
     count of dead units of each hidden layer's D, the first layer whose H
     the dense step formed, or None, and the largest orthogonality defect
-    of its layers (None where they were drawn explicit)."""
+    of its layers."""
     atom, multiplicity = sample.top_atom() or (None, None)
     return {
         "seed": seed,

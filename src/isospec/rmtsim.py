@@ -8,49 +8,46 @@ central object measured here is the dual conditional Fisher information
         = sum_l q_hat_{l-1} delta_{L->l} delta_{L->l}^T,
 
 built by the layer recursion H_{l+1} = q_hat_l I + W_{l+1} D_l H_l D_l
-W_{l+1}^T (starting from H_1 = q_hat_0 I). The one forward loop,
-_forward_layers, runs one input or a batch (trainlab's sweep steps
-through it too). The recursion consumes it one layer at a time, so a
-network draw can be streamed through it without ever holding more than
-two weights.
+W_{l+1}^T (starting from H_1 = q_hat_0 I). The forward loop over
+weights in hand, _forward_layers, runs one input or a batch (trainlab's
+sweep steps through it).
 
 Every activation here has |phi'| in {0, c}, so each step keeps H =
 a I + V T V^T: a is the top atom, and V, orthonormal, has one column per
-unit dead so far. The recursion updates (a, V, T) in O(M^2 n) per layer
-for n columns (_low_rank_step), and H's eigenvalues are M - n copies of
-a and a + eig(T), so no M x M eigensolve is needed. Once V would have
-more than LOW_RANK_SHARE M columns, or the live units' |d_i| differ, H is
-formed and every later step conjugates it densely (_fim_step). One worker
-thread overlaps the caller: it factors layer l + 1's Gaussian while the
-caller takes layer l's low-rank step, and once H is dense it conjugates
-layer l in H's own buffer while the caller draws layer l + 1. BLAS runs
-at one thread throughout, so the two threads share the cores.
+unit dead so far. H's eigenvalues are M - n copies of a and a + eig(T),
+so no M x M eigensolve is needed. A step on this form reads its layer
+only through Q B, B = [dead unit vectors, X] with X from V
+(_low_rank_step), and the network's forward pass reads it through Q x.
+Q is Haar and independent of C = [B, x], so Q C has the law of Y R for a
+thin QR C = U R and Y uniform on the Stiefel manifold of M x m frames
+(Mezzadri 2007). Simulate's two models therefore decide each step's
+regime before its layer is drawn, and while H stays low-rank draw only
+Y, from numpy's QR of one M x m Gaussian, checked in O(M m^2)
+(_HaarDraws.thin). Such a step costs O(M m^2) and allocates no M x M
+array.
 
-A Haar draw is Q diag(s) from the QR of one Gaussian, Q R: Q is the
-product of the Householder reflectors and s_i the sign bit of r_ii, +-1
-even where r_ii is 0, so each draw reads exactly one Gaussian. Every
-explicit Q (sample_haar_orthogonal) is numpy's QR. Simulate's two models
-never form Q: each of their draws is factored in its own M x M buffer by
-dgeqrf, the LAPACK routine numpy's QR calls, reached in numpy's bundled
-OpenBLAS (see _openblas), and stays as its reflectors, checked on them
-in O(M^2) as it is drawn (_householder_layers). They are applied to V
-by one dormqr, to a dense H by blocks of TILE of them
-(_reflect_both_sides), and to the network's forward pass by dormqr. So
-a draw needs no dorgqr, no Gram check and no full M x M product.
-np.linalg.qr and the dense path are the fallback where that library is
-not found; there every step conjugates D H D by an explicit W, and
-the atoms model's draws go unchecked, since a Gram check costs O(M^3)
-a layer. Weights passed in keep the dense path and its full Gram
-check, formed in bands.
-Empirical spectral measures feed the comparison against the
-free-probability predictions.
+Once V would have more than LOW_RANK_SHARE M columns, or the live units'
+|d_i| differ, H is formed and every later step conjugates it densely
+(_fim_step) by a full Haar layer (_HaarDraws.full). Where numpy's bundled
+OpenBLAS is found (see _openblas), that layer stays as the Householder
+reflectors that dgeqrf leaves, checked on them in O(M^2) and applied to H
+by blocks of TILE of them (_reflect_both_sides), and one worker thread
+conjugates layer l in H's own buffer while the caller draws layer l + 1,
+with BLAS at one thread, so the two threads share the cores. Elsewhere
+the layer is numpy's explicit Q, checked by its Gram matrix, and each
+step is waited for before the next draw.
+
+A Haar draw, thin or full, is Q diag(s) from the QR of one Gaussian, Q R,
+with s_i the sign bit of r_ii: +-1 even where r_ii is 0, so each draw
+reads exactly one Gaussian. Empirical spectral measures feed the
+comparison against the free-probability predictions.
 """
 
 import contextlib
 import contextvars
 import math
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +59,14 @@ from .specmeasure import GridDensity, NumericalError, SpectralMeasure, check_bin
 
 ORTHO_TOL = 1e-10
 # The recursion keeps H = a I + V T V^T while V has at most this share of
-# M columns. At M = 1000 and one BLAS thread a low-rank step takes 11, 25,
-# 44, 59 and 80 ms at 100, 250, 400, 500 and 600 columns, on the caller,
-# beside 14 ms of drawing, while the worker's dgeqrf takes 30 ms. A dense
-# step takes 50 ms on the worker while the caller draws for 47 ms, and
-# the dense form costs 25 ms to form H and an 80 ms eigvalsh at the end.
-# So the two cross between 300 and 500 columns a layer, and at M / 2 once
-# the dense form's fixed costs are counted. These are in-process timings:
-# the benchmark's simulate commands stay low-rank and never reach it.
+# M columns. At M = 1000 and one BLAS thread a low-rank step, its thin draw
+# included, takes 14, 36, 63 and 79 ms at 100, 250, 400 and 490 columns
+# (17, 47, 86 and 112 ms with the network's input column). A dense layer
+# takes 45 ms to draw and check on the caller while the worker conjugates
+# the last one in 51 ms, and the dense form adds 26 ms to form H and an
+# 88 ms eigvalsh at the end. So the two cross near 300 columns a layer,
+# and near M / 2 once the dense form's fixed costs are counted. These are
+# in-process timings: the benchmark's simulate commands stay low-rank.
 LOW_RANK_SHARE = 0.5
 # Tile of the in-place transposes and symmetrization, band of the
 # orthogonality check and panel width of the FIM conjugation.
@@ -105,21 +102,6 @@ def _symmetrize_in_place(a: np.ndarray) -> None:
             a[cols, rows] = tile.T
 
 
-def _gaussian(M: int, rng: np.random.Generator) -> np.ndarray:
-    """An M x M Gaussian from rng, transposed in place so that LAPACK
-    reads it column-major, as numpy's QR copies it."""
-    a = rng.standard_normal((M, M))
-    _transpose_in_place(a)
-    return a
-
-
-def _factor(a: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """dgeqrf on _gaussian's `a` in place: its Fortran-ordered view a.T
-    then holds R on and above the diagonal and the reflectors H_i =
-    I - tau_i v_i v_i^T below it. Returns tau."""
-    return _openblas.dgeqrf(a.T, work)
-
-
 def _signs(r: np.ndarray) -> np.ndarray:
     """The signs of the Haar draw Q diag(signs) from the QR of a Gaussian,
     Q R: the sign bits of R's diagonal, +-1 even where an r_ii is 0, so
@@ -132,12 +114,16 @@ def _householder_draw(M: int, rng: np.random.Generator, work: np.ndarray) -> tup
     """(F, tau, signs): a Haar draw as numpy's QR of one M x M Gaussian
     from rng leaves it, before Q is formed.
 
-    F = a.T of _factor. The Haar draw is Q diag(signs) with Q = H_1 ...
-    H_M and signs from _signs. `work` is the LAPACK workspace
-    (_openblas.lwork).
+    The Gaussian is transposed in place, so that LAPACK reads it
+    column-major as numpy's QR copies it, and dgeqrf factors it in place:
+    its Fortran-ordered view F = a.T then holds R on and above the
+    diagonal and the reflectors H_i = I - tau_i v_i v_i^T below it. The
+    Haar draw is Q diag(signs) with Q = H_1 ... H_M and signs from
+    _signs. `work` is the LAPACK workspace (_openblas.lwork).
     """
-    a = _gaussian(M, rng)
-    tau = _factor(a, work)
+    a = rng.standard_normal((M, M))
+    _transpose_in_place(a)
+    tau = _openblas.dgeqrf(a.T, work)
     return a.T, tau, _signs(a)
 
 
@@ -161,26 +147,32 @@ def normalized_input(M: int, rng: np.random.Generator) -> np.ndarray:
     return x * math.sqrt(M) / np.linalg.norm(x)
 
 
-def _check_layer(w: np.ndarray, s: float, width: int, ell: int, error=ValueError) -> None:
-    """Raise ValueError unless layer `ell`'s W is width x width, and
-    `error` unless W/s is orthogonal: max |(W/s)^T (W/s) - I| < ORTHO_TOL,
-    which NaN fails.
+def _check_columns(w: np.ndarray, s: float, ell: int, error=NumericalError) -> float:
+    """max |(W/s)^T (W/s) - I| for layer `ell`'s W of M x m, which is
+    returned; `error` unless it is below ORTHO_TOL, which NaN fails.
 
     The Gram matrix is symmetric, so only its part on and above the
     diagonal is formed, one band of TILE rows at a time: the temporaries
     are a TILE-column slice of W/s and its band of the Gram matrix. Each
     slice is scaled before its product, so a huge sigma cannot overflow.
     """
-    if w.shape != (width, width):
-        raise ValueError(f"weight {ell} has shape {w.shape}")
     defect = 0.0
-    for i in range(0, width, TILE):
+    for i in range(0, w.shape[1], TILE):
         gram = (w[:, i : i + TILE] / s).T @ w[:, i:]
         gram /= s
         gram.flat[:: gram.shape[1] + 1] -= 1.0
         defect = np.maximum(defect, np.abs(gram, out=gram).max())
     if not defect < ORTHO_TOL:
         raise error(f"layer {ell}: W/sigma off orthogonal by {defect:.2e}")
+    return float(defect)
+
+
+def _check_layer(w: np.ndarray, s: float, width: int, ell: int, error=ValueError) -> None:
+    """Raise ValueError unless layer `ell`'s W is width x width, and
+    `error` unless W/s is orthogonal (_check_columns)."""
+    if w.shape != (width, width):
+        raise ValueError(f"weight {ell} has shape {w.shape}")
+    _check_columns(w, s, ell, error)
 
 
 def _reflector_defect(f: np.ndarray, tau: np.ndarray) -> float:
@@ -216,9 +208,9 @@ def _check_reflectors(f: np.ndarray, tau: np.ndarray, ell: int) -> float:
 
 @dataclass
 class _Householder:
-    """A fresh layer W = Q diag(scale) kept as the reflectors of Q (see
-    _householder_draw): scale is sigma times the draw's signs. Each TILE
-    x TILE diagonal block of F becomes unit lower triangular here, on the
+    """A fresh layer Q diag(scale) kept as the reflectors of Q (see
+    _householder_draw): scale is the draw's signs. Each TILE x TILE
+    diagonal block of F becomes unit lower triangular here, on the
     drawing thread, so that _reflect_both_sides can read the blocks of
     reflectors as they stand; R, which they held, is not needed. `work`
     is the drawing thread's LAPACK workspace, which `matvec` reuses."""
@@ -235,7 +227,7 @@ class _Householder:
             np.fill_diagonal(head, 1.0)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """W x for one input x of shape (M,)."""
+        """Q diag(scale) x for one input x of shape (M,)."""
         y = self.scale * x
         _openblas.dormqr(self.f, self.tau, y, self.work)
         return y
@@ -256,106 +248,50 @@ def _haar_layers(width: int, sigma: tuple, seed: int) -> Iterator:
         yield w
 
 
-class _Worker:
-    """The one worker thread of a recursion, and the job it has. While H
-    is low-rank, `ahead` holds and the worker factors each next draw
-    (_householder_layers); once H is dense it conjugates H instead
-    (_fim_step) and each draw is factored by the caller. `ahead` and
-    `defect` are the one channel between the recursion and the draw that
-    feeds it: _fim_recursion clears `ahead` when H turns dense, and
-    _householder_layers reads it before it draws ahead; `defect` is the
-    largest orthogonality defect of _householder_layers' draws so far,
-    None where none was drawn. Jobs run in the caller's context, so under
-    its numpy error state."""
-
-    def __init__(self, pool: ThreadPoolExecutor):
-        self.pool = pool
-        self.ahead = True
-        self.defect = None
-
-    def submit(self, fn, *args) -> Future:
-        return self.pool.submit(contextvars.copy_context().run, fn, *args)
+def _stiefel(M: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Y, M x m with orthonormal columns and uniform on the Stiefel
+    manifold: numpy's QR of one M x m Gaussian from rng, with the signs of
+    R's diagonal (_signs), as sample_haar_orthogonal draws all M columns.
+    An M x 0 Y reads nothing from rng."""
+    y, r = np.linalg.qr(rng.standard_normal((M, m)))
+    y *= _signs(r)
+    return y
 
 
-@contextlib.contextmanager
-def _one_worker() -> Iterator:
-    """A _Worker for one recursion, with BLAS at one thread throughout, so
-    that the worker and the caller each run on their own core. The worker
-    is joined before the thread count is given back."""
-    with _openblas.blas_threads(1), ThreadPoolExecutor(1) as pool:
-        yield _Worker(pool)
+class _HaarDraws:
+    """The Haar layers of one simulated draw, each drawn from `rng` when
+    the recursion asks for it and checked as soon as it is drawn: a bad
+    layer raises NumericalError naming it. `defect` is the largest
+    orthogonality defect of the layers drawn so far."""
 
+    def __init__(self, M: int, rng: np.random.Generator):
+        self.M, self.rng = M, rng
+        self.defect = 0.0
+        self.work = None  # the LAPACK workspace, made at the first full draw
 
-def _householder_layers(M: int, scales, rng: np.random.Generator, worker: _Worker,
-                        before=None, first: int = 1) -> Iterator:
-    """(layer, drawn) for each of `scales`, in order: layer i is the
-    _Householder of a Haar draw from rng, as _householder_draw makes it,
-    with scale scales[i] times its signs, and `drawn` is what before(i)
-    draws from rng just before its Gaussian (None without `before`).
-    Each draw is checked as soon as it is factored (_check_reflectors,
-    which names it layer first + i), and worker.defect keeps the largest
-    defect.
+    def thin(self, c: np.ndarray, ell: int, orthonormal: bool = False) -> np.ndarray:
+        """Q C in law, for layer `ell`'s Haar Q and an M x m C: Y R with
+        Y from _stiefel and C = U R a thin QR, since Q U is uniform on the
+        Stiefel manifold and independent of R. Where C's columns are
+        orthonormal, Q C is Y itself."""
+        y = _stiefel(self.M, c.shape[1], self.rng)
+        self.defect = max(self.defect, _check_columns(y, 1.0, ell))
+        return y if orthonormal else y @ np.linalg.qr(c, mode="r")
 
-    While worker.ahead holds (until _fim_recursion turns H dense and
-    clears it), each Gaussian is factored on the worker: Gaussian i + 1
-    is drawn here while the worker factors Gaussian i, and its factoring
-    is submitted once that of Gaussian i is done, to run while the
-    caller uses layer i. So at most two draws are alive, if the caller
-    keeps no layer it was done with, and rng is read in a serial loop's
-    order, one Gaussian a layer. A failure reaches the caller in serial
-    order: that of the draw being factored wins over one while drawing
-    ahead, and loses to the caller's while the caller holds layer i.
-    """
-    work = np.empty(_openblas.lwork(M))  # this thread's, which layer.matvec reuses
-    side = np.empty(_openblas.lwork(M))  # the worker's
-    extra = before or (lambda i: None)
-
-    def draw(i):
-        return extra(i), _gaussian(M, rng)
-
-    def factored(got, a):
-        return got, a, worker.submit(_factor, a, side)
-
-    nxt = None  # (drawn, Gaussian, its factoring on the worker)
-    worker.defect = 0.0
-    try:
-        for i, s in enumerate(scales):
-            if nxt is None and worker.ahead:
-                nxt = factored(*draw(i))
-            if nxt is None:
-                got = extra(i)
-                f, tau, signs = _householder_draw(M, rng, work)
-            else:
-                got, a, job = nxt
-                nxt = later = None
-                if worker.ahead and i + 1 < len(scales):
-                    try:
-                        later = draw(i + 1)
-                    except BaseException:
-                        job.result()  # Gaussian i comes first in a serial loop
-                        raise
-                tau = job.result()
-                f, signs = a.T, _signs(a)
-                del a, job
-                if later is not None:
-                    nxt = factored(*later)
-                    del later
-            worker.defect = max(worker.defect, _check_reflectors(f, tau, first + i))
-            signs *= s
-            yield _Householder(f, tau, signs, work), got
-            del f, tau, signs, got  # before the next Gaussian is drawn
-    finally:
-        if nxt is not None:
-            nxt[2].exception()  # read; it comes after the caller's failure
-
-
-def _network_layers(width: int, sigma: tuple, seed: int, worker: _Worker) -> Iterator:
-    """_haar_layers' draw with each layer kept as its reflectors and
-    checked on them (_householder_layers, which factors ahead on
-    `worker`); Q is never formed. Needs numpy's OpenBLAS."""
-    for layer, _ in _householder_layers(width, sigma, np.random.default_rng(seed), worker):
-        yield layer
-        del layer  # before the next layer is drawn
+    def full(self, ell: int):
+        """Layer `ell`'s whole Haar Q: a _Householder where numpy's
+        OpenBLAS is found, checked on its reflectors in O(M^2), and
+        elsewhere sample_haar_orthogonal's explicit Q, checked by its Gram
+        matrix."""
+        if _openblas.found():
+            if self.work is None:
+                self.work = np.empty(_openblas.lwork(self.M))
+            f, tau, signs = _householder_draw(self.M, self.rng, self.work)
+            self.defect = max(self.defect, _check_reflectors(f, tau, ell))
+            return _Householder(f, tau, signs, self.work)
+        q = sample_haar_orthogonal(self.M, self.rng)
+        self.defect = max(self.defect, _check_columns(q, 1.0, ell))
+        return q
 
 
 @dataclass
@@ -391,21 +327,20 @@ class OrthogonalNet:
 
 
 def _forward_layers(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> Iterator:
-    """The forward pass, one layer at a time: the one forward loop.
+    """The forward pass through weights in hand, one layer at a time.
 
     For l = 1, 2, ... takes W_l from `weights` and yields (W_l, x^{l-1},
     h^l). x is one input (M,) or a batch (..., M), and each W_l is
     (M, M) or a stack (A, M, M) that meets a batch (A, M) row by row.
     Each row takes one mat-vec per layer, so it gets exactly the bits of
-    `W @ x` on that row alone. A W_l kept as reflectors (_Householder)
-    meets one input through them. x^l is formed only when W_{l+1}
-    arrives, so the last layer's never is.
+    `W @ x` on that row alone. x^l is formed only when W_{l+1} arrives,
+    so the last layer's never is.
     """
     h = None
     for w in weights:
         if h is not None:
             x = activation.apply(h)
-        h = w.matvec(x) if isinstance(w, _Householder) else np.matmul(w, x[..., None])[..., 0]
+        h = np.matmul(w, x[..., None])[..., 0]
         yield w, x, h
         del w  # the next pull may draw: hold no layer through it
 
@@ -502,22 +437,21 @@ def _fim_step(h: np.ndarray, work: np.ndarray, layer: list) -> None:
     h.reshape(-1)[:: M + 1] += q
 
 
-def _low_rank_step(a: float, v: np.ndarray, t: np.ndarray, layer: _Householder, e: np.ndarray,
-                   q: float) -> tuple | None:
-    """One step of the recursion on H = a I + V T V^T, or None where the
-    result would not stay low-rank.
+def _low_rank_step(a: float, v: np.ndarray, t: np.ndarray, e: np.ndarray, q: float) -> tuple | None:
+    """One step H <- q I + Q E H E Q^T on H = a I + V T V^T, up to the
+    layer's orthogonal Q, or None where the result would not stay
+    low-rank.
 
-    `layer` is W = Q diag(scale) and e = d * scale, so the step is
-    H <- q I + Q E H E Q^T with E = diag(e). The live units are those with
-    e_i != 0; they must share one kappa^2 = e_i^2. With S = sign(E), whose
-    zero rows are the k dead units, E H E = kappa^2 (a (I - P) + S V T
-    V^T S), P the projection on the dead units. The thin QR of the live
-    rows of S V, X R, is orthonormal and zero on the dead rows, so
-    B = [dead unit vectors, X] has orthonormal columns, and the new state
-    is a <- q + kappa^2 a, V <- Q B (one dormqr), T <- kappa^2
-    blockdiag(-a I_k, R T R^T). None is returned where the live units do
-    not share one |e_i|, or where V would have more than LOW_RANK_SHARE M
-    columns.
+    E = diag(e). The live units are those with e_i != 0; they must share
+    one kappa^2 = e_i^2. With S = sign(E), whose zero rows are the k dead
+    units, E H E = kappa^2 (a (I - P) + S V T V^T S), P the projection on
+    the dead units. The thin QR of the live rows of S V, X R, is
+    orthonormal and zero on the dead rows, so B = [dead unit vectors, X]
+    has orthonormal columns, and the new H is a' I + (Q B) T' (Q B)^T with
+    a' = q + kappa^2 a and T' = kappa^2 blockdiag(-a I_k, R T R^T).
+    Returns (a', B, T'): the step reads Q only through Q B. None is
+    returned where the live units do not share one |e_i|, or where V would
+    have more than LOW_RANK_SHARE M columns.
     """
     M, r = v.shape
     live = e != 0.0
@@ -528,21 +462,13 @@ def _low_rank_step(a: float, v: np.ndarray, t: np.ndarray, layer: _Householder, 
     if e2.size == 0 or k + r > LOW_RANK_SHARE * M or np.any(e2 != e2[0]):
         return None
     kappa2 = float(e2[0])
-    b = np.zeros((M, k + r), order="F")
+    b = np.zeros((M, k + r))
     b[dead, np.arange(k)] = 1.0
-    rows = np.flatnonzero(live)
     if r:
-        x = np.empty((rows.size, r), order="F")
-        np.take(v, rows, axis=0, out=x, mode="clip")
-        x *= np.sign(e[rows])[:, None]
-        tau = _openblas.dgeqrf(x, layer.work)
-        rt = np.triu(x[:r])
-        _openblas.dorgqr(x, tau, layer.work)
+        rows = np.flatnonzero(live)
+        x, rt = np.linalg.qr(np.sign(e[rows])[:, None] * v[rows])
         b[rows, k:] = x
-        del x
         t = rt @ t @ rt.T
-    if k + r:
-        _openblas.dormqr(layer.f, layer.tau, b, layer.work)
     t_next = np.zeros((k + r, k + r))
     np.fill_diagonal(t_next[:k, :k], -kappa2 * a)
     t_next[k:, k:] = (t + t.T) * (0.5 * kappa2)
@@ -572,7 +498,7 @@ class FimDraw:
     dead units (zeros of d) of each step's D in order, `dense_layer` is
     the l of the first H_l the dense step formed, or None, and
     `ortho_defect_max` the largest orthogonality defect of the draw's
-    layers (_check_reflectors), None where the layers came explicit.
+    layers (_HaarDraws), None where none was checked.
     """
 
     dead: tuple
@@ -611,101 +537,86 @@ class FimDraw:
                    for p in parts)
 
 
-def _fim_recursion(M: int, q0: float, layers: Iterator, worker: _Worker) -> FimDraw:
-    """H_L of the recursion from H_1 = q0 I over the (W, d, q) steps in
-    `layers`. Each step's E = D diag(scale) for a W kept as reflectors,
-    Q diag(scale), and D for an explicit W, is formed once, here.
+class _Recursion:
+    """The recursion H_{l+1} = q_l I + W E_l H_l E_l W^T from H_1 = q0 I,
+    one step at a time, on the calling thread while H is low-rank and on
+    `pool`'s one worker once it is dense.
 
-    Steps on layers kept as reflectors (_Householder) run on the calling
-    thread on the low-rank form H = a I + V T V^T (_low_rank_step), while
-    the worker factors the next draw (worker.ahead). The first step that
-    cannot stay low-rank, or one on an explicit W, forms H (_formed) and
-    turns the recursion dense for good: from then on each step runs on
-    the worker in H's own buffer (_fim_step), with one step in flight,
-    while the calling thread produces layer l + 1, so all sampling, checks
-    and forward propagation stay there, in order. A failure on either
-    thread stops the recursion; the step in flight is always waited for,
-    and its failure, which a serial loop would have met first, wins.
-    `layers` is closed on the way out. H and the worker's scratch, room
-    for _fim_step's panel or _reflect_both_sides' T and X, are allocated
-    once; H is updated and symmetrized in place.
+    `step(e, q)` begins each step, E = diag(e), and decides its regime
+    before its layer is drawn. While H = a I + V T V^T stays low-rank
+    (_low_rank_step) it returns B, and setting V to Q B ends the step. The
+    first step that cannot stay low-rank and every later one return None:
+    the first forms H (_formed), and `dense(W, e, q)` ends the step in H's
+    own buffer (_fim_step) on the worker, one step in flight, while the
+    caller produces the next layer. H and the worker's scratch, room for
+    _fim_step's panel or _reflect_both_sides' T and X, are allocated once.
+    Jobs run in the caller's context, so under its numpy error state.
     """
-    a, v, t = q0, np.zeros((M, 0), order="F"), np.zeros((0, 0))
-    h = work = pending = dense_layer = None
-    dead, ell = [], 1
-    try:
+
+    def __init__(self, M: int, q0: float, pool: ThreadPoolExecutor):
+        self.a, self.v, self.t = q0, np.zeros((M, 0)), np.zeros((0, 0))
+        self.h = self.work = self.pending = self.dense_layer = None
+        self.dead, self.ell = [], 1
+        self.pool = pool
+
+    def step(self, e: np.ndarray, q: float) -> np.ndarray | None:
+        self.ell += 1
+        self.dead.append(int(e.size - np.count_nonzero(e)))
+        if self.h is None:
+            stepped = _low_rank_step(self.a, self.v, self.t, e, q)
+            if stepped is not None:
+                self.a, b, self.t = stepped
+                return b
+            M = self.v.shape[0]
+            self.h, self.dense_layer = _formed(self.a, self.v, self.t), self.ell
+            self.a = self.v = self.t = None
+            k = min(M, TILE)
+            self.work = np.empty(k * (M + 2 * k))
+        return None
+
+    def dense(self, w, e: np.ndarray, q: float) -> None:
+        """W is explicit, or a _Householder Q diag(scale), whose scale
+        joins e here. The step on an explicit W, numpy's Q where numpy
+        bundles no OpenBLAS, is waited for at once: there BLAS cannot be
+        held at one thread, and the next draw's four M x M temporaries
+        beside a layer still in conjugation would make the peak memory
+        depend on which thread finishes first."""
+        if isinstance(w, _Householder):
+            e = e * w.scale
+        self.wait()
+        self.pending = self.pool.submit(contextvars.copy_context().run, _fim_step, self.h,
+                                        self.work, [w, e, q])
+        if not isinstance(w, _Householder):
+            self.wait()
+
+    def wait(self) -> None:
+        """Wait for the step in flight, and raise its failure."""
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            pending.result()
+
+    def result(self, defect: float) -> FimDraw:
+        dead = tuple(self.dead)
+        if self.h is None:
+            return FimDraw(dead, None, a=self.a, v=self.v, t=self.t, ortho_defect_max=defect)
+        self.wait()
+        _symmetrize_in_place(self.h)
+        return FimDraw(dead, self.dense_layer, h=self.h, ortho_defect_max=defect)
+
+
+@contextlib.contextmanager
+def _recursion(M: int, q0: float) -> Iterator:
+    """A _Recursion and its worker, with BLAS at one thread throughout, so
+    that the worker and the caller each run on their own core. On every
+    way out the step in flight is waited for; its failure, which a serial
+    loop would have met first, wins over the caller's. The worker is
+    joined before the thread count is given back."""
+    with _openblas.blas_threads(1), ThreadPoolExecutor(1) as pool:
+        fim = _Recursion(M, q0, pool)
         try:
-            for w, d, q in layers:
-                ell += 1
-                e = d * w.scale if isinstance(w, _Householder) else d
-                dead.append(int(e.size - np.count_nonzero(e)))
-                if h is None and isinstance(w, _Householder):
-                    stepped = _low_rank_step(a, v, t, w, e, q)
-                    if stepped is not None:
-                        a, v, t = stepped
-                        del w
-                        continue
-                if h is None:
-                    h, a, v, t, dense_layer = _formed(a, v, t), None, None, None, ell
-                    worker.ahead = False  # the draw factors its own layers from now on
-                    k = min(M, TILE)
-                    work = np.empty(k * (M + 2 * k))
-                if pending is not None:
-                    pending.result()
-                pending = worker.submit(_fim_step, h, work, [w, e, q])
-                del w
+            yield fim
         finally:
-            if pending is not None:
-                pending.result()
-    finally:
-        layers.close()
-    if h is None:
-        return FimDraw(tuple(dead), None, a=a, v=v, t=t, ortho_defect_max=worker.defect)
-    _symmetrize_in_place(h)
-    return FimDraw(tuple(dead), dense_layer, h=h, ortho_defect_max=worker.defect)
-
-
-def _network_steps(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> Iterator:
-    """(W_l, d_{l-1}, q_hat_{l-1}) for l = 2..L of the forward pass of x
-    through `weights`; d_{l-1} = phi'(h^{l-1}) is formed when W_l
-    arrives."""
-    prev, ell = None, 0
-    for w, cur, h in _forward_layers(weights, activation, x):
-        ell += 1
-        _finite(h, ell)
-        if prev is not None:
-            yield w, activation.deriv(prev), float(cur @ cur) / cur.size
-        prev = h
-        del w
-    if prev is None:
-        raise ValueError("need at least one layer")
-
-
-def dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray) -> FimDraw:
-    """H_L by the layer recursion, in O(L M^3) time at most.
-
-    Consumes `weights` (a list, or a generator such as a streamed draw)
-    through _forward_layers on the calling thread, step by step, while
-    _fim_recursion's worker either factors the next draw or conjugates
-    the previous layer. Explicit weights take the dense path from the
-    first step and keep its bits. Each step needs only the current W_l
-    and D_{l-1}, so beyond what the caller keeps the working memory is at
-    most three M x M arrays, H and the weights of the two layers in hand,
-    plus one scratch of about M x TILE, whatever the depth.
-    """
-    with _one_worker() as worker:
-        return _dual_fim(weights, activation, x, worker)
-
-
-def _dual_fim(weights: Iterable, activation: ActivationSpec, x: np.ndarray,
-              worker: _Worker) -> FimDraw:
-    """dual_fim on `worker`, the one the caller draws `weights` through
-    (_network_layers)."""
-    x = np.asarray(x, dtype=float)
-    if not np.linalg.norm(x) > 0:
-        raise ValueError("input must be nonzero")
-    return _fim_recursion(x.size, float(x @ x) / x.size, _network_steps(weights, activation, x),
-                          worker)
+            fim.wait()
 
 
 def network_fim_sample(
@@ -716,28 +627,47 @@ def network_fim_sample(
     seed: int,
     x: np.ndarray,
 ) -> FimDraw:
-    """H_L of the network OrthogonalNet.sample(width, depth, activation,
-    sigma, seed) at input x, without building the network.
+    """H_L of one random network with Haar layers drawn from
+    default_rng(seed), at input x, without building the network: in law
+    the H_L of OrthogonalNet.sample(width, depth, activation, sigma, seed)
+    at x.
 
-    Each layer is drawn, checked and forward-propagated on the calling
-    thread, so the peak memory does not grow with depth, and a bad layer
-    stops the draw there. Where numpy's OpenBLAS is found the layers stay
-    as their reflectors (_network_layers), and the draw shares the
-    recursion's worker: while H stays low-rank the worker factors layer
-    l + 1's Gaussian as the caller takes layer l's step, and at most two
-    draws are alive; once H turns dense, the worker conjugates it while
-    the caller draws, as in dual_fim. The eigenvalues agree with those of
-    dual_fim(net.weights, activation, x) to rounding, within 1e-12 of the
-    largest. Elsewhere the explicit draw (_haar_layers) goes through
-    dual_fim, and H is bit-identical.
+    Layer l's regime is decided before it is drawn. While H stays
+    low-rank, W_l = sigma_l Q is read only through Q C, C = [B, x^{l-1}]
+    (_Recursion.step gives B), so one thin draw (_HaarDraws.thin) gives
+    both V and the pre-activation h^l = sigma_l Q x^{l-1}; layer 1, whose
+    B is empty, is one column. Once H is dense each layer is drawn whole
+    (_HaarDraws.full), forward-propagated on the calling thread and
+    conjugated into H on the worker. Every draw is checked as it is
+    drawn, so a bad layer stops the draw there, and the peak memory does
+    not grow with depth.
     """
     if np.shape(x) != (width,):
         raise ValueError(f"input must have shape ({width},)")
     sig = layer_sigmas(sigma, depth)
-    if not _openblas.found():
-        return dual_fim(_haar_layers(width, sig, seed), activation, x)
-    with _one_worker() as worker:
-        return _dual_fim(_network_layers(width, sig, seed, worker), activation, x, worker)
+    x = np.asarray(x, dtype=float)
+    if not np.linalg.norm(x) > 0:
+        raise ValueError("input must be nonzero")
+    draws = _HaarDraws(width, np.random.default_rng(seed))
+    with _recursion(width, float(x @ x) / width) as fim:
+        b = np.zeros((width, 0))
+        for ell, s in enumerate(sig, start=1):
+            if ell > 1:
+                x = activation.apply(h)
+                e, q = activation.deriv(h) * s, float(x @ x) / width
+                b = fim.step(e, q)
+            if b is None:
+                w = draws.full(ell)
+                fim.dense(w, e, q)
+                h = w.matvec(x) if isinstance(w, _Householder) else w @ x
+                h *= s
+                del w  # before the next layer is drawn
+            else:
+                qc = draws.thin(np.column_stack([b, x]), ell)
+                fim.v = qc[:, :-1]
+                h = s * qc[:, -1]
+            _finite(h, ell)
+        return fim.result(draws.defect)
 
 
 def near_top_mask(vals: np.ndarray, window: float) -> np.ndarray:
@@ -810,37 +740,23 @@ def model_fim_sample(M: int, schedule: LayerSchedule, rng: np.random.Generator) 
     exactly; finite-M agreement with network draws is itself a freeness
     check.
 
-    Each layer's D is drawn from `rng` just before its W, in order, so
-    the rng ends in the same state as a serial loop would leave it. Where
-    numpy's OpenBLAS is found W stays as its reflectors, with sigma_l
-    folded into its scale, checked on them as it is drawn, and Q is
-    never formed: while H stays low-rank
-    (at most LOW_RANK_SHARE M dead units in all) the worker factors the
-    next W as the caller takes this layer's step, and once it is dense
-    the worker conjugates it while the caller draws. Elsewhere W is
-    formed from sample_haar_orthogonal, unchecked, since a Gram check
-    costs O(M^3) a layer, and every step is dense: W (D H D) W^T, as in
-    the network model.
+    Each layer's D is drawn from `rng` just before its W. While H stays
+    low-rank (at most LOW_RANK_SHARE M dead units in all), a step reads Q
+    only through Q B, whose columns are orthonormal, so Q B is drawn as
+    one Y uniform on the Stiefel manifold (_HaarDraws.thin), with as many
+    columns as V will have. Once H is dense each Q is drawn whole
+    (_HaarDraws.full) and conjugated into H on the worker while the
+    caller draws the next. Every draw is checked as it is drawn.
     """
-
-    def jacobian(i):
-        nu = schedule.jacobians[i]
-        return math.sqrt(nu.gamma) * (rng.random(M) < nu.alpha).astype(float)
-
-    def layers(worker):
-        if not _openblas.found():
-            for i, s in enumerate(schedule.sigma[1:]):
-                d = jacobian(i)
-                w = sample_haar_orthogonal(M, rng)
-                w *= s
-                yield w, d, schedule.q[i + 1]
-            return
-        i = 0
-        # the first W drawn is W_2: H_1 = q_0 I needs none
-        for layer, d in _householder_layers(M, schedule.sigma[1:], rng, worker, jacobian, 2):
-            i += 1
-            yield layer, d, schedule.q[i]
-            del layer, d
-
-    with _one_worker() as worker:
-        return _fim_recursion(M, schedule.q[0], layers(worker), worker)
+    draws = _HaarDraws(M, rng)
+    with _recursion(M, schedule.q[0]) as fim:
+        for i, s in enumerate(schedule.sigma[1:]):
+            nu = schedule.jacobians[i]
+            e = math.sqrt(nu.gamma) * s * (rng.random(M) < nu.alpha)
+            b = fim.step(e, schedule.q[i + 1])
+            # the first W drawn is W_2: H_1 = q_0 I needs none
+            if b is None:
+                fim.dense(draws.full(i + 2), e, schedule.q[i + 1])
+            else:
+                fim.v = draws.thin(b, i + 2, orthonormal=True)
+        return fim.result(draws.defect)

@@ -21,6 +21,21 @@ def no_child_process_left():
     assert not alive, f"child processes left running: {alive}"
 
 
+@pytest.fixture
+def explicit_q(monkeypatch):
+    """Each thin draw of Q C in simulate's models becomes the product
+    Q @ C, with Q the explicit Haar draw that sample_haar_orthogonal makes
+    from the draw's rng; it reads the M x M Gaussian that the oracles'
+    loops read. Full draws are left as they are. The models then draw the
+    oracles' layers, and must give their H to rounding."""
+    from isospec import rmtsim
+
+    def thin(draws, c, ell, orthonormal=False):
+        return rmtsim.sample_haar_orthogonal(draws.M, draws.rng) @ c
+
+    monkeypatch.setattr(rmtsim._HaarDraws, "thin", thin)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     lines = getattr(config, "_acceptance_lines", None)
     if lines:

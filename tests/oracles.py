@@ -1,10 +1,11 @@
 """Reference computations and helpers that only the tests use.
 
 The references are written independently of the code they check: the
-stored forward pass and layer recursion that `rmtsim.dual_fim` must
-reproduce bit for bit on explicit weights, the serial matrix-model loop
-that `rmtsim.model_fim_sample` must reproduce bit for bit where it forms
-each Q and to rounding where it keeps the reflectors, the dense
+stored forward pass and layer recursion that `dual_fim` must reproduce
+bit for bit on explicit weights, and that `rmtsim.network_fim_sample`
+must reproduce to rounding when fed the same layers, the serial
+matrix-model loop that `rmtsim.model_fim_sample` must reproduce to
+rounding when fed the same layers, the dense
 parameter Jacobian behind H_L and the conditional FIM, and an
 alternating-moment test of asymptotic freeness. The cold-start
 subordination solve is Newton on the fixed point in w with its own copy
@@ -13,8 +14,10 @@ evaluator.
 
 The helpers are not independent: `forward_trace` runs the package's own
 forward loop, and `ntk_block_matrix`, the N-sample tangent kernel that
-acceptance criterion 5 checks, is built on it. `constant_schedule` is
-the one-value-per-layer LayerSchedule many tests start from.
+acceptance criterion 5 checks, is built on it. `dual_fim` is the dense
+recursion on weights in hand, through the package's forward loop and
+its dense step. `constant_schedule` is the one-value-per-layer
+LayerSchedule many tests start from.
 """
 
 import math
@@ -24,7 +27,16 @@ from typing import NamedTuple
 import numpy as np
 
 from isospec.freeconv import _BLOCK_BYTES, LayerSchedule, TwoAtomJacobianLaw, _h_of
-from isospec.rmtsim import TILE, OrthogonalNet, _finite, _forward_layers, sample_haar_orthogonal
+from isospec.rmtsim import (
+    TILE,
+    FimDraw,
+    OrthogonalNet,
+    _fim_step,
+    _finite,
+    _forward_layers,
+    _symmetrize_in_place,
+    sample_haar_orthogonal,
+)
 from isospec.specmeasure import NumericalError
 
 DENSE_MAX_WIDTH = 16
@@ -70,6 +82,28 @@ def forward_trace(net: OrthogonalNet, x: np.ndarray) -> ForwardTrace:
     q_hat = [float(cur @ cur) / cur.size for cur in xs]
     xs.append(net.activation.apply(hs[-1]))
     return ForwardTrace(x=xs, h=hs, deriv=deriv, q_hat=q_hat)
+
+
+def dual_fim(weights, activation, x: np.ndarray) -> FimDraw:
+    """H_L by the layer recursion on weights in hand, dense from the first
+    step: rmtsim's forward loop and its dense step (_fim_step) in H's own
+    buffer, serially, so H keeps `reference_dual_fim`'s bits."""
+    x = np.asarray(x, dtype=float)
+    if not np.linalg.norm(x) > 0:
+        raise ValueError("input must be nonzero")
+    M = x.size
+    h = float(x @ x) / M * np.eye(M)
+    work = np.empty(M * min(M, TILE))
+    prev = None
+    for ell, (w, cur, pre) in enumerate(_forward_layers(weights, activation, x), start=1):
+        _finite(pre, ell)
+        if prev is not None:
+            _fim_step(h, work, [w, activation.deriv(prev), float(cur @ cur) / M])
+        prev = pre
+    if prev is None:
+        raise ValueError("need at least one layer")
+    _symmetrize_in_place(h)
+    return FimDraw((), None, h=h)
 
 
 def _chain_matrices(net: OrthogonalNet, trace: ForwardTrace) -> list:

@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from oracles import constant_schedule, dual_fim_dense, freeness_probe, ntk_block_matrix
+from oracles import (
+    constant_schedule,
+    dual_fim,
+    dual_fim_dense,
+    freeness_probe,
+    ntk_block_matrix,
+)
 
 from isospec.freeconv import (
     AsymptoticRegime,
@@ -25,7 +31,6 @@ from isospec.freeconv import (
 from isospec.meanfield import HardTanh, Linear, mean_field_schedule, tune_constant_q
 from isospec.rmtsim import (
     OrthogonalNet,
-    dual_fim,
     empirical_measure,
     model_fim_sample,
     network_fim_sample,

@@ -9,7 +9,7 @@ import pytest
 from oracles import reference_model_fim
 
 import isospec.cli as cli
-from isospec import _openblas, rmtsim, trainlab
+from isospec import rmtsim, trainlab
 from isospec.cli import main
 from isospec.meanfield import moment_map
 from isospec.rmtsim import FimDraw
@@ -290,7 +290,8 @@ class TestSimulate:
                         "--dump-matrix", name, "--out", out) == 0
             assert np.load(out / name).shape == (20, 20)
 
-    def test_compare_pools_every_draw(self, tmp_path):
+    def test_compare_pools_every_draw(self, tmp_path, explicit_q):
+        # the numbers below are those of the draws with each Q explicit
         assert _run("theory", "--out", tmp_path / "t3", "--depth", 3) == 0
         out = tmp_path / "s"
         assert _run("simulate", "--model", "atoms", "--width", 300, "--depth", 3,
@@ -342,10 +343,8 @@ class TestSimulate:
 
     def test_diagnostics_explain_each_draw(self, tmp_path):
         # alpha 0.95 keeps H low-rank; at alpha 0.3 most units are dead and
-        # the first step turns dense. Without numpy's OpenBLAS every step
-        # is dense.
-        cases = ((0.95, True), (0.3, False)) if _openblas.found() else ((0.3, False),)
-        for alpha, low_rank in cases:
+        # the first step turns dense
+        for alpha, low_rank in ((0.95, True), (0.3, False)):
             out = tmp_path / str(alpha)
             assert _run("simulate", "--model", "atoms", "--width", 100, "--depth", 5,
                         "--alpha", alpha, "--seed", 2, "--draws", 2, "--out", out) == 0
@@ -355,10 +354,7 @@ class TestSimulate:
             for k, d in enumerate(draws):
                 vals = np.array([float(r.split(",")[2]) for r in rows if r.startswith(f"{k},")])
                 assert len(d["dead_units"]) == 4
-                if _openblas.found():
-                    assert 0.0 <= d["ortho_defect_max"] < 1e-10
-                else:
-                    assert d["ortho_defect_max"] is None
+                assert 0.0 <= d["ortho_defect_max"] < 1e-10
                 if low_rank:
                     assert d["dense_layer"] is None
                     assert d["top_atom_multiplicity"] == 100 - sum(d["dead_units"])
@@ -370,16 +366,15 @@ class TestSimulate:
                     assert d["top_atom"] is None and d["top_atom_multiplicity"] is None
                     assert d["dead_units"][0] > 50
 
-    def test_dump_matches_the_dense_recursion(self, tmp_path):
+    def test_dump_matches_the_dense_recursion(self, tmp_path, explicit_q):
         # the low-rank form, formed only for the dump, against the dense
-        # recursion with each Q formed; without numpy's OpenBLAS the dump
-        # is the dense recursion's own
+        # recursion, each thin draw fed the recursion's explicit Q
         out = tmp_path / "lr"
         assert _run("simulate", "--model", "atoms", "--width", 200, "--depth", 8,
                     "--alpha", 0.99, "--gamma", 1.2, "--seed", 4, "--dump-matrix", "h.npy",
                     "--out", out) == 0
         dense_layer = json.loads((out / "diagnostics.json").read_text())["draws"][0]["dense_layer"]
-        assert dense_layer == (None if _openblas.found() else 2)
+        assert dense_layer is None
         want = reference_model_fim(200, [1.0] * 8, [1.0] * 8, [0.99] * 7, [1.2] * 7,
                                    np.random.default_rng(4))
         h = np.load(out / "h.npy")
@@ -416,22 +411,29 @@ class TestSimulate:
         assert "config error: bins: bin width" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.skipif(not _openblas.found(), reason="numpy bundles no OpenBLAS here")
     def test_bent_draw_exits_3_and_names_its_layer(self, tmp_path, monkeypatch, capsys):
-        real, factored = rmtsim._factor, []
+        # the third draw, thin while a linear network stays low-rank, whole
+        # once a saturated one turns dense, is bent by 1e-6 in one entry
+        drawn = []
 
-        def bent_third(a, work):
-            tau = real(a, work)
-            factored.append(1)
-            if len(factored) == 3:
-                a.T[5, 0] += 1e-6  # F[5, 0], a reflector entry
-            return tau
+        def bent_third(real):
+            def draw(*args):
+                out = real(*args)
+                drawn.append(1)
+                if len(drawn) == 3:
+                    (out[0] if isinstance(out, tuple) else out)[5, 0] += 1e-6
+                return out
 
-        monkeypatch.setattr(rmtsim, "_factor", bent_third)
-        code = _run("simulate", "--out", tmp_path / "x", "--model", "network", "--width", 16,
-                    "--depth", 5, "--family", "linear", "--g", 1.0)
-        assert code == 3
-        assert "numerical failure: layer 3: W/sigma off orthogonal" in capsys.readouterr().err
+            return draw
+
+        for name in ("_stiefel", "_householder_draw", "sample_haar_orthogonal"):
+            monkeypatch.setattr(rmtsim, name, bent_third(getattr(rmtsim, name)))
+        for family, shape in (("linear", ["--g", 1.0]), ("hard_tanh", ["--s", 3.0, "--g", 1.3])):
+            drawn.clear()
+            code = _run("simulate", "--out", tmp_path / family, "--model", "network",
+                        "--width", 16, "--depth", 5, "--family", family, *shape)
+            assert code == 3
+            assert "numerical failure: layer 3: W/sigma off orthogonal" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     constant_schedule,
+    dual_fim,
     dual_fim_dense,
     forward_trace,
     freeness_probe,
@@ -28,7 +30,6 @@ from isospec.freeconv import LayerSchedule, TwoAtomJacobianLaw
 from isospec.meanfield import HardTanh, Linear, tune_constant_q
 from isospec.rmtsim import (
     OrthogonalNet,
-    dual_fim,
     empirical_measure,
     model_fim_sample,
     near_top_mask,
@@ -47,9 +48,9 @@ def _numpy_haar(M, rng):
 
 
 class _SingularDraws:
-    """default_rng(seed)'s stream, except that every M x M Gaussian has a
-    zero column, so the diagonal of its R has a 0. `draws` counts the
-    Gaussians drawn."""
+    """default_rng(seed)'s stream, except that every Gaussian of two
+    columns or more has a zero second column, so the diagonal of its R
+    has a 0. `draws` counts the Gaussians drawn."""
 
     def __init__(self, seed):
         self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed)'s stream
@@ -60,7 +61,7 @@ class _SingularDraws:
 
     def standard_normal(self, size):
         a = self.rng.standard_normal(size)
-        a[:, 1] = 0.0
+        a[:, 1:2] = 0.0
         self.draws += 1
         return a
 
@@ -90,14 +91,19 @@ def _near(got, want):
     return np.abs(got - want).max() <= H_TOL * np.abs(want).max()
 
 
+def _formed_q(f, tau):
+    """The Q of the reflectors (F, tau): dormqr applied to I."""
+    q = np.eye(len(f), order="F")
+    _openblas.dormqr(f, tau, q, np.empty(_openblas.lwork(len(f))))
+    return q
+
+
 def _dense(layer):
-    """The explicit W of a streamed layer: dorgqr of its reflectors, times
-    its scale, or the layer itself where it is explicit already."""
+    """The explicit W of a drawn layer: the Q of its reflectors times its
+    scale, or the layer itself where it is explicit already."""
     if not isinstance(layer, rmtsim._Householder):
         return layer
-    f = layer.f.copy(order="F")
-    _openblas.dorgqr(f, layer.tau, np.empty(_openblas.lwork(len(f))))
-    return np.ascontiguousarray(f * layer.scale)
+    return np.ascontiguousarray(_formed_q(layer.f, layer.tau) * layer.scale)
 
 
 class TestSampleHaarOrthogonal:
@@ -253,16 +259,30 @@ class TestCheckReflectors:
             else:
                 g[max(i, j + 1), j] += size
             bound = rmtsim._reflector_defect(g, t)
-            _openblas.dorgqr(g, t, np.empty(_openblas.lwork(M)))
-            gram = np.abs(g.T @ g - np.eye(M)).max()
+            q = _formed_q(g, t)
+            gram = np.abs(q.T @ q - np.eye(M)).max()
             assert bound >= gram
 
     @pytest.mark.parametrize("s", [1e-7, 1.0, 1e160, 1e300])
     def test_any_scale_passes_and_keeps_the_sampled_weight(self, s):
-        with rmtsim._one_worker() as worker:
-            layer = next(rmtsim._network_layers(200, (s,), 5, worker))
-        net = OrthogonalNet.sample(200, 1, Linear(1.0), s, seed=5)
-        assert np.array_equal(_dense(layer), net.weights[0])
+        # sigma never reaches a drawn layer, only e = d sigma does: at any
+        # scale the draws and their checks are those at scale 1, thin ones
+        # (alpha 0.95) and full ones (alpha 0.25) alike. LayerSchedule
+        # refuses a sigma^2 past the floats, so the schedule is handed over
+        # as the bare fields model_fim_sample reads.
+        for alpha, dense_layer in ((0.95, None), (0.25, 2)):
+
+            def draw(sigma, alpha=alpha):
+                law = TwoAtomJacobianLaw(alpha, 1.3)
+                schedule = SimpleNamespace(q=(1.0,) * 4, sigma=(sigma,) * 4, jacobians=(law,) * 3)
+                return model_fim_sample(200, schedule, np.random.default_rng(5))
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = draw(s)
+            want = draw(1.0)
+            assert got.dense_layer == want.dense_layer == dense_layer
+            assert got.dead == want.dead
+            assert got.ortho_defect_max == want.ortho_defect_max < rmtsim.ORTHO_TOL
 
     def test_peak_memory_about_one_band(self):
         M = 1000
@@ -433,19 +453,34 @@ STREAM_ACTIVATIONS = [Linear(1.0), HardTanh(s=0.5, g=1.3)]
 STREAM_SIGMAS = (0.8, 1.1, 0.9, 1.2, 1.0)
 
 
-def _bent_third_factor():
-    """rmtsim._factor, except that the third draw it factors has one
-    reflector entry, F[5, 0], moved by 1e-6."""
-    real, factored = rmtsim._factor, []
+def _bend_third_draw(monkeypatch):
+    """Make the third Haar draw of any kind, thin or full, leave the
+    orthogonal group by 1e-6 in one entry, as its check sees it; returns
+    the list of the draws made, one per layer."""
+    drawn = []
 
-    def bent_third(a, work):
-        tau = real(a, work)
-        factored.append(1)
-        if len(factored) == 3:
-            a.T[5, 0] += 1e-6
-        return tau
+    def counted(real, bend):
+        def draw(*args):
+            out = real(*args)
+            drawn.append(1)
+            if len(drawn) == 3:
+                bend(out)
+            return out
 
-    return bent_third
+        return draw
+
+    def bend_y(y):
+        y[5, 0] += 1e-6
+
+    def bend_reflectors(out):
+        out[0][5, 0] += 1e-6  # F[5, 0], a reflector entry
+
+    monkeypatch.setattr(rmtsim, "_stiefel", counted(rmtsim._stiefel, bend_y))
+    monkeypatch.setattr(rmtsim, "_householder_draw",
+                        counted(rmtsim._householder_draw, bend_reflectors))
+    monkeypatch.setattr(rmtsim, "sample_haar_orthogonal",
+                        counted(rmtsim.sample_haar_orthogonal, bend_y))
+    return drawn
 
 
 class TestNetworkFimSample:
@@ -455,9 +490,10 @@ class TestNetworkFimSample:
     @pytest.mark.parametrize("M, depth", [(32, 1), (32, 2), (32, 5), (300, 5)],
                              ids=["1", "2", "5", "5-width300"])
     @pytest.mark.parametrize("activation", STREAM_ACTIVATIONS, ids=["linear", "hard_tanh"])
-    def test_bitwise_equal_to_reference_loop(self, activation, M, depth):
+    def test_bitwise_equal_to_reference_loop(self, activation, M, depth, explicit_q):
         # dual_fim on explicit weights keeps the loop's bits; the streamed
-        # draw applies each layer as its reflectors, so it agrees to rounding
+        # draw, fed the sampled network's Q for each thin draw, takes each
+        # step on the low-rank form and agrees to rounding
         sigma = list(STREAM_SIGMAS[:depth])
         x = normalized_input(M, np.random.default_rng(40 + depth))
         net = OrthogonalNet.sample(M, depth, activation, sigma, seed=depth)
@@ -465,64 +501,46 @@ class TestNetworkFimSample:
         assert _near(network_fim_sample(M, depth, activation, sigma, depth, x).matrix(), want)
         assert np.array_equal(dual_fim(net.weights, activation, x).matrix(), want)
 
-    def test_streamed_weights_are_the_sampled_network(self, monkeypatch):
-        seen = []
-        real = rmtsim._network_steps
-
-        def recording(weights, activation, x):
-            layers = list(weights)
-            seen.extend(layers)
-            return real(layers, activation, x)
-
-        monkeypatch.setattr(rmtsim, "_network_steps", recording)
-        sigma = list(STREAM_SIGMAS)
-        x = normalized_input(16, np.random.default_rng(0))
-        network_fim_sample(16, 5, Linear(1.0), sigma, 3, x)
-        net = OrthogonalNet.sample(16, 5, Linear(1.0), sigma, seed=3)
-        assert len(seen) == 5
-        assert all(np.array_equal(_dense(a), b) for a, b in zip(seen, net.weights))
-
-    @needs_openblas
     @pytest.mark.parametrize("model", ["network", "atoms"])
     def test_non_orthogonal_layer_is_named(self, model, monkeypatch):
         # the third draw is W_3 of the network and W_4 of the atoms model,
-        # whose first W is W_2
-        drawn = []
-        real_gaussian = rmtsim._gaussian
-
-        def counted(M, rng):
-            drawn.append(M)
-            return real_gaussian(M, rng)
-
-        monkeypatch.setattr(rmtsim, "_factor", _bent_third_factor())
-        monkeypatch.setattr(rmtsim, "_gaussian", counted)
+        # whose first W is W_2; each draw is checked before the next is made
+        drawn = _bend_third_draw(monkeypatch)
         layer = 3 if model == "network" else 4
-        with pytest.raises(NumericalError, match=f"layer {layer}: W/sigma off orthogonal"):
-            _draw(model, "low_rank")
-        # the draw stops at the bad layer, and the one drawn ahead of it
-        assert len(drawn) == 4
+        for regime in REGIMES:
+            drawn.clear()
+            with pytest.raises(NumericalError, match=f"layer {layer}: W/sigma off orthogonal"):
+                _draw(model, regime)
+            assert len(drawn) == 3
 
-    @needs_openblas
     @pytest.mark.parametrize("model", ["network", "atoms"])
     def test_every_draw_is_checked_once(self, model, monkeypatch):
         for regime in REGIMES:
             drawn, checked = [], []
-            real_gaussian, real_check = rmtsim._gaussian, rmtsim._check_reflectors
 
-            def counted(M, rng):
-                drawn.append(M)
-                return real_gaussian(M, rng)
+            def counted(real):
+                def draw(*args):
+                    drawn.append(1)
+                    return real(*args)
 
-            def check(f, tau, ell):
-                checked.append(ell)
-                return real_check(f, tau, ell)
+                return draw
+
+            def check(real):
+                def checking(*args):
+                    checked.append(args[2])  # the layer it names
+                    return real(*args)
+
+                return checking
 
             with monkeypatch.context() as patch:
-                patch.setattr(rmtsim, "_gaussian", counted)
-                patch.setattr(rmtsim, "_check_reflectors", check)
+                for name in ("_stiefel", "_householder_draw", "sample_haar_orthogonal"):
+                    patch.setattr(rmtsim, name, counted(getattr(rmtsim, name)))
+                for name in ("_check_columns", "_check_reflectors"):
+                    patch.setattr(rmtsim, name, check(getattr(rmtsim, name)))
                 sample = _draw(model, regime)
             first = 1 if model == "network" else 2
             assert checked == list(range(first, first + len(drawn)))
+            assert len(drawn) == (6 if model == "network" else 5)
             assert 0.0 <= sample.ortho_defect_max < rmtsim.ORTHO_TOL
 
     def test_non_finite_preactivation(self):
@@ -622,9 +640,10 @@ class TestFimStep:
 # (activation, alpha) of draws that turn dense at their first step, and of
 # draws whose H stays low-rank at every step
 REGIMES = {"dense": (HardTanh(s=3.0, g=1.3), 0.25), "low_rank": (HardTanh(s=0.5, g=1.0), 0.95)}
-# the worker's job in each regime: the next draw's factoring, or the
-# conjugation of H
-WORKER_JOB = {"low_rank": "_factor", "dense": "_fim_step"}
+# the step of each regime: on the calling thread, or on the worker
+STEP = {"low_rank": "_low_rank_step", "dense": "_fim_step"}
+# the draws of either kind, thin and full, on either path
+DRAWS = ("_stiefel", "_householder_draw", "sample_haar_orthogonal")
 
 
 def _draw(model: str, regime: str, M: int = 24, depth: int = 6):
@@ -641,20 +660,14 @@ def _draw(model: str, regime: str, M: int = 24, depth: int = 6):
     return sample
 
 
-def _regimes():
-    """The regimes of the draw path in use: without numpy's OpenBLAS
-    every step is dense, so only the dense regime runs there."""
-    return list(REGIMES) if _openblas.found() else ["dense"]
-
-
 class _WorkerChecks:
-    """One worker thread: while H is low-rank it factors the next draw as
-    the caller takes the step; once H is dense it conjugates H while the
-    caller draws. Each property holds in every regime of the path in use.
-    The classes below run these on each path."""
+    """While H is low-rank each step runs on the calling thread; once H is
+    dense the one worker thread conjugates H while the caller draws. Each
+    property holds in every regime of the path in use. The classes below
+    run these on each path."""
 
     def test_repeatable_under_fast_thread_switching(self, model):
-        for regime in _regimes():
+        for regime in REGIMES:
             want = _draw(model, regime).eigenvalues()
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -665,15 +678,15 @@ class _WorkerChecks:
                 sys.setswitchinterval(interval)
 
     def test_no_thread_outlives_a_call(self, model):
-        for regime in _regimes():
+        for regime in REGIMES:
             before = threading.active_count()
             _draw(model, regime)
             assert threading.active_count() == before
 
     def test_worker_failure_reaches_caller(self, model, monkeypatch):
-        for regime in _regimes():
+        for regime in REGIMES:
             threads = []
-            real = getattr(rmtsim, WORKER_JOB[regime])
+            real = getattr(rmtsim, STEP[regime])
 
             def failing_third(*args, real=real):
                 threads.append(threading.current_thread())
@@ -683,15 +696,16 @@ class _WorkerChecks:
 
             before = threading.active_count()
             with monkeypatch.context() as patch, pytest.raises(RuntimeError, match="job 3 failed"):
-                patch.setattr(rmtsim, WORKER_JOB[regime], failing_third)
+                patch.setattr(rmtsim, STEP[regime], failing_third)
                 _draw(model, regime)
             assert threading.active_count() == before
             assert len(threads) == 3
-            assert threading.main_thread() not in threads
+            on_caller = regime == "low_rank"
+            assert all((t is threading.main_thread()) == on_caller for t in threads)
 
     def test_steps_run_under_the_callers_error_state(self, model, monkeypatch):
-        for regime in _regimes():
-            real = getattr(rmtsim, WORKER_JOB[regime])
+        for regime in REGIMES:
+            real = getattr(rmtsim, STEP[regime])
 
             def dividing(*args, real=real):
                 np.divide(1.0, np.zeros(1))
@@ -699,7 +713,7 @@ class _WorkerChecks:
 
             with monkeypatch.context() as patch, np.errstate(divide="raise"), \
                     pytest.raises(FloatingPointError):
-                patch.setattr(rmtsim, WORKER_JOB[regime], dividing)
+                patch.setattr(rmtsim, STEP[regime], dividing)
                 _draw(model, regime)
 
 
@@ -708,28 +722,33 @@ class TestFimRecursionWorker(_WorkerChecks):
     """The worker's checks on the path numpy's build takes, and those that
     hold on numpy's OpenBLAS alone."""
 
-    @needs_openblas
     def test_at_most_one_earlier_draw_alive(self, model, monkeypatch):
-        real = rmtsim._gaussian
-        for regime in _regimes():
+        # nothing is drawn ahead: a new draw sees at most the one before,
+        # as the low-rank form's V or as the layer in conjugation
+        for regime in REGIMES:
             draws, alive = [], []
 
-            def tracked(M, rng):
-                alive.append(sum(ref() is not None for ref in draws))
-                a = real(M, rng)
-                draws.append(weakref.ref(a))
-                return a
+            def tracked(real):
+                def draw(*args):
+                    alive.append(sum(ref() is not None for ref in draws))
+                    out = real(*args)
+                    draws.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+                    return out
 
-            monkeypatch.setattr(rmtsim, "_gaussian", tracked)
-            _draw(model, regime)
+                return draw
+
+            with monkeypatch.context() as patch:
+                for name in DRAWS:
+                    patch.setattr(rmtsim, name, tracked(getattr(rmtsim, name)))
+                _draw(model, regime)
             assert len(draws) == (6 if model == "network" else 5)
-            assert max(alive) == 1
+            assert max(alive) <= 1
 
     def test_peak_memory_below_four_matrices(self, model):
-        # low-rank: two draws and V; dense: H, the layer in conjugation,
+        # low-rank: thin draws and V; dense: H, the layer in conjugation,
         # the layer being drawn, one M x TILE panel
         M = 768
-        for regime in _regimes():
+        for regime in REGIMES:
             tracemalloc.start()
             try:
                 _draw(model, regime, M, 8)
@@ -740,12 +759,13 @@ class TestFimRecursionWorker(_WorkerChecks):
 
     @needs_openblas
     def test_step_failure_wins_over_the_next_draws(self, model, monkeypatch):
-        # step 2 takes the layer of draw 3 (network) or 2 (atoms); the draw
-        # after it fails too, but a serial loop never reaches it. Low-rank,
-        # the step runs here while the worker factors that draw; dense, the
-        # step runs on the worker while this thread draws it.
-        for regime, step, draw in (("low_rank", "_low_rank_step", "_factor"),
-                                   ("dense", "_fim_step", "_gaussian")):
+        # low-rank, step 2 runs here before its layer is drawn, so nothing
+        # is drawn after it; dense, it runs on the worker while this thread
+        # draws the next layer, whose failure a serial loop never reaches
+        # and which loses to it
+        for regime, step, draw, drawn in (("low_rank", "_low_rank_step", "_stiefel",
+                                           2 if model == "network" else 1),
+                                          ("dense", "_fim_step", "_householder_draw", 3)):
             steps, draws = [], []
             real_step, real_draw = getattr(rmtsim, step), getattr(rmtsim, draw)
 
@@ -757,7 +777,7 @@ class TestFimRecursionWorker(_WorkerChecks):
 
             def failing_draw(*args, real=real_draw):
                 draws.append(1)
-                if len(draws) == (4 if model == "network" else 3):
+                if len(draws) == 3:
                     raise NumericalError("draw failed")
                 return real(*args)
 
@@ -766,7 +786,7 @@ class TestFimRecursionWorker(_WorkerChecks):
             with pytest.raises(RuntimeError, match="step 2 failed") as err:
                 _draw(model, regime)
             monkeypatch.undo()
-            assert len(draws) == (4 if model == "network" else 3)
+            assert len(draws) == drawn
             if regime == "dense":
                 assert isinstance(err.value.__context__, NumericalError)
             else:
@@ -777,8 +797,9 @@ class TestFimRecursionWorker(_WorkerChecks):
 @pytest.mark.parametrize("haar_path", ["fallback"], indirect=True)
 @pytest.mark.parametrize("model", ["network", "atoms"])
 class TestFimRecursionWorkerFallback(_WorkerChecks):
-    """The worker's checks on the np.linalg.qr fallback, which is the only
-    path where numpy bundles no OpenBLAS and is dense from step 2."""
+    """The worker's checks where numpy bundles no OpenBLAS: the same thin
+    draws while H is low-rank, and np.linalg.qr's explicit Q once it is
+    dense."""
 
 
 class TestNtkBlockMatrix:
@@ -884,9 +905,11 @@ class TestModelFimSample:
     @pytest.mark.parametrize("M, alpha", [(48, 0.6), (48, 1.0), (300, 0.6), (300, 1.0)],
                              ids=["zero_columns", "alpha_1", "zero_columns-width300",
                                   "alpha_1-width300"])
-    def test_bitwise_equal_to_serial_loop(self, M, alpha):
-        # the loop forms each Q, the model applies its reflectors: the
-        # same draws to rounding, and the rng left in the same state
+    def test_bitwise_equal_to_serial_loop(self, M, alpha, explicit_q):
+        # fed the loop's Q for each thin draw, the model takes its steps on
+        # the low-rank form, or applies the reflectors of the loop's
+        # Gaussians once dense: the loop's H to rounding, and the rng left
+        # in the same state
         laws = ([1.0, 0.9, 1.1, 1.2], [1.0, 1.3, 0.8, 1.1], [alpha] * 3, [1.7, 1.3, 0.9])
         q, sigma, alphas, gammas = laws
         schedule = LayerSchedule(q, sigma, tuple(map(TwoAtomJacobianLaw, alphas, gammas)))
@@ -929,11 +952,11 @@ class TestModelFimSample:
 
 
 @pytest.mark.parametrize("model", ["network", "atoms"])
-def test_both_paths_of_both_models_agree(haar_path, model):
-    # the fallback forms each Q: the network keeps the loop's bits, and the
-    # atoms model, which conjugates D H D by W where the loop conjugates H
-    # by W D, agrees to rounding, as the lapack path's reflectors do; both
-    # leave the rng alike
+def test_both_paths_of_both_models_agree(haar_path, model, explicit_q):
+    # fed the oracles' Q for each thin draw, both paths agree with them to
+    # rounding once dense too: the reflectors of the oracles' Gaussians, or
+    # the fallback's explicit Q, conjugate D H D where the loops conjugate
+    # H by W D; both leave the rng alike
     M, depth = 130, 4
     if model == "network":
         x = normalized_input(M, np.random.default_rng(1))
@@ -948,10 +971,7 @@ def test_both_paths_of_both_models_agree(haar_path, model):
         got = model_fim_sample(M, schedule, rng).matrix()
         want = reference_model_fim(M, *laws, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    if haar_path == "fallback" and model == "network":
-        assert np.array_equal(got, want)
-    else:
-        assert _near(got, want)
+    assert _near(got, want)
 
 
 # max |eigenvalue - the oracle's| over max |eigenvalue| of the low-rank form
@@ -990,18 +1010,19 @@ SHAPES = [(M, depth, seed) for M in (24, 257) for depth in (2, 8, 16) for seed i
 SHAPES += [(1000, 16, 1)]
 
 
-@needs_openblas
 class TestLowRankForm:
-    """H kept as a I + V T V^T, its eigenvalues against the oracles'."""
+    """H kept as a I + V T V^T against the oracles' dense recursions: fed
+    their Q for each thin draw (explicit_q), to rounding in H's
+    eigenvalues."""
 
     @pytest.mark.parametrize("M, depth, seed", SHAPES)
-    def test_network_matches_the_oracle(self, M, depth, seed):
+    def test_network_matches_the_oracle(self, M, depth, seed, explicit_q):
         sample, want = _network_case(M, depth, TUNED.spec, TUNED.params.sigma, seed)
         assert sample.dense_layer is None
         assert _within_gate(sample, want)
 
     @pytest.mark.parametrize("M, depth, seed", SHAPES)
-    def test_atoms_model_matches_the_oracle(self, M, depth, seed):
+    def test_atoms_model_matches_the_oracle(self, M, depth, seed, explicit_q):
         p = TUNED.params
         laws = _constant_laws(depth, p.q, p.sigma, p.alpha, p.gamma)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -1011,7 +1032,7 @@ class TestLowRankForm:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("M", [24, 257])
-    def test_half_alive_turns_dense_partway(self, M):
+    def test_half_alive_turns_dense_partway(self, M, explicit_q):
         # about M / 2 dead units a layer: some draws turn dense at the first
         # step, some at the second
         dense_at = set()
@@ -1024,29 +1045,28 @@ class TestLowRankForm:
         assert dense_at == {2, 3}
 
     def test_unequal_live_magnitudes_turn_dense(self):
-        # the live units of the second step's D differ in |d_i|
+        # the live units of the second step's D differ in |d_i|: that step
+        # forms H and conjugates it by its whole Q, the first by Q B
         M = 64
-        rng, work = np.random.default_rng(3), np.empty(_openblas.lwork(M))
+        rng = np.random.default_rng(3)
         want = np.eye(M)
-
-        def layers():
-            nonlocal want
+        with rmtsim._recursion(M, 1.0) as fim:
             for ell in range(3):
-                f, tau, signs = rmtsim._householder_draw(M, rng, work)
-                layer = rmtsim._Householder(f, tau, signs, work)
+                q = sample_haar_orthogonal(M, rng)
                 d = rng.uniform(0.5, 1.5, M) if ell == 1 else np.ones(M)
                 d[:5] = 0.0
-                w = _dense(layer)
-                want = np.eye(M) + w @ (d[:, None] * want * d[None, :]) @ w.T
-                yield layer, d, 1.0
-
-        with rmtsim._one_worker() as worker:
-            sample = rmtsim._fim_recursion(M, 1.0, layers(), worker)
+                want = np.eye(M) + q @ (d[:, None] * want * d[None, :]) @ q.T
+                b = fim.step(d, 1.0)
+                if b is None:
+                    fim.dense(q, d, 1.0)
+                else:
+                    fim.v = q @ b
+            sample = fim.result(None)
         assert sample.dense_layer == 3
         assert sample.dead == (5, 5, 5)
         assert _within_gate(sample, (want + want.T) / 2.0)
 
-    def test_linear_network_is_one_atom(self):
+    def test_linear_network_is_one_atom(self, explicit_q):
         sample, want = _network_case(64, 8, Linear(1.0), 1.0, 0)
         a, multiplicity = sample.top_atom()
         assert multiplicity == 64 and sample.dead == (0,) * 7
@@ -1061,7 +1081,7 @@ class TestLowRankForm:
         assert np.count_nonzero(vals == a) >= multiplicity
         assert vals[-1] == pytest.approx(a, rel=1e-12)
 
-    def test_formed_matrix_is_symmetric_and_matches(self):
+    def test_formed_matrix_is_symmetric_and_matches(self, explicit_q):
         sample, want = _network_case(257, 8, TUNED.spec, TUNED.params.sigma, 2)
         h = sample.matrix()
         assert np.array_equal(h, h.T)
@@ -1069,10 +1089,11 @@ class TestLowRankForm:
 
     @pytest.mark.parametrize("model", ["network", "atoms"])
     def test_rank_deficient_draws_leave_a_serial_loops_numbers(self, model, monkeypatch):
-        # every Gaussian, the ones drawn ahead too, has R[1, 1] = 0: each is
-        # kept, so each layer reads one, as a serial loop does, and the
-        # draw matches the oracle's
+        # every thin Gaussian of two columns or more has R[1, 1] = 0: each
+        # is kept, so each layer reads one, as a serial loop does, and its
+        # Y passes the check, so the top atom's identities hold
         M, depth = 64, 6
+        activation, alpha = REGIMES["low_rank"]
         if model == "network":
             x = normalized_input(M, np.random.default_rng(5))
             rngs = []
@@ -1082,19 +1103,16 @@ class TestLowRankForm:
                 return rngs[-1]
 
             monkeypatch.setattr(np.random, "default_rng", singular)
-            args = (M, depth, TUNED.spec, TUNED.params.sigma)
-            sample = network_fim_sample(*args, 5, x)
-            want = reference_dual_fim(OrthogonalNet.sample(*args, seed=5), x)
-            assert [rng.draws for rng in rngs] == [depth, depth]
+            sample = network_fim_sample(M, depth, activation, 1.0, 5, x)
+            (rng,) = rngs
+            assert rng.draws == depth
         else:
-            p = TUNED.params
-            laws = _constant_laws(depth, p.q, p.sigma, p.alpha, p.gamma)
-            rng, ref_rng = _SingularDraws(5), _SingularDraws(5)
-            sample, want = _atoms_case(M, laws, rng, ref_rng)
-            assert rng.draws == ref_rng.draws == depth - 1
-            assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
-        assert sample.dense_layer is None
-        assert _within_gate(sample, want)
+            rng = _SingularDraws(5)
+            sample = model_fim_sample(M, constant_schedule(depth, 1.0, 1.1, alpha, 1.3), rng)
+            assert rng.draws == depth - 1
+        assert sample.dense_layer is None and sum(sample.dead) > 0
+        assert 0.0 <= sample.ortho_defect_max < rmtsim.ORTHO_TOL
+        assert sample.top_atom()[1] == M - sum(sample.dead)
 
 
 class TestFreenessProbe:
@@ -1111,3 +1129,124 @@ class TestFreenessProbe:
             freeness_probe(16, 10, rng)
         with pytest.raises(ValueError):
             freeness_probe(32, 0, rng)
+
+
+@pytest.mark.parametrize("model", ["network", "atoms"])
+def test_low_rank_draws_are_the_same_bits_on_both_paths(model, monkeypatch):
+    # a low-rank draw is numpy's alone: with the library forced to be
+    # missing it reads the same Gaussians and leaves the same bits
+    want = _draw(model, "low_rank", 100, 8)
+    monkeypatch.setattr(_openblas, "_library", lambda: None)
+    got = _draw(model, "low_rank", 100, 8)
+    assert got.a == want.a and got.dead == want.dead
+    assert got.v.tobytes() == want.v.tobytes() and got.t.tobytes() == want.t.tobytes()
+    assert got.ortho_defect_max == want.ortho_defect_max
+
+
+@pytest.mark.parametrize("M", [24, 100, 257])
+def test_top_atom_identities_of_each_low_rank_draw(haar_path, M):
+    # while H stays low-rank, its top atom has multiplicity M minus the
+    # dead units, and the atoms model's top atom is the theory's scalar
+    # recursion a <- q + sigma^2 gamma a, to rounding
+    p = TUNED.params
+    schedules = [constant_schedule(8, p.q, p.sigma, p.alpha, p.gamma),
+                 constant_schedule(6, 1.0, 1.1, 0.9, 1.3)]
+    low_rank = 0
+    for seed in range(3):
+        x = normalized_input(M, np.random.default_rng(seed ^ 0xA5A5))
+        draws = [(network_fim_sample(M, 8, TUNED.spec, p.sigma, seed, x), None)]
+        draws += [(model_fim_sample(M, sched, np.random.default_rng(seed)), sched)
+                  for sched in schedules]
+        for sample, sched in draws:
+            if sample.dense_layer is not None:
+                continue
+            low_rank += 1
+            a, multiplicity = sample.top_atom()
+            assert multiplicity == M - sum(sample.dead)
+            if sched is not None:
+                want = sched.q[0]
+                for q, s, nu in zip(sched.q[1:], sched.sigma[1:], sched.jacobians):
+                    want = q + s * s * nu.gamma * want
+                assert a == pytest.approx(want, rel=1e-12)
+    assert low_rank >= 7
+
+
+@pytest.mark.parametrize("model", ["network", "atoms"])
+def test_low_rank_draw_allocates_below_one_matrix(model):
+    # the benchmark's simulate commands at M = 1000, depth 16, seed 1:
+    # thin draws hold O(M m) doubles, and no M x M array is made
+    M, p = 1000, TUNED.params
+    tracemalloc.start()
+    try:
+        if model == "network":
+            x = normalized_input(M, np.random.default_rng(1 ^ 0xA5A5))
+            sample = network_fim_sample(M, 16, TUNED.spec, p.sigma, 1, x)
+        else:
+            schedule = constant_schedule(16, p.q, p.sigma, p.alpha, p.gamma)
+            sample = model_fim_sample(M, schedule, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.dense_layer is None
+    assert peak < 8 * M * M
+
+
+def _law_statistics(vals):
+    """(top-atom fraction, mean, standard deviation of the rest) of one
+    spectrum, the top atom being the eigenvalues within 1e-9 of the
+    largest, relatively."""
+    top = near_top_mask(vals, 1e-9)
+    rest = vals[~top]
+    return top.mean(), rest.mean(), rest.std()
+
+
+@pytest.mark.parametrize("model", ["network", "atoms"])
+def test_thin_draws_follow_the_dense_law(model):
+    # Fixed before it was first run: 30 thin draws (seeds 0-29) against 30
+    # of the oracles' dense loops (seeds 1000-1029) at M = 128, depth 6,
+    # both low-rank throughout. For each of the top-atom fraction and the
+    # mean and standard deviation of the rest of the spectrum, the two
+    # means over seeds differ by at most 4 standard errors of their
+    # difference.
+    M, depth, seeds = 128, 6, 30
+    activation, alpha = REGIMES["low_rank"]
+    laws = _constant_laws(depth, 1.0, 1.0, alpha, 1.1)
+    schedule = LayerSchedule(laws[0], laws[1], tuple(map(TwoAtomJacobianLaw, *laws[2:])))
+
+    def thin(seed):
+        if model == "network":
+            x = normalized_input(M, np.random.default_rng(seed ^ 0xA5A5))
+            sample = network_fim_sample(M, depth, activation, 1.0, seed, x)
+        else:
+            sample = model_fim_sample(M, schedule, np.random.default_rng(seed))
+        assert sample.dense_layer is None
+        return sample.eigenvalues()
+
+    def dense(seed):
+        if model == "network":
+            x = normalized_input(M, np.random.default_rng(seed ^ 0xA5A5))
+            net = OrthogonalNet.sample(M, depth, activation, 1.0, seed=seed)
+            h = reference_dual_fim(net, x)
+        else:
+            h = reference_model_fim(M, *laws, np.random.default_rng(seed))
+        return np.linalg.eigvalsh(h)
+
+    got = np.array([_law_statistics(thin(seed)) for seed in range(seeds)])
+    want = np.array([_law_statistics(dense(1000 + seed)) for seed in range(seeds)])
+    gap = np.abs(got.mean(axis=0) - want.mean(axis=0))
+    se = np.sqrt((got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / seeds)
+    assert np.all(gap <= 4.0 * se), (gap / se).tolist()
+
+
+def test_thin_draw_keeps_the_gram_matrix():
+    # Q C for an orthogonal Q keeps C^T C: the thin draw's Y R does too, so
+    # it keeps the angles between V's columns and the network's input
+    M, rng = 300, np.random.default_rng(7)
+    c = rng.standard_normal((M, 12)) @ rng.standard_normal((12, 12))
+    draws = rmtsim._HaarDraws(M, np.random.default_rng(8))
+    qc = draws.thin(c, 2)
+    gram = c.T @ c
+    assert np.abs(qc.T @ qc - gram).max() <= 1e-12 * np.abs(gram).max()
+    assert 0.0 <= draws.defect < rmtsim.ORTHO_TOL
+    y = draws.thin(np.linalg.qr(c)[0], 3, orthonormal=True)
+    assert np.abs(y.T @ y - np.eye(12)).max() < rmtsim.ORTHO_TOL
