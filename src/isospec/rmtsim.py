@@ -22,9 +22,8 @@ Q is Haar and independent of C = [B, x], so Q C has the law of Y R for a
 thin QR C = U R and Y uniform on the Stiefel manifold of M x m frames
 (Mezzadri 2007). Simulate's two models therefore decide each step's
 regime before its layer is drawn, and while H stays low-rank draw only
-Y, from numpy's QR of one M x m Gaussian, checked in O(M m^2)
-(_HaarDraws.thin). Such a step costs O(M m^2) and allocates no M x M
-array.
+Y, by CholeskyQR of one M x m Gaussian (_stiefel), and check it
+(_HaarDraws.thin): such a step costs O(M m^2) and allocates no M x M array.
 
 Once V would have more than LOW_RANK_SHARE M columns, or the live units'
 |d_i| differ, H is formed and every later step conjugates it densely
@@ -37,9 +36,9 @@ with BLAS at one thread, so the two threads share the cores. Elsewhere
 the layer is numpy's explicit Q, checked by its Gram matrix, and each
 step is waited for before the next draw.
 
-A Haar draw, thin or full, is Q diag(s) from the QR of one Gaussian, Q R,
-with s_i the sign bit of r_ii: +-1 even where r_ii is 0, so each draw
-reads exactly one Gaussian. Empirical spectral measures feed the
+A full Haar draw is Q diag(s) from the QR of one Gaussian, Q R, with s_i
+the sign bit of r_ii: +-1 even where r_ii is 0, so each draw, thin or
+full, reads exactly one Gaussian. Empirical spectral measures feed the
 comparison against the free-probability predictions.
 """
 
@@ -59,14 +58,12 @@ from .specmeasure import GridDensity, NumericalError, SpectralMeasure, check_bin
 
 ORTHO_TOL = 1e-10
 # The recursion keeps H = a I + V T V^T while V has at most this share of
-# M columns. At M = 1000 and one BLAS thread a low-rank step, its thin draw
-# included, takes 14, 36, 63 and 79 ms at 100, 250, 400 and 490 columns
-# (17, 47, 86 and 112 ms with the network's input column). A dense layer
-# takes 45 ms to draw and check on the caller while the worker conjugates
-# the last one in 51 ms, and the dense form adds 26 ms to form H and an
-# 88 ms eigvalsh at the end. So the two cross near 300 columns a layer,
-# and near M / 2 once the dense form's fixed costs are counted. These are
-# in-process timings: the benchmark's simulate commands stay low-rank.
+# M columns. In process at M = 1000 and one BLAS thread, a low-rank step and
+# its thin draw take 10, 33, 55 and 80 ms at 100, 250, 400 and 490 columns
+# (14, 45, 72 and 110 ms with the network's input column). A dense layer
+# costs 51 ms, the worker's conjugation, while the caller draws the next in
+# 45 ms; forming H adds 26 ms and the final eigvalsh 88 ms. So the two cross
+# near 350 columns a layer, and near M / 2 with the dense fixed costs.
 LOW_RANK_SHARE = 0.5
 # Tile of the in-place transposes and symmetrization, band of the
 # orthogonality check and panel width of the FIM conjugation.
@@ -132,7 +129,7 @@ def sample_haar_orthogonal(M: int, rng: np.random.Generator) -> np.ndarray:
     Gaussian matrix, with the sign ambiguity fixed by forcing a positive
     triangular diagonal (_signs); without the fix numpy's QR biases the
     draw away from uniform. About four M x M arrays are alive during the
-    draw.
+    draw. Simulate's thin draws are CholeskyQR's instead (_stiefel).
     """
     if M < 2:
         raise ValueError("M must be at least 2")
@@ -248,14 +245,27 @@ def _haar_layers(width: int, sigma: tuple, seed: int) -> Iterator:
         yield w
 
 
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """R^{-1} for an upper triangular R = [[A, B], [0, C]], by halves."""
+    h = len(r) // 2
+    if h < 32:  # np.linalg.inv is as fast below 64 rows, 4 times slower at 500
+        return np.linalg.inv(r)
+    a, c = _upper_inverse(r[:h, :h]), _upper_inverse(r[h:, h:])
+    return np.block([[a, -(a @ r[:h, h:]) @ c], [np.zeros((len(r) - h, h)), c]])
+
+
 def _stiefel(M: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Y, M x m with orthonormal columns and uniform on the Stiefel
-    manifold: numpy's QR of one M x m Gaussian from rng, with the signs of
-    R's diagonal (_signs), as sample_haar_orthogonal draws all M columns.
-    An M x 0 Y reads nothing from rng."""
-    y, r = np.linalg.qr(rng.standard_normal((M, m)))
-    y *= _signs(r)
-    return y
+    manifold: G R^{-1} for one M x m Gaussian G from rng, R = chol(G^T G)
+    (CholeskyQR), or, where that fails or is ORTHO_TOL off orthogonal,
+    numpy's QR of the same G times _signs. M x 0 reads nothing from rng."""
+    g = rng.standard_normal((M, m))
+    with contextlib.suppress(np.linalg.LinAlgError):
+        y = g @ _upper_inverse(np.linalg.cholesky(g.T @ g, upper=True))
+        if np.abs(y.T @ y - np.eye(m)).max(initial=0.0) < ORTHO_TOL:
+            return y
+    y, r = np.linalg.qr(g)
+    return y * _signs(r)
 
 
 class _HaarDraws:
@@ -273,7 +283,7 @@ class _HaarDraws:
         """Q C in law, for layer `ell`'s Haar Q and an M x m C: Y R with
         Y from _stiefel and C = U R a thin QR, since Q U is uniform on the
         Stiefel manifold and independent of R. Where C's columns are
-        orthonormal, Q C is Y itself."""
+        orthonormal, Q C is Y itself, checked here whichever QR made it."""
         y = _stiefel(self.M, c.shape[1], self.rng)
         self.defect = max(self.defect, _check_columns(y, 1.0, ell))
         return y if orthonormal else y @ np.linalg.qr(c, mode="r")

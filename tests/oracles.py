@@ -5,7 +5,8 @@ stored forward pass and layer recursion that `dual_fim` must reproduce
 bit for bit on explicit weights, and that `rmtsim.network_fim_sample`
 must reproduce to rounding when fed the same layers, the serial
 matrix-model loop that `rmtsim.model_fim_sample` must reproduce to
-rounding when fed the same layers, the dense
+rounding when fed the same layers, the Householder thin draw that
+`rmtsim._stiefel`'s CholeskyQR must match to rounding, the dense
 parameter Jacobian behind H_L and the conditional FIM, and an
 alternating-moment test of asymptotic freeness. The cold-start
 subordination solve is Newton on the fixed point in w with its own copy
@@ -197,6 +198,14 @@ def reference_model_fim(M: int, q, sigma, alpha, gamma, rng: np.random.Generator
         wd = sigma[ell] * sample_haar_orthogonal(M, rng) * d[None, :]
         h = float(q[ell]) * np.eye(M) + conjugate_by_panels(wd, h)
     return (h + h.T) / 2.0
+
+
+def householder_stiefel(M: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """A thin Haar draw Y, M x m, as numpy's Householder QR of one M x m
+    Gaussian from rng, times the sign bits of R's diagonal: the draw that
+    `rmtsim._stiefel` made before it took CholeskyQR."""
+    y, r = np.linalg.qr(rng.standard_normal((M, m)))
+    return y * np.copysign(1.0, np.diagonal(r))
 
 
 def dual_fim_dense(net: OrthogonalNet, x: np.ndarray):

@@ -435,6 +435,37 @@ class TestSimulate:
             assert code == 3
             assert "numerical failure: layer 3: W/sigma off orthogonal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["network", "atoms"])
+    def test_singular_thin_draws_exit_cleanly(self, tmp_path, monkeypatch, capsys, model):
+        # every Gaussian matrix drawn has a zero second column, so no thin
+        # draw of two columns or more has a Cholesky factor: each takes the
+        # Householder QR of the same Gaussian, and the command exits 0
+        real = np.random.default_rng
+
+        class Singular:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def random(self, size):
+                return self.rng.random(size)
+
+            def standard_normal(self, size):
+                a = self.rng.standard_normal(size)
+                if a.ndim == 2:
+                    a[:, 1:2] = 0.0
+                return a
+
+        monkeypatch.setattr(np.random, "default_rng", Singular)
+        out = tmp_path / model
+        low_rank = (["--family", "hard_tanh", "--s", 0.5, "--g", 1.0] if model == "network"
+                    else ["--alpha", 0.95])
+        code = _run("simulate", "--out", out, "--model", model, "--width", 64, "--depth", 6,
+                    "--draws", 2, *low_rank)
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        draws = json.loads((out / "diagnostics.json").read_text())["draws"]
+        assert all(d["dense_layer"] is None and d["ortho_defect_max"] < 1e-10 for d in draws)
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise NumericalError("forced failure")

@@ -19,6 +19,7 @@ from oracles import (
     dual_fim_dense,
     forward_trace,
     freeness_probe,
+    householder_stiefel,
     ntk_block_matrix,
     reference_dual_fim,
     reference_model_fim,
@@ -62,6 +63,19 @@ class _SingularDraws:
     def standard_normal(self, size):
         a = self.rng.standard_normal(size)
         a[:, 1:2] = 0.0
+        self.draws += 1
+        return a
+
+
+class _NearlyEqualColumns(_SingularDraws):
+    """default_rng(seed)'s stream, except that every Gaussian of two
+    columns or more has a second column within 1e-6 of its first: its
+    Gram matrix has a Cholesky factor, but CholeskyQR's Y is far off
+    orthogonal."""
+
+    def standard_normal(self, size):
+        a = self.rng.standard_normal(size)
+        a[:, 1:2] = a[:, :1] + 1e-6 * a[:, 1:2]
         self.draws += 1
         return a
 
@@ -1236,6 +1250,77 @@ def test_thin_draws_follow_the_dense_law(model):
     gap = np.abs(got.mean(axis=0) - want.mean(axis=0))
     se = np.sqrt((got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / seeds)
     assert np.all(gap <= 4.0 * se), (gap / se).tolist()
+
+
+class TestStiefel:
+    """The thin draw by CholeskyQR against numpy's Householder QR of the
+    same Gaussian (oracles.householder_stiefel), which also rescues a
+    Gaussian that CholeskyQR cannot draw from."""
+
+    @pytest.mark.parametrize("M, m", [(24, 0), (24, 1), (300, 40), (1000, 100), (1000, 500)])
+    def test_draw_is_the_householder_draw_to_rounding(self, M, m, monkeypatch):
+        # a Gaussian draw takes no rescue: numpy's QR is not called
+        rng, ref = np.random.default_rng(M + m), np.random.default_rng(M + m)
+        want = householder_stiefel(M, m, ref)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", None)
+            y = rmtsim._stiefel(M, m, rng)
+        assert y.shape == want.shape == (M, m)
+        assert m == 0 or np.abs(y - want).max() <= 1e-13
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if m == 0:
+            assert rng.bit_generator.state == np.random.default_rng(M).bit_generator.state
+
+    @pytest.mark.parametrize("stub", [_SingularDraws, _NearlyEqualColumns],
+                             ids=["cholesky_fails", "check_fails"])
+    def test_rescue_is_the_householder_draw_of_the_same_gaussian(self, stub):
+        M, m = 300, 40
+        g = stub(4).standard_normal((M, m))
+        if stub is _SingularDraws:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(g.T @ g, upper=True)
+        else:
+            y = g @ np.linalg.inv(np.linalg.cholesky(g.T @ g, upper=True))
+            assert not np.abs(y.T @ y - np.eye(m)).max() < rmtsim.ORTHO_TOL
+        rng, ref = stub(4), np.random.default_rng(4)
+        draws = rmtsim._HaarDraws(M, rng)
+        y = draws.thin(np.eye(M, m), 2, orthonormal=True)
+        assert y.tobytes() == householder_stiefel(M, m, stub(4)).tobytes()
+        assert 0.0 <= draws.defect < rmtsim.ORTHO_TOL
+        assert rng.draws == 1
+        ref.standard_normal((M, m))
+        assert rng.rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("M", [1, 2, 63, 64, 65, 300])
+    def test_upper_inverse_is_the_inverse(self, M):
+        rng = np.random.default_rng(M)
+        r = np.triu(rng.standard_normal((M, M))) + M * np.eye(M)
+        s = rmtsim._upper_inverse(r)
+        assert np.array_equal(s, np.triu(s))
+        assert np.abs(s @ r - np.eye(M)).max() <= 1e-14
+
+    @pytest.mark.parametrize("model", ["network", "atoms"])
+    def test_simulate_keeps_the_householder_draws_spectrum(self, model, monkeypatch):
+        # both models at M = 300, depth 8, three seeds: with the Householder
+        # thin draws monkeypatched in, every eigenvalue within 1e-12 of it,
+        # relatively, and the same dead units and regime at every layer
+        M, depth, p = 300, 8, TUNED.params
+
+        def draw(seed):
+            if model == "network":
+                x = normalized_input(M, np.random.default_rng(seed ^ 0xA5A5))
+                return network_fim_sample(M, depth, TUNED.spec, p.sigma, seed, x)
+            schedule = constant_schedule(depth, p.q, p.sigma, p.alpha, p.gamma)
+            return model_fim_sample(M, schedule, np.random.default_rng(seed))
+
+        for seed in range(3):
+            got = draw(seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(rmtsim, "_stiefel", householder_stiefel)
+                want = draw(seed)
+            assert got.dead == want.dead and got.dense_layer == want.dense_layer
+            vals, ref = got.eigenvalues(), want.eigenvalues()
+            assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_thin_draw_keeps_the_gram_matrix():
